@@ -12,6 +12,7 @@ import sys
 
 from .configio import ConfigError, parse_config
 from .harness import (
+    MIN_STEADY_POINTS,
     ExperimentConfig,
     estimate_steady_state,
     fit_steady_state,
@@ -85,13 +86,23 @@ def build_parser() -> _Parser:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be positive, got {args.trials}")
-        cfg = replace(cfg, trials=args.trials)
+    try:
+        if getattr(args, "seed", None) is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if getattr(args, "trials", None) is not None:
+            cfg = replace(cfg, trials=args.trials)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def _require_steady_curve(cfg: ExperimentConfig) -> None:
+    """Reject a config whose curves are too short for a steady-state estimate."""
+    if cfg.n_samples < MIN_STEADY_POINTS:
+        raise ConfigError(
+            f"n_samples must be at least {MIN_STEADY_POINTS} to estimate a steady state, "
+            f"got {cfg.n_samples}"
+        )
 
 
 def _parse_list(text, kind=float):
@@ -108,6 +119,7 @@ def _outdir(args) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    _require_steady_curve(cfg)
     out = _outdir(args)
     result = run_trials(cfg)
     write_curve_csv(os.path.join(out, "curve.csv"), result.mean_curve, result.std_curve)
@@ -119,6 +131,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args, axis: str) -> int:
     cfg = _load_config(args)
+    _require_steady_curve(cfg)
     out = _outdir(args)
     if getattr(args, "values", None):
         values = _parse_list(args.values, int if axis == "P" else float)
@@ -180,7 +193,7 @@ def _cmd_check_theorems(args) -> int:
     )
     for inst in suite.instances:
         if inst.report.passed:
-            status = "dominated" if inst.max_violation <= 1e-9 and inst.support_ok else "VIOLATED"
+            status = "dominated" if inst.dominated else "VIOLATED"
             print(
                 f"instance {inst.index:3d}: delta={inst.delta:.4f} ({inst.rip_method}) "
                 f"lambda={inst.lam:.4g} max_violation={inst.max_violation:.3e} "

@@ -51,6 +51,9 @@ THREADS_ENV = "STREAM_ISTA_THREADS"
 
 SWEEP_AXES = ("none", "P", "mu", "lambda_S")
 
+# fewest curve points a steady-state estimate accepts
+MIN_STEADY_POINTS = 4
+
 # seed substream tags for per-trial derivations
 _MATRIX_STREAM = 0
 _TARGET_STREAM = 1
@@ -101,12 +104,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown sweep axis {self.sweep_axis!r}; expected one of {SWEEP_AXES}"
             )
+        if self.m < 1:
+            raise ValueError(f"m must be positive, got {self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.noise_level < 0:
             raise ValueError(f"noise_level must be nonnegative, got {self.noise_level}")
+        if not 0.0 <= self.noise_delta < 1.0:
+            raise ValueError(f"noise_delta must lie in [0, 1), got {self.noise_delta}")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
         # validate signal and solver parameters eagerly so config errors
@@ -173,18 +182,36 @@ def _trial_sigma(cfg: ExperimentConfig, phi: MeasurementMatrix, target: DynamicT
     return cfg.noise_level
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
-    """One seeded trial: fresh matrix, target, and noise; zero initial state."""
+def _trial_problem(cfg: ExperimentConfig, trial: int):
+    """Matrix and target of one trial, each drawn from its own seed stream."""
     phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, trial, _MATRIX_STREAM))
     target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, trial, _TARGET_STREAM)))
-    sigma = _trial_sigma(cfg, phi, target)
+    return phi, target
+
+
+def _trial_measurements(
+    cfg: ExperimentConfig, trial: int, phi: MeasurementMatrix, target: DynamicTarget,
+    sigma: float, delta: float, noise_mode: str,
+) -> np.ndarray:
+    """Noisy measurement stream of one trial, one noise seed per sample.
+
+    Separate from :func:`_trial_problem` because ``sigma`` or ``delta``
+    may depend on the drawn matrix and target.
+    """
     ys = np.empty((cfg.n_samples, cfg.m))
     for k in range(cfg.n_samples):
         noise = gen_noise(
-            cfg.m, sigma, cfg.noise_delta, cfg.noise_mode,
-            derive_seed(cfg.seed, trial, _NOISE_STREAM, k),
+            cfg.m, sigma, delta, noise_mode, derive_seed(cfg.seed, trial, _NOISE_STREAM, k)
         )
         ys[k] = measure(phi, target.samples[k], noise)
+    return ys
+
+
+def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
+    """One seeded trial: fresh matrix, target, and noise; zero initial state."""
+    phi, target = _trial_problem(cfg, trial)
+    sigma = _trial_sigma(cfg, phi, target)
+    ys = _trial_measurements(cfg, trial, phi, target, sigma, cfg.noise_delta, cfg.noise_mode)
     trace = run_streaming(phi, ys, target, cfg.solver_config(), np.zeros(cfg.n))
     return TrialResult(trace.premeasurement_errors(), trace.max_gamma_size(), sigma)
 
@@ -232,8 +259,10 @@ def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
 def estimate_steady_state(curve: np.ndarray, tail_fraction: float = 0.25) -> float:
     """Mean of the trailing fraction of a curve."""
     curve = np.asarray(curve, dtype=np.float64)
-    if curve.ndim != 1 or curve.size < 4:
-        raise ValueError(f"curve must be 1-d with at least 4 points, got shape {curve.shape}")
+    if curve.ndim != 1 or curve.size < MIN_STEADY_POINTS:
+        raise ValueError(
+            f"curve must be 1-d with at least {MIN_STEADY_POINTS} points, got shape {curve.shape}"
+        )
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     count = max(1, int(round(curve.size * tail_fraction)))
@@ -353,6 +382,12 @@ class TheoremInstance:
     support_ok: bool | None
     max_gamma_size: int
 
+    @property
+    def dominated(self) -> bool:
+        """The error stayed under the bound (within BOUND_TOL) and the active
+        set within the support cap."""
+        return self.max_violation <= BOUND_TOL and bool(self.support_ok)
+
 
 @dataclass(frozen=True)
 class TheoremSuiteResult:
@@ -369,11 +404,7 @@ class TheoremSuiteResult:
     @property
     def all_dominated(self) -> bool:
         """True when every precondition-passing instance obeyed the bound."""
-        return all(
-            inst.max_violation <= BOUND_TOL and inst.support_ok
-            for inst in self.instances
-            if inst.report.passed
-        )
+        return all(inst.dominated for inst in self.instances if inst.report.passed)
 
 
 def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:
@@ -391,10 +422,9 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
     sigma = cfg.noise_level
     instances = []
     for t in range(cfg.trials):
-        phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, t, _MATRIX_STREAM))
+        phi, target = _trial_problem(cfg, t)
         est = rip_exact(phi, min(level, cfg.n))
         delta = est.delta
-        target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, t, _TARGET_STREAM)))
         beta_emp = estimate_beta(target)
         mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
         c = abs(cfg.eta - 1.0) + delta * cfg.eta
@@ -407,14 +437,8 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
         init_u = np.zeros(cfg.n)
         report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u, 0)
         if delta < 1.0:
-            ys = np.empty((cfg.n_samples, cfg.m))
-            for k in range(cfg.n_samples):
-                noise = gen_noise(
-                    cfg.m, sigma, delta, "capped", derive_seed(cfg.seed, t, _NOISE_STREAM, k)
-                )
-                ys[k] = measure(phi, target.samples[k], noise)
-            solver_cfg = SolverConfig(lam=lam, eta=cfg.eta, P=cfg.P, dl=cfg.dl, tau=cfg.tau)
-            trace = run_streaming(phi, ys, target, solver_cfg, init_u)
+            ys = _trial_measurements(cfg, t, phi, target, sigma, delta, "capped")
+            trace = run_streaming(phi, ys, target, replace(cfg.solver_config(), lam=lam), init_u)
         else:
             trace = None
         if report.passed and trace is not None:
@@ -496,9 +520,8 @@ def run_lca_suite(
     hold = cfg.P * cfg.tau  # time units each measurement is held
     instances = []
     for t in range(cfg.trials):
-        phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, t, _MATRIX_STREAM))
+        phi, target = _trial_problem(cfg, t)
         delta = rip_exact(phi, min(level, cfg.n)).delta
-        target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, t, _TARGET_STREAM)))
         beta_emp = estimate_beta(target)
         mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
         mu_rate = mudl_emp / hold
@@ -527,12 +550,7 @@ def run_lca_suite(
                 delta, cfg.q, beta_emp, sigma, lam, e0, float("inf"), init_u, 0
             )
         if report.passed and params is not None:
-            ys = np.empty((cfg.n_samples, cfg.m))
-            for k in range(cfg.n_samples):
-                noise = gen_noise(
-                    cfg.m, sigma, delta, "capped", derive_seed(cfg.seed, t, _NOISE_STREAM, k)
-                )
-                ys[k] = measure(phi, target.samples[k], noise)
+            ys = _trial_measurements(cfg, t, phi, target, sigma, delta, "capped")
             slack = slack_factor * delta * mu_rate * cfg.tau
             viol = []
             for steps in (1, substeps):

@@ -10,6 +10,14 @@ perform the same arithmetic; the jitted path fuses the elementwise work and
 releases the GIL so trial-level thread pools scale.  Select the backend with
 the STREAM_ISTA_BACKEND environment variable ("numba" or "numpy"); default
 is numba when importable.
+
+The numpy loop also takes a relaxation factor h, replacing the update of u by
+
+    u <- u + h * (a - u + eta * Phi^T (y - Phi a))
+
+which is one forward-Euler step of length h*tau of the continuous-time
+network.  At h = 1 it is the streaming update above, so the solver runs the
+network at fractional steps through the same loop.
 """
 
 import os
@@ -42,14 +50,15 @@ def active_backend() -> str:
     return "numba" if NUMBA_AVAILABLE else "numpy"
 
 
-def stream_numpy(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0):
+def stream_numpy(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
     """Pure-numpy streaming loop.
 
     Returns per-iteration arrays (errors, active-set sizes, switch flags)
     plus the final internal state and output.  Row l records the iterate
     produced at step l: its distance to the target held at step l, the size
     of its active set, and whether the active set or the target support
-    changed relative to the previous step.
+    changed relative to the previous step.  ``relax`` below 1 takes relaxed
+    (Euler) steps; at 1 the update is the plain streaming one.
     """
     n_meas = ys.shape[0]
     total = n_meas * p
@@ -64,7 +73,10 @@ def stream_numpy(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0):
         tgt = targets[k]
         for i in range(p):
             r = y - phi @ a
-            u = a + eta * (phi_t @ r)
+            if relax == 1.0:
+                u = a + eta * (phi_t @ r)
+            else:
+                u = u + relax * (a - u + eta * (phi_t @ r))
             a = np.where(np.abs(u) <= lam, 0.0, u - lam * np.sign(u))
             new_active = np.abs(u) > lam
             l = k * p + i

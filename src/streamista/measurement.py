@@ -141,21 +141,7 @@ def rip_exact(
     ``budget``; use :func:`rip_monte_carlo` for such sizes.  The maximum is
     order-independent, so batching over supports never changes the result.
     """
-    if not 1 <= s <= phi.cols:
-        raise ValueError(f"sparsity level must lie in [1, {phi.cols}], got {s}")
-    total = math.comb(phi.cols, s)
-    if total > budget:
-        raise SupportBudgetError(
-            f"enumerating {total} supports exceeds budget {budget}; "
-            "use rip_monte_carlo instead"
-        )
-    gram = phi.entries.T @ phi.entries
-    lo, hi = np.inf, -np.inf
-    for supports in _support_batches(phi.cols, s):
-        bmin, bmax = _batch_extremes(gram, supports)
-        lo = min(lo, float(bmin.min()))
-        hi = max(hi, float(bmax.max()))
-    return RipEstimate(s, max(1.0 - lo, hi - 1.0), "exact")
+    return rip_exact_witness(phi, s, budget)[0]
 
 
 def rip_exact_witness(
@@ -192,27 +178,16 @@ def rip_exact_witness(
     return RipEstimate(s, best_dev, "exact"), best_support, coeffs
 
 
-def rip_monte_carlo(
-    phi: MeasurementMatrix, s: int, trials: int, seed: int, exhaustive: bool = False
-) -> RipEstimate:
+def rip_monte_carlo(phi: MeasurementMatrix, s: int, trials: int, seed: int) -> RipEstimate:
     """Lower estimate of the isometry constant from sampled supports.
 
-    Always at or below the exact value.  With ``exhaustive=True`` the sampler
-    walks every support instead of drawing, which reproduces ``rip_exact``.
+    Always at or below the exact value.
     """
     if not 1 <= s <= phi.cols:
         raise ValueError(f"sparsity level must lie in [1, {phi.cols}], got {s}")
-    gram = phi.entries.T @ phi.entries
-    if exhaustive:
-        lo, hi, count = np.inf, -np.inf, 0
-        for supports in _support_batches(phi.cols, s):
-            bmin, bmax = _batch_extremes(gram, supports)
-            lo = min(lo, float(bmin.min()))
-            hi = max(hi, float(bmax.max()))
-            count += len(supports)
-        return RipEstimate(s, max(1.0 - lo, hi - 1.0), "monte_carlo", count)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    gram = phi.entries.T @ phi.entries
     rng = make_rng(seed)
     lo, hi = np.inf, -np.inf
     done = 0

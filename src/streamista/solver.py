@@ -17,6 +17,10 @@ experiments.
 by forward Euler with step dl = tau, which reduces exactly to the update
 above with eta = 1; it therefore delegates, and its traces are bit-identical
 to the equivalent streaming run.
+
+``euler_lca_trace`` integrates the same network at the fractional step
+tau / substeps.  That step is the streaming update at eta = 1 relaxed by
+1/substeps, so it runs through the same numpy kernel loop.
 """
 
 from dataclasses import dataclass
@@ -155,18 +159,11 @@ def ista_iterate(
     return SolverState(u, soft_threshold(u, config.lam), state.l + 1, active_set(u, config.lam))
 
 
-def run_streaming(
-    phi: MeasurementMatrix,
-    measurements: np.ndarray,
-    target: DynamicTarget,
-    config: SolverConfig,
-    init_u: np.ndarray,
-    backend: str | None = None,
-) -> SolverTrace:
-    """Track a measurement stream: P iterations against each y[k].
+def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, init_u):
+    """Validate a stream against ``phi`` and lay it out for the kernel.
 
-    ``measurements`` has one row per target sample; the zero-order hold of
-    the target across the P iterations of a measurement happens here.
+    Returns ``(phi, phi_t, ys, samples, target_changed, u0)`` as contiguous
+    float arrays; ``target_changed[k]`` flags a support change at sample k.
     """
     ys = np.ascontiguousarray(measurements, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != phi.rows:
@@ -192,11 +189,31 @@ def run_streaming(
 
     phi_c = np.ascontiguousarray(phi.entries)
     phi_t = np.ascontiguousarray(phi.entries.T)
+    return phi_c, phi_t, ys, samples, target_changed, u0
+
+
+def run_streaming(
+    phi: MeasurementMatrix,
+    measurements: np.ndarray,
+    target: DynamicTarget,
+    config: SolverConfig,
+    init_u: np.ndarray,
+    backend: str | None = None,
+) -> SolverTrace:
+    """Track a measurement stream: P iterations against each y[k].
+
+    ``measurements`` has one row per target sample; the zero-order hold of
+    the target across the P iterations of a measurement happens here.
+    """
+    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
+        phi, measurements, target, init_u
+    )
     errors, gamma_sizes, switches, u_fin, a_fin = kernels.stream(
         phi_c, phi_t, ys, samples, target_changed,
         float(config.lam), float(config.eta), int(config.P), u0,
         backend=backend,
     )
+    n_meas = ys.shape[0]
     total = n_meas * config.P
     l = np.arange(total)
     state = SolverState(u_fin, a_fin, total, active_set(u_fin, config.lam))
@@ -257,41 +274,14 @@ def euler_lca_trace(
     """
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
-    if P < 1:
-        raise ValueError(f"P must be at least 1, got {P}")
-    if not (lam > 0 and tau > 0):
-        raise ValueError(f"lam and tau must be positive, got lam={lam}, tau={tau}")
-    ys = np.ascontiguousarray(measurements, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[1] != phi.rows:
-        raise ValueError(f"measurements shape {ys.shape} does not match (*, {phi.rows})")
-    samples = np.ascontiguousarray(target.samples, dtype=np.float64)
-    if samples.shape[0] != ys.shape[0]:
-        raise ValueError(
-            f"measurement count {ys.shape[0]} does not match target length {samples.shape[0]}"
-        )
-    u = np.ascontiguousarray(init_u, dtype=np.float64).copy()
-    if u.shape != (phi.cols,):
-        raise ValueError(f"init_u shape {u.shape} does not match ({phi.cols},)")
-    phi_c = np.ascontiguousarray(phi.entries)
-    phi_t = np.ascontiguousarray(phi.entries.T)
-    h = tau / substeps
-    rate = 1.0 / substeps
-    total = ys.shape[0] * P * substeps
-    times = h * np.arange(1, total + 1)
-    errors = np.empty(total)
-    a = soft_threshold(u, lam)
-    step = 0
-    for k in range(ys.shape[0]):
-        y = ys[k]
-        tgt = samples[k]
-        for _ in range(P * substeps):
-            r = y - phi_c @ a
-            if substeps == 1:
-                u = a + phi_t @ r
-            else:
-                u = u + rate * (a - u + phi_t @ r)
-            a = soft_threshold(u, lam)
-            d = a - tgt
-            errors[step] = np.sqrt(np.dot(d, d))
-            step += 1
+    SolverConfig(lam=lam, P=P, dl=tau, tau=tau)  # same parameter checks as the solver
+    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
+        phi, measurements, target, init_u
+    )
+    # the network step is the streaming update at eta = 1, relaxed by 1/substeps
+    errors = kernels.stream_numpy(
+        phi_c, phi_t, ys, samples, target_changed,
+        float(lam), 1.0, P * substeps, u0, relax=1.0 / substeps,
+    )[0]
+    times = (tau / substeps) * np.arange(1, errors.size + 1)
     return times, errors

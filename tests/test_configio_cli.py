@@ -192,6 +192,32 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra_lines, extra_args",
+    [
+        ("noise_delta = 1.5\n", []),
+        ("m = 0\n", []),
+        ("n_samples = 2\n", []),
+        ("n_samples = 3\n", []),
+        ("", ["--seed", "-1"]),
+    ],
+    ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed"],
+)
+def test_cli_invalid_config_exits_one_before_trials(
+    tmp_path, monkeypatch, capsys, extra_lines, extra_args
+):
+    def no_trials(cfg):
+        raise AssertionError("a trial ran for an invalid config")
+
+    monkeypatch.setattr("streamista.cli.run_trials", no_trials)
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG + extra_lines)
+    rc = cli_main(["run", "--config", str(path), "--out", str(tmp_path)] + extra_args)
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_cli_check_theorems_small(tmp_path, capsys):
     cfg = tmp_path / "thm.cfg"
     cfg.write_text(

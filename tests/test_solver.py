@@ -253,6 +253,40 @@ def test_euler_trace_unit_substep_matches_simulation():
     assert np.array_equal(times, 1.5 * np.arange(1, 13))
 
 
+@st.composite
+def euler_problems(draw):
+    n = draw(st.integers(min_value=4, max_value=24))
+    m = draw(st.integers(min_value=2, max_value=n))
+    s = draw(st.integers(min_value=1, max_value=n // 2))
+    P = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    cfg = GenConfig(n=n, s=s, n_pairs=1, n_samples=4, beta=1.0, mu=0.2, seed=seed)
+    target = assemble_target(cfg)
+    phi = gen_gaussian_matrix(m, n, seed)
+    ys = (phi.entries @ target.samples.T).T
+    return phi, ys, target, P
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    euler_problems(),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+)
+def test_euler_trace_matches_simulation_and_time_grid(problem, substeps, tau):
+    phi, ys, target, P = problem
+    init_u = np.zeros(phi.cols)
+    sim = lca_simulate(phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P, backend="numpy")
+    _, errors = euler_lca_trace(phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P)
+    assert np.array_equal(errors, sim.errors)
+    times, fine = euler_lca_trace(
+        phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P, substeps=substeps
+    )
+    steps = ys.shape[0] * P * substeps
+    assert fine.shape == (steps,)
+    assert np.array_equal(times, tau / substeps * np.arange(1, steps + 1))
+
+
 def test_euler_trace_refinement_converges():
     cfg = GenConfig(n=24, s=3, n_pairs=1, n_samples=6, beta=1.0, mu=0.1, seed=2)
     target = assemble_target(cfg)
