@@ -27,7 +27,7 @@ from .harness import (
     sweep,
     sweep_lambda_s,
 )
-from .kernels import BACKEND_ENV, NUMBA_AVAILABLE, active_backend
+from .kernels import active_backend
 from .measurement import (
     MeasurementMatrix,
     RipEstimate,

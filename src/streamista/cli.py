@@ -6,6 +6,7 @@ check-theorems, lemma-suite.  Exit codes: 0 success, 1 configuration error
 """
 
 import argparse
+from contextlib import contextmanager
 from dataclasses import replace
 import os
 import sys
@@ -16,11 +17,13 @@ from .harness import (
     ExperimentConfig,
     estimate_steady_state,
     fit_steady_state,
+    lambda_s_cells,
     read_steady_csv,
     run_lemma_suite,
     run_theorem_suite,
     run_trials,
     sweep,
+    sweep_cells,
     sweep_lambda_s,
     write_curve_csv,
     write_fit_csv,
@@ -84,15 +87,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _config_errors():
+    """Report a ValueError caused by flag or config values as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    try:
+    with _config_errors():
         if getattr(args, "seed", None) is not None:
             cfg = replace(cfg, seed=args.seed)
         if getattr(args, "trials", None) is not None:
             cfg = replace(cfg, trials=args.trials)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -139,6 +149,8 @@ def _cmd_sweep(args, axis: str) -> int:
         values = cfg.sweep_values
     else:
         values = (1, 2, 5, 10) if axis == "P" else (0.2, 0.4, 0.8)
+    with _config_errors():
+        sweep_cells(cfg, axis, values)
     results = sweep(cfg, axis=axis, values=values)
     steadies = []
     for value, result in results:
@@ -157,6 +169,8 @@ def _cmd_sweep_lambda_s(args) -> int:
     out = _outdir(args)
     lams = _parse_list(args.lambda_values) if args.lambda_values else None
     svals = _parse_list(args.s_values, int) if args.s_values else None
+    with _config_errors():
+        lambda_s_cells(cfg, lams, svals)
     grid, fit = sweep_lambda_s(cfg, lams, svals, ratio_level=args.level)
     write_qratio_csv(os.path.join(out, "qratio.csv"), grid)
     with open(os.path.join(out, "qfit.csv"), "w") as fh:
@@ -176,7 +190,8 @@ def _cmd_fit_steady(args) -> int:
         raise ConfigError(f"fit-steady expects a P sweep, got axis {axis!r} in {args.input}")
     mu = args.mu if args.mu is not None else cfg.mu
     dl = args.dl if args.dl is not None else cfg.dl
-    fit = fit_steady_state(values, steadies, mu, dl)
+    with _config_errors():  # the fit runs no trials; its inputs are the flags and the file
+        fit = fit_steady_state(values, steadies, mu, dl)
     write_fit_csv(os.path.join(out, "fit.csv"), fit)
     print(f"c_hat={fit.c_hat:.6g} V_hat={fit.V_hat:.6g} sse={fit.sse:.6g} r2={fit.r2:.6g}")
     print(f"wrote {os.path.join(out, 'fit.csv')}")

@@ -220,7 +220,8 @@ def run_trials(cfg: ExperimentConfig) -> RunResult:
     """All trials of one configuration, optionally on a thread pool.
 
     Results are aggregated in trial order, so the outcome is identical at
-    any worker count.
+    any worker count.  Extra workers buy no speed, since the numpy kernel
+    holds the GIL for most of a trial; they exist to check that contract.
     """
     workers = worker_count()
     indices = range(cfg.trials)
@@ -238,11 +239,8 @@ def run_trials(cfg: ExperimentConfig) -> RunResult:
     return RunResult(mean, std, tuple(results), cfg)
 
 
-def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
-    """Run one configuration per axis value with shared per-trial seeds.
-
-    Returns ``[(value, RunResult), ...]`` in the given order.
-    """
+def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
+    """``[(value, ExperimentConfig), ...]``; an invalid point raises before any trial."""
     axis = axis or cfg.sweep_axis
     values = tuple(values if values is not None else cfg.sweep_values)
     if axis == "P":
@@ -253,7 +251,12 @@ def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
         raise ValueError(f"sweep axis must be 'P' or 'mu', got {axis!r}")
     if not cells:
         raise ValueError("sweep requires at least one axis value")
-    return [(v, run_trials(c)) for v, c in cells]
+    return cells
+
+
+def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
+    """``[(value, RunResult), ...]`` in order, every point run on shared per-trial seeds."""
+    return [(v, run_trials(c)) for v, c in sweep_cells(cfg, axis, values)]
 
 
 def estimate_steady_state(curve: np.ndarray, tail_fraction: float = 0.25) -> float:
@@ -318,24 +321,35 @@ class LambdaLevelFit:
     level_points: tuple  # ((s, lambda) ...) grid points nearest the level
 
 
-def sweep_lambda_s(
-    cfg: ExperimentConfig, lambda_values=None, s_values=None, ratio_level: float = 4.0
-):
-    """Grid of active-set ratios over (lambda, s), plus the level-set fit.
+def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
+    """``(lambda_values, s_values, cells)`` with one config per cell, row-major.
 
     The pair count scales with s to keep the moving fraction of the support
-    fixed.  Per-trial seeds are shared across cells.
+    fixed.  An invalid cell raises before any trial.
     """
     lams = tuple(lambda_values if lambda_values is not None else cfg.sweep_lambda_values)
     svals = tuple(int(v) for v in (s_values if s_values is not None else cfg.sweep_s_values))
     if not lams or not svals:
         raise ValueError("sweep_lambda_s needs nonempty lambda and s value lists")
-    ratios = np.empty((len(lams), len(svals)))
-    for (i, lam), (j, s) in product(enumerate(lams), enumerate(svals)):
-        pairs = min(s, max(0, round(s * cfg.n_pairs / cfg.s)))
-        cell = replace(cfg, lam=float(lam), s=s, n_pairs=pairs, q=4 * s, sweep_axis="none")
-        result = run_trials(cell)
-        ratios[i, j] = np.mean([t.max_gamma_size / s for t in result.trials])
+    cells = [
+        replace(cfg, lam=float(lam), s=s, n_pairs=min(s, max(0, round(s * cfg.n_pairs / cfg.s))),
+                q=4 * s, sweep_axis="none")
+        for lam, s in product(lams, svals)
+    ]
+    return lams, svals, cells
+
+
+def sweep_lambda_s(
+    cfg: ExperimentConfig, lambda_values=None, s_values=None, ratio_level: float = 4.0
+):
+    """Grid of active-set ratios over (lambda, s), plus the level-set fit.
+
+    Per-trial seeds are shared across cells.
+    """
+    lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
+    ratios = np.array(
+        [np.mean([t.max_gamma_size / c.s for t in run_trials(c).trials]) for c in cells]
+    ).reshape(len(lams), len(svals))
     grid = QRatioGrid(lams, svals, ratios)
     return grid, fit_lambda_level(grid, ratio_level)
 

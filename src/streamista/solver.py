@@ -184,8 +184,7 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
     n_meas = ys.shape[0]
     sched = target.support_schedule
     target_changed = np.zeros(n_meas, dtype=np.bool_)
-    if n_meas > 1:
-        target_changed[1:] = np.any(sched[1:] != sched[:-1], axis=1)
+    target_changed[1:] = np.any(sched[1:] != sched[:-1], axis=1)
 
     phi_c = np.ascontiguousarray(phi.entries)
     phi_t = np.ascontiguousarray(phi.entries.T)
@@ -198,7 +197,6 @@ def run_streaming(
     target: DynamicTarget,
     config: SolverConfig,
     init_u: np.ndarray,
-    backend: str | None = None,
 ) -> SolverTrace:
     """Track a measurement stream: P iterations against each y[k].
 
@@ -211,7 +209,6 @@ def run_streaming(
     errors, gamma_sizes, switches, u_fin, a_fin = kernels.stream(
         phi_c, phi_t, ys, samples, target_changed,
         float(config.lam), float(config.eta), int(config.P), u0,
-        backend=backend,
     )
     n_meas = ys.shape[0]
     total = n_meas * config.P
@@ -239,7 +236,6 @@ def lca_simulate(
     tau: float,
     init_u: np.ndarray,
     P: int = 1,
-    backend: str | None = None,
 ) -> SolverTrace:
     """Euler simulation of the continuous network with step dl = tau.
 
@@ -248,7 +244,7 @@ def lca_simulate(
     trace to the equivalent call.
     """
     config = SolverConfig(lam=lam, eta=1.0, P=P, dl=tau, tau=tau)
-    return run_streaming(phi, measurements, target, config, init_u, backend=backend)
+    return run_streaming(phi, measurements, target, config, init_u)
 
 
 def euler_lca_trace(
@@ -279,7 +275,7 @@ def euler_lca_trace(
         phi, measurements, target, init_u
     )
     # the network step is the streaming update at eta = 1, relaxed by 1/substeps
-    errors = kernels.stream_numpy(
+    errors = kernels.stream(
         phi_c, phi_t, ys, samples, target_changed,
         float(lam), 1.0, P * substeps, u0, relax=1.0 / substeps,
     )[0]

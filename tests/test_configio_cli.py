@@ -193,29 +193,44 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra_lines, extra_args",
+    "command, extra_lines, extra_args",
     [
-        ("noise_delta = 1.5\n", []),
-        ("m = 0\n", []),
-        ("n_samples = 2\n", []),
-        ("n_samples = 3\n", []),
-        ("", ["--seed", "-1"]),
+        ("run", "noise_delta = 1.5\n", []),
+        ("run", "m = 0\n", []),
+        ("run", "n_samples = 2\n", []),
+        ("run", "n_samples = 3\n", []),
+        ("run", "", ["--seed", "-1"]),
+        ("sweep-p", "", ["--values", "0"]),
+        ("sweep-mu", "", ["--values", "-1"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,-0.2", "--s-values", "2,4"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1", "--s-values", "4,0"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1", "--s-values", "4,200"]),
+        ("fit-steady", "", ["--dl", "0"]),
+        ("fit-steady", "", ["--mu", "-1"]),
     ],
-    ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed"],
+    ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
+         "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
+         "fit_mu_negative"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
-    tmp_path, monkeypatch, capsys, extra_lines, extra_args
+    tmp_path, monkeypatch, capsys, command, extra_lines, extra_args
 ):
-    def no_trials(cfg):
+    def no_trials(cfg, trial):
         raise AssertionError("a trial ran for an invalid config")
 
-    monkeypatch.setattr("streamista.cli.run_trials", no_trials)
+    monkeypatch.setattr("streamista.harness.run_trial", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
-    rc = cli_main(["run", "--config", str(path), "--out", str(tmp_path)] + extra_args)
+    argv = [command, "--config", str(path), "--out", str(tmp_path)] + extra_args
+    if command == "fit-steady":
+        steady = tmp_path / "in" / "steady.csv"
+        steady.parent.mkdir()
+        steady.write_text("P,steady\n1,0.5\n2,0.4\n5,0.3\n")
+        argv += ["--input", str(steady)]
+    rc = cli_main(argv)
     assert rc == 1
     assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "curve.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_check_theorems_small(tmp_path, capsys):

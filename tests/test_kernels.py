@@ -1,12 +1,10 @@
+import hypothesis.strategies as st
 import numpy as np
-import pytest
+from hypothesis import given, settings
 
-from streamista import kernels
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
-from streamista.solver import SolverConfig, run_streaming
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
+from streamista.solver import SolverConfig, init_state, ista_iterate, run_streaming
 
 
 def make_problem(seed=0):
@@ -20,57 +18,52 @@ def make_problem(seed=0):
 def test_numpy_backend_is_deterministic():
     phi, ys, target = make_problem()
     cfg = SolverConfig(lam=0.1, eta=0.3, P=3)
-    a = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numpy")
-    b = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numpy")
+    a = run_streaming(phi, ys, target, cfg, np.zeros(32))
+    b = run_streaming(phi, ys, target, cfg, np.zeros(32))
     assert a.errors.tobytes() == b.errors.tobytes()
     assert np.array_equal(a.final_state.u, b.final_state.u)
 
 
-@needs_numba
-def test_backends_agree_on_stable_run():
-    phi, ys, target = make_problem(3)
-    cfg = SolverConfig(lam=0.1, eta=0.3, P=3)
-    nb = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numba")
-    base = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numpy")
-    # error values may differ by BLAS-vs-loop rounding, discrete records may not
-    assert nb.errors == pytest.approx(base.errors, rel=1e-9, abs=1e-12)
-    assert np.array_equal(nb.gamma_sizes, base.gamma_sizes)
-    assert np.array_equal(nb.switches, base.switches)
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=4, max_value=24),
+    m_frac=st.floats(min_value=0.1, max_value=1.0),
+    s_frac=st.floats(min_value=0.0, max_value=1.0),
+    P=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    step=st.floats(min_value=0.05, max_value=0.95),
+    lam=st.sampled_from([0.02, 0.1, 0.3]),
+)
+def test_kernel_matches_reference_iterate(n, m_frac, s_frac, P, seed, step, lam):
+    m = max(2, round(m_frac * n))
+    s = 1 + round(s_frac * (n // 2 - 1))
+    target = assemble_target(
+        GenConfig(n=n, s=s, n_pairs=1, n_samples=5, beta=1.0, mu=0.3, seed=seed)
+    )
+    phi = gen_gaussian_matrix(m, n, seed)
+    rng = np.random.default_rng(seed)
+    ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((5, m))
+    init_u = 0.5 * rng.standard_normal(n)
+    # any step below 2 / ||Phi||^2 keeps the gradient map nonexpansive
+    eta = 2.0 * step / float(np.linalg.norm(phi.entries, 2)) ** 2
+    cfg = SolverConfig(lam=lam, eta=eta, P=P)
+    trace = run_streaming(phi, ys, target, cfg, init_u)
 
-
-@needs_numba
-def test_numba_backend_is_deterministic():
-    phi, ys, target = make_problem(1)
-    cfg = SolverConfig(lam=0.1, eta=0.3, P=2)
-    a = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numba")
-    b = run_streaming(phi, ys, target, cfg, np.zeros(32), backend="numba")
-    assert a.errors.tobytes() == b.errors.tobytes()
-
-
-def test_backend_env_forces_numpy(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-    assert kernels.active_backend() == "numpy"
-
-
-def test_backend_env_default_auto(monkeypatch):
-    monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-    expected = "numba" if kernels.NUMBA_AVAILABLE else "numpy"
-    assert kernels.active_backend() == expected
-
-
-def test_backend_env_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV, "fortran")
-    with pytest.raises(ValueError, match="fortran"):
-        kernels.active_backend()
-
-
-def test_stream_rejects_unknown_backend():
-    phi = np.eye(2)
-    ys = np.zeros((1, 2))
-    with pytest.raises(ValueError, match="backend"):
-        kernels.stream(phi, phi, ys, ys, np.zeros(1, dtype=np.bool_),
-                       0.5, 1.0, 1, np.zeros(2), backend="gpu")
-
-
-def test_warmup_runs():
-    kernels.warmup()
+    state = init_state(init_u, lam)
+    errors, gamma_sizes, switches = [], [], []
+    for k in range(ys.shape[0]):
+        support_moved = k > 0 and not np.array_equal(
+            target.support_schedule[k], target.support_schedule[k - 1]
+        )
+        for i in range(P):
+            nxt = ista_iterate(state, ys[k], phi, cfg)
+            errors.append(np.linalg.norm(nxt.a - target.samples[k]))
+            gamma_sizes.append(nxt.gamma.size)
+            switches.append(
+                not np.array_equal(nxt.gamma, state.gamma) or (i == 0 and support_moved)
+            )
+            state = nxt
+    assert np.array_equal(trace.errors, errors)
+    assert np.array_equal(trace.gamma_sizes, gamma_sizes)
+    assert np.array_equal(trace.switches, switches)
+    assert np.array_equal(trace.final_state.u, state.u)

@@ -243,11 +243,7 @@ def test_euler_trace_unit_substep_matches_simulation():
     target = assemble_target(cfg)
     phi = gen_gaussian_matrix(10, 16, 12)
     ys = (phi.entries @ target.samples.T).T
-    # the integrator itself is plain numpy, so pin the simulation to the
-    # numpy backend for a bitwise comparison
-    sim = lca_simulate(
-        phi, ys, target, lam=0.3, tau=1.5, init_u=np.zeros(16), P=2, backend="numpy"
-    )
+    sim = lca_simulate(phi, ys, target, lam=0.3, tau=1.5, init_u=np.zeros(16), P=2)
     times, errors = euler_lca_trace(phi, ys, target, lam=0.3, tau=1.5, init_u=np.zeros(16), P=2)
     assert np.array_equal(errors, sim.errors)
     assert np.array_equal(times, 1.5 * np.arange(1, 13))
@@ -276,7 +272,7 @@ def euler_problems(draw):
 def test_euler_trace_matches_simulation_and_time_grid(problem, substeps, tau):
     phi, ys, target, P = problem
     init_u = np.zeros(phi.cols)
-    sim = lca_simulate(phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P, backend="numpy")
+    sim = lca_simulate(phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P)
     _, errors = euler_lca_trace(phi, ys, target, lam=0.2, tau=tau, init_u=init_u, P=P)
     assert np.array_equal(errors, sim.errors)
     times, fine = euler_lca_trace(
