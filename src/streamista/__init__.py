@@ -65,6 +65,7 @@ from .solver import (
     ista_iterate,
     lca_simulate,
     run_streaming,
+    run_streaming_batch,
     soft_threshold,
     top_q_energy,
     top_q_indices,

@@ -4,7 +4,10 @@ A trial draws a fresh measurement matrix, synthetic target, and noise stream
 from seeds derived off the master seed and trial index, runs the streaming
 solver from a zero initial state, and keeps the pre-measurement error
 sequence.  Curves average that sequence over trials.  Sweeps share per-trial
-seeds across axis values so comparisons are paired.
+inputs across axis values, so comparisons are paired: cells that agree on
+every field the inputs depend on build each trial's matrix, target and noise
+once, and the cells of such a group that differ only in the threshold run
+as the columns of one batched solver call.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -32,7 +35,7 @@ from .measurement import (
 )
 from .rng import derive_seed, make_rng
 from .signals import DynamicTarget, GenConfig, assemble_target, estimate_beta, estimate_mu_dl
-from .solver import SolverConfig, euler_lca_trace, run_streaming
+from .solver import SolverConfig, euler_lca_trace, run_streaming, run_streaming_batch
 from .theory import (
     BOUND_TOL,
     IstaBoundParams,
@@ -53,6 +56,13 @@ SWEEP_AXES = ("none", "P", "mu", "lambda_S")
 
 # fewest curve points a steady-state estimate accepts
 MIN_STEADY_POINTS = 4
+
+# every field a trial's matrix, target or noise stream depends on, plus the
+# trial count; sweep cells that agree on these share each trial's inputs
+_INPUT_FIELDS = (
+    "m", "n", "s", "n_pairs", "n_samples", "beta", "mu",
+    "noise_mode", "noise_level", "noise_delta", "seed", "trials",
+)
 
 # seed substream tags for per-trial derivations
 _MATRIX_STREAM = 0
@@ -112,12 +122,16 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
-        if self.noise_level < 0:
-            raise ValueError(f"noise_level must be nonnegative, got {self.noise_level}")
+        if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
+            raise ValueError(
+                f"noise_level must be nonnegative and finite, got {self.noise_level}"
+            )
         if not 0.0 <= self.noise_delta < 1.0:
             raise ValueError(f"noise_delta must lie in [0, 1), got {self.noise_delta}")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
+        if not all(math.isfinite(v) for v in (*self.sweep_values, *self.sweep_lambda_values)):
+            raise ValueError("sweep values must be finite")
         # validate signal and solver parameters eagerly so config errors
         # surface before any trial runs
         self.gen_config(0)
@@ -133,7 +147,7 @@ class ExperimentConfig:
         return SolverConfig(lam=self.lam, eta=self.eta, P=self.P, dl=self.dl, tau=self.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialResult:
     """Pre-measurement error sequence and support behaviour of one trial."""
 
@@ -207,29 +221,62 @@ def _trial_measurements(
     return ys
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
-    """One seeded trial: fresh matrix, target, and noise; zero initial state."""
+def _trial_results(cells, trial: int) -> list:
+    """TrialResult of every cell at one trial, the cells sharing its inputs.
+
+    The matrix, target and noise stream are built once.  Cells that differ
+    only in ``lam`` run as the columns of one solver batch; cells with
+    another step or hold length reuse the inputs in a batch of their own.
+    """
+    cfg = cells[0]
     phi, target = _trial_problem(cfg, trial)
     sigma = _trial_sigma(cfg, phi, target)
     ys = _trial_measurements(cfg, trial, phi, target, sigma, cfg.noise_delta, cfg.noise_mode)
-    trace = run_streaming(phi, ys, target, cfg.solver_config(), np.zeros(cfg.n))
-    return TrialResult(trace.premeasurement_errors(), trace.max_gamma_size(), sigma)
+    batches = {}
+    for idx, cell in enumerate(cells):
+        batches.setdefault((cell.eta, cell.P), []).append(idx)
+    results = [None] * len(cells)
+    for idxs in batches.values():
+        configs = [cells[i].solver_config() for i in idxs]
+        traces = run_streaming_batch(phi, ys, target, configs, np.zeros(cfg.n))
+        for i, trace in zip(idxs, traces):
+            # a copy, so a sweep's kept records do not pin every step's error
+            errors = trace.premeasurement_errors().copy()
+            results[i] = TrialResult(errors, trace.max_gamma_size(), sigma)
+    return results
 
 
-def run_trials(cfg: ExperimentConfig) -> RunResult:
-    """All trials of one configuration, optionally on a thread pool.
+def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
+    """One seeded trial: fresh matrix, target, and noise; zero initial state."""
+    return _trial_results([cfg], trial)[0]
 
-    Results are aggregated in trial order, so the outcome is identical at
-    any worker count.  Extra workers buy no speed, since the numpy kernel
-    holds the GIL for most of a trial; they exist to check that contract.
+
+def _run_cells(cells) -> list:
+    """RunResult of every cell config, in order, trial by trial.
+
+    Cells that agree on every field a trial's inputs depend on form a group
+    whose trials each build their inputs once (see :func:`_trial_results`).
+    Trials map over the ``STREAM_ISTA_THREADS`` pool and are aggregated in
+    trial order, so the outcome is identical at any worker count.  Extra
+    workers buy no speed, since the numpy kernel holds the GIL for most of
+    a trial; they exist to check that contract.
     """
+    groups = {}
+    for idx, cell in enumerate(cells):
+        groups.setdefault(tuple(getattr(cell, f) for f in _INPUT_FIELDS), []).append(idx)
     workers = worker_count()
-    indices = range(cfg.trials)
-    if workers == 1:
-        results = [run_trial(cfg, t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(cfg, t), indices))
+    out = [None] * len(cells)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = pool.map if workers > 1 else map
+        for idxs in groups.values():
+            group = [cells[i] for i in idxs]
+            rows = list(mapper(lambda t: _trial_results(group, t), range(group[0].trials)))
+            for j, i in enumerate(idxs):
+                out[i] = _aggregate(cells[i], [row[j] for row in rows])
+    return out
+
+
+def _aggregate(cfg: ExperimentConfig, results: list) -> RunResult:
     stacked = np.stack([r.errors for r in results])
     mean = stacked.mean(axis=0)
     if cfg.trials > 1:
@@ -237,6 +284,11 @@ def run_trials(cfg: ExperimentConfig) -> RunResult:
     else:
         std = np.zeros_like(mean)
     return RunResult(mean, std, tuple(results), cfg)
+
+
+def run_trials(cfg: ExperimentConfig) -> RunResult:
+    """All trials of one configuration, optionally on a thread pool."""
+    return _run_cells([cfg])[0]
 
 
 def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
@@ -255,8 +307,9 @@ def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> 
 
 
 def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
-    """``[(value, RunResult), ...]`` in order, every point run on shared per-trial seeds."""
-    return [(v, run_trials(c)) for v, c in sweep_cells(cfg, axis, values)]
+    """``[(value, RunResult), ...]`` in order, every point run on shared per-trial inputs."""
+    values, configs = zip(*sweep_cells(cfg, axis, values))
+    return list(zip(values, _run_cells(configs)))
 
 
 def estimate_steady_state(curve: np.ndarray, tail_fraction: float = 0.25) -> float:
@@ -288,8 +341,8 @@ def fit_steady_state(
         raise ValueError("need at least 3 distinct P values to fit the steady-state law")
     if np.any(y <= 0):
         raise ValueError("steady values must be positive")
-    if mu < 0 or dl <= 0:
-        raise ValueError(f"need mu >= 0 and dl > 0, got mu={mu}, dl={dl}")
+    if not (mu >= 0 and dl > 0 and math.isfinite(mu) and math.isfinite(dl)):
+        raise ValueError(f"need finite mu >= 0 and dl > 0, got mu={mu}, dl={dl}")
     c_grid = np.linspace(1e-4, 0.9999, grid_size)
     powers = c_grid[:, None] ** p[None, :]
     g = powers / (1.0 - powers) * (mu * dl)
@@ -344,12 +397,16 @@ def sweep_lambda_s(
 ):
     """Grid of active-set ratios over (lambda, s), plus the level-set fit.
 
-    Per-trial seeds are shared across cells.
+    Per-trial inputs are shared across the thresholds of each s.
     """
     lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
-    ratios = np.array(
-        [np.mean([t.max_gamma_size / c.s for t in run_trials(c).trials]) for c in cells]
-    ).reshape(len(lams), len(svals))
+    ratios = np.empty((len(lams), len(svals)))
+    for j, s in enumerate(svals):
+        # one s at a time, so only one column's per-trial records are alive
+        ratios[:, j] = [
+            np.mean([t.max_gamma_size / s for t in r.trials])
+            for r in _run_cells(cells[j :: len(svals)])
+        ]
     grid = QRatioGrid(lams, svals, ratios)
     return grid, fit_lambda_level(grid, ratio_level)
 
@@ -713,12 +770,18 @@ def read_steady_csv(path):
         if len(header) != 2 or header[1] != "steady":
             raise ValueError(f"malformed steady-state file {path}")
         values, steadies = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            v, s_ = line.strip().split(",")
-            values.append(float(v))
-            steadies.append(float(s_))
+            fields = line.strip().split(",")
+            try:
+                if len(fields) != 2:
+                    raise ValueError
+                v, s_ = float(fields[0]), float(fields[1])
+            except ValueError:
+                raise ValueError(f"malformed steady-state file {path}, line {lineno}") from None
+            values.append(v)
+            steadies.append(s_)
     return header[0], np.asarray(values), np.asarray(steadies)
 
 

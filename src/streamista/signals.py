@@ -12,6 +12,7 @@ a sinusoidal envelope, which makes the support change over time.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -48,8 +49,8 @@ class GenConfig:
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0 <= self.mu < self.beta:
             raise ValueError(f"mu must lie in [0, beta), got mu={self.mu}, beta={self.beta}")
 

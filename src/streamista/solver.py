@@ -8,7 +8,9 @@ to each incoming measurement y[k], holding the target fixed between
 measurements (iteration index l = k*p + i with 0 <= i < p).  The recorded
 error at row l is ||a[l+1] - target[l]||, and the subsequence at i = p-1
 is the pre-measurement error ||a[kp] - target[kp-1]|| used by the tracking
-experiments.
+experiments.  ``run_streaming_batch`` runs several thresholds on the same
+stream at once, one column of an ``n x L`` iterate block each, and returns
+one trace per threshold; ``run_streaming`` is its one-threshold case.
 
 ``lca_simulate`` advances the continuous-time sparse-coding network
 
@@ -24,6 +26,7 @@ tau / substeps.  That step is the streaming update at eta = 1 relaxed by
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -43,16 +46,12 @@ class SolverConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        for name in ("lam", "eta", "dl", "tau"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.P < 1:
             raise ValueError(f"P must be a positive integer, got {self.P}")
-        if self.dl <= 0:
-            raise ValueError(f"dl must be positive, got {self.dl}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,61 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
     return phi_c, phi_t, ys, samples, target_changed, u0
 
 
+def run_streaming_batch(
+    phi: MeasurementMatrix,
+    measurements: np.ndarray,
+    target: DynamicTarget,
+    configs,
+    init_u: np.ndarray,
+) -> list:
+    """The :func:`run_streaming` trace of every config, from one kernel loop.
+
+    The configs may differ only in ``lam``: the thresholds run as the
+    columns of an ``n x L`` iterate block, each started from ``init_u``.
+    A single config runs the one-vector loop, so its trace is the
+    reference; a column of a block matches it to rounding.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("run_streaming_batch needs at least one config")
+    if len({(c.eta, c.P) for c in configs}) != 1:
+        raise ValueError("batched configs must share eta and P")
+    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
+        phi, measurements, target, init_u
+    )
+    eta, P = float(configs[0].eta), int(configs[0].P)
+    if len(configs) == 1:
+        lam, u_block = float(configs[0].lam), u0
+    else:
+        lam = np.array([c.lam for c in configs], dtype=np.float64)
+        u_block = np.repeat(u0[:, None], len(configs), axis=1)
+    records = kernels.stream(phi_c, phi_t, ys, samples, target_changed, lam, eta, P, u_block)
+    if len(configs) == 1:  # give the one-vector records their column axis
+        records = [x[:, None] for x in records]
+    errors, gamma_sizes, switches, u_fin, a_fin = records
+    n_meas = ys.shape[0]
+    total = n_meas * P
+    l = np.arange(total)
+    traces = []
+    for j, c in enumerate(configs):
+        u_j = np.ascontiguousarray(u_fin[:, j])
+        traces.append(SolverTrace(
+            l=l,
+            k=l // P,
+            i=l % P,
+            errors=np.ascontiguousarray(errors[:, j]),
+            gamma_sizes=np.ascontiguousarray(gamma_sizes[:, j]),
+            switches=np.ascontiguousarray(switches[:, j]),
+            P=P,
+            n_measurements=n_meas,
+            initial_gamma_size=int(active_set(u0, c.lam).size),
+            final_state=SolverState(
+                u_j, np.ascontiguousarray(a_fin[:, j]), total, active_set(u_j, c.lam)
+            ),
+        ))
+    return traces
+
+
 def run_streaming(
     phi: MeasurementMatrix,
     measurements: np.ndarray,
@@ -203,29 +257,7 @@ def run_streaming(
     ``measurements`` has one row per target sample; the zero-order hold of
     the target across the P iterations of a measurement happens here.
     """
-    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
-        phi, measurements, target, init_u
-    )
-    errors, gamma_sizes, switches, u_fin, a_fin = kernels.stream(
-        phi_c, phi_t, ys, samples, target_changed,
-        float(config.lam), float(config.eta), int(config.P), u0,
-    )
-    n_meas = ys.shape[0]
-    total = n_meas * config.P
-    l = np.arange(total)
-    state = SolverState(u_fin, a_fin, total, active_set(u_fin, config.lam))
-    return SolverTrace(
-        l=l,
-        k=l // config.P,
-        i=l % config.P,
-        errors=errors,
-        gamma_sizes=gamma_sizes,
-        switches=switches,
-        P=config.P,
-        n_measurements=n_meas,
-        initial_gamma_size=int(active_set(u0, config.lam).size),
-        final_state=state,
-    )
+    return run_streaming_batch(phi, measurements, target, (config,), init_u)[0]
 
 
 def lca_simulate(

@@ -207,10 +207,17 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("sweep-lambda-s", "", ["--lambda-values", "0.1", "--s-values", "4,200"]),
         ("fit-steady", "", ["--dl", "0"]),
         ("fit-steady", "", ["--mu", "-1"]),
+        ("run", "lambda = nan\n", []),
+        ("run", "eta = nan\n", []),
+        ("run", "noise_level = nan\n", []),
+        ("run", "lambda = inf\n", []),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,nan", "--s-values", "2,4"]),
+        ("fit-steady", "", ["--mu", "nan"]),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
-         "fit_mu_negative"],
+         "fit_mu_negative", "lambda_nan", "eta_nan", "noise_level_nan", "lambda_inf",
+         "lambda_values_nan", "fit_mu_nan"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args
@@ -219,6 +226,7 @@ def test_cli_invalid_config_exits_one_before_trials(
         raise AssertionError("a trial ran for an invalid config")
 
     monkeypatch.setattr("streamista.harness.run_trial", no_trials)
+    monkeypatch.setattr("streamista.harness._trial_results", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
     argv = [command, "--config", str(path), "--out", str(tmp_path)] + extra_args
@@ -231,6 +239,16 @@ def test_cli_invalid_config_exits_one_before_trials(
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_fit_steady_malformed_row_exits_two(tmp_path, capsys):
+    steady = tmp_path / "steady.csv"
+    steady.write_text("P,steady\n1,0.5,9\n")
+    rc = cli_main(["fit-steady", "--input", str(steady), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"malformed steady-state file {steady}, line 2" in err
+    assert not (tmp_path / "out" / "fit.csv").exists()
 
 
 def test_cli_check_theorems_small(tmp_path, capsys):

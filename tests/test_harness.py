@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from streamista.harness import (
     THREADS_ENV,
     ExperimentConfig,
+    _run_cells,
     estimate_steady_state,
     fit_lambda_level,
     fit_steady_state,
+    lambda_s_cells,
     QRatioGrid,
     read_steady_csv,
     rmse,
@@ -264,3 +268,64 @@ def test_config_validation():
         ExperimentConfig(noise_mode="white")
     with pytest.raises(ValueError):
         ExperimentConfig(tail_fraction=0.0)
+
+
+@pytest.mark.parametrize("row", ["1,0.5,9", "1", "1,fast", "one,0.5"])
+def test_steady_csv_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"P,steady\n2,0.4\n{row}\n")
+    with pytest.raises(ValueError, match=r"malformed steady-state file .*bad\.csv, line 3"):
+        read_steady_csv(path)
+
+
+def test_sweep_lambda_s_matches_per_cell_runs(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    cfg = replace(SMALL, trials=4, n_samples=6)
+    lams, svals, cells = lambda_s_cells(cfg, (0.05, 0.1, 0.2, 0.5), (2, 4))
+    per_cell = np.array(
+        [np.mean([t.max_gamma_size / c.s for t in run_trials(c).trials]) for c in cells]
+    ).reshape(len(lams), len(svals))
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        grid, _ = sweep_lambda_s(cfg, lams, svals)
+        assert grid.ratios.tobytes() == per_cell.tobytes()
+
+
+def test_p_sweep_matches_per_cell_runs(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    values = (1, 2, 3)
+    per_cell = [run_trials(replace(SMALL, P=v)) for v in values]
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        cells = sweep(SMALL, axis="P", values=values)
+        assert [v for v, _ in cells] == list(values)
+        for (_, result), alone in zip(cells, per_cell):
+            assert result.mean_curve.tobytes() == alone.mean_curve.tobytes()
+            assert result.std_curve.tobytes() == alone.std_curve.tobytes()
+            assert [t.max_gamma_size for t in result.trials] == [
+                t.max_gamma_size for t in alone.trials
+            ]
+
+
+def test_run_cells_matches_per_cell_runs_on_mixed_cells():
+    # interleaved cells that differ in s, lam, mu and P
+    _, _, grid = lambda_s_cells(replace(SMALL, trials=3), (0.05, 0.2), (2, 4))
+    cells = grid + [replace(grid[0], s=3), replace(grid[0], mu=0.2), replace(grid[1], P=3)]
+    for cell, result in zip(cells, _run_cells(cells)):
+        alone = run_trials(cell)
+        assert [t.max_gamma_size for t in result.trials] == [
+            t.max_gamma_size for t in alone.trials
+        ]
+        np.testing.assert_allclose(result.mean_curve, alone.mean_curve, rtol=1e-9, atol=0)
+
+
+def test_config_rejects_non_finite_values():
+    for field in ("beta", "mu", "lam", "eta", "dl", "tau", "noise_level", "noise_delta",
+                  "tail_fraction"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**{field: bad})
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(sweep_lambda_values=(0.1, float("nan")))
+    with pytest.raises(ValueError, match="finite"):
+        fit_steady_state([1, 2, 3], [0.5, 0.4, 0.3], mu=float("nan"), dl=1.0)
