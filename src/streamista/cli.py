@@ -25,6 +25,7 @@ from .harness import (
     sweep,
     sweep_cells,
     sweep_lambda_s,
+    theorem_level,
     write_curve_csv,
     write_fit_csv,
     write_preconditions_csv,
@@ -200,6 +201,8 @@ def _cmd_fit_steady(args) -> int:
 
 def _cmd_check_theorems(args) -> int:
     cfg = _load_config(args)
+    with _config_errors():
+        theorem_level(cfg)
     out = _outdir(args)
     suite = run_theorem_suite(cfg)
     write_preconditions_csv(

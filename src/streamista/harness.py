@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from .measurement import (
+    DEFAULT_SUPPORT_BUDGET,
     MeasurementMatrix,
     NOISE_MODES,
     gen_gaussian_matrix,
@@ -68,6 +69,10 @@ _INPUT_FIELDS = (
 _MATRIX_STREAM = 0
 _TARGET_STREAM = 1
 _NOISE_STREAM = 2
+
+# rows per call of a lemma oracle: draws of one matrix, or points of one
+# (lambda, q) cell of the support-cap grid; bounds the block's memory
+_LEMMA_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -478,6 +483,24 @@ class TheoremSuiteResult:
         return all(inst.dominated for inst in self.instances if inst.report.passed)
 
 
+def theorem_level(cfg: ExperimentConfig) -> int:
+    """Support size of the exact isometry constant the theorem suite needs.
+
+    Raises ValueError when enumerating its supports would exceed
+    ``DEFAULT_SUPPORT_BUDGET``, so a config the suite cannot check fails
+    before any instance is drawn.
+    """
+    level = min(cfg.s + 2 * cfg.q, cfg.n)
+    total = math.comb(cfg.n, level)
+    if total > DEFAULT_SUPPORT_BUDGET:
+        raise ValueError(
+            f"check-theorems needs exact isometry constants at level min(s + 2q, n) = {level}; "
+            f"enumerating comb({cfg.n}, {level}) = {total} supports exceeds the budget "
+            f"{DEFAULT_SUPPORT_BUDGET}"
+        )
+    return level
+
+
 def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:
     """Check bound dominance and the support cap on ``cfg.trials`` instances.
 
@@ -489,12 +512,12 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
     the preconditions are attainable; the empirical energy and jump bounds
     of the realized target parameterize the bound.
     """
-    level = cfg.s + 2 * cfg.q
+    level = theorem_level(cfg)
     sigma = cfg.noise_level
     instances = []
     for t in range(cfg.trials):
         phi, target = _trial_problem(cfg, t)
-        est = rip_exact(phi, min(level, cfg.n))
+        est = rip_exact(phi, level)
         delta = est.delta
         beta_emp = estimate_beta(target)
         mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
@@ -518,10 +541,10 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
                 mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
                 e1=float(trace.errors[0]),
             )
-            bounds = np.array([ista_error_bound(l, params) for l in range(trace.errors.size)])
+            bounds = ista_error_bound(np.arange(trace.errors.size), params)
             max_violation = float(np.max(trace.errors - bounds))
-            support_ok = trace.max_gamma_size() <= cfg.q
             max_gamma = trace.max_gamma_size()
+            support_ok = max_gamma <= cfg.q
         else:
             max_violation = float("nan")
             support_ok = None
@@ -628,7 +651,7 @@ def run_lca_suite(
                 times, errors = euler_lca_trace(
                     phi, ys, target, lam, cfg.tau, init_u, P=cfg.P, substeps=steps
                 )
-                bounds = np.array([lca_error_bound(tt, params) for tt in times])
+                bounds = lca_error_bound(times, params)
                 viol.append(float(np.max(errors - (bounds + slack))))
             max_violation, fine_max = viol
             resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
@@ -681,6 +704,9 @@ def run_lemma_suite(
 
     The isometry consequences are exercised with exact constants at level
     ``set_q + set_s``; a violation beyond ``tol`` counts as a failure.
+    Draws are made one at a time, so every random stream is fixed by the
+    seed alone, and each oracle checks them in blocks of up to
+    ``_LEMMA_BLOCK`` rows per call.
     """
     rip_checks = 0
     rip_violations = 0
@@ -689,19 +715,23 @@ def run_lemma_suite(
         phi = gen_gaussian_matrix(m, n, derive_seed(seed, idx))
         delta = rip_exact(phi, set_q + set_s).delta
         rng = make_rng(seed, idx, 1)
-        for _ in range(draws):
-            gamma1 = np.sort(rng.choice(n, size=set_q, replace=False))
-            gamma2 = np.sort(rng.choice(n, size=set_s, replace=False))
-            union = np.union1d(gamma1, gamma2)
-            x = np.zeros(n)
-            x[union] = rng.standard_normal(union.size)
-            y = rng.standard_normal(m)
+        for start in range(0, draws, _LEMMA_BLOCK):
+            rows = min(_LEMMA_BLOCK, draws - start)
+            gamma1 = np.empty((rows, set_q), dtype=np.intp)
+            gamma2 = np.empty((rows, set_s), dtype=np.intp)
+            x = np.zeros((rows, n))
+            y = np.empty((rows, m))
+            for r in range(rows):
+                gamma1[r] = np.sort(rng.choice(n, size=set_q, replace=False))
+                gamma2[r] = np.sort(rng.choice(n, size=set_s, replace=False))
+                union = np.union1d(gamma1[r], gamma2[r])
+                x[r, union] = rng.standard_normal(union.size)
+                y[r] = rng.standard_normal(m)
             suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
-            for check in suite.checks:
-                rip_checks += 1
-                worst = min(worst, check.slack)
-                if check.slack < -tol:
-                    rip_violations += 1
+            slack = np.stack([check.slack for check in suite.checks])
+            rip_checks += slack.size
+            worst = min(worst, float(slack.min()))
+            rip_violations += int(np.count_nonzero(slack < -tol))
 
     cap_checks = 0
     cap_premise = 0
@@ -710,13 +740,11 @@ def run_lemma_suite(
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     for lam in (0.5, 1.0, 2.0):
         for q in (1, 2, 3):
-            for u in grid:
-                cap_checks += 1
-                res = support_cap_check(u, lam, q)
-                if res.premise_holds:
-                    cap_premise += 1
-                    if not res.conclusion_holds:
-                        cap_violations += 1
+            for start in range(0, len(grid), _LEMMA_BLOCK):
+                res = support_cap_check(grid[start : start + _LEMMA_BLOCK], lam, q)
+                cap_checks += res.premise_holds.size
+                cap_premise += int(np.count_nonzero(res.premise_holds))
+                cap_violations += int(np.count_nonzero(res.premise_holds & ~res.conclusion_holds))
 
     statuses = []
     steps = 2000

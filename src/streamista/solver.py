@@ -116,23 +116,34 @@ def active_set(u: np.ndarray, lam: float) -> np.ndarray:
     return np.flatnonzero(np.abs(np.asarray(u)) > lam)
 
 
-def top_q_energy(u: np.ndarray, q: int) -> float:
-    """Euclidean norm of the q largest-magnitude entries of u."""
+def top_q_energy(u: np.ndarray, q: int):
+    """Euclidean norm of the q largest-magnitude entries of u.
+
+    Works along the last axis: a float for one vector, one norm per row for
+    a block.
+    """
     u = np.asarray(u, dtype=np.float64)
-    if not 1 <= q <= u.size:
-        raise ValueError(f"q must lie in [1, {u.size}], got {q}")
-    mags = np.abs(u)
-    part = np.partition(mags, u.size - q)[u.size - q :]
-    return float(np.sqrt(np.dot(part, part)))
+    n = u.shape[-1]
+    if not 1 <= q <= n:
+        raise ValueError(f"q must lie in [1, {n}], got {q}")
+    part = np.partition(np.abs(u), n - q, axis=-1)[..., n - q :]
+    # stacked (1 x q)(q x 1) products take the same dot as a single vector,
+    # so a row of a block gets the bits of the one-vector call
+    energy = np.sqrt(np.matmul(part[..., None, :], part[..., :, None])[..., 0, 0])
+    return float(energy) if u.ndim == 1 else energy
 
 
 def top_q_indices(u: np.ndarray, q: int) -> np.ndarray:
-    """Indices of the q largest-magnitude entries; ties break to lower index."""
+    """Sorted indices of the q largest-magnitude entries; ties break to lower index.
+
+    Works along the last axis: a block gives one row of q indices per row.
+    """
     u = np.asarray(u, dtype=np.float64)
-    if not 1 <= q <= u.size:
-        raise ValueError(f"q must lie in [1, {u.size}], got {q}")
-    order = np.lexsort((np.arange(u.size), -np.abs(u)))
-    return np.sort(order[:q])
+    n = u.shape[-1]
+    if not 1 <= q <= n:
+        raise ValueError(f"q must lie in [1, {n}], got {q}")
+    order = np.argsort(-np.abs(u), axis=-1, kind="stable")
+    return np.sort(order[..., :q], axis=-1)
 
 
 def init_state(init_u: np.ndarray, lam: float) -> SolverState:

@@ -21,7 +21,13 @@ The continuous-time analogue contracts at rate (1 - delta)/tau toward
 
 All dominance checks in the package compare against these expressions with
 an absolute tolerance of 1e-9; precondition failures are reported as data,
-never raised.
+never raised.  Both bounds evaluate at one iteration or time, or at a whole
+trace's array of them in one call.
+
+The lemma oracles take a point or a block of rows: ``support_cap_check``
+one vector or one grid point per row, ``rip_inequality_suite`` one draw
+(sets, vector, measurement) or draws stacked one per row.  Each has one
+code path, and a single point is its one-row case.
 """
 
 from dataclasses import dataclass, field
@@ -109,10 +115,14 @@ class LcaBoundParams:
         )
 
 
-def ista_error_bound(l: int, params: IstaBoundParams) -> float:
-    """Tracking-error bound at iteration l (error[l] = ||a[l+1] - target[l]||)."""
-    if l < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {l}")
+def ista_error_bound(l, params: IstaBoundParams):
+    """Tracking-error bound at iteration l (error[l] = ||a[l+1] - target[l]||).
+
+    ``l`` is one integer or an integer array, such as a whole trace's
+    iteration indices; the bound comes back in the same shape.
+    """
+    if np.any(np.asarray(l) < 0):
+        raise ValueError(f"iteration index must be nonnegative, got {np.min(l)}")
     c, P = params.c, params.P
     i = l % P
     drift = c ** (i + 1) / (1.0 - c**P) * params.mu * params.dl
@@ -132,11 +142,11 @@ def lca_steady_bound(delta: float, tau: float, mu: float, sigma: float, lam: flo
     return (tau * mu + sigma + lam * math.sqrt(q)) / (1.0 - delta)
 
 
-def lca_error_bound(t: float, params: LcaBoundParams) -> float:
-    """Continuous-time tracking bound at time t."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    decay = math.exp(-(1.0 - params.delta) * t / params.tau)
+def lca_error_bound(t, params: LcaBoundParams):
+    """Continuous-time tracking bound at time t, a float or a float array."""
+    if np.any(np.asarray(t) < 0):
+        raise ValueError(f"time must be nonnegative, got {np.min(t)}")
+    decay = np.exp(-(1.0 - params.delta) * t / params.tau)
     return decay * params.e0 + (1.0 - decay) * params.D
 
 
@@ -244,10 +254,15 @@ def check_lca_preconditions(
     return PreconditionReport(checks)
 
 
-def _restrict(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    out[idx] = x[idx]
-    return out
+def _row_masks(index_rows: np.ndarray, n: int) -> np.ndarray:
+    """Boolean ``(N, n)`` masks with row r set at the indices ``index_rows[r]``."""
+    mask = np.zeros((index_rows.shape[0], n), dtype=np.bool_)
+    mask[np.arange(index_rows.shape[0])[:, None], index_rows] = True
+    return mask
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def rip_inequality_suite(
@@ -269,66 +284,100 @@ def rip_inequality_suite(
       2. ||Phi_g1^T Phi_(g2 \\ g1) x|| <= delta ||x||
       3. ||P_g1 x - P_g1 Phi^T Phi x|| <= delta ||x||
       4. ||P_g1 Phi^T y|| <= sqrt(1 + delta) ||y||
+
+    Takes one draw (1-d ``gamma1``, ``gamma2``, ``x``, ``y``), whose checks
+    hold floats, or a block of draws stacked one per row, whose checks hold
+    one value per row.  A single draw is the block's one-row case.
     """
-    gamma1 = np.asarray(gamma1, dtype=np.intp)
-    gamma2 = np.asarray(gamma2, dtype=np.intp)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (phi.cols,):
-        raise ValueError(f"x shape {x.shape} does not match ({phi.cols},)")
-    if y.shape != (phi.rows,):
-        raise ValueError(f"y shape {y.shape} does not match ({phi.rows},)")
-    union = np.union1d(gamma1, gamma2)
-    outside = np.setdiff1d(np.flatnonzero(x != 0.0), union)
-    if outside.size:
-        raise ValueError(f"x has support outside gamma1 | gamma2 at indices {outside[:8]}")
+    single = np.ndim(x) == 1
+    gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=np.intp))
+    gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=np.intp))
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    rows = x.shape[0]
+    if x.shape[1:] != (phi.cols,):
+        raise ValueError(f"x shape {x.shape} does not match ({phi.cols},) per row")
+    if y.shape != (rows, phi.rows):
+        raise ValueError(f"y shape {y.shape} does not match ({rows}, {phi.rows})")
+    if gamma1.shape[0] != rows or gamma2.shape[0] != rows:
+        raise ValueError(
+            f"gamma1 and gamma2 need one row per draw ({rows}), got {gamma1.shape} and {gamma2.shape}"
+        )
+    for gamma in (gamma1, gamma2):
+        if gamma.size and not (gamma.min() >= 0 and gamma.max() < phi.cols):
+            raise ValueError(f"gamma1 and gamma2 must hold indices in [0, {phi.cols})")
+    g1 = _row_masks(gamma1, phi.cols)
+    g2 = _row_masks(gamma2, phi.cols)
+    stray = (x != 0.0) & ~(g1 | g2)
+    if stray.any():
+        r = int(np.flatnonzero(stray.any(axis=1))[0])
+        where = "" if single else f" in row {r}"
+        raise ValueError(
+            f"x has support outside gamma1 | gamma2{where} at indices {np.flatnonzero(stray[r])[:8]}"
+        )
 
     ent = phi.entries
-    xn = float(np.linalg.norm(x))
-    phix = ent @ x
-    phix2 = float(np.dot(phix, phix))
+    xn = _row_norms(x)
+    phix = x @ ent.T
+    phix2 = np.einsum("ij,ij->i", phix, phix)
+    # Phi^T Phi v as (v Phi^T) Phi, one row per draw
+    cross = np.where(g1, (np.where(g2 & ~g1, x, 0.0) @ ent.T) @ ent, 0.0)
+    gram_dev = np.where(g1, x - phix @ ent, 0.0)
+    adj = np.where(g1, y @ ent, 0.0)
 
-    g2_only = np.setdiff1d(gamma2, gamma1)
-    cross = _restrict(ent.T @ (ent @ _restrict(x, g2_only)), gamma1)
-    gram_dev = _restrict(x, gamma1) - _restrict(ent.T @ (ent @ x), gamma1)
-    adj = _restrict(ent.T @ y, gamma1)
-
-    checks = (
-        ConditionCheck("isometry_lower", (1.0 - delta) * xn**2, phix2),
-        ConditionCheck("isometry_upper", phix2, (1.0 + delta) * xn**2),
-        ConditionCheck("cross_coherence", float(np.linalg.norm(cross)), delta * xn),
-        ConditionCheck("gram_deviation", float(np.linalg.norm(gram_dev)), delta * xn),
-        ConditionCheck(
-            "adjoint_bound",
-            float(np.linalg.norm(adj)),
-            math.sqrt(1.0 + delta) * float(np.linalg.norm(y)),
-        ),
+    values = (
+        ("isometry_lower", (1.0 - delta) * xn**2, phix2),
+        ("isometry_upper", phix2, (1.0 + delta) * xn**2),
+        ("cross_coherence", _row_norms(cross), delta * xn),
+        ("gram_deviation", _row_norms(gram_dev), delta * xn),
+        ("adjoint_bound", _row_norms(adj), math.sqrt(1.0 + delta) * _row_norms(y)),
     )
-    return PreconditionReport(checks)
+    if single:
+        values = tuple((name, float(lhs[0]), float(rhs[0])) for name, lhs, rhs in values)
+    return PreconditionReport(tuple(ConditionCheck(*value) for value in values))
 
 
 @dataclass(frozen=True)
 class SupportCapResult:
-    """Outcome of the active-set cap check; conclusion is None off-premise."""
+    """Outcome of the active-set cap check.
 
-    premise_holds: bool
-    conclusion_holds: bool | None
+    For one vector: ``premise_holds`` and ``conclusion_holds`` are bools,
+    the conclusion None off-premise, and ``active`` and ``top_set`` are
+    index arrays.  For a block of rows: ``premise_holds`` and
+    ``conclusion_holds`` are boolean arrays with one entry per row, the
+    conclusion evaluated on every row but claimed only where the premise
+    holds; ``active`` is a boolean ``(N, n)`` mask and ``top_set`` an
+    ``(N, min(q, n))`` array of sorted indices.
+    """
+
+    premise_holds: bool | np.ndarray
+    conclusion_holds: bool | np.ndarray | None
     active: np.ndarray
     top_set: np.ndarray
 
 
 def support_cap_check(u: np.ndarray, lam: float, q: int) -> SupportCapResult:
     """If the top-q energy of u stays within lam*sqrt(q), the active set of
-    T_lam(u) has at most q entries and sits inside the top-q index set."""
+    T_lam(u) has at most q entries and sits inside the top-q index set.
+
+    ``u`` is one vector or a block with one point per row; a single vector
+    is the block's one-row case.
+    """
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     u = np.asarray(u, dtype=np.float64)
-    q_eff = min(q, u.size)
-    top = top_q_indices(u, q_eff)
-    premise = top_q_energy(u, q_eff) <= lam * math.sqrt(q)
-    act = active_set(u, lam)
-    if not premise:
-        return SupportCapResult(False, None, act, top)
-    conclusion = act.size <= q and np.all(np.isin(act, top))
-    return SupportCapResult(True, bool(conclusion), act, top)
+    rows = u if u.ndim > 1 else u[None]
+    q_eff = min(q, rows.shape[1])
+    top = top_q_indices(rows, q_eff)
+    premise = top_q_energy(rows, q_eff) <= lam * math.sqrt(q)
+    active = np.abs(rows) > lam
+    if u.ndim == 1 and not premise[0]:
+        return SupportCapResult(False, None, np.nonzero(active[0])[0], top[0])
+    # the top set has min(q, n) entries, so inside it the active set is within q
+    conclusion = ~(active > _row_masks(top, rows.shape[1])).any(axis=1)
+    if u.ndim > 1:
+        return SupportCapResult(premise, conclusion, active, top)
+    return SupportCapResult(True, bool(conclusion[0]), np.nonzero(active[0])[0], top[0])
 
 
 @dataclass(frozen=True)

@@ -213,11 +213,12 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("run", "lambda = inf\n", []),
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,nan", "--s-values", "2,4"]),
         ("fit-steady", "", ["--mu", "nan"]),
+        ("check-theorems", "n = 40\n", []),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
          "fit_mu_negative", "lambda_nan", "eta_nan", "noise_level_nan", "lambda_inf",
-         "lambda_values_nan", "fit_mu_nan"],
+         "lambda_values_nan", "fit_mu_nan", "theorem_level_over_budget"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args
@@ -227,6 +228,7 @@ def test_cli_invalid_config_exits_one_before_trials(
 
     monkeypatch.setattr("streamista.harness.run_trial", no_trials)
     monkeypatch.setattr("streamista.harness._trial_results", no_trials)
+    monkeypatch.setattr("streamista.harness._trial_problem", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
     argv = [command, "--config", str(path), "--out", str(tmp_path)] + extra_args

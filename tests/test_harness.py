@@ -248,6 +248,16 @@ def test_lemma_suite_small_run_is_clean():
     assert suite.ok
 
 
+@pytest.mark.parametrize("seed, worst_slack", [(0, 0.0179722557179929), (3, 0.0390565837344667)])
+def test_lemma_suite_regression(seed, worst_slack):
+    # pins the full-size suite: every draw stream and the cap grid count
+    suite = run_lemma_suite(seed)
+    counts = (suite.rip_checks, suite.rip_violations, suite.cap_checks,
+              suite.cap_premise_held, suite.cap_violations)
+    assert counts == (50000, 0, 83349, 14109, 0)
+    assert suite.rip_worst_slack == pytest.approx(worst_slack, rel=1e-12)
+
+
 def test_default_configuration_regression():
     # pins the default-seed learning curve against accidental drift
     cfg = ExperimentConfig()

@@ -260,6 +260,161 @@ def test_support_cap_check_off_premise_makes_no_claim():
     assert np.array_equal(res.active, [0])
 
 
+def _reference_top_set(u, q):
+    """Indices of the q largest magnitudes, ties to the lower index."""
+    ranked = sorted(range(len(u)), key=lambda i: (-abs(u[i]), i))
+    return sorted(ranked[:q])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    q=st.integers(min_value=1, max_value=8),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    data=st.data(),
+)
+def test_batched_support_cap_rows_match_single_calls(n, q, lam, data):
+    # entries on a coarse lattice give ties, zeros and points exactly at
+    # +-lam; q runs past n
+    lattice = st.sampled_from([0.0, lam, -lam, 0.5 * lam, -0.5 * lam, 2.0 * lam, -3.0])
+    rows = data.draw(
+        st.lists(st.lists(st.one_of(lattice, st.floats(-4.0, 4.0)), min_size=n, max_size=n),
+                 min_size=1, max_size=8)
+    )
+    block = np.array(rows)
+    batch = support_cap_check(block, lam, q)
+    q_eff = min(q, n)
+    assert batch.premise_holds.shape == batch.conclusion_holds.shape == (len(rows),)
+    assert batch.active.shape == block.shape
+    assert batch.top_set.shape == (len(rows), q_eff)
+    for r, u in enumerate(rows):
+        single = support_cap_check(np.array(u), lam, q)
+        top = _reference_top_set(u, q_eff)
+        active = [i for i in range(n) if abs(u[i]) > lam]
+        assert batch.premise_holds[r] == single.premise_holds
+        assert np.array_equal(single.top_set, top)
+        assert np.array_equal(batch.top_set[r], top)
+        assert np.array_equal(single.active, active)
+        assert np.array_equal(np.flatnonzero(batch.active[r]), active)
+        if q_eff == 1:  # a one-entry energy is exact, so the premise has a reference
+            assert single.premise_holds == (max(map(abs, u)) <= lam * math.sqrt(q))
+        conclusion = len(active) <= q and set(active) <= set(top)
+        assert batch.conclusion_holds[r] == conclusion
+        if single.premise_holds:
+            assert single.conclusion_holds is conclusion
+        else:
+            assert single.conclusion_holds is None
+
+
+def _reference_rip_values(phi, gamma1, gamma2, x, y, delta):
+    """(lhs, rhs) of the five near-isometry checks, one vector at a time."""
+    def restrict(v, idx):
+        out = np.zeros_like(v)
+        out[idx] = v[idx]
+        return out
+
+    ent = phi.entries
+    xn = np.linalg.norm(x)
+    phix2 = float(np.dot(ent @ x, ent @ x))
+    cross = restrict(ent.T @ (ent @ restrict(x, np.setdiff1d(gamma2, gamma1))), gamma1)
+    gram_dev = restrict(x, gamma1) - restrict(ent.T @ (ent @ x), gamma1)
+    adj = restrict(ent.T @ y, gamma1)
+    return [
+        ((1.0 - delta) * xn**2, phix2),
+        (phix2, (1.0 + delta) * xn**2),
+        (np.linalg.norm(cross), delta * xn),
+        (np.linalg.norm(gram_dev), delta * xn),
+        (np.linalg.norm(adj), math.sqrt(1.0 + delta) * np.linalg.norm(y)),
+    ]
+
+
+def _rip_block(seed, m, n, rows, k1, k2):
+    rng = np.random.default_rng(seed)
+    gamma1 = np.array([np.sort(rng.choice(n, size=k1, replace=False)) for _ in range(rows)])
+    gamma2 = np.array([np.sort(rng.choice(n, size=k2, replace=False)) for _ in range(rows)])
+    x = np.zeros((rows, n))
+    for r in range(rows):
+        union = np.union1d(gamma1[r], gamma2[r])
+        # some rows leave part of the union at zero
+        x[r, union] = rng.standard_normal(union.size) * (rng.random(union.size) < 0.8)
+    y = rng.standard_normal((rows, m))
+    return gen_gaussian_matrix(m, n, seed), gamma1, gamma2, x, y
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    m=st.integers(min_value=2, max_value=10),
+    n=st.integers(min_value=3, max_value=14),
+    rows=st.integers(min_value=1, max_value=7),
+    k1=st.integers(min_value=1, max_value=3),
+    k2=st.integers(min_value=1, max_value=3),
+    delta=st.floats(min_value=0.0, max_value=0.99),
+)
+def test_batched_rip_suite_rows_match_single_calls(seed, m, n, rows, k1, k2, delta):
+    phi, gamma1, gamma2, x, y = _rip_block(seed, m, n, rows, k1, k2)
+    batch = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
+    for r in range(rows):
+        single = rip_inequality_suite(phi, gamma1[r], gamma2[r], x[r], y[r], delta)
+        ref = _reference_rip_values(phi, gamma1[r], gamma2[r], x[r], y[r], delta)
+        for check, row_check, (lhs, rhs) in zip(batch.checks, single.checks, ref):
+            assert check.name == row_check.name
+            assert isinstance(row_check.lhs, float) and isinstance(row_check.rhs, float)
+            # rel 1e-12, with a floor for terms that vanish
+            for got in (check.lhs[r], row_check.lhs):
+                assert got == pytest.approx(lhs, rel=1e-12, abs=1e-13)
+            for got in (check.rhs[r], row_check.rhs):
+                assert got == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    rows=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_batched_rip_suite_rejects_stray_support_in_any_row(seed, rows, data):
+    n = 10
+    phi, gamma1, gamma2, x, y = _rip_block(seed, 6, n, rows, 2, 2)
+    bad = data.draw(st.integers(min_value=0, max_value=rows - 1))
+    outside = np.setdiff1d(np.arange(n), np.union1d(gamma1[bad], gamma2[bad]))
+    x[bad, data.draw(st.sampled_from(outside.tolist()))] = 0.5
+    with pytest.raises(ValueError, match="support"):
+        rip_inequality_suite(phi, gamma1, gamma2, x, y, 0.5)
+    with pytest.raises(ValueError, match="support"):
+        rip_inequality_suite(phi, gamma1[bad], gamma2[bad], x[bad], y[bad], 0.5)
+
+
+def test_rip_suite_rejects_indices_outside_the_columns():
+    # a negative index would otherwise wrap onto the last column
+    phi = gen_identity(6)
+    x = np.zeros(6)
+    x[5] = 1.0
+    for gamma1 in (np.array([-1]), np.array([6])):
+        with pytest.raises(ValueError, match="indices in"):
+            rip_inequality_suite(phi, gamma1, np.array([1]), x, np.zeros(6), 0.0)
+
+
+def test_error_bounds_take_whole_traces():
+    ista = IstaBoundParams(eta=0.8, delta=0.3, sigma=0.1, lam=0.2, q=2,
+                           P=3, mu=0.5, dl=1.0, beta=1.0, e1=4.0)
+    steps = np.arange(300)
+    np.testing.assert_allclose(
+        ista_error_bound(steps, ista), [ista_error_bound(int(l), ista) for l in steps],
+        rtol=1e-12, atol=0,
+    )
+    lca = LcaBoundParams(delta=0.25, tau=1.5, mu=0.4, sigma=0.1, lam=0.3, q=2, beta=1.0, e0=5.0)
+    times = np.linspace(0.0, 30.0, 301)
+    np.testing.assert_allclose(
+        lca_error_bound(times, lca), [lca_error_bound(float(t), lca) for t in times],
+        rtol=1e-12, atol=0,
+    )
+    with pytest.raises(ValueError):
+        ista_error_bound(np.array([0, 1, -1]), ista)
+    with pytest.raises(ValueError):
+        lca_error_bound(np.array([0.0, -0.5]), lca)
+
+
 def test_energy_envelope_holds_for_decaying_trajectory():
     t = np.linspace(0.0, 3.0, 3001)
     x0 = np.array([0.8, -0.6])
