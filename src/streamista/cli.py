@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep-p, sweep-mu, sweep-lambda-s, fit-steady,
 check-theorems, lemma-suite.  Exit codes: 0 success, 1 configuration error
-(bad flags, unreadable or invalid config), 2 runtime failure.
+(bad flags, unreadable or invalid config), 2 runtime failure, including a
+run or sweep whose trials diverged numerically (no CSV is written then).
 """
 
 import argparse
@@ -282,7 +283,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # runtime failures, numerical divergence included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

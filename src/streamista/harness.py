@@ -7,7 +7,18 @@ sequence.  Curves average that sequence over trials.  Sweeps share per-trial
 inputs across axis values, so comparisons are paired: cells that agree on
 every field the inputs depend on build each trial's matrix, target and noise
 once, and the cells of such a group that differ only in the threshold run
-as the columns of one batched solver call.
+as the columns of one kernel call.
+
+Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
+trials, each with its own matrix, stacked until their inputs fill
+``_BLOCK_BYTES``.  The theorem suite stacks its instances the same way, one
+threshold per instance, and the continuous-bound suite runs each block once
+per step size.  Results read the kernel's records directly: the
+pre-measurement errors, the largest active set, and the first step at which
+a run diverged (an error non-finite or above ``_DIVERGENCE_FACTOR`` times
+its target's largest sample norm plus its noise scale).  A run or sweep
+with a diverged trial raises :class:`DivergenceError`; the suites record
+the step as data.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -34,9 +45,10 @@ from .measurement import (
     measure,
     rip_exact,
 )
+from .kernels import Block
 from .rng import derive_seed, make_rng
 from .signals import DynamicTarget, GenConfig, assemble_target, estimate_beta, estimate_mu_dl
-from .solver import SolverConfig, euler_lca_trace, run_streaming, run_streaming_batch
+from .solver import SolverConfig
 from .theory import (
     BOUND_TOL,
     IstaBoundParams,
@@ -69,6 +81,15 @@ _INPUT_FIELDS = (
 _MATRIX_STREAM = 0
 _TARGET_STREAM = 1
 _NOISE_STREAM = 2
+
+# bytes of one trial's stacked kernel inputs (matrix, its transpose,
+# measurements and target samples) that one kernel block may hold; larger
+# trials run in smaller blocks
+_BLOCK_BYTES = 512 * 1024
+
+# a run diverged at the first step whose error is non-finite or above this
+# multiple of its largest target sample norm plus its noise scale
+_DIVERGENCE_FACTOR = 100.0
 
 # rows per call of a lemma oracle: draws of one matrix, or points of one
 # (lambda, q) cell of the support-cap grid; bounds the block's memory
@@ -160,6 +181,11 @@ class TrialResult:
     max_gamma_size: int
     sigma: float  # realized noise scale
     preconditions: PreconditionReport | None = None
+    diverged_step: int | None = None  # first diverged solver step, if any
+
+
+class DivergenceError(RuntimeError):
+    """Trials of a run or sweep cell diverged numerically."""
 
 
 @dataclass(frozen=True)
@@ -226,45 +252,96 @@ def _trial_measurements(
     return ys
 
 
-def _trial_results(cells, trial: int) -> list:
-    """TrialResult of every cell at one trial, the cells sharing its inputs.
+def _block_size(cfg: ExperimentConfig) -> int:
+    """Trials per kernel block: as many as fit in ``_BLOCK_BYTES``, at least one."""
+    trial_bytes = 8 * (2 * cfg.m * cfg.n + cfg.n_samples * (cfg.m + cfg.n))
+    return max(1, _BLOCK_BYTES // trial_bytes)
 
-    The matrix, target and noise stream are built once.  Cells that differ
-    only in ``lam`` run as the columns of one solver batch; cells with
-    another step or hold length reuse the inputs in a batch of their own.
+
+def _diverged_steps(errors: np.ndarray, targets: np.ndarray, sigma) -> np.ndarray:
+    """First diverged step of every (trial, column) of a kernel record, or -1.
+
+    A step diverged when its error is non-finite or above
+    ``_DIVERGENCE_FACTOR`` times the trial's largest target sample norm
+    (``targets`` is step-major, as in a block) plus its noise scale.
+    """
+    scale = np.linalg.norm(targets, axis=2).max(axis=0) + sigma
+    bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
+    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+
+
+def _step_or_none(step) -> int | None:
+    return None if step < 0 else int(step)
+
+
+def _trial_results(cells, trials) -> list:
+    """TrialResult of every cell at each trial of a block: one row per trial.
+
+    The cells share the trials' inputs: each trial's matrix, target and
+    noise stream are built once, into one kernel block.  Cells that differ
+    only in ``lam`` run as the columns of one kernel call; cells with
+    another step or hold length run the block in a call of their own.  The
+    results read the kernel records directly; a zero start has an empty
+    active set, so the largest one is the records' maximum.
     """
     cfg = cells[0]
-    phi, target = _trial_problem(cfg, trial)
-    sigma = _trial_sigma(cfg, phi, target)
-    ys = _trial_measurements(cfg, trial, phi, target, sigma, cfg.noise_delta, cfg.noise_mode)
+    count = len(trials)
+    block = Block(count, cfg.m, cfg.n, cfg.n_samples)
+    sigmas = []
+    for j, t in enumerate(trials):
+        phi, target = _trial_problem(cfg, t)
+        sigma = _trial_sigma(cfg, phi, target)
+        ys = _trial_measurements(cfg, t, phi, target, sigma, cfg.noise_delta, cfg.noise_mode)
+        block.put(j, phi.entries, ys, target.samples, target.support_schedule)
+        sigmas.append(sigma)
     batches = {}
     for idx, cell in enumerate(cells):
         batches.setdefault((cell.eta, cell.P), []).append(idx)
-    results = [None] * len(cells)
-    for idxs in batches.values():
-        configs = [cells[i].solver_config() for i in idxs]
-        traces = run_streaming_batch(phi, ys, target, configs, np.zeros(cfg.n))
-        for i, trace in zip(idxs, traces):
-            # a copy, so a sweep's kept records do not pin every step's error
-            errors = trace.premeasurement_errors().copy()
-            results[i] = TrialResult(errors, trace.max_gamma_size(), sigma)
-    return results
+    rows = [[None] * len(cells) for _ in trials]
+    for (eta, P), idxs in batches.items():
+        lam = np.array([cells[i].lam for i in idxs])
+        errors, gamma_sizes = block.stream(lam, eta, P, np.zeros((count, cfg.n, len(idxs))))[:2]
+        premeasurement = errors[P - 1 :: P]
+        max_gamma = gamma_sizes.max(axis=0)
+        diverged = _diverged_steps(errors, block.targets, np.array(sigmas))
+        for j, row in enumerate(rows):
+            for c, i in enumerate(idxs):
+                # a copy, so a sweep's kept records do not pin the block's records
+                row[i] = TrialResult(
+                    premeasurement[:, j, c].copy(), int(max_gamma[j, c]), sigmas[j],
+                    diverged_step=_step_or_none(diverged[j, c]),
+                )
+    return rows
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     """One seeded trial: fresh matrix, target, and noise; zero initial state."""
-    return _trial_results([cfg], trial)[0]
+    return _trial_results([cfg], [trial])[0][0]
+
+
+def _check_divergence(cfg: ExperimentConfig, results) -> None:
+    steps = [r.diverged_step for r in results if r.diverged_step is not None]
+    if steps:
+        raise DivergenceError(
+            f"numerical divergence in cell lambda={cfg.lam!r} s={cfg.s} P={cfg.P} "
+            f"mu={cfg.mu!r} eta={cfg.eta!r}: {len(steps)} of {len(results)} trials "
+            f"diverged, the first at solver step {min(steps)}"
+        )
 
 
 def _run_cells(cells) -> list:
-    """RunResult of every cell config, in order, trial by trial.
+    """RunResult of every cell config, in order, a block of trials at a time.
 
     Cells that agree on every field a trial's inputs depend on form a group
     whose trials each build their inputs once (see :func:`_trial_results`).
-    Trials map over the ``STREAM_ISTA_THREADS`` pool and are aggregated in
-    trial order, so the outcome is identical at any worker count.  Extra
-    workers buy no speed, since the numpy kernel holds the GIL for most of
-    a trial; they exist to check that contract.
+    A group's trials run in blocks of consecutive trials, ``_block_size``
+    per block; the blocks map over the ``STREAM_ISTA_THREADS`` pool and are
+    aggregated in trial order, so the outcome is identical at any worker
+    count.  Extra workers buy no speed: numpy releases the GIL inside the
+    stacked products, but a block spends most of its time in Python
+    dispatch and small elementwise steps (see README "Threading").
+
+    Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
     groups = {}
     for idx, cell in enumerate(cells):
@@ -275,9 +352,14 @@ def _run_cells(cells) -> list:
         mapper = pool.map if workers > 1 else map
         for idxs in groups.values():
             group = [cells[i] for i in idxs]
-            rows = list(mapper(lambda t: _trial_results(group, t), range(group[0].trials)))
+            trials, size = group[0].trials, _block_size(group[0])
+            blocks = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+            rows = [row for block in mapper(lambda b: _trial_results(group, b), blocks)
+                    for row in block]
             for j, i in enumerate(idxs):
-                out[i] = _aggregate(cells[i], [row[j] for row in rows])
+                results = [row[j] for row in rows]
+                _check_divergence(cells[i], results)
+                out[i] = _aggregate(cells[i], results)
     return out
 
 
@@ -457,6 +539,7 @@ class TheoremInstance:
     max_violation: float  # max over l of error - bound; nan when skipped
     support_ok: bool | None
     max_gamma_size: int
+    diverged_step: int | None = None  # first diverged solver step, if any
 
     @property
     def dominated(self) -> bool:
@@ -501,6 +584,56 @@ def theorem_level(cfg: ExperimentConfig) -> int:
     return level
 
 
+def _suite_blocks(cfg: ExperimentConfig, draw):
+    """Draw suite instances in order and stack the ones that run into blocks.
+
+    ``draw(t)`` returns ``(record, stream)`` for instance t, where
+    ``stream`` is ``(phi, target, delta)`` when the instance runs and None
+    otherwise.  A running instance's noise is capped at ``cfg.noise_level``
+    under its own isometry constant, the regime the bounds assume.  Yields
+    ``(records, block, runs)`` once a block is full and after the last
+    instance: ``records`` holds every instance drawn since the previous
+    block, in order, and ``runs`` the positions in ``records`` of the
+    instances in the block's slots.
+    """
+    size = _block_size(cfg)
+    records, runs = [], []
+    block = Block(size, cfg.m, cfg.n, cfg.n_samples)
+    for t in range(cfg.trials):
+        record, stream = draw(t)
+        if stream is not None:
+            phi, target, delta = stream
+            ys = _trial_measurements(cfg, t, phi, target, cfg.noise_level, delta, "capped")
+            block.put(len(runs), phi.entries, ys, target.samples, target.support_schedule)
+            runs.append(len(records))
+        records.append(record)
+        if len(runs) == size:
+            yield records, block, runs
+            records, runs = [], []
+            block = Block(size, cfg.m, cfg.n, cfg.n_samples)
+    if records:
+        yield records, block, runs
+
+
+def _instance_records(block: Block, lams, sigma: float, eta: float, p: int, relax: float = 1.0):
+    """Run the first ``len(lams)`` instances of a suite block from zero.
+
+    Instance j runs under threshold ``lams[j]``.  Returns, per instance,
+    its error record, its active-set-size record and its first diverged
+    step (or None).
+    """
+    count = len(lams)
+    if not count:
+        return []
+    u0 = np.zeros((count, block.phi.shape[2], 1))
+    errors, gamma_sizes = block.stream(np.asarray(lams)[:, None, None], eta, p, u0, relax)[:2]
+    diverged = _diverged_steps(errors, block.targets[:, :count], sigma)
+    return [
+        (errors[:, j, 0], gamma_sizes[:, j, 0], _step_or_none(diverged[j, 0]))
+        for j in range(count)
+    ]
+
+
 def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:
     """Check bound dominance and the support cap on ``cfg.trials`` instances.
 
@@ -510,12 +643,15 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
     ``adjust_lambda`` is set, the threshold is raised per instance to the
     smallest value satisfying the drift/noise margin with 5% headroom, so
     the preconditions are attainable; the empirical energy and jump bounds
-    of the realized target parameterize the bound.
+    of the realized target parameterize the bound.  Every instance with
+    delta < 1 runs, as one column of a kernel block under its own threshold,
+    and records the step at which its trace diverged, if it did.
     """
     level = theorem_level(cfg)
     sigma = cfg.noise_level
-    instances = []
-    for t in range(cfg.trials):
+    init_u = np.zeros(cfg.n)
+
+    def draw(t):
         phi, target = _trial_problem(cfg, t)
         est = rip_exact(phi, level)
         delta = est.delta
@@ -528,32 +664,36 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
                 (1.0 - c) * math.sqrt(cfg.q)
             )
             lam = max(lam, lam_floor)
-        init_u = np.zeros(cfg.n)
         report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u, 0)
-        if delta < 1.0:
-            ys = _trial_measurements(cfg, t, phi, target, sigma, delta, "capped")
-            trace = run_streaming(phi, ys, target, replace(cfg.solver_config(), lam=lam), init_u)
-        else:
-            trace = None
-        if report.passed and trace is not None:
-            params = IstaBoundParams(
-                eta=cfg.eta, delta=delta, sigma=sigma, lam=lam, q=cfg.q,
-                mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
-                e1=float(trace.errors[0]),
-            )
-            bounds = ista_error_bound(np.arange(trace.errors.size), params)
-            max_violation = float(np.max(trace.errors - bounds))
-            max_gamma = trace.max_gamma_size()
-            support_ok = max_gamma <= cfg.q
-        else:
+        record = (t, est, beta_emp, mudl_emp, lam, report)
+        return record, ((phi, target, delta) if delta < 1.0 else None)
+
+    instances = []
+    for records, block, runs in _suite_blocks(cfg, draw):
+        lams = [records[i][4] for i in runs]  # each running instance's threshold
+        traces = dict(zip(runs, _instance_records(block, lams, sigma, cfg.eta, cfg.P)))
+        for i, (t, est, beta_emp, mudl_emp, lam, report) in enumerate(records):
             max_violation = float("nan")
             support_ok = None
-            max_gamma = trace.max_gamma_size() if trace is not None else -1
-        instances.append(
-            TheoremInstance(
-                t, delta, est.method, lam, sigma, report, max_violation, support_ok, max_gamma
-            )
-        )
+            max_gamma = -1
+            diverged = None
+            if i in traces:
+                errors, gamma_sizes, diverged = traces[i]
+                # a zero start has an empty active set
+                max_gamma = int(gamma_sizes.max())
+                if report.passed:
+                    params = IstaBoundParams(
+                        eta=cfg.eta, delta=est.delta, sigma=sigma, lam=lam, q=cfg.q,
+                        mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
+                        e1=float(errors[0]),
+                    )
+                    bounds = ista_error_bound(np.arange(errors.size), params)
+                    max_violation = float(np.max(errors - bounds))
+                    support_ok = max_gamma <= cfg.q
+            instances.append(TheoremInstance(
+                t, est.delta, est.method, lam, sigma, report, max_violation, support_ok,
+                max_gamma, diverged,
+            ))
     return TheoremSuiteResult(tuple(instances))
 
 
@@ -569,6 +709,8 @@ class LcaInstance:
     max_violation: float  # coarse step, slack included; nan when skipped
     fine_max_violation: float  # refined step, same slack; nan when skipped
     resolved: bool | None  # no violation, or the refined run shrank it 5x
+    diverged_step: int | None = None  # first diverged coarse step, if any
+    fine_diverged_step: int | None = None  # first diverged refined step, if any
 
 
 @dataclass(frozen=True)
@@ -612,8 +754,9 @@ def run_lca_suite(
     level = cfg.s + cfg.q
     sigma = cfg.noise_level
     hold = cfg.P * cfg.tau  # time units each measurement is held
-    instances = []
-    for t in range(cfg.trials):
+    init_u = np.zeros(cfg.n)
+
+    def draw(t):
         phi, target = _trial_problem(cfg, t)
         delta = rip_exact(phi, min(level, cfg.n)).delta
         beta_emp = estimate_beta(target)
@@ -628,7 +771,6 @@ def run_lca_suite(
                 delta * (cfg.tau * mu_rate + sigma) + (1.0 - delta) * (beta_emp + sigma)
             ) / (1.0 - 2.0 * delta)
             lam = max(lam, 1.05 * max(e0_branch, d_branch) / math.sqrt(cfg.q))
-        init_u = np.zeros(cfg.n)
         e0 = float(np.linalg.norm(target.samples[0]))
         if delta < 1.0:
             params = LcaBoundParams(
@@ -643,25 +785,35 @@ def run_lca_suite(
             report = check_lca_preconditions(
                 delta, cfg.q, beta_emp, sigma, lam, e0, float("inf"), init_u, 0
             )
-        if report.passed and params is not None:
-            ys = _trial_measurements(cfg, t, phi, target, sigma, delta, "capped")
-            slack = slack_factor * delta * mu_rate * cfg.tau
-            viol = []
-            for steps in (1, substeps):
-                times, errors = euler_lca_trace(
-                    phi, ys, target, lam, cfg.tau, init_u, P=cfg.P, substeps=steps
-                )
-                bounds = lca_error_bound(times, params)
-                viol.append(float(np.max(errors - (bounds + slack))))
-            max_violation, fine_max = viol
-            resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
-        else:
-            max_violation = float("nan")
-            fine_max = float("nan")
-            resolved = None
-        instances.append(
-            LcaInstance(t, delta, lam, sigma, report, max_violation, fine_max, resolved)
-        )
+        record = (t, delta, lam, report, params, mu_rate)
+        running = report.passed and params is not None
+        return record, ((phi, target, delta) if running else None)
+
+    instances = []
+    for records, block, runs in _suite_blocks(cfg, draw):
+        lams = [records[i][2] for i in runs]  # each running instance's threshold
+        # the block runs once per step size: the unit step, then the refined step
+        coarse = dict(zip(runs, _instance_records(block, lams, sigma, 1.0, cfg.P)))
+        fine = dict(zip(runs, _instance_records(
+            block, lams, sigma, 1.0, cfg.P * substeps, relax=1.0 / substeps
+        )))
+        for i, (t, delta, lam, report, params, mu_rate) in enumerate(records):
+            max_violation = fine_max = float("nan")
+            resolved = diverged = fine_diverged = None
+            if i in coarse:
+                slack = slack_factor * delta * mu_rate * cfg.tau
+                viol = []
+                for steps, (errors, _, _) in ((1, coarse[i]), (substeps, fine[i])):
+                    times = (cfg.tau / steps) * np.arange(1, errors.size + 1)
+                    bounds = lca_error_bound(times, params)
+                    viol.append(float(np.max(errors - (bounds + slack))))
+                max_violation, fine_max = viol
+                resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
+                diverged, fine_diverged = coarse[i][2], fine[i][2]
+            instances.append(LcaInstance(
+                t, delta, lam, sigma, report, max_violation, fine_max, resolved,
+                diverged, fine_diverged,
+            ))
     return LcaSuiteResult(tuple(instances), slack_factor, substeps)
 
 

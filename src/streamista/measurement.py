@@ -10,6 +10,7 @@ where G_T is the s x s Gram block of the matrix restricted to columns T.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 import math
 
@@ -116,7 +117,22 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
     return eps
 
 
+@lru_cache(maxsize=32)
+def _one_batch_level(n: int, s: int) -> np.ndarray:
+    supports = np.asarray(list(combinations(range(n), s)), dtype=np.intp)
+    supports.setflags(write=False)
+    return supports
+
+
 def _support_batches(n: int, s: int):
+    """Every size-``s`` support of ``range(n)``, in lexicographic batches.
+
+    A level that fits one batch is built once per ``(n, s)`` and reused
+    read-only, since the suites ask for the same level for every instance.
+    """
+    if math.comb(n, s) <= _BATCH:
+        yield _one_batch_level(n, s)
+        return
     it = combinations(range(n), s)
     while True:
         chunk = list(islice(it, _BATCH))

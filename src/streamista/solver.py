@@ -10,7 +10,10 @@ error at row l is ||a[l+1] - target[l]||, and the subsequence at i = p-1
 is the pre-measurement error ||a[kp] - target[kp-1]|| used by the tracking
 experiments.  ``run_streaming_batch`` runs several thresholds on the same
 stream at once, one column of an ``n x L`` iterate block each, and returns
-one trace per threshold; ``run_streaming`` is its one-threshold case.
+one trace per threshold; ``run_streaming`` is its one-threshold case.  Both
+run the kernel on a one-trial block (:class:`.kernels.Block`) and build a
+full :class:`SolverTrace` per column; the experiment harness stacks many
+trials in one block and reads the kernel records without building traces.
 
 ``lca_simulate`` advances the continuous-time sparse-coding network
 
@@ -22,7 +25,8 @@ to the equivalent streaming run.
 
 ``euler_lca_trace`` integrates the same network at the fractional step
 tau / substeps.  That step is the streaming update at eta = 1 relaxed by
-1/substeps, so it runs through the same numpy kernel loop.
+1/substeps, so it runs through the same numpy kernel loop.  It is library
+API; the continuous-bound suite runs the same relaxed kernel on its blocks.
 """
 
 from dataclasses import dataclass
@@ -170,35 +174,28 @@ def ista_iterate(
 
 
 def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, init_u):
-    """Validate a stream against ``phi`` and lay it out for the kernel.
+    """Validate a stream against ``phi`` and lay it out as a one-trial block.
 
-    Returns ``(phi, phi_t, ys, samples, target_changed, u0)`` as contiguous
-    float arrays; ``target_changed[k]`` flags a support change at sample k.
+    Returns ``(block, u0)`` with ``u0`` the validated float array of ``init_u``.
     """
-    ys = np.ascontiguousarray(measurements, dtype=np.float64)
+    ys = np.asarray(measurements, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != phi.rows:
         raise ValueError(f"measurements shape {ys.shape} does not match (*, {phi.rows})")
-    samples = np.ascontiguousarray(target.samples, dtype=np.float64)
+    samples = np.asarray(target.samples, dtype=np.float64)
     if samples.shape[0] != ys.shape[0]:
         raise ValueError(
             f"measurement count {ys.shape[0]} does not match target length {samples.shape[0]}"
         )
     if samples.shape[1] != phi.cols:
         raise ValueError(f"target width {samples.shape[1]} does not match {phi.cols}")
-    u0 = np.ascontiguousarray(init_u, dtype=np.float64)
+    u0 = np.asarray(init_u, dtype=np.float64)
     if u0.shape != (phi.cols,):
         raise ValueError(f"init_u shape {u0.shape} does not match ({phi.cols},)")
     if not np.all(np.isfinite(u0)):
         raise ValueError("init_u must be finite")
-
-    n_meas = ys.shape[0]
-    sched = target.support_schedule
-    target_changed = np.zeros(n_meas, dtype=np.bool_)
-    target_changed[1:] = np.any(sched[1:] != sched[:-1], axis=1)
-
-    phi_c = np.ascontiguousarray(phi.entries)
-    phi_t = np.ascontiguousarray(phi.entries.T)
-    return phi_c, phi_t, ys, samples, target_changed, u0
+    block = kernels.Block(1, phi.rows, phi.cols, ys.shape[0])
+    block.put(0, phi.entries, ys, samples, target.support_schedule)
+    return block, u0
 
 
 def run_streaming_batch(
@@ -212,45 +209,38 @@ def run_streaming_batch(
 
     The configs may differ only in ``lam``: the thresholds run as the
     columns of an ``n x L`` iterate block, each started from ``init_u``.
-    A single config runs the one-vector loop, so its trace is the
-    reference; a column of a block matches it to rounding.
+    A single config runs a one-column block, which takes the one-vector
+    products, so its trace is the reference; a column of a wider block
+    matches it to rounding.
     """
     configs = tuple(configs)
     if not configs:
         raise ValueError("run_streaming_batch needs at least one config")
     if len({(c.eta, c.P) for c in configs}) != 1:
         raise ValueError("batched configs must share eta and P")
-    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
-        phi, measurements, target, init_u
-    )
+    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
     eta, P = float(configs[0].eta), int(configs[0].P)
-    if len(configs) == 1:
-        lam, u_block = float(configs[0].lam), u0
-    else:
-        lam = np.array([c.lam for c in configs], dtype=np.float64)
-        u_block = np.repeat(u0[:, None], len(configs), axis=1)
-    records = kernels.stream(phi_c, phi_t, ys, samples, target_changed, lam, eta, P, u_block)
-    if len(configs) == 1:  # give the one-vector records their column axis
-        records = [x[:, None] for x in records]
-    errors, gamma_sizes, switches, u_fin, a_fin = records
-    n_meas = ys.shape[0]
+    lam = np.array([c.lam for c in configs], dtype=np.float64)
+    u_block = np.repeat(u0[None, :, None], len(configs), axis=2)
+    errors, gamma_sizes, switches, u_fin, a_fin = block.stream(lam, eta, P, u_block)
+    n_meas = block.ys.shape[0]
     total = n_meas * P
     l = np.arange(total)
     traces = []
     for j, c in enumerate(configs):
-        u_j = np.ascontiguousarray(u_fin[:, j])
+        u_j = np.ascontiguousarray(u_fin[0, :, j])
         traces.append(SolverTrace(
             l=l,
             k=l // P,
             i=l % P,
-            errors=np.ascontiguousarray(errors[:, j]),
-            gamma_sizes=np.ascontiguousarray(gamma_sizes[:, j]),
-            switches=np.ascontiguousarray(switches[:, j]),
+            errors=np.ascontiguousarray(errors[:, 0, j]),
+            gamma_sizes=np.ascontiguousarray(gamma_sizes[:, 0, j]),
+            switches=np.ascontiguousarray(switches[:, 0, j]),
             P=P,
             n_measurements=n_meas,
             initial_gamma_size=int(active_set(u0, c.lam).size),
             final_state=SolverState(
-                u_j, np.ascontiguousarray(a_fin[:, j]), total, active_set(u_j, c.lam)
+                u_j, np.ascontiguousarray(a_fin[0, :, j]), total, active_set(u_j, c.lam)
             ),
         ))
     return traces
@@ -314,13 +304,10 @@ def euler_lca_trace(
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     SolverConfig(lam=lam, P=P, dl=tau, tau=tau)  # same parameter checks as the solver
-    phi_c, phi_t, ys, samples, target_changed, u0 = _kernel_inputs(
-        phi, measurements, target, init_u
-    )
+    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
     # the network step is the streaming update at eta = 1, relaxed by 1/substeps
-    errors = kernels.stream(
-        phi_c, phi_t, ys, samples, target_changed,
-        float(lam), 1.0, P * substeps, u0, relax=1.0 / substeps,
-    )[0]
+    errors = block.stream(
+        float(lam), 1.0, P * substeps, u0[None, :, None], relax=1.0 / substeps
+    )[0][:, 0, 0]
     times = (tau / substeps) * np.arange(1, errors.size + 1)
     return times, errors

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from streamista.cli import cli_main
 from streamista.configio import KEY_MAP, ConfigError, parse_config, parse_config_text
 from streamista.harness import ExperimentConfig
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FULL_CONFIG = """
 # comment line
@@ -241,6 +243,27 @@ def test_cli_invalid_config_exits_one_before_trials(
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "config, extra_lines, extra_args, diverged",
+    [
+        ("desk.cfg", "eta = 0.6\n", ["--trials", "5"], "5 of 5"),
+        ("desk.cfg", "eta = 1.5\n", [], "50 of 50"),
+        ("theorem.cfg", "", ["--trials", "20"], "10 of 20"),
+    ],
+    ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg"],
+)
+def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):
+    path = tmp_path / config
+    path.write_text((CONFIGS / config).read_text() + extra_lines)
+    out = tmp_path / "out"
+    rc = cli_main(["run", "--config", str(path), "--out", str(out)] + extra_args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical divergence in cell lambda=" in err
+    assert f"{diverged} trials diverged" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_fit_steady_malformed_row_exits_two(tmp_path, capsys):

@@ -1,12 +1,16 @@
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from streamista.harness import (
     THREADS_ENV,
     ExperimentConfig,
     _run_cells,
+    _trial_problem,
+    _trial_results,
     estimate_steady_state,
     fit_lambda_level,
     fit_steady_state,
@@ -256,6 +260,111 @@ def test_lemma_suite_regression(seed, worst_slack):
               suite.cap_premise_held, suite.cap_violations)
     assert counts == (50000, 0, 83349, 14109, 0)
     assert suite.rip_worst_slack == pytest.approx(worst_slack, rel=1e-12)
+
+
+# instance records of the theorem and LCA suites, recorded before the
+# suites ran their instances as kernel blocks: per instance
+# (delta, lambda, max_violation, max_gamma_size, dominated or None when the
+# preconditions failed) and (delta, lambda, max_violation,
+# fine_max_violation, resolved)
+THEOREM_CFG = ExperimentConfig(m=18, n=20, s=1, n_pairs=1, n_samples=100, beta=1.0,
+                               mu=0.05, lam=0.1, eta=1.0, P=5, noise_mode="capped",
+                               noise_level=0.05, trials=8, q=1, seed=0)
+LCA_CFG = ExperimentConfig(m=64, n=72, s=1, n_pairs=1, n_samples=10, beta=1.0,
+                           mu=0.05, lam=0.1, eta=1.0, P=5, tau=1.0,
+                           noise_mode="capped", noise_level=0.05, trials=4, q=1, seed=0)
+nan = float("nan")
+THEOREM_PIN = {
+    0: [
+        (0.9531550456670521, 46.25889403977864, -1.887379141862766e-14, 0, True),
+        (0.9286810316381997, 28.802694893830466, 1.687538997430238e-14, 0, True),
+        (1.0091927399508607, 0.1, nan, -1, None),
+        (1.0318182051437201, 0.1, nan, -1, None),
+        (1.033176768139449, 0.1, nan, -1, None),
+        (0.9997430886181031, 11819.3470886929, -2.6968506317004426e-09, 0, True),
+        (1.1814819472078346, 0.1, nan, -1, None),
+        (0.9792421710353976, 133.59009011456868, 1.821875983409882e-13, 0, True),
+    ],
+    5: [
+        (1.1898079173132938, 0.1, nan, -1, None),
+        (1.141247880186742, 0.1, nan, -1, None),
+        (1.025683435100988, 0.1, nan, -1, None),
+        (1.2103792555662438, 0.1, nan, -1, None),
+        (1.131576580926012, 0.1, nan, -1, None),
+        (1.0930316925629162, 0.1, nan, -1, None),
+        (1.1507911953449175, 0.1, nan, -1, None),
+        (0.8584938809307907, 13.973387037976497, 1.1102230246251565e-15, 0, True),
+    ],
+}
+LCA_PIN = {
+    0: [
+        (0.427203855486989, 4.723779259903948, -3.7743442227383937, -0.6803580117081054, True),
+        (0.4416371132095096, 5.773862395321365, -4.371268805917502, -0.7655878964147649, True),
+        (0.4202617102120434, 4.6383018356880275, -3.7212834832535497, -0.6874776139819672, True),
+        (0.41636399793289813, 4.676013881599824, -3.487367966919373, -0.6665783540270271, True),
+    ],
+    5: [
+        (0.4622005829551119, 9.635314250299635, -7.61344900608541, -1.2055616990990239, True),
+        (0.44643637538015124, 6.522269148251228, -5.389646845129264, -0.9185763771269473, True),
+        (0.4032379974251792, 4.161823112474297, -3.1333001654879418, -0.6267212053685639, True),
+        (0.42016214743020375, 4.968193550716232, -4.078343790807468, -0.752297701934308, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_theorem_suite_regression(seed):
+    suite = run_theorem_suite(replace(THEOREM_CFG, seed=seed))
+    found = [
+        (i.delta, i.lam, i.max_violation, i.max_gamma_size,
+         i.dominated if i.report.passed else None)
+        for i in suite.instances
+    ]
+    expected = THEOREM_PIN[seed]
+    assert [row[3:] for row in found] == [row[3:] for row in expected]
+    np.testing.assert_allclose(
+        [row[:3] for row in found], [row[:3] for row in expected], rtol=1e-12, atol=0
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lca_suite_regression(seed):
+    suite = run_lca_suite(replace(LCA_CFG, seed=seed))
+    found = [
+        (i.delta, i.lam, i.max_violation, i.fine_max_violation, i.resolved)
+        for i in suite.instances
+    ]
+    expected = LCA_PIN[seed]
+    assert [row[4] for row in found] == [row[4] for row in expected]
+    np.testing.assert_allclose(
+        [row[:4] for row in found], [row[:4] for row in expected], rtol=1e-12, atol=0
+    )
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    step=st.floats(min_value=0.05, max_value=0.99),
+    lam=st.floats(min_value=0.01, max_value=0.5),
+    P=st.integers(min_value=1, max_value=3),
+    mu=st.floats(min_value=0.0, max_value=1.5),
+    noise_mode=st.sampled_from(["gaussian_scaled", "capped"]),
+    noise_level=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_divergence_guard_is_quiet_below_the_spectral_step(
+    seed, step, lam, P, mu, noise_mode, noise_level
+):
+    # a step below 2 / ||Phi||^2 keeps every trial's gradient map
+    # nonexpansive (sufficient, not necessary), so no trial may be flagged
+    cfg = replace(SMALL, seed=seed, lam=lam, P=P, mu=mu, noise_mode=noise_mode,
+                  noise_level=noise_level, trials=4)
+    spectral = max(
+        float(np.linalg.norm(_trial_problem(cfg, t)[0].entries, 2)) ** 2
+        for t in range(cfg.trials)
+    )
+    cfg = replace(cfg, eta=2.0 * step / spectral)
+    rows = _trial_results([cfg], range(cfg.trials))
+    assert [row[0].diverged_step for row in rows] == [None] * cfg.trials
 
 
 def test_default_configuration_regression():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from streamista.kernels import Block
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
 from streamista.solver import (
@@ -118,3 +119,46 @@ def test_batch_rejects_mixed_steps():
         run_streaming_batch(phi, ys, target, configs, np.zeros(32))
     with pytest.raises(ValueError, match="at least one"):
         run_streaming_batch(phi, ys, target, [], np.zeros(32))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    count=st.integers(min_value=1, max_value=6),
+    L=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=4, max_value=24),
+    m_frac=st.floats(min_value=0.1, max_value=1.0),
+    P=st.integers(min_value=1, max_value=3),
+    substeps=st.sampled_from([1, 2, 10]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    step=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, seed, step):
+    m = max(2, round(m_frac * n))
+    n_meas = 4
+    rng = np.random.default_rng(seed)
+    block = Block(count, m, n, n_meas)
+    singles = []
+    spectral = 0.0
+    for t in range(count):
+        phi = gen_gaussian_matrix(m, n, seed + t)
+        target = assemble_target(
+            GenConfig(n=n, s=2, n_pairs=1, n_samples=n_meas, beta=1.0, mu=0.3, seed=seed + t)
+        )
+        ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((n_meas, m))
+        block.put(t, phi.entries, ys, target.samples, target.support_schedule)
+        one = Block(1, m, n, n_meas)
+        one.put(0, phi.entries, ys, target.samples, target.support_schedule)
+        singles.append(one)
+        spectral = max(spectral, float(np.linalg.norm(phi.entries, 2)) ** 2)
+    lam = rng.uniform(0.01, 0.5, size=(count, 1, L))  # per trial and per column
+    u0 = 0.5 * rng.standard_normal((count, n, L))
+    eta = 2.0 * step / spectral
+    relax = 1.0 / substeps
+    stacked = block.stream(lam, eta, P * substeps, u0, relax)
+    for t, one in enumerate(singles):
+        alone = one.stream(lam[t : t + 1], eta, P * substeps, u0[t : t + 1], relax)
+        for record, ref in zip(stacked[:3], alone[:3]):
+            assert record.shape == (n_meas * P * substeps, count, L)
+            assert record[:, t].tobytes() == ref[:, 0].tobytes()
+        for final, ref in zip(stacked[3:], alone[3:]):
+            assert final[t].tobytes() == ref[0].tobytes()
