@@ -65,7 +65,6 @@ from .solver import (
     ista_iterate,
     lca_simulate,
     run_streaming,
-    run_streaming_batch,
     soft_threshold,
     top_q_energy,
     top_q_indices,

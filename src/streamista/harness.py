@@ -13,12 +13,12 @@ Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until their inputs fill
 ``_BLOCK_BYTES``.  The theorem suite stacks its instances the same way, one
 threshold per instance, and the continuous-bound suite runs each block once
-per step size.  Results read the kernel's records directly: the
-pre-measurement errors, the largest active set, and the first step at which
-a run diverged (an error non-finite or above ``_DIVERGENCE_FACTOR`` times
-its target's largest sample norm plus its noise scale).  A run or sweep
-with a diverged trial raises :class:`DivergenceError`; the suites record
-the step as data.
+per step size.  One function, :func:`_run_block`, runs every block from
+zero and reads the kernel's records: the errors, the largest active set,
+and the first step at which a run diverged (an error non-finite or above
+``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
+noise scale).  A run or sweep with a diverged trial raises
+:class:`DivergenceError`; the suites record the step as data.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -180,7 +180,6 @@ class TrialResult:
     errors: np.ndarray  # one entry per measurement
     max_gamma_size: int
     sigma: float  # realized noise scale
-    preconditions: PreconditionReport | None = None
     diverged_step: int | None = None  # first diverged solver step, if any
 
 
@@ -258,16 +257,28 @@ def _block_size(cfg: ExperimentConfig) -> int:
     return max(1, _BLOCK_BYTES // trial_bytes)
 
 
-def _diverged_steps(errors: np.ndarray, targets: np.ndarray, sigma) -> np.ndarray:
-    """First diverged step of every (trial, column) of a kernel record, or -1.
+def _run_block(block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0):
+    """Run the first T streams of a block from zero under thresholds ``lam`` ``(T, 1, L)``.
 
-    A step diverged when its error is non-finite or above
-    ``_DIVERGENCE_FACTOR`` times the trial's largest target sample norm
-    (``targets`` is step-major, as in a block) plus its noise scale.
+    Returns the error record ``(steps, T, L)``, the largest active set per
+    (trial, column) (a zero start has an empty one, so the records' maximum)
+    and the first diverged step per (trial, column), or -1.  A step diverged
+    when its error is non-finite or above ``_DIVERGENCE_FACTOR`` times its
+    trial's largest target sample norm plus ``sigma``, one noise scale per
+    trial or one for all.  Numpy's overflow warnings are silenced, because
+    the step names the divergence.  With no stream to run, the kernel is
+    not called.
     """
-    scale = np.linalg.norm(targets, axis=2).max(axis=0) + sigma
-    bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
-    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    count, _, width = lam.shape
+    if not count:
+        empty = np.empty((0, width), dtype=np.int64)
+        return np.empty((block.ys.shape[0] * p, 0, width)), empty, empty
+    u0 = np.zeros((count, block.phi.shape[2], width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors, gamma_sizes = block.stream(lam, eta, p, u0, relax)[:2]
+        scale = np.linalg.norm(block.targets[:, :count], axis=2).max(axis=0) + sigma
+        bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
+    return errors, gamma_sizes.max(axis=0), np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
 def _step_or_none(step) -> int | None:
@@ -280,9 +291,7 @@ def _trial_results(cells, trials) -> list:
     The cells share the trials' inputs: each trial's matrix, target and
     noise stream are built once, into one kernel block.  Cells that differ
     only in ``lam`` run as the columns of one kernel call; cells with
-    another step or hold length run the block in a call of their own.  The
-    results read the kernel records directly; a zero start has an empty
-    active set, so the largest one is the records' maximum.
+    another step or hold length run the block in a call of their own.
     """
     cfg = cells[0]
     count = len(trials)
@@ -299,11 +308,9 @@ def _trial_results(cells, trials) -> list:
         batches.setdefault((cell.eta, cell.P), []).append(idx)
     rows = [[None] * len(cells) for _ in trials]
     for (eta, P), idxs in batches.items():
-        lam = np.array([cells[i].lam for i in idxs])
-        errors, gamma_sizes = block.stream(lam, eta, P, np.zeros((count, cfg.n, len(idxs))))[:2]
+        lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
+        errors, max_gamma, diverged = _run_block(block, lam, eta, P, np.array(sigmas))
         premeasurement = errors[P - 1 :: P]
-        max_gamma = gamma_sizes.max(axis=0)
-        diverged = _diverged_steps(errors, block.targets, np.array(sigmas))
         for j, row in enumerate(rows):
             for c, i in enumerate(idxs):
                 # a copy, so a sweep's kept records do not pin the block's records
@@ -584,54 +591,39 @@ def theorem_level(cfg: ExperimentConfig) -> int:
     return level
 
 
-def _suite_blocks(cfg: ExperimentConfig, draw):
+def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
     """Draw suite instances in order and stack the ones that run into blocks.
 
-    ``draw(t)`` returns ``(record, stream)`` for instance t, where
-    ``stream`` is ``(phi, target, delta)`` when the instance runs and None
-    otherwise.  A running instance's noise is capped at ``cfg.noise_level``
-    under its own isometry constant, the regime the bounds assume.  Yields
-    ``(records, block, runs)`` once a block is full and after the last
-    instance: ``records`` holds every instance drawn since the previous
-    block, in order, and ``runs`` the positions in ``records`` of the
-    instances in the block's slots.
+    Instance t's matrix and target come from :func:`_trial_problem` and its
+    exact isometry constant from ``rip_exact`` at ``level``.
+    ``draw(t, est, target)`` returns ``(record, lam)``, with ``lam`` the
+    instance's threshold, or None when it does not run.  A running
+    instance's noise is capped at ``cfg.noise_level`` under its own
+    isometry constant, the regime the bounds assume.  Yields
+    ``(records, slots, block, lams)`` once a block is full and after the
+    last instance: ``records`` holds every instance drawn since the previous
+    block, in order, ``slots[i]`` the block stream of ``records[i]`` (None
+    when it does not run) and ``lams`` the block's thresholds, ``(T, 1, 1)``.
     """
     size = _block_size(cfg)
-    records, runs = [], []
+    records, slots, lams = [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     for t in range(cfg.trials):
-        record, stream = draw(t)
-        if stream is not None:
-            phi, target, delta = stream
-            ys = _trial_measurements(cfg, t, phi, target, cfg.noise_level, delta, "capped")
-            block.put(len(runs), phi.entries, ys, target.samples, target.support_schedule)
-            runs.append(len(records))
+        phi, target = _trial_problem(cfg, t)
+        est = rip_exact(phi, level)
+        record, lam = draw(t, est, target)
         records.append(record)
-        if len(runs) == size:
-            yield records, block, runs
-            records, runs = [], []
+        slots.append(None if lam is None else len(lams))
+        if lam is not None:
+            ys = _trial_measurements(cfg, t, phi, target, cfg.noise_level, est.delta, "capped")
+            block.put(len(lams), phi.entries, ys, target.samples, target.support_schedule)
+            lams.append(lam)
+        if len(lams) == size:
+            yield records, slots, block, np.reshape(lams, (-1, 1, 1))
+            records, slots, lams = [], [], []
             block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     if records:
-        yield records, block, runs
-
-
-def _instance_records(block: Block, lams, sigma: float, eta: float, p: int, relax: float = 1.0):
-    """Run the first ``len(lams)`` instances of a suite block from zero.
-
-    Instance j runs under threshold ``lams[j]``.  Returns, per instance,
-    its error record, its active-set-size record and its first diverged
-    step (or None).
-    """
-    count = len(lams)
-    if not count:
-        return []
-    u0 = np.zeros((count, block.phi.shape[2], 1))
-    errors, gamma_sizes = block.stream(np.asarray(lams)[:, None, None], eta, p, u0, relax)[:2]
-    diverged = _diverged_steps(errors, block.targets[:, :count], sigma)
-    return [
-        (errors[:, j, 0], gamma_sizes[:, j, 0], _step_or_none(diverged[j, 0]))
-        for j in range(count)
-    ]
+        yield records, slots, block, np.reshape(lams, (-1, 1, 1))
 
 
 def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:
@@ -651,9 +643,7 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
     sigma = cfg.noise_level
     init_u = np.zeros(cfg.n)
 
-    def draw(t):
-        phi, target = _trial_problem(cfg, t)
-        est = rip_exact(phi, level)
+    def draw(t, est, target):
         delta = est.delta
         beta_emp = estimate_beta(target)
         mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
@@ -666,21 +656,20 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
             lam = max(lam, lam_floor)
         report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u, 0)
         record = (t, est, beta_emp, mudl_emp, lam, report)
-        return record, ((phi, target, delta) if delta < 1.0 else None)
+        return record, (lam if delta < 1.0 else None)
 
     instances = []
-    for records, block, runs in _suite_blocks(cfg, draw):
-        lams = [records[i][4] for i in runs]  # each running instance's threshold
-        traces = dict(zip(runs, _instance_records(block, lams, sigma, cfg.eta, cfg.P)))
-        for i, (t, est, beta_emp, mudl_emp, lam, report) in enumerate(records):
+    for records, slots, block, lams in _suite_blocks(cfg, level, draw):
+        errors_block, max_gammas, diverged_steps = _run_block(block, lams, cfg.eta, cfg.P, sigma)
+        for (t, est, beta_emp, mudl_emp, lam, report), j in zip(records, slots):
             max_violation = float("nan")
             support_ok = None
             max_gamma = -1
             diverged = None
-            if i in traces:
-                errors, gamma_sizes, diverged = traces[i]
-                # a zero start has an empty active set
-                max_gamma = int(gamma_sizes.max())
+            if j is not None:
+                errors = errors_block[:, j, 0]
+                max_gamma = int(max_gammas[j, 0])
+                diverged = _step_or_none(diverged_steps[j, 0])
                 if report.passed:
                     params = IstaBoundParams(
                         eta=cfg.eta, delta=est.delta, sigma=sigma, lam=lam, q=cfg.q,
@@ -751,14 +740,12 @@ def run_lca_suite(
     to the smallest value satisfying the decay margin, which is solvable
     only below delta = 1/2.
     """
-    level = cfg.s + cfg.q
     sigma = cfg.noise_level
     hold = cfg.P * cfg.tau  # time units each measurement is held
     init_u = np.zeros(cfg.n)
 
-    def draw(t):
-        phi, target = _trial_problem(cfg, t)
-        delta = rip_exact(phi, min(level, cfg.n)).delta
+    def draw(t, est, target):
+        delta = est.delta
         beta_emp = estimate_beta(target)
         mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
         mu_rate = mudl_emp / hold
@@ -772,44 +759,37 @@ def run_lca_suite(
             ) / (1.0 - 2.0 * delta)
             lam = max(lam, 1.05 * max(e0_branch, d_branch) / math.sqrt(cfg.q))
         e0 = float(np.linalg.norm(target.samples[0]))
+        params = None
         if delta < 1.0:
             params = LcaBoundParams(
                 delta=delta, tau=cfg.tau, sigma=sigma, lam=lam, q=cfg.q,
                 mu=mu_rate, beta=beta_emp, e0=e0,
             )
-            report = check_lca_preconditions(
-                delta, cfg.q, beta_emp, sigma, lam, e0, params.D, init_u, 0
-            )
-        else:
-            params = None
-            report = check_lca_preconditions(
-                delta, cfg.q, beta_emp, sigma, lam, e0, float("inf"), init_u, 0
-            )
+        D = math.inf if params is None else params.D
+        report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u, 0)
         record = (t, delta, lam, report, params, mu_rate)
-        running = report.passed and params is not None
-        return record, ((phi, target, delta) if running else None)
+        return record, (lam if report.passed and params is not None else None)
 
     instances = []
-    for records, block, runs in _suite_blocks(cfg, draw):
-        lams = [records[i][2] for i in runs]  # each running instance's threshold
+    for records, slots, block, lams in _suite_blocks(cfg, min(cfg.s + cfg.q, cfg.n), draw):
         # the block runs once per step size: the unit step, then the refined step
-        coarse = dict(zip(runs, _instance_records(block, lams, sigma, 1.0, cfg.P)))
-        fine = dict(zip(runs, _instance_records(
-            block, lams, sigma, 1.0, cfg.P * substeps, relax=1.0 / substeps
-        )))
-        for i, (t, delta, lam, report, params, mu_rate) in enumerate(records):
+        runs = [
+            (steps, _run_block(block, lams, 1.0, cfg.P * steps, sigma, relax=1.0 / steps))
+            for steps in (1, substeps)
+        ]
+        for (t, delta, lam, report, params, mu_rate), j in zip(records, slots):
             max_violation = fine_max = float("nan")
             resolved = diverged = fine_diverged = None
-            if i in coarse:
+            if j is not None:
                 slack = slack_factor * delta * mu_rate * cfg.tau
                 viol = []
-                for steps, (errors, _, _) in ((1, coarse[i]), (substeps, fine[i])):
-                    times = (cfg.tau / steps) * np.arange(1, errors.size + 1)
+                for steps, (errors, _, _) in runs:
+                    times = (cfg.tau / steps) * np.arange(1, errors.shape[0] + 1)
                     bounds = lca_error_bound(times, params)
-                    viol.append(float(np.max(errors - (bounds + slack))))
+                    viol.append(float(np.max(errors[:, j, 0] - (bounds + slack))))
                 max_violation, fine_max = viol
                 resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
-                diverged, fine_diverged = coarse[i][2], fine[i][2]
+                diverged, fine_diverged = (_step_or_none(div[j, 0]) for _, (_, _, div) in runs)
             instances.append(LcaInstance(
                 t, delta, lam, sigma, report, max_violation, fine_max, resolved,
                 diverged, fine_diverged,

@@ -8,12 +8,11 @@ to each incoming measurement y[k], holding the target fixed between
 measurements (iteration index l = k*p + i with 0 <= i < p).  The recorded
 error at row l is ||a[l+1] - target[l]||, and the subsequence at i = p-1
 is the pre-measurement error ||a[kp] - target[kp-1]|| used by the tracking
-experiments.  ``run_streaming_batch`` runs several thresholds on the same
-stream at once, one column of an ``n x L`` iterate block each, and returns
-one trace per threshold; ``run_streaming`` is its one-threshold case.  Both
-run the kernel on a one-trial block (:class:`.kernels.Block`) and build a
-full :class:`SolverTrace` per column; the experiment harness stacks many
-trials in one block and reads the kernel records without building traces.
+experiments.  ``run_streaming`` runs the kernel on a one-trial,
+one-column block (:class:`.kernels.Block`) and builds a full
+:class:`SolverTrace`; the experiment harness stacks many trials, and the
+thresholds of a sweep as columns, in one block and reads the kernel
+records without building traces.
 
 ``lca_simulate`` advances the continuous-time sparse-coding network
 
@@ -198,54 +197,6 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
     return block, u0
 
 
-def run_streaming_batch(
-    phi: MeasurementMatrix,
-    measurements: np.ndarray,
-    target: DynamicTarget,
-    configs,
-    init_u: np.ndarray,
-) -> list:
-    """The :func:`run_streaming` trace of every config, from one kernel loop.
-
-    The configs may differ only in ``lam``: the thresholds run as the
-    columns of an ``n x L`` iterate block, each started from ``init_u``.
-    A single config runs a one-column block, which takes the one-vector
-    products, so its trace is the reference; a column of a wider block
-    matches it to rounding.
-    """
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("run_streaming_batch needs at least one config")
-    if len({(c.eta, c.P) for c in configs}) != 1:
-        raise ValueError("batched configs must share eta and P")
-    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
-    eta, P = float(configs[0].eta), int(configs[0].P)
-    lam = np.array([c.lam for c in configs], dtype=np.float64)
-    u_block = np.repeat(u0[None, :, None], len(configs), axis=2)
-    errors, gamma_sizes, switches, u_fin, a_fin = block.stream(lam, eta, P, u_block)
-    n_meas = block.ys.shape[0]
-    total = n_meas * P
-    l = np.arange(total)
-    traces = []
-    for j, c in enumerate(configs):
-        u_j = np.ascontiguousarray(u_fin[0, :, j])
-        traces.append(SolverTrace(
-            l=l,
-            k=l // P,
-            i=l % P,
-            errors=np.ascontiguousarray(errors[:, 0, j]),
-            gamma_sizes=np.ascontiguousarray(gamma_sizes[:, 0, j]),
-            switches=np.ascontiguousarray(switches[:, 0, j]),
-            P=P,
-            n_measurements=n_meas,
-            initial_gamma_size=int(active_set(u0, c.lam).size),
-            final_state=SolverState(
-                u_j, np.ascontiguousarray(a_fin[0, :, j]), total, active_set(u_j, c.lam)
-            ),
-        ))
-    return traces
-
-
 def run_streaming(
     phi: MeasurementMatrix,
     measurements: np.ndarray,
@@ -258,7 +209,27 @@ def run_streaming(
     ``measurements`` has one row per target sample; the zero-order hold of
     the target across the P iterations of a measurement happens here.
     """
-    return run_streaming_batch(phi, measurements, target, (config,), init_u)[0]
+    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
+    P = int(config.P)
+    errors, gamma_sizes, switches, u_fin, a_fin = block.stream(
+        float(config.lam), float(config.eta), P, u0[None, :, None]
+    )
+    n_meas = block.ys.shape[0]
+    total = n_meas * P
+    l = np.arange(total)
+    u = u_fin[0, :, 0]
+    return SolverTrace(
+        l=l,
+        k=l // P,
+        i=l % P,
+        errors=errors[:, 0, 0],
+        gamma_sizes=gamma_sizes[:, 0, 0],
+        switches=switches[:, 0, 0],
+        P=P,
+        n_measurements=n_meas,
+        initial_gamma_size=int(active_set(u0, config.lam).size),
+        final_state=SolverState(u, a_fin[0, :, 0], total, active_set(u, config.lam)),
+    )
 
 
 def lca_simulate(

@@ -254,6 +254,7 @@ def test_cli_invalid_config_exits_one_before_trials(
     ],
     ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):
     path = tmp_path / config
     path.write_text((CONFIGS / config).read_text() + extra_lines)

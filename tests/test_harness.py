@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from streamista.harness import (
     THREADS_ENV,
     ExperimentConfig,
+    _block_size,
+    _run_block,
     _run_cells,
+    _suite_blocks,
     _trial_problem,
     _trial_results,
     estimate_steady_state,
@@ -32,6 +35,7 @@ from streamista.harness import (
     write_qratio_csv,
     write_steady_csv,
 )
+from streamista.kernels import Block
 from streamista.theory import check_ista_preconditions
 
 SMALL = ExperimentConfig(m=16, n=24, s=2, n_pairs=1, n_samples=8, beta=2.0,
@@ -339,6 +343,67 @@ def test_lca_suite_regression(seed):
     np.testing.assert_allclose(
         [row[:4] for row in found], [row[:4] for row in expected], rtol=1e-12, atol=0
     )
+
+
+def spy_streams(monkeypatch):
+    """Record every kernel block call as (matrices, thresholds) of its streams."""
+    calls = []
+    stream = Block.stream
+
+    def spy(self, lam, eta, p, u0, relax=1.0):
+        count, _, width = u0.shape
+        calls.append((self.phi[:count].copy(), np.broadcast_to(lam, (count, 1, width)).copy()))
+        return stream(self, lam, eta, p, u0, relax)
+
+    monkeypatch.setattr(Block, "stream", spy)
+    return calls
+
+
+def test_suite_blocks_map_instances_to_their_slots(monkeypatch):
+    # distinct thresholds, skipped instances, and a last block in which no
+    # instance runs
+    cfg = replace(LCA_CFG, trials=20)
+    runs = [t for t in range(cfg.trials) if t % 3 != 1][: _block_size(cfg)]
+
+    def draw(t, est, target):
+        return t, (0.5 + t if t in runs else None)
+
+    calls = spy_streams(monkeypatch)
+    drawn, streamed = [], []
+    for records, slots, block, lams in _suite_blocks(cfg, cfg.s + cfg.q, draw):
+        assert lams.shape == (sum(j is not None for j in slots), 1, 1)
+        for t, j in zip(records, slots):
+            drawn.append(t)
+            assert (j is not None) == (t in runs)
+            if j is not None:
+                assert lams[j, 0, 0] == 0.5 + t
+                assert np.array_equal(block.phi[j], _trial_problem(cfg, t)[0].entries)
+        before = len(calls)
+        _run_block(block, lams, cfg.eta, cfg.P, cfg.noise_level)
+        streamed.append(len(calls) - before)
+    assert drawn == list(range(cfg.trials))
+    assert streamed == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, calls_per_instance, ran",
+    [
+        (run_theorem_suite, THEOREM_CFG, 1, lambda inst: inst.max_gamma_size >= 0),
+        (run_lca_suite, LCA_CFG, 2, lambda inst: inst.resolved is not None),
+    ],
+    ids=["theorem", "lca"],
+)
+def test_suites_stream_each_instance_under_its_own_threshold(
+    monkeypatch, suite, cfg, calls_per_instance, ran
+):
+    calls = spy_streams(monkeypatch)
+    instances = suite(cfg).instances
+    assert len({inst.lam for inst in instances if ran(inst)}) > 1
+    streamed = [(phi, lam[0, 0]) for phis, lams in calls for phi, lam in zip(phis, lams)]
+    for inst in instances:
+        phi = _trial_problem(cfg, inst.index)[0].entries
+        lams = [lam for entries, lam in streamed if np.array_equal(entries, phi)]
+        assert lams == ([inst.lam] * calls_per_instance if ran(inst) else [])
 
 
 @settings(deadline=None, max_examples=30)
