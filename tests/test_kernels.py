@@ -7,6 +7,7 @@ from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
 from streamista.solver import (
     SolverConfig,
+    active_set,
     init_state,
     ista_iterate,
     run_streaming,
@@ -75,6 +76,44 @@ def test_kernel_matches_reference_iterate(n, m_frac, s_frac, P, seed, step, lam)
     assert np.array_equal(trace.final_state.u, state.u)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=4, max_value=24),
+    m_frac=st.floats(min_value=0.1, max_value=1.0),
+    s_frac=st.floats(min_value=0.0, max_value=1.0),
+    P=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    step=st.floats(min_value=0.05, max_value=0.95),
+    lams=st.lists(st.floats(min_value=0.01, max_value=0.5), min_size=2, max_size=6),
+)
+def test_batched_columns_match_single_runs(n, m_frac, s_frac, P, seed, step, lams):
+    m = max(2, round(m_frac * n))
+    s = 1 + round(s_frac * (n // 2 - 1))
+    target = assemble_target(
+        GenConfig(n=n, s=s, n_pairs=1, n_samples=5, beta=1.0, mu=0.3, seed=seed)
+    )
+    phi = gen_gaussian_matrix(m, n, seed)
+    rng = np.random.default_rng(seed)
+    ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((5, m))
+    init_u = 0.5 * rng.standard_normal(n)
+    eta = 2.0 * step / float(np.linalg.norm(phi.entries, 2)) ** 2
+    block = Block(1, m, n, ys.shape[0])
+    block.put(0, phi.entries, ys, target.samples, target.support_schedule)
+    L = len(lams)
+    lam = np.asarray(lams, dtype=float).reshape(1, 1, L)
+    u0 = np.repeat(init_u[None, :, None], L, axis=2)
+    errors, gamma_sizes, switches, u_fin, _ = block.stream(lam, eta, P, u0)
+
+    assert errors.shape == (ys.shape[0] * P, 1, L)
+    for j, lam_j in enumerate(lams):
+        ref = run_streaming(phi, ys, target, SolverConfig(lam=lam_j, eta=eta, P=P), init_u)
+        assert np.array_equal(gamma_sizes[:, 0, j], ref.gamma_sizes)
+        assert np.array_equal(switches[:, 0, j], ref.switches)
+        np.testing.assert_allclose(errors[:, 0, j], ref.errors, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(u_fin[0, :, j], ref.final_state.u, rtol=1e-9, atol=1e-15)
+        assert np.array_equal(active_set(u_fin[0, :, j], lam_j), ref.final_state.gamma)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     count=st.integers(min_value=1, max_value=6),
@@ -116,12 +155,3 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
             assert record[:, t].tobytes() == ref[:, 0].tobytes()
         for final, ref in zip(stacked[3:], alone[3:]):
             assert final[t].tobytes() == ref[0].tobytes()
-        # each column of the L-column call against its one-column call
-        for j in range(L):
-            col = one.stream(
-                lam[t : t + 1, :, j : j + 1], eta, P * substeps, u0[t : t + 1, :, j : j + 1], relax
-            )
-            assert np.array_equal(alone[1][:, 0, j], col[1][:, 0, 0])
-            assert np.array_equal(alone[2][:, 0, j], col[2][:, 0, 0])
-            np.testing.assert_allclose(alone[0][:, 0, j], col[0][:, 0, 0], rtol=1e-9, atol=0)
-            np.testing.assert_allclose(alone[3][0, :, j], col[3][0, :, 0], rtol=1e-9, atol=1e-15)
