@@ -3,11 +3,14 @@
 A trial draws a fresh measurement matrix, synthetic target, and noise stream
 from seeds derived off the master seed and trial index, runs the streaming
 solver from a zero initial state, and keeps the pre-measurement error
-sequence.  Curves average that sequence over trials.  Sweeps share per-trial
-inputs across axis values, so comparisons are paired: cells that agree on
-every field the inputs depend on build each trial's matrix, target and noise
-once, and the cells of such a group that differ only in the threshold run
-as the columns of one kernel call.
+sequence.  The noise seeds and measurement rows of a whole kernel block are
+built in one pass (:func:`_put_measurements`), with the bits of one
+``measure`` and ``gen_noise`` call per sample.  Curves average the error
+sequence over trials.  Sweeps share per-trial inputs across axis values, so
+comparisons are paired: cells that agree on every field the inputs depend
+on build each trial's matrix, target and noise once, and the cells of such
+a group that differ only in the threshold run as the columns of one kernel
+call.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until their inputs fill
@@ -29,7 +32,7 @@ by grid search on c with the offset V solved in closed form per candidate.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 import math
 import os
@@ -41,12 +44,11 @@ from .measurement import (
     MeasurementMatrix,
     NOISE_MODES,
     gen_gaussian_matrix,
-    gen_noise,
-    measure,
+    gen_noise_rows,
     rip_exact,
 )
 from .kernels import Block
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, derive_seeds, make_rng
 from .signals import DynamicTarget, GenConfig, assemble_target, estimate_beta, estimate_mu_dl
 from .solver import SolverConfig
 from .theory import (
@@ -233,22 +235,33 @@ def _trial_problem(cfg: ExperimentConfig, trial: int):
     return phi, target
 
 
-def _trial_measurements(
-    cfg: ExperimentConfig, trial: int, phi: MeasurementMatrix, target: DynamicTarget,
-    sigma: float, delta: float, noise_mode: str,
-) -> np.ndarray:
-    """Noisy measurement stream of one trial, one noise seed per sample.
+def _put_measurements(
+    cfg: ExperimentConfig, block: Block, trials, sigma, delta, noise_mode: str,
+) -> None:
+    """Write the noisy measurement rows of the block's first ``len(trials)`` streams.
 
-    Separate from :func:`_trial_problem` because ``sigma`` or ``delta``
-    may depend on the drawn matrix and target.
+    Stream j holds trial ``trials[j]``, whose matrix and target are already
+    in the block; its sample k takes its noise from the seed
+    ``derive_seed(cfg.seed, trials[j], _NOISE_STREAM, k)``.  ``sigma`` and
+    ``delta`` are scalars or one value per stream; they are arguments
+    because they may depend on the drawn matrix and target.  The noise of
+    the whole block is one :func:`gen_noise_rows` call, and the clean rows
+    are one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``, so
+    each row has the bits of ``measure(phi, sample, gen_noise(...))``.
     """
-    ys = np.empty((cfg.n_samples, cfg.m))
-    for k in range(cfg.n_samples):
-        noise = gen_noise(
-            cfg.m, sigma, delta, noise_mode, derive_seed(cfg.seed, trial, _NOISE_STREAM, k)
-        )
-        ys[k] = measure(phi, target.samples[k], noise)
-    return ys
+    count, n_meas = len(trials), cfg.n_samples
+    # rows step-major, (sample k, stream j), as block.ys lays them out
+    streams = np.empty((n_meas, count, 3), dtype=np.uint64)
+    streams[..., 0] = trials
+    streams[..., 1] = _NOISE_STREAM
+    streams[..., 2] = np.arange(n_meas)[:, None]
+    noise = gen_noise_rows(
+        cfg.m, np.tile(np.broadcast_to(sigma, count), n_meas),
+        np.tile(np.broadcast_to(delta, count), n_meas), noise_mode,
+        derive_seeds(cfg.seed, streams.reshape(-1, 3)),
+    )
+    clean = block.phi[:count] @ block.targets[:, :count, :, None]
+    np.add(clean[..., 0], noise.reshape(n_meas, count, cfg.m), out=block.ys[:, :count])
 
 
 def _block_size(cfg: ExperimentConfig) -> int:
@@ -299,10 +312,9 @@ def _trial_results(cells, trials) -> list:
     sigmas = []
     for j, t in enumerate(trials):
         phi, target = _trial_problem(cfg, t)
-        sigma = _trial_sigma(cfg, phi, target)
-        ys = _trial_measurements(cfg, t, phi, target, sigma, cfg.noise_delta, cfg.noise_mode)
-        block.put(j, phi.entries, ys, target.samples, target.support_schedule)
-        sigmas.append(sigma)
+        block.put(j, phi.entries, target.samples, target.support_schedule)
+        sigmas.append(_trial_sigma(cfg, phi, target))
+    _put_measurements(cfg, block, trials, sigmas, cfg.noise_delta, cfg.noise_mode)
     batches = {}
     for idx, cell in enumerate(cells):
         batches.setdefault((cell.eta, cell.P), []).append(idx)
@@ -344,9 +356,11 @@ def _run_cells(cells) -> list:
     A group's trials run in blocks of consecutive trials, ``_block_size``
     per block; the blocks map over the ``STREAM_ISTA_THREADS`` pool and are
     aggregated in trial order, so the outcome is identical at any worker
-    count.  Extra workers buy no speed: numpy releases the GIL inside the
-    stacked products, but a block spends most of its time in Python
-    dispatch and small elementwise steps (see README "Threading").
+    count.  Extra workers buy no speed, even with each block's noise built
+    in one pass: numpy releases the GIL inside the stacked products, but a
+    block spends most of its time in Python dispatch and small elementwise
+    steps.  On 400 desk trials, 2 threads were slower than 1 in each of 5
+    alternating pairs (see README "Threading").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
@@ -606,7 +620,7 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
     when it does not run) and ``lams`` the block's thresholds, ``(T, 1, 1)``.
     """
     size = _block_size(cfg)
-    records, slots, lams = [], [], []
+    records, slots, lams, runs, deltas = [], [], [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     for t in range(cfg.trials):
         phi, target = _trial_problem(cfg, t)
@@ -615,15 +629,15 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
         records.append(record)
         slots.append(None if lam is None else len(lams))
         if lam is not None:
-            ys = _trial_measurements(cfg, t, phi, target, cfg.noise_level, est.delta, "capped")
-            block.put(len(lams), phi.entries, ys, target.samples, target.support_schedule)
+            block.put(len(lams), phi.entries, target.samples, target.support_schedule)
             lams.append(lam)
-        if len(lams) == size:
+            runs.append(t)
+            deltas.append(est.delta)
+        if len(lams) == size or t == cfg.trials - 1:
+            _put_measurements(cfg, block, runs, cfg.noise_level, deltas, "capped")
             yield records, slots, block, np.reshape(lams, (-1, 1, 1))
-            records, slots, lams = [], [], []
+            records, slots, lams, runs, deltas = [], [], [], [], []
             block = Block(size, cfg.m, cfg.n, cfg.n_samples)
-    if records:
-        yield records, slots, block, np.reshape(lams, (-1, 1, 1))
 
 
 def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:

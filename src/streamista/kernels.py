@@ -36,13 +36,15 @@ def active_backend() -> str:
 
 
 class Block:
-    """Inputs of ``count`` streams in the kernel's layout, filled one at a time.
+    """Inputs of ``count`` streams in the kernel's layout.
 
     The matrices stack as ``phi`` ``(T, m, n)`` with the contiguous transpose
     ``phi_t`` ``(T, n, m)``; the per-step inputs are step-major:
     measurements ``ys`` ``(n_meas, T, m)``, target samples ``targets``
     ``(n_meas, T, n)`` and support-change flags ``target_changed``
-    ``(n_meas, T)``.
+    ``(n_meas, T)``.  :meth:`put` fills a stream's matrix and target; the
+    caller writes its measurement rows into ``ys``, one stream at a time or
+    the whole block at once.
     """
 
     def __init__(self, count: int, m: int, n: int, n_meas: int):
@@ -52,11 +54,10 @@ class Block:
         self.targets = np.empty((n_meas, count, n))
         self.target_changed = np.zeros((n_meas, count), dtype=np.bool_)
 
-    def put(self, t: int, phi, ys, samples, schedule) -> None:
-        """Store stream t: its matrix, measurement rows, target samples and support rows."""
+    def put(self, t: int, phi, samples, schedule) -> None:
+        """Store stream t: its matrix, target samples and support rows."""
         self.phi[t] = phi
         self.phi_t[t] = phi.T
-        self.ys[:, t] = ys
         self.targets[:, t] = samples
         self.target_changed[1:, t] = np.any(schedule[1:] != schedule[:-1], axis=1)
 

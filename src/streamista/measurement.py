@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import make_rng, standard_normal_rows
 
 DEFAULT_SUPPORT_BUDGET = 10**6
 
@@ -91,29 +91,48 @@ def measure(phi: MeasurementMatrix, target: np.ndarray, noise: np.ndarray) -> np
 
 
 def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.ndarray:
-    """Draw one noise vector.
+    """Draw one noise vector from ``make_rng(seed)``; ``seed`` lies in [0, 2**64).
 
     ``gaussian_scaled`` draws i.i.d. entries with standard deviation ``sigma``
     (the simulation regime, where the energy bound holds only in high
     probability).  ``capped`` rescales any draw whose norm exceeds
     ``(1 + delta)**-0.5 * sigma`` down onto that cap, so the bound holds
-    surely (the regime the tracking bounds assume).
+    surely (the regime the tracking bounds assume).  This is the one-row
+    case of :func:`gen_noise_rows`.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return gen_noise_rows(m, sigma, delta, mode, [seed])[0]
+
+
+def gen_noise_rows(m: int, sigma, delta, mode: str, seeds) -> np.ndarray:
+    """Noise vectors ``(rows, m)``: row i is ``gen_noise(m, sigma, delta, mode, seeds[i])``.
+
+    ``sigma`` and ``delta`` are scalars or one value per row, and ``seeds``
+    are uint64 values.  Every row is drawn, scaled and capped with the bits
+    of its one-row call: the scaling and the cap are elementwise, and a
+    row's norm is a stacked ``(1 x m)(m x 1)`` product, which is the dot
+    product ``np.linalg.norm`` takes.
     """
     if m < 1:
         raise ValueError(f"noise length must be positive, got {m}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), seeds.shape)
+    delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), seeds.shape)
+    bad = sigma[~((sigma >= 0) & np.isfinite(sigma))]
+    if bad.size:
+        raise ValueError(f"sigma must be nonnegative and finite, got {bad[0]}")
+    bad = delta[~((delta >= 0.0) & (delta < 1.0))]
+    if bad.size:
+        raise ValueError(f"delta must lie in [0, 1), got {bad[0]}")
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
-    rng = make_rng(seed)
-    eps = sigma * rng.standard_normal(m)
+    eps = sigma[:, None] * standard_normal_rows(seeds, m)
     if mode == "capped":
-        cap = sigma / math.sqrt(1.0 + delta)
-        nrm = float(np.linalg.norm(eps))
-        if nrm > cap:
-            eps *= cap / nrm
+        cap = sigma / np.sqrt(1.0 + delta)
+        nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
+        over = nrm > cap
+        eps[over] *= (cap[over] / nrm[over])[:, None]
     return eps
 
 

@@ -193,7 +193,8 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
     if not np.all(np.isfinite(u0)):
         raise ValueError("init_u must be finite")
     block = kernels.Block(1, phi.rows, phi.cols, ys.shape[0])
-    block.put(0, phi.entries, ys, samples, target.support_schedule)
+    block.put(0, phi.entries, samples, target.support_schedule)
+    block.ys[:, 0] = ys
     return block, u0
 
 

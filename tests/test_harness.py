@@ -1,4 +1,6 @@
 from dataclasses import replace
+import hashlib
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -35,8 +37,11 @@ from streamista.harness import (
     write_qratio_csv,
     write_steady_csv,
 )
+from streamista.configio import parse_config
 from streamista.kernels import Block
 from streamista.theory import check_ista_preconditions
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL = ExperimentConfig(m=16, n=24, s=2, n_pairs=1, n_samples=8, beta=2.0,
                          mu=0.4, lam=0.1, eta=0.3, P=2, trials=6, q=8, seed=1)
@@ -430,6 +435,34 @@ def test_divergence_guard_is_quiet_below_the_spectral_step(
     cfg = replace(cfg, eta=2.0 * step / spectral)
     rows = _trial_results([cfg], range(cfg.trials))
     assert [row[0].diverged_step for row in rows] == [None] * cfg.trials
+
+
+# sha256 of the measurement rows block.ys of every kernel block, in call
+# order, recorded when each noise vector still had its own generator and
+# each measurement its own gemv
+MEASUREMENT_PIN = {
+    ("desk", 0): "20f0222f3c24f59f99b28212418160aad9fa3811c6293e90898c1a90e1e9f7be",
+    ("desk", 5): "5cc0c9970f202561f6d0deef593e9a6e9ba248f19fcbb042405e15f34a55a8e4",
+    ("theorem", 0): "3f256b8842245aad18477c0275c53fc1d14d17ea3b7ba320e1d60e547b600cbe",
+    ("theorem", 5): "15d482d20700b9981631b5091bfb7aad8d104bb40e3b04760e41a83f04714aca",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(MEASUREMENT_PIN), ids=lambda v: str(v))
+def test_measurement_streams_pin(monkeypatch, name, seed):
+    # desk.cfg runs gaussian_scaled noise with per-trial sigma; the theorem
+    # suite caps noise under each instance's own isometry constant
+    streams = []
+    stream = Block.stream
+
+    def spy(self, lam, eta, p, u0, relax=1.0):
+        streams.append(self.ys[:, : u0.shape[0]].tobytes())
+        return stream(self, lam, eta, p, u0, relax)
+
+    monkeypatch.setattr(Block, "stream", spy)
+    cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
+    (run_trials if name == "desk" else run_theorem_suite)(cfg)
+    assert hashlib.sha256(b"".join(streams)).hexdigest() == MEASUREMENT_PIN[name, seed]
 
 
 def test_default_configuration_regression():

@@ -98,7 +98,8 @@ def test_batched_columns_match_single_runs(n, m_frac, s_frac, P, seed, step, lam
     init_u = 0.5 * rng.standard_normal(n)
     eta = 2.0 * step / float(np.linalg.norm(phi.entries, 2)) ** 2
     block = Block(1, m, n, ys.shape[0])
-    block.put(0, phi.entries, ys, target.samples, target.support_schedule)
+    block.put(0, phi.entries, target.samples, target.support_schedule)
+    block.ys[:, 0] = ys
     L = len(lams)
     lam = np.asarray(lams, dtype=float).reshape(1, 1, L)
     u0 = np.repeat(init_u[None, :, None], L, axis=2)
@@ -138,9 +139,11 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
             GenConfig(n=n, s=2, n_pairs=1, n_samples=n_meas, beta=1.0, mu=0.3, seed=seed + t)
         )
         ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((n_meas, m))
-        block.put(t, phi.entries, ys, target.samples, target.support_schedule)
+        block.put(t, phi.entries, target.samples, target.support_schedule)
+        block.ys[:, t] = ys
         one = Block(1, m, n, n_meas)
-        one.put(0, phi.entries, ys, target.samples, target.support_schedule)
+        one.put(0, phi.entries, target.samples, target.support_schedule)
+        one.ys[:, 0] = ys
         singles.append(one)
         spectral = max(spectral, float(np.linalg.norm(phi.entries, 2)) ** 2)
     lam = rng.uniform(0.01, 0.5, size=(count, 1, L))  # per trial and per column

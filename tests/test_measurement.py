@@ -4,14 +4,16 @@ from itertools import combinations
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from streamista.measurement import (
+    NOISE_MODES,
     MeasurementMatrix,
     SupportBudgetError,
     gen_gaussian_matrix,
     gen_identity,
     gen_noise,
+    gen_noise_rows,
     load_matrix_csv,
     measure,
     rip_exact,
@@ -19,6 +21,7 @@ from streamista.measurement import (
     rip_monte_carlo,
     save_matrix_csv,
 )
+from streamista.rng import make_rng
 
 
 def brute_delta(phi, s):
@@ -182,6 +185,66 @@ def test_gen_noise_validation():
         gen_noise(4, 1.0, 1.0, "capped", 0)
     with pytest.raises(ValueError, match="noise mode"):
         gen_noise(4, 1.0, 0.0, "uniform", 0)
+    with pytest.raises(ValueError, match="sigma"):
+        gen_noise(4, math.nan, 0.0, "gaussian_scaled", 1)
+    with pytest.raises(ValueError, match="sigma"):
+        gen_noise(4, math.inf, 0.0, "capped", 1)
+
+
+def test_noise_rows_validate_every_row():
+    with pytest.raises(ValueError, match="sigma"):
+        gen_noise_rows(4, [1.0, math.nan], 0.0, "capped", [0, 1])
+    with pytest.raises(ValueError, match="delta"):
+        gen_noise_rows(4, 1.0, [0.5, 1.0], "capped", [0, 1])
+    with pytest.raises(ValueError, match="seed"):
+        gen_noise(4, 1.0, 0.0, "capped", 2**64)
+
+
+def scalar_noise(m, sigma, delta, mode, seed):
+    """Reference: one generator per vector, capped through ``np.linalg.norm``."""
+    eps = sigma * make_rng(seed).standard_normal(m)
+    if mode == "capped":
+        cap = sigma / math.sqrt(1.0 + delta)
+        nrm = float(np.linalg.norm(eps))
+        if nrm > cap:
+            eps *= cap / nrm
+    return eps
+
+
+noise_rows = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+        st.one_of(
+            st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        ),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(m=st.integers(min_value=1, max_value=24), mode=st.sampled_from(NOISE_MODES), rows=noise_rows)
+@example(m=2, mode="capped", rows=[(1.0, 0.5, seed) for seed in range(12)])
+def test_noise_rows_match_one_row_calls(m, mode, rows):
+    sigma, delta, seeds = zip(*rows)
+    block = gen_noise_rows(m, sigma, delta, mode, seeds)
+    assert block.shape == (len(rows), m)
+    for row, (sig, dlt, seed) in zip(block, rows):
+        assert row.tobytes() == gen_noise(m, sig, dlt, mode, seed).tobytes()
+        assert row.tobytes() == scalar_noise(m, sig, dlt, mode, seed).tobytes()
+
+
+def test_noise_rows_cap_only_oversized_rows():
+    cap = 1.0 / math.sqrt(1.5)
+    seeds = range(12)
+    raw = gen_noise_rows(2, 1.0, 0.5, "gaussian_scaled", seeds)
+    capped = gen_noise_rows(2, 1.0, 0.5, "capped", seeds)
+    over = np.linalg.norm(raw, axis=1) > cap
+    assert 0 < over.sum() < len(seeds)  # both sides of the cap
+    assert np.array_equal(capped[~over], raw[~over])
+    np.testing.assert_allclose(np.linalg.norm(capped[over], axis=1), cap, rtol=1e-12)
 
 
 def test_matrix_csv_round_trip_is_exact(tmp_path):
