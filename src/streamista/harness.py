@@ -41,7 +41,6 @@ import numpy as np
 
 from .measurement import (
     DEFAULT_SUPPORT_BUDGET,
-    MeasurementMatrix,
     NOISE_MODES,
     gen_gaussian_matrix,
     gen_noise_rows,
@@ -49,7 +48,7 @@ from .measurement import (
 )
 from .kernels import Block
 from .rng import derive_seed, derive_seeds, make_rng
-from .signals import DynamicTarget, GenConfig, assemble_target, estimate_beta, estimate_mu_dl
+from .signals import GenConfig, assemble_target, estimate_beta, estimate_mu_dl
 from .solver import SolverConfig
 from .theory import (
     BOUND_TOL,
@@ -220,14 +219,6 @@ def worker_count() -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
 
 
-def _trial_sigma(cfg: ExperimentConfig, phi: MeasurementMatrix, target: DynamicTarget) -> float:
-    if cfg.noise_mode == "gaussian_scaled":
-        # per-entry std relative to the first noiseless measurement's energy
-        ref = float(np.linalg.norm(phi.entries @ target.samples[0]))
-        return cfg.noise_level * ref / math.sqrt(cfg.m)
-    return cfg.noise_level
-
-
 def _trial_problem(cfg: ExperimentConfig, trial: int):
     """Matrix and target of one trial, each drawn from its own seed stream."""
     phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, trial, _MATRIX_STREAM))
@@ -236,32 +227,40 @@ def _trial_problem(cfg: ExperimentConfig, trial: int):
 
 
 def _put_measurements(
-    cfg: ExperimentConfig, block: Block, trials, sigma, delta, noise_mode: str,
-) -> None:
+    cfg: ExperimentConfig, block: Block, trials, level: float, delta, noise_mode: str,
+) -> list:
     """Write the noisy measurement rows of the block's first ``len(trials)`` streams.
 
     Stream j holds trial ``trials[j]``, whose matrix and target are already
     in the block; its sample k takes its noise from the seed
-    ``derive_seed(cfg.seed, trials[j], _NOISE_STREAM, k)``.  ``sigma`` and
-    ``delta`` are scalars or one value per stream; they are arguments
-    because they may depend on the drawn matrix and target.  The noise of
-    the whole block is one :func:`gen_noise_rows` call, and the clean rows
-    are one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``, so
-    each row has the bits of ``measure(phi, sample, gen_noise(...))``.
+    ``derive_seed(cfg.seed, trials[j], _NOISE_STREAM, k)``.  Returns each
+    stream's noise scale: under ``gaussian_scaled``, ``level`` times the
+    norm of its first clean row over sqrt(m), the per-entry std relative to
+    that measurement's energy; under the other modes, ``level``.  ``delta``
+    is a scalar or one value per stream, since it may depend on the drawn
+    matrix.  The clean rows are one stacked ``(m x n)(n x 1)`` product, the
+    gemv of ``measure``, and the noise of the whole block is one
+    :func:`gen_noise_rows` call, so each row has the bits of
+    ``measure(phi, sample, gen_noise(...))``.
     """
     count, n_meas = len(trials), cfg.n_samples
+    ys = block.ys[:, :count]
+    np.matmul(block.phi[:count], block.targets[:, :count, :, None], out=ys[..., None])
+    if noise_mode == "gaussian_scaled":
+        sigma = [level * float(np.linalg.norm(row)) / math.sqrt(cfg.m) for row in ys[0]]
+    else:
+        sigma = [level] * count
     # rows step-major, (sample k, stream j), as block.ys lays them out
     streams = np.empty((n_meas, count, 3), dtype=np.uint64)
     streams[..., 0] = trials
     streams[..., 1] = _NOISE_STREAM
     streams[..., 2] = np.arange(n_meas)[:, None]
     noise = gen_noise_rows(
-        cfg.m, np.tile(np.broadcast_to(sigma, count), n_meas),
-        np.tile(np.broadcast_to(delta, count), n_meas), noise_mode,
-        derive_seeds(cfg.seed, streams.reshape(-1, 3)),
+        cfg.m, np.tile(sigma, n_meas), np.tile(np.broadcast_to(delta, count), n_meas),
+        noise_mode, derive_seeds(cfg.seed, streams.reshape(-1, 3)),
     )
-    clean = block.phi[:count] @ block.targets[:, :count, :, None]
-    np.add(clean[..., 0], noise.reshape(n_meas, count, cfg.m), out=block.ys[:, :count])
+    ys += noise.reshape(n_meas, count, cfg.m)
+    return sigma
 
 
 def _block_size(cfg: ExperimentConfig) -> int:
@@ -309,12 +308,12 @@ def _trial_results(cells, trials) -> list:
     cfg = cells[0]
     count = len(trials)
     block = Block(count, cfg.m, cfg.n, cfg.n_samples)
-    sigmas = []
     for j, t in enumerate(trials):
         phi, target = _trial_problem(cfg, t)
         block.put(j, phi.entries, target.samples, target.support_schedule)
-        sigmas.append(_trial_sigma(cfg, phi, target))
-    _put_measurements(cfg, block, trials, sigmas, cfg.noise_delta, cfg.noise_mode)
+    sigmas = _put_measurements(
+        cfg, block, trials, cfg.noise_level, cfg.noise_delta, cfg.noise_mode
+    )
     batches = {}
     for idx, cell in enumerate(cells):
         batches.setdefault((cell.eta, cell.P), []).append(idx)
@@ -870,8 +869,9 @@ def run_lemma_suite(
             for r in range(rows):
                 gamma1[r] = np.sort(rng.choice(n, size=set_q, replace=False))
                 gamma2[r] = np.sort(rng.choice(n, size=set_s, replace=False))
-                union = np.union1d(gamma1[r], gamma2[r])
-                x[r, union] = rng.standard_normal(union.size)
+                # ascending, so each draw lands on the index it always has
+                union = sorted({*gamma1[r].tolist(), *gamma2[r].tolist()})
+                x[r, union] = rng.standard_normal(len(union))
                 y[r] = rng.standard_normal(m)
             suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
             slack = np.stack([check.slack for check in suite.checks])

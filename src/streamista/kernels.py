@@ -25,6 +25,21 @@ a per-trial BLAS call of the same shape:
 * an error norm is a stacked ``(1 x n)(n x 1)`` matmul on a contiguous
   row of a ``(T, L, n)`` buffer, which is the dot product of the one-vector
   norm; ``einsum`` and dot products over strided rows sum in another order.
+
+A step makes about thirteen numpy calls, each writing into a buffer
+allocated once per call, and keeps the bits of the textbook step:
+
+* the shrinkage is ``u - min(max(u, -lam), lam)``, which equals
+  ``where(|u| <= lam, 0, u - lam * sign(u))`` bit for bit for a finite
+  positive threshold, ``+0.0``, ``±inf`` and NaN included (:func:`_shrink`);
+* the thresholds and their negatives are contiguous ``(T, n, L)`` arrays,
+  built once per call, so the elementwise loops run over whole rows, not a
+  zero-stride ``(T, 1, L)`` broadcast of ``L`` elements;
+* the active masks ``|u| > lam`` of every iterate go into one
+  ``(steps + 1, T, n, L)`` bool record, a byte per entry and step, and
+  the set sizes and switch flags are reduced from it after the loop.  A
+  NaN entry is inactive, as ``solver.active_set`` counts it, though its
+  output is NaN, so the mask is not ``a != 0``.
 """
 
 import numpy as np
@@ -71,6 +86,20 @@ class Block:
         )
 
 
+def _shrink(u, lam, neg_lam, a, mag, active) -> None:
+    """Soft-threshold ``u`` into ``a`` and write ``|u| > lam`` into ``active``.
+
+    ``u - min(max(u, -lam), lam)`` is ``where(|u| <= lam, 0, u - lam * sign(u))``
+    bit for bit when ``lam`` is finite and positive: on the dead zone
+    ``x - x`` is ``+0.0``, for ``x = -0.0`` too.  ``mag`` is a work buffer.
+    """
+    np.maximum(u, neg_lam, out=a)
+    np.minimum(a, lam, out=a)
+    np.subtract(u, a, out=a)
+    np.abs(u, out=mag)
+    np.greater(mag, lam, out=active)
+
+
 def stream(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
     """Per-step records (errors, active-set sizes, switch flags) and the final u, a.
 
@@ -83,40 +112,53 @@ def stream(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
     ``(n_meas * p, T, L)``.
     """
     n_meas, count = target_changed.shape
-    shape = (n_meas * p, count, u0.shape[2])
-    errors = np.empty(shape)
-    gamma_sizes = np.empty(shape, dtype=np.int64)
-    switches = np.empty(shape, dtype=np.bool_)
+    steps = n_meas * p
+    width = u0.shape[2]
+    errors = np.empty((steps, count, width))
+    # the active mask of every iterate, row 0 the start's; the set sizes and
+    # switch flags are reduced from it after the loop
+    active = np.empty((steps + 1,) + u0.shape, dtype=np.bool_)
+    # contiguous thresholds, so every elementwise loop runs over whole rows
+    lam_full = np.empty(u0.shape)
+    lam_full[...] = lam
+    neg_lam = np.negative(lam_full)
     # broadcast each measurement and target sample across the columns
     ys = ys[..., None]
     targets = targets[..., None]
     # a - target, written column by column into contiguous rows, and each
     # row's squared norm as a stacked (1 x n)(n x 1) product
-    diff = np.empty((count, u0.shape[2], u0.shape[1]))
+    diff = np.empty((count, width, u0.shape[1]))
     diff_cols = diff.transpose(0, 2, 1)
-    sq_norms = np.empty((count, u0.shape[2], 1, 1))
+    sq_norms = np.empty((count, width, 1, 1))
     u = u0.copy()
-    a = np.where(np.abs(u) <= lam, 0.0, u - lam * np.sign(u))
-    active = np.abs(u) > lam
+    a = np.empty_like(u)
+    mag = np.empty_like(u)
+    r = np.empty((count, phi.shape[1], width))
+    g = np.empty_like(u)
+    _shrink(u, lam_full, neg_lam, a, mag, active[0])
     for k in range(n_meas):
         y = ys[k]
         tgt = targets[k]
         for i in range(p):
-            r = y - phi @ a
+            np.matmul(phi, a, out=r)
+            np.subtract(y, r, out=r)
+            np.matmul(phi_t, r, out=g)
+            np.multiply(eta, g, out=g)
             if relax == 1.0:
-                u = a + eta * (phi_t @ r)
+                np.add(a, g, out=u)
             else:
-                u = u + relax * (a - u + eta * (phi_t @ r))
-            mag = np.abs(u)
-            a = np.where(mag <= lam, 0.0, u - lam * np.sign(u))
-            new_active = mag > lam
+                # u + relax * ((a - u) + eta * g), in place through a
+                np.subtract(a, u, out=a)
+                np.add(a, g, out=a)
+                np.multiply(relax, a, out=a)
+                np.add(u, a, out=u)
             l = k * p + i
+            _shrink(u, lam_full, neg_lam, a, mag, active[l + 1])
             np.subtract(a, tgt, out=diff_cols)
             np.matmul(diff[..., None, :], diff[..., :, None], out=sq_norms)
             np.sqrt(sq_norms[..., 0, 0], out=errors[l])
-            np.add.reduce(new_active, axis=1, out=gamma_sizes[l])
-            np.logical_or.reduce(new_active != active, axis=1, out=switches[l])
-            if i == 0 and k > 0:
-                switches[l] |= target_changed[k][:, None]
-            active = new_active
+    gamma_sizes = np.add.reduce(active[1:], axis=2, dtype=np.int64)
+    switches = np.logical_or.reduce(active[1:] != active[:-1], axis=2)
+    # the first step against a new measurement also flags a target support change
+    switches[p::p] |= target_changed[1:, :, None]
     return errors, gamma_sizes, switches, u, a

@@ -1,8 +1,10 @@
+import inspect
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from streamista.kernels import Block
+from streamista.kernels import Block, _shrink, stream
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
 from streamista.solver import (
@@ -11,6 +13,7 @@ from streamista.solver import (
     init_state,
     ista_iterate,
     run_streaming,
+    soft_threshold,
 )
 
 
@@ -158,3 +161,76 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
             assert record[:, t].tobytes() == ref[:, 0].tobytes()
         for final, ref in zip(stacked[3:], alone[3:]):
             assert final[t].tobytes() == ref[0].tobytes()
+
+
+def test_stream_signature_names_traced_arguments():
+    # perfbench/tracer.py binds these names to count a call's steps and flops
+    assert {"phi", "ys", "p", "u0"} <= set(inspect.signature(stream).parameters)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    lam=st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True),
+    values=st.lists(st.floats(allow_subnormal=True), max_size=16),
+)
+def test_shrink_matches_soft_threshold_bytes(lam, values):
+    edges = [lam, -lam, np.nextafter(lam, np.inf), -np.nextafter(lam, 0.0), 0.0, -0.0,
+             5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan]
+    u = np.array(values + edges)
+    lam_full = np.full(u.shape, lam)
+    a = np.empty_like(u)
+    mag = np.empty_like(u)
+    active = np.empty(u.shape, dtype=np.bool_)
+    _shrink(u, lam_full, -lam_full, a, mag, active)
+    assert a.tobytes() == soft_threshold(u, lam).tobytes()
+    assert active.tobytes() == (np.abs(u) > lam).tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(min_value=4, max_value=16),
+    m_frac=st.floats(min_value=0.3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    blowup=st.floats(min_value=1e3, max_value=1e8),
+    lam=st.sampled_from([0.02, 0.1, 0.3]),
+)
+def test_diverging_block_matches_reference_iterate(n, m_frac, seed, blowup, lam):
+    m = max(2, round(m_frac * n))
+    n_meas, P = 6, 20
+    target = assemble_target(
+        GenConfig(n=n, s=2, n_pairs=1, n_samples=n_meas, beta=1.0, mu=0.3, seed=seed)
+    )
+    phi = gen_gaussian_matrix(m, n, seed)
+    rng = np.random.default_rng(seed)
+    ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((n_meas, m))
+    init_u = 0.5 * rng.standard_normal(n)
+    # far above 2 / ||Phi||^2: the iterate overflows to inf, then to NaN
+    cfg = SolverConfig(lam=lam, eta=blowup / float(np.linalg.norm(phi.entries, 2)) ** 2, P=P)
+    block = Block(1, m, n, n_meas)
+    block.put(0, phi.entries, target.samples, target.support_schedule)
+    block.ys[:, 0] = ys
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors, gamma_sizes, switches, u_fin, a_fin = block.stream(
+            lam, cfg.eta, P, init_u[None, :, None]
+        )
+        state = init_state(init_u, lam)
+        ref_errors, ref_sizes, ref_switches = [], [], []
+        for k in range(n_meas):
+            support_moved = k > 0 and not np.array_equal(
+                target.support_schedule[k], target.support_schedule[k - 1]
+            )
+            for i in range(P):
+                nxt = ista_iterate(state, ys[k], phi, cfg)
+                ref_errors.append(np.linalg.norm(nxt.a - target.samples[k]))
+                # active_set counts a NaN entry as inactive, though its output is NaN
+                ref_sizes.append(nxt.gamma.size)
+                ref_switches.append(
+                    not np.array_equal(nxt.gamma, state.gamma) or (i == 0 and support_moved)
+                )
+                state = nxt
+    assert np.isnan(u_fin).any()
+    assert np.array_equal(errors[:, 0, 0], ref_errors, equal_nan=True)
+    assert np.array_equal(gamma_sizes[:, 0, 0], ref_sizes)
+    assert np.array_equal(switches[:, 0, 0], ref_switches)
+    assert np.array_equal(u_fin[0, :, 0], state.u, equal_nan=True)
+    assert np.array_equal(a_fin[0, :, 0], state.a, equal_nan=True)
