@@ -1,0 +1,124 @@
+"""Compare the CLI outputs of two source trees byte for byte.
+
+    python3 scripts/compare_outputs.py PARENT_TREE CHANGE_TREE [--seeds 0,5] [--full]
+
+Each tree is a checkout of this repository.  For every input seed (0-9 by
+default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
+
+* ``run``, ``sweep-p``, ``sweep-mu`` and ``sweep-lambda-s`` on desk.cfg,
+  the last on the criterion-8 grid config (desk.cfg at 10 measurements and
+  P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
+* two runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, and
+  ``run`` on theorem.cfg.
+
+Trial counts and sweep values are the benchmark's quick sizes
+(``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
+starts in its own directory holding copies of the configs and writes to a
+relative ``out`` directory, so the two trees see the same paths.  The
+script compares each run's exit code, stdout, stderr and the bytes of every
+file it wrote, prints each difference, and exits 1 if there is any, else 0.
+"""
+
+import argparse
+from concurrent.futures import ThreadPoolExecutor
+import os
+from pathlib import Path
+import subprocess
+import sys
+import tempfile
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import GRID_S, GRID_SAMPLES, SIZES, SWEEP_P  # noqa: E402
+
+SWEEP_MU = (0.2, 0.4, 0.8)
+
+
+def cases(seed: int, size: dict) -> dict:
+    """``{name: (config text additions, argv)}`` of every run at one input seed."""
+    common = ["--seed", str(seed)]
+    grid = f"\nn_samples = {GRID_SAMPLES}\np = 5\n"
+    return {
+        "run": ("desk.cfg", "", ["run", "--trials", str(size["desk_trials"])]),
+        "sweep-p": ("desk.cfg", "", [
+            "sweep-p", "--trials", str(size["sweep_p_trials"]),
+            "--values", ",".join(map(str, SWEEP_P))]),
+        "sweep-mu": ("desk.cfg", "", [
+            "sweep-mu", "--trials", str(size["sweep_p_trials"]),
+            "--values", ",".join(map(str, SWEEP_MU))]),
+        "sweep-lambda-s": ("desk.cfg", grid, [
+            "sweep-lambda-s", "--trials", str(size["grid_trials"]),
+            "--lambda-values", ",".join(map(repr, size["grid_lambdas"])),
+            "--s-values", ",".join(map(str, GRID_S)), "--level", "4"]),
+        "check-theorems": ("theorem.cfg", "", [
+            "check-theorems", "--trials", str(size["theorem_trials"])]),
+        "lemma-suite": ("desk.cfg", "", ["lemma-suite"]),
+        "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
+        "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
+    }, common
+
+
+def run_case(tree: Path, work: Path, config: str, extra: str, argv: list) -> dict:
+    """Run one CLI call of ``tree`` in ``work``; its exit code, streams and files."""
+    work.mkdir(parents=True)
+    (work / config).write_text((tree / "configs" / config).read_text() + extra)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamista.cli"] + argv + ["--config", config, "--out", "out"],
+        cwd=work, env=env, capture_output=True,
+    )
+    out = work / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
+
+
+def differences(name: str, parent: dict, change: dict) -> list:
+    found = []
+    for key in ("exit", "stdout", "stderr"):
+        if parent[key] != change[key]:
+            found.append(f"{name}: {key} differs: {parent[key]!r} != {change[key]!r}")
+    for file in sorted(parent["files"].keys() | change["files"].keys()):
+        a, b = parent["files"].get(file), change["files"].get(file)
+        if a is None or b is None:
+            found.append(f"{name}: {file} written by only one tree")
+        elif a != b:
+            found.append(f"{name}: {file} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="parent source tree")
+    parser.add_argument("change", type=Path, help="changed source tree")
+    parser.add_argument("--seeds", default=",".join(map(str, range(10))),
+                        help="comma-separated input seeds (default 0-9)")
+    parser.add_argument("--full", action="store_true", help="run at the benchmark's full sizes")
+    args = parser.parse_args(argv)
+    size = SIZES["full" if args.full else "quick"]
+    trees = (args.parent.resolve(), args.change.resolve())
+    problems, count = [], 0
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=2) as pool:
+        for seed in (int(s) for s in args.seeds.split(",")):
+            runs, common = cases(seed, size)
+            for name, (config, extra, call) in runs.items():
+                label = f"seed {seed} {name}"
+                futures = [
+                    pool.submit(run_case, tree, Path(tmp) / side / str(seed) / name,
+                                config, extra, call + common)
+                    for side, tree in zip(("parent", "change"), trees)
+                ]
+                parent, change = (f.result() for f in futures)
+                found = differences(label, parent, change)
+                problems += found
+                count += 1
+                print(f"{label}: exit {parent['exit']}, "
+                      f"{'DIFFERS' if found else 'identical'}", flush=True)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{count} runs compared, {len(problems)} differences")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

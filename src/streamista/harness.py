@@ -3,10 +3,13 @@
 A trial draws a fresh measurement matrix, synthetic target, and noise stream
 from seeds derived off the master seed and trial index, runs the streaming
 solver from a zero initial state, and keeps the pre-measurement error
-sequence.  The noise seeds and measurement rows of a whole kernel block are
-built in one pass (:func:`_put_measurements`), with the bits of one
-``measure`` and ``gen_noise`` call per sample.  Curves average the error
-sequence over trials.  Sweeps share per-trial inputs across axis values, so
+sequence.  The Philox keys of every stream of a group of trials are derived
+once, ``_KEY_ROWS`` rows per hash call (:func:`_stream_keys`).  Each kernel
+block's matrices, targets and noisy measurement rows are then built from
+its trials' keys straight into the block (:func:`_put_problems`), with the
+bits of ``gen_gaussian_matrix``, ``assemble_target`` and one ``measure``
+and ``gen_noise`` call per sample.  Curves average the error sequence over
+trials.  Sweeps share per-trial inputs across axis values, so
 comparisons are paired: cells that agree on every field the inputs depend
 on build each trial's matrix, target and noise once, and the cells of such
 a group that differ only in the threshold run as the columns of one kernel
@@ -36,19 +39,30 @@ from dataclasses import dataclass, replace
 from itertools import product
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .measurement import (
     DEFAULT_SUPPORT_BUDGET,
     NOISE_MODES,
+    MeasurementMatrix,
+    gaussian_matrices,
     gen_gaussian_matrix,
-    gen_noise_rows,
+    noise_rows,
     rip_exact,
 )
 from .kernels import Block
-from .rng import derive_seed, derive_seeds, make_rng
-from .signals import GenConfig, assemble_target, estimate_beta, estimate_mu_dl
+from .rng import derive_seed, derive_seeds, make_rng, philox_keys
+from .signals import (
+    DynamicTarget,
+    GenConfig,
+    assemble_target,
+    assemble_targets,
+    estimate_beta,
+    estimate_mu_dl,
+    target_keys,
+)
 from .solver import SolverConfig
 from .theory import (
     BOUND_TOL,
@@ -82,6 +96,11 @@ _INPUT_FIELDS = (
 _MATRIX_STREAM = 0
 _TARGET_STREAM = 1
 _NOISE_STREAM = 2
+
+# noise keys derived per hash call, which bounds the hash's uint32
+# temporaries: for a 400-trial desk group, 1024 rows peaked at 0.49 MB
+# (tracemalloc) in 24 ms, and one call for all 16,000 rows at 3.5 MB in 8 ms
+_KEY_ROWS = 1024
 
 # bytes of one trial's stacked kernel inputs (matrix, its transpose,
 # measurements and target samples) that one kernel block may hold; larger
@@ -220,47 +239,116 @@ def worker_count() -> int:
 
 
 def _trial_problem(cfg: ExperimentConfig, trial: int):
-    """Matrix and target of one trial, each drawn from its own seed stream."""
+    """Matrix and target of one trial, each drawn from its own seed stream.
+
+    This is the one-trial build through ``gen_gaussian_matrix`` and
+    ``assemble_target``; blocks of trials get its bits from
+    :func:`_put_problems`.
+    """
     phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, trial, _MATRIX_STREAM))
     target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, trial, _TARGET_STREAM)))
     return phi, target
 
 
-def _put_measurements(
-    cfg: ExperimentConfig, block: Block, trials, level: float, delta, noise_mode: str,
-) -> list:
-    """Write the noisy measurement rows of the block's first ``len(trials)`` streams.
+class _StreamKeys(NamedTuple):
+    """Philox keys of every input stream of a run of trials, row i for its trial i."""
 
-    Stream j holds trial ``trials[j]``, whose matrix and target are already
-    in the block; its sample k takes its noise from the seed
-    ``derive_seed(cfg.seed, trials[j], _NOISE_STREAM, k)``.  Returns each
-    stream's noise scale: under ``gaussian_scaled``, ``level`` times the
-    norm of its first clean row over sqrt(m), the per-entry std relative to
-    that measurement's energy; under the other modes, ``level``.  ``delta``
-    is a scalar or one value per stream, since it may depend on the drawn
-    matrix.  The clean rows are one stacked ``(m x n)(n x 1)`` product, the
-    gemv of ``measure``, and the noise of the whole block is one
-    :func:`gen_noise_rows` call, so each row has the bits of
+    matrix: np.ndarray  # (T, 2)
+    target: np.ndarray  # (T, 2, 2): see signals.target_keys
+    noise: np.ndarray  # (T, n_samples, 2): one per measurement
+
+    def rows(self, start: int, stop: int) -> "_StreamKeys":
+        return _StreamKeys(*(keys[start:stop] for keys in self))
+
+
+def _stream_keys(cfg: ExperimentConfig, trials) -> _StreamKeys:
+    """The keys every trial of ``trials`` draws its matrix, target and noise from.
+
+    A trial's key is the one its scalar path starts from:
+    ``make_rng(derive_seed(cfg.seed, trial, _MATRIX_STREAM))`` for the
+    matrix, ``signals.target_keys`` of ``derive_seed(cfg.seed, trial,
+    _TARGET_STREAM)`` for the target, and
+    ``make_rng(derive_seed(cfg.seed, trial, _NOISE_STREAM, k))`` for the
+    noise of sample k.  The hash runs on at most ``_KEY_ROWS`` noise rows
+    per call.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    count, n_meas = len(trials), cfg.n_samples
+    keys = _StreamKeys(
+        np.empty((count, 2), dtype=np.uint64),
+        np.empty((count, 2, 2), dtype=np.uint64),
+        np.empty((count, n_meas, 2), dtype=np.uint64),
+    )
+    per_call = max(1, _KEY_ROWS // n_meas)
+    for start in range(0, count, per_call):
+        chunk = trials[start : start + per_call]
+        rows = slice(start, start + len(chunk))
+        streams = np.empty((len(chunk), 2, 2), dtype=np.uint64)
+        streams[..., 0] = chunk[:, None]
+        streams[..., 1] = (_MATRIX_STREAM, _TARGET_STREAM)
+        seeds = derive_seeds(cfg.seed, streams.reshape(-1, 2)).reshape(-1, 2)
+        keys.matrix[rows] = philox_keys(seeds[:, 0])
+        keys.target[rows] = target_keys(seeds[:, 1])
+        streams = np.empty((len(chunk), n_meas, 3), dtype=np.uint64)
+        streams[..., 0] = chunk[:, None]
+        streams[..., 1] = _NOISE_STREAM
+        streams[..., 2] = np.arange(n_meas)
+        seeds = derive_seeds(cfg.seed, streams.reshape(-1, 3))
+        keys.noise[rows] = philox_keys(seeds).reshape(len(chunk), n_meas, 2)
+    return keys
+
+
+def _put_measurements(
+    cfg: ExperimentConfig, block: Block, noise_keys, level: float, delta, noise_mode: str,
+) -> list:
+    """Write the noisy measurement rows of the block's first ``len(noise_keys)`` streams.
+
+    Stream j's matrix and target are already in the block; its sample k
+    takes its noise from Philox key ``noise_keys[j, k]`` (see
+    :func:`_stream_keys`).  Returns each stream's noise scale: under
+    ``gaussian_scaled``, ``level`` times the norm of its first clean row
+    over sqrt(m), the per-entry std relative to that measurement's energy;
+    under the other modes, ``level``.  ``delta`` is a scalar or one value
+    per stream, since it may depend on the drawn matrix.  The clean rows
+    are one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``; a
+    first row's norm is a stacked ``(1 x m)(m x 1)`` product, the dot
+    product of ``np.linalg.norm``; and the noise of the whole block is one
+    :func:`noise_rows` call, so each row has the bits of
     ``measure(phi, sample, gen_noise(...))``.
     """
-    count, n_meas = len(trials), cfg.n_samples
+    count, n_meas = len(noise_keys), cfg.n_samples
     ys = block.ys[:, :count]
     np.matmul(block.phi[:count], block.targets[:, :count, :, None], out=ys[..., None])
     if noise_mode == "gaussian_scaled":
-        sigma = [level * float(np.linalg.norm(row)) / math.sqrt(cfg.m) for row in ys[0]]
+        first = ys[0]
+        norms = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0, 0]
+        sigma = (level * norms / math.sqrt(cfg.m)).tolist()
     else:
         sigma = [level] * count
     # rows step-major, (sample k, stream j), as block.ys lays them out
-    streams = np.empty((n_meas, count, 3), dtype=np.uint64)
-    streams[..., 0] = trials
-    streams[..., 1] = _NOISE_STREAM
-    streams[..., 2] = np.arange(n_meas)[:, None]
-    noise = gen_noise_rows(
+    noise = noise_rows(
         cfg.m, np.tile(sigma, n_meas), np.tile(np.broadcast_to(delta, count), n_meas),
-        noise_mode, derive_seeds(cfg.seed, streams.reshape(-1, 3)),
+        noise_mode, np.swapaxes(noise_keys, 0, 1).reshape(-1, 2),
     )
     ys += noise.reshape(n_meas, count, cfg.m)
     return sigma
+
+
+def _put_problems(cfg: ExperimentConfig, block: Block, keys) -> np.ndarray:
+    """Write the matrices and targets of a block's trials from their stream keys.
+
+    ``keys`` is :func:`_stream_keys` of the trials, one per stream of the
+    block.  The matrices, their transposes, the target samples and the
+    support-change flags go straight into the block, each trial with the
+    bits of :func:`_trial_problem`.  Returns the support rows
+    ``(n_samples, T, s)``.
+    """
+    gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi)
+    block.phi_t[...] = block.phi.transpose(0, 2, 1)
+    # the keys stand in for the target seed, which gen_config's seed would be
+    _, schedule = assemble_targets(cfg.gen_config(0), keys.target, out=block.targets)
+    block.target_changed[1:] = np.any(schedule[1:] != schedule[:-1], axis=2)
+    return schedule
 
 
 def _block_size(cfg: ExperimentConfig) -> int:
@@ -297,22 +385,23 @@ def _step_or_none(step) -> int | None:
     return None if step < 0 else int(step)
 
 
-def _trial_results(cells, trials) -> list:
+def _trial_results(cells, trials, keys=None) -> list:
     """TrialResult of every cell at each trial of a block: one row per trial.
 
     The cells share the trials' inputs: each trial's matrix, target and
-    noise stream are built once, into one kernel block.  Cells that differ
-    only in ``lam`` run as the columns of one kernel call; cells with
-    another step or hold length run the block in a call of their own.
+    noise stream are built once, into one kernel block, from ``keys``, the
+    trials' :func:`_stream_keys` (derived here when not given).  Cells that
+    differ only in ``lam`` run as the columns of one kernel call; cells
+    with another step or hold length run the block in a call of their own.
     """
     cfg = cells[0]
     count = len(trials)
+    if keys is None:
+        keys = _stream_keys(cfg, trials)
     block = Block(count, cfg.m, cfg.n, cfg.n_samples)
-    for j, t in enumerate(trials):
-        phi, target = _trial_problem(cfg, t)
-        block.put(j, phi.entries, target.samples, target.support_schedule)
+    _put_problems(cfg, block, keys)
     sigmas = _put_measurements(
-        cfg, block, trials, cfg.noise_level, cfg.noise_delta, cfg.noise_mode
+        cfg, block, keys.noise, cfg.noise_level, cfg.noise_delta, cfg.noise_mode
     )
     batches = {}
     for idx, cell in enumerate(cells):
@@ -351,15 +440,17 @@ def _run_cells(cells) -> list:
     """RunResult of every cell config, in order, a block of trials at a time.
 
     Cells that agree on every field a trial's inputs depend on form a group
-    whose trials each build their inputs once (see :func:`_trial_results`).
-    A group's trials run in blocks of consecutive trials, ``_block_size``
-    per block; the blocks map over the ``STREAM_ISTA_THREADS`` pool and are
-    aggregated in trial order, so the outcome is identical at any worker
-    count.  Extra workers buy no speed, even with each block's noise built
-    in one pass: numpy releases the GIL inside the stacked products, but a
-    block spends most of its time in Python dispatch and small elementwise
-    steps.  On 400 desk trials, 2 threads were slower than 1 in each of 5
-    alternating pairs (see README "Threading").
+    whose trials each build their inputs once (see :func:`_trial_results`),
+    from stream keys derived once for the whole group.  A group's trials
+    run in blocks of consecutive trials, ``_block_size`` per block; the
+    blocks map over the ``STREAM_ISTA_THREADS`` pool and are aggregated in
+    trial order, so the outcome is identical at any worker count.  The keys
+    are local to the group and only read by the blocks.  Extra workers buy
+    no speed, even with each block's inputs built in one pass: numpy
+    releases the GIL inside the stacked products, but a block spends most
+    of its time in Python dispatch and small elementwise steps.  On 400
+    desk trials, 2 threads were slower than 1 in each of 5 alternating
+    pairs (see README "Threading").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
@@ -374,8 +465,12 @@ def _run_cells(cells) -> list:
             group = [cells[i] for i in idxs]
             trials, size = group[0].trials, _block_size(group[0])
             blocks = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
-            rows = [row for block in mapper(lambda b: _trial_results(group, b), blocks)
-                    for row in block]
+            keys = _stream_keys(group[0], range(trials))
+
+            def run(b):
+                return _trial_results(group, b, keys.rows(b.start, b.stop))
+
+            rows = [row for block in mapper(run, blocks) for row in block]
             for j, i in enumerate(idxs):
                 results = [row[j] for row in rows]
                 _check_divergence(cells[i], results)
@@ -398,8 +493,21 @@ def run_trials(cfg: ExperimentConfig) -> RunResult:
     return _run_cells([cfg])[0]
 
 
+def _check_distinct(name: str, values) -> None:
+    """Raise ValueError naming the first value of ``values`` that repeats."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} values must be distinct, but {value!r} repeats")
+        seen.add(value)
+
+
 def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
-    """``[(value, ExperimentConfig), ...]``; an invalid point raises before any trial."""
+    """``[(value, ExperimentConfig), ...]``; an invalid point raises before any trial.
+
+    A repeated axis value is invalid: its cells would run as two columns of
+    one kernel call, not as the one-vector run of a lone cell.
+    """
     axis = axis or cfg.sweep_axis
     values = tuple(values if values is not None else cfg.sweep_values)
     if axis == "P":
@@ -410,6 +518,7 @@ def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> 
         raise ValueError(f"sweep axis must be 'P' or 'mu', got {axis!r}")
     if not cells:
         raise ValueError("sweep requires at least one axis value")
+    _check_distinct(f"sweep {axis}", [getattr(c, axis) for _, c in cells])
     return cells
 
 
@@ -485,12 +594,15 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
     """``(lambda_values, s_values, cells)`` with one config per cell, row-major.
 
     The pair count scales with s to keep the moving fraction of the support
-    fixed.  An invalid cell raises before any trial.
+    fixed.  An invalid cell raises before any trial, and so does a repeated
+    lambda or s value, which would repeat rows of the grid.
     """
     lams = tuple(lambda_values if lambda_values is not None else cfg.sweep_lambda_values)
     svals = tuple(int(v) for v in (s_values if s_values is not None else cfg.sweep_s_values))
     if not lams or not svals:
         raise ValueError("sweep_lambda_s needs nonempty lambda and s value lists")
+    _check_distinct("lambda", [float(v) for v in lams])
+    _check_distinct("s", svals)
     cells = [
         replace(cfg, lam=float(lam), s=s, n_pairs=min(s, max(0, round(s * cfg.n_pairs / cfg.s))),
                 q=4 * s, sweep_axis="none")
@@ -607,8 +719,10 @@ def theorem_level(cfg: ExperimentConfig) -> int:
 def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
     """Draw suite instances in order and stack the ones that run into blocks.
 
-    Instance t's matrix and target come from :func:`_trial_problem` and its
-    exact isometry constant from ``rip_exact`` at ``level``.
+    Instance t's matrix and target have the bits of :func:`_trial_problem`;
+    they are built a block at a time from keys derived once for the suite
+    (:func:`_put_problems`).  Its exact isometry constant comes from
+    ``rip_exact`` at ``level``.
     ``draw(t, est, target)`` returns ``(record, lam)``, with ``lam`` the
     instance's threshold, or None when it does not run.  A running
     instance's noise is capped at ``cfg.noise_level`` under its own
@@ -619,10 +733,16 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
     when it does not run) and ``lams`` the block's thresholds, ``(T, 1, 1)``.
     """
     size = _block_size(cfg)
+    keys = _stream_keys(cfg, range(cfg.trials))
     records, slots, lams, runs, deltas = [], [], [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     for t in range(cfg.trials):
-        phi, target = _trial_problem(cfg, t)
+        j = t % size
+        if not j:
+            drawn = Block(min(size, cfg.trials - t), cfg.m, cfg.n, cfg.n_samples)
+            schedule = _put_problems(cfg, drawn, keys.rows(t, t + size))
+        phi = MeasurementMatrix(cfg.m, cfg.n, drawn.phi[j])
+        target = DynamicTarget(drawn.targets[:, j], schedule[:, j], cfg.s, cfg.beta, cfg.mu)
         est = rip_exact(phi, level)
         record, lam = draw(t, est, target)
         records.append(record)
@@ -633,7 +753,7 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
             runs.append(t)
             deltas.append(est.delta)
         if len(lams) == size or t == cfg.trials - 1:
-            _put_measurements(cfg, block, runs, cfg.noise_level, deltas, "capped")
+            _put_measurements(cfg, block, keys.noise[runs], cfg.noise_level, deltas, "capped")
             yield records, slots, block, np.reshape(lams, (-1, 1, 1))
             records, slots, lams, runs, deltas = [], [], [], [], []
             block = Block(size, cfg.m, cfg.n, cfg.n_samples)

@@ -57,9 +57,9 @@ class Block:
     ``phi_t`` ``(T, n, m)``; the per-step inputs are step-major:
     measurements ``ys`` ``(n_meas, T, m)``, target samples ``targets``
     ``(n_meas, T, n)`` and support-change flags ``target_changed``
-    ``(n_meas, T)``.  :meth:`put` fills a stream's matrix and target; the
-    caller writes its measurement rows into ``ys``, one stream at a time or
-    the whole block at once.
+    ``(n_meas, T)``.  :meth:`put` fills one stream's matrix and target; a
+    caller that builds every stream at once writes into the arrays
+    directly.  The measurement rows are always written by the caller.
     """
 
     def __init__(self, count: int, m: int, n: int, n_meas: int):

@@ -7,6 +7,16 @@ The restricted isometry constant at sparsity level s is
 
 where G_T is the s x s Gram block of the matrix restricted to columns T.
 ``rip_exact`` enumerates every support; ``rip_monte_carlo`` samples them.
+
+Random matrices and noise vectors are drawn many to a block from Philox
+keys (:mod:`.rng`): :func:`gaussian_matrices` and :func:`noise_rows`.
+:func:`gen_gaussian_matrix`, :func:`gen_noise` and :func:`gen_noise_rows`
+are their cases for seeds, so every block row has the bits of its one-seed
+call.  A block keeps those bits because each of its reductions sums in the
+one-seed order: a column norm is ``np.add.reduce`` over the row axis,
+which is what ``np.linalg.norm(axis=0)`` computes, and a row norm is a
+stacked ``(1 x m)(m x 1)`` product, the dot product ``np.linalg.norm``
+takes of a vector.
 """
 
 from dataclasses import dataclass
@@ -16,7 +26,7 @@ import math
 
 import numpy as np
 
-from .rng import make_rng, standard_normal_rows
+from .rng import check_seed, make_rng, philox_keys, standard_normals
 
 DEFAULT_SUPPORT_BUDGET = 10**6
 
@@ -63,13 +73,34 @@ class RipEstimate:
 
 
 def gen_gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
-    """i.i.d. standard normal entries, columns rescaled to unit norm."""
+    """i.i.d. standard normal entries from ``make_rng(seed)``, columns rescaled to unit norm.
+
+    ``seed`` lies in [0, 2**64).  This is the one-matrix case of
+    :func:`gaussian_matrices`.
+    """
+    check_seed(seed)
+    return MeasurementMatrix(m, n, gaussian_matrices(m, n, philox_keys([seed]))[0], seed)
+
+
+def gaussian_matrices(m: int, n: int, keys, out=None) -> np.ndarray:
+    """Stacked matrices ``(rows, m, n)``: matrix i is drawn from Philox key ``keys[i]``.
+
+    Each is ``gen_gaussian_matrix(m, n, seed).entries`` for the seed the key
+    stands for, written into ``out`` when given.  The columns are checked
+    for unit norm, as :class:`MeasurementMatrix` checks them.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got ({m}, {n})")
-    rng = make_rng(seed)
-    entries = rng.standard_normal((m, n))
-    entries /= np.linalg.norm(entries, axis=0)
-    return MeasurementMatrix(m, n, entries, seed)
+    if out is None:
+        out = np.empty((len(keys), m, n))
+    standard_normals(keys, out)
+    square = out * out
+    out /= np.sqrt(np.add.reduce(square, axis=1, keepdims=True))
+    np.multiply(out, out, out=square)
+    deviation = np.abs(np.sqrt(np.add.reduce(square, axis=1)) - 1.0)
+    if not np.all(deviation <= 1e-12):
+        raise ValueError(f"columns must have unit norm (worst deviation {deviation.max():.3e})")
+    return out
 
 
 def gen_identity(n: int) -> MeasurementMatrix:
@@ -98,27 +129,34 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
     probability).  ``capped`` rescales any draw whose norm exceeds
     ``(1 + delta)**-0.5 * sigma`` down onto that cap, so the bound holds
     surely (the regime the tracking bounds assume).  This is the one-row
-    case of :func:`gen_noise_rows`.
+    case of :func:`noise_rows`.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    check_seed(seed)
     return gen_noise_rows(m, sigma, delta, mode, [seed])[0]
 
 
 def gen_noise_rows(m: int, sigma, delta, mode: str, seeds) -> np.ndarray:
     """Noise vectors ``(rows, m)``: row i is ``gen_noise(m, sigma, delta, mode, seeds[i])``.
 
-    ``sigma`` and ``delta`` are scalars or one value per row, and ``seeds``
-    are uint64 values.  Every row is drawn, scaled and capped with the bits
-    of its one-row call: the scaling and the cap are elementwise, and a
-    row's norm is a stacked ``(1 x m)(m x 1)`` product, which is the dot
-    product ``np.linalg.norm`` takes.
+    ``seeds`` are uint64 values; see :func:`noise_rows`.
+    """
+    return noise_rows(m, sigma, delta, mode, philox_keys(seeds))
+
+
+def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
+    """Noise vectors ``(rows, m)``: row i is drawn from Philox key ``keys[i]``.
+
+    ``sigma`` and ``delta`` are scalars or one value per row.  Every row is
+    drawn, scaled and capped with the bits of its one-row call: the scaling
+    and the cap are elementwise, and a row's norm is a stacked
+    ``(1 x m)(m x 1)`` product, which is the dot product ``np.linalg.norm``
+    takes.
     """
     if m < 1:
         raise ValueError(f"noise length must be positive, got {m}")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), seeds.shape)
-    delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), seeds.shape)
+    rows = (len(keys),)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), rows)
+    delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), rows)
     bad = sigma[~((sigma >= 0) & np.isfinite(sigma))]
     if bad.size:
         raise ValueError(f"sigma must be nonnegative and finite, got {bad[0]}")
@@ -127,7 +165,8 @@ def gen_noise_rows(m: int, sigma, delta, mode: str, seeds) -> np.ndarray:
         raise ValueError(f"delta must lie in [0, 1), got {bad[0]}")
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
-    eps = sigma[:, None] * standard_normal_rows(seeds, m)
+    eps = standard_normals(keys, np.empty(rows + (m,)))
+    eps *= sigma[:, None]
     if mode == "capped":
         cap = sigma / np.sqrt(1.0 + delta)
         nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]

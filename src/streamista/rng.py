@@ -3,16 +3,20 @@
 Every random draw in the package is reproducible from (seed, stream path)
 alone.  Substreams are split with ``SeedSequence`` spawn keys, which keeps
 trial-level work order-independent under any worker pool.  ``make_rng`` and
-``derive_seed`` give one generator or one child seed per call.
+``derive_seed`` give one generator or one child seed per call; they are the
+reference the block path below reproduces.
 
-Noise streams come many to a block, so they take the block path instead:
+Trial inputs come many to a block, so they take the block path instead:
 ``derive_seeds`` and ``philox_keys`` run ``SeedSequence``'s hash (NEP 19,
 after O'Neill's ``seed_seq``) over every row at once in numpy ``uint32``
-arithmetic, and ``standard_normal_rows`` draws each row from one ``Philox``
+arithmetic, and ``keyed_generators`` draws each row from one ``Philox``
 reset to the row's key.  Each row has the bits of its scalar call: row i of
-``derive_seeds(seed, streams)`` is ``derive_seed(seed, *streams[i])`` and
-row i of ``standard_normal_rows(seeds, width)`` is
-``make_rng(seeds[i]).standard_normal(width)``.
+``derive_seeds(seed, streams)`` is ``derive_seed(seed, *streams[i])``, row
+i of ``philox_keys(seeds, *stream)`` is the key ``make_rng(seeds[i],
+*stream)`` starts from, and the generator ``keyed_generators`` yields for
+that key draws what ``make_rng(seeds[i], *stream)`` draws.  The hash has a
+fixed cost of about a hundred numpy calls, so callers derive the keys of
+many rows per call.
 """
 
 import numpy as np
@@ -136,26 +140,40 @@ def derive_seeds(seed: int, streams) -> np.ndarray:
     return out
 
 
-def philox_keys(seeds) -> np.ndarray:
-    """The Philox key ``make_rng(seed)`` starts from, for every uint64 seed: ``(rows, 2)``.
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a uint64 value, as a one-seed block call needs."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
-    That key is ``SeedSequence(seed).generate_state(2, uint64)``; a seed
-    below 2**32 is one entropy word, which hashes as its two-word form.
+
+def philox_keys(seeds, *stream: int) -> np.ndarray:
+    """The Philox key ``make_rng(seed, *stream)`` starts from, for every uint64 seed: ``(rows, 2)``.
+
+    That key is ``SeedSequence(seed, spawn_key=stream).generate_state(2,
+    uint64)``.  Without a stream, a seed below 2**32 is one entropy word,
+    which hashes as its two-word form; with one, the seed's words are
+    padded to the pool size, as a spawn key makes ``SeedSequence`` do, and
+    each stream index below 2**64 follows as one or two words.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = np.stack([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)]).astype(np.uint32)
-    return _generate_state(_mix_entropy(entropy), 2)
+    entropy = [seeds & np.uint64(_MASK32), seeds >> np.uint64(32)]
+    if stream:
+        entropy += [np.zeros_like(seeds)] * (_POOL_SIZE - 2)
+    for index in stream:
+        if not 0 <= index < 2**64:
+            raise ValueError(f"stream index must lie in [0, 2**64), got {index}")
+        entropy += [np.full_like(seeds, word) for word in _words(int(index))]
+    return _generate_state(_mix_entropy(np.stack(entropy).astype(np.uint32)), 2)
 
 
-def standard_normal_rows(seeds, width: int) -> np.ndarray:
-    """Row i is ``make_rng(seeds[i]).standard_normal(width)``, for uint64 seeds.
+def keyed_generators(keys):
+    """Yield a generator for every Philox key: the one ``make_rng`` starts from that key.
 
-    One Philox, local to the call, draws every row: before each row it is
-    reset to counter 0, the row's key and an empty buffer, the state a
-    freshly seeded Philox starts in.
+    One Philox, local to the call, serves every key: before each yield it
+    is reset to counter 0, the key and an empty buffer, the state a freshly
+    seeded Philox starts in.  So the generator yielded for a key is valid
+    until the next one is drawn.
     """
-    keys = philox_keys(seeds)
-    out = np.empty((len(keys), width))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     reset = {
@@ -166,8 +184,26 @@ def standard_normal_rows(seeds, width: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, key in zip(out, keys):
+    # plain ints, which the state setter takes faster than array rows
+    for key in np.asarray(keys).tolist():
         reset["state"]["key"] = key
         bitgen.state = reset
+        yield gen
+
+
+def standard_normals(keys, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[i]`` with standard normals from Philox key ``keys[i]``, in C order.
+
+    ``out[i]`` must be contiguous; it gets the bits of
+    ``make_rng(...).standard_normal(out[i].shape)`` for the seed and stream
+    that key stands for.
+    """
+    for row, gen in zip(out, keyed_generators(keys)):
         gen.standard_normal(out=row)
     return out
+
+
+def standard_normal_rows(seeds, width: int) -> np.ndarray:
+    """Row i is ``make_rng(seeds[i]).standard_normal(width)``, for uint64 seeds."""
+    keys = philox_keys(seeds)
+    return standard_normals(keys, np.empty((len(keys), width)))

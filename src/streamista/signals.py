@@ -9,6 +9,22 @@ with v[l] i.i.d. standard normal, so each sample carries energy beta in
 expectation while consecutive samples drift by about mu.  Most amplitude
 sequences sit on fixed indices; the rest alternate between two indices under
 a sinusoidal envelope, which makes the support change over time.
+
+Targets are built many to a block from Philox keys (:mod:`.rng`), two per
+target: :func:`target_keys` gives them for target seeds, and
+:func:`assemble_targets` builds the samples and support rows of every key
+pair at once.  :func:`assemble_target`, :func:`gen_amplitudes` and
+:func:`gen_support_schedule` are its cases for one seed, and each target of
+a block has their bits:
+
+* an amplitude stream is one ``(n_samples, s)`` draw, which equals the
+  draws of ``s`` one sample at a time; the first row's norm is a stacked
+  ``(1 x s)(s x 1)`` product, the dot product ``np.linalg.norm`` takes; and
+  the recursion runs over samples, each step across the whole block;
+* a support plan draws its ``choice`` and ``uniform`` from one generator
+  per target, reset to the target's key;
+* the envelopes, the routing and the schedule sort are elementwise or per
+  row.
 """
 
 from dataclasses import dataclass
@@ -16,7 +32,7 @@ import math
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import check_seed, keyed_generators, philox_keys, standard_normals
 
 # substream tags so standalone calls match assemble_target exactly
 _AMPLITUDE_STREAM = 0
@@ -76,8 +92,29 @@ class DynamicTarget:
     mu: float
 
 
+def target_keys(seeds) -> np.ndarray:
+    """The Philox keys a target draws from, for every uint64 target seed: ``(rows, 2, 2)``.
+
+    Row i holds the keys of ``make_rng(seeds[i], 0)``, its amplitude stream,
+    and ``make_rng(seeds[i], 1)``, its support stream.
+    """
+    return np.stack(
+        [philox_keys(seeds, _AMPLITUDE_STREAM), philox_keys(seeds, _SUPPORT_STREAM)], axis=1
+    )
+
+
 def gen_amplitudes(s: int, n_samples: int, beta: float, mu: float, seed: int) -> np.ndarray:
-    """Amplitude sequences, shape (n_samples, s); row 0 has norm beta exactly."""
+    """Amplitude sequences, shape (n_samples, s); row 0 has norm beta exactly.
+
+    ``seed`` lies in [0, 2**64); this is the one-seed case of
+    :func:`_amplitude_rows`.
+    """
+    check_seed(seed)
+    return _amplitude_rows(s, n_samples, beta, mu, philox_keys([seed], _AMPLITUDE_STREAM))[:, 0]
+
+
+def _amplitude_rows(s: int, n_samples: int, beta: float, mu: float, keys) -> np.ndarray:
+    """Amplitude sequences of every amplitude-stream key, step-major: ``(n_samples, rows, s)``."""
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
     if n_samples < 1:
@@ -86,33 +123,43 @@ def gen_amplitudes(s: int, n_samples: int, beta: float, mu: float, seed: int) ->
         raise ValueError(f"beta must be positive, got {beta}")
     if not 0 <= mu < beta:
         raise ValueError(f"mu must lie in [0, beta), got mu={mu}, beta={beta}")
-    rng = make_rng(seed, _AMPLITUDE_STREAM)
-    alpha = np.empty((n_samples, s))
-    first = rng.standard_normal(s)
-    alpha[0] = beta * first / np.linalg.norm(first)
+    draws = standard_normals(keys, np.empty((len(keys), n_samples, s)))
+    first = draws[:, 0]
+    norm = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0]
+    alpha = np.empty((n_samples, len(keys), s))
+    alpha[0] = beta * first / norm
     keep = np.sqrt((beta**2 - mu**2) / beta**2)
-    step = mu / np.sqrt(s)
-    for l in range(n_samples - 1):
-        alpha[l + 1] = keep * alpha[l] + step * rng.standard_normal(s)
+    steps = (mu / np.sqrt(s)) * draws.transpose(1, 0, 2)
+    for prev, row, step in zip(alpha, alpha[1:], steps[1:]):
+        np.multiply(keep, prev, out=row)
+        row += step
     return alpha
 
 
 def gen_support_schedule(config: GenConfig) -> SupportPlan:
-    """Draw index assignments: fixed indices first, then index pairs with phases."""
-    rng = make_rng(config.seed, _SUPPORT_STREAM)
-    chosen = rng.choice(config.n, size=config.s + config.n_pairs, replace=False)
-    n_fixed = config.s - config.n_pairs
-    fixed = np.sort(chosen[:n_fixed])
-    pairs = chosen[n_fixed:].reshape(config.n_pairs, 2)
+    """Draw index assignments: fixed indices first, then index pairs with phases.
+
+    ``config.seed`` lies in [0, 2**64); this is the one-seed case of
+    :func:`_support_plans`.
+    """
+    check_seed(config.seed)
+    fixed, pairs, phases = _support_plans(config, philox_keys([config.seed], _SUPPORT_STREAM))
+    return SupportPlan(fixed[0], pairs[0], phases[0], float(config.n_samples))
+
+
+def _support_plans(config: GenConfig, keys):
+    """Fixed indices ``(rows, s - n_pairs)``, index pairs ``(rows, n_pairs, 2)`` and
+    phases ``(rows, n_pairs)`` of every support-stream key; ``config.seed`` is not read."""
+    chosen = np.empty((len(keys), config.s + config.n_pairs), dtype=np.int64)
+    phases = np.empty((len(keys), config.n_pairs))
     period = float(config.n_samples)
-    phases = rng.uniform(0.0, period, size=config.n_pairs)
-    return SupportPlan(fixed, pairs, phases, period)
-
-
-def _envelopes(plan: SupportPlan, n_samples: int) -> np.ndarray:
-    """Envelope values, shape (n_samples, n_pairs)."""
-    l = np.arange(n_samples)[:, None]
-    return np.sin(2.0 * np.pi * (l + plan.phases[None, :]) / plan.period)
+    for row, gen in enumerate(keyed_generators(keys)):
+        chosen[row] = gen.choice(config.n, size=config.s + config.n_pairs, replace=False)
+        phases[row] = gen.uniform(0.0, period, size=config.n_pairs)
+    n_fixed = config.s - config.n_pairs
+    fixed = np.sort(chosen[:, :n_fixed], axis=1)
+    pairs = chosen[:, n_fixed:].reshape(len(keys), config.n_pairs, 2)
+    return fixed, pairs, phases
 
 
 def assemble_target(config: GenConfig) -> DynamicTarget:
@@ -122,34 +169,42 @@ def assemble_target(config: GenConfig) -> DynamicTarget:
     envelope is positive and to its second while negative.  At an exact zero
     crossing the first index stays active with the amplitude scaled by the
     smallest positive normal float, so every sample keeps exactly s active
-    entries.
+    entries.  ``config.seed`` lies in [0, 2**64); this is the one-seed case
+    of :func:`assemble_targets`.
     """
-    alpha = gen_amplitudes(config.s, config.n_samples, config.beta, config.mu, config.seed)
-    plan = gen_support_schedule(config)
-    n_fixed = config.s - config.n_pairs
-    samples = np.zeros((config.n_samples, config.n))
-    samples[:, plan.fixed_indices] = alpha[:, :n_fixed]
+    check_seed(config.seed)
+    samples, schedule = assemble_targets(config, target_keys([config.seed]))
+    return DynamicTarget(samples[:, 0], schedule[:, 0], config.s, config.beta, config.mu)
+
+
+def assemble_targets(config: GenConfig, keys, out=None):
+    """Samples ``(n_samples, rows, n)`` and sorted support rows ``(n_samples, rows, s)``
+    of the target of every key pair ``keys[i]`` from :func:`target_keys`.
+
+    Target i is ``assemble_target`` at the seed its keys stand for;
+    ``config.seed`` is not read.  The samples are written into ``out`` when
+    given.
+    """
+    count, n_samples, n_fixed = len(keys), config.n_samples, config.s - config.n_pairs
+    alpha = _amplitude_rows(config.s, n_samples, config.beta, config.mu, keys[:, 0])
+    fixed, pairs, phases = _support_plans(config, keys[:, 1])
+    samples = np.empty((n_samples, count, config.n)) if out is None else out
+    samples[...] = 0.0
+    trial = np.arange(count)[:, None]
+    samples[:, trial, fixed] = alpha[:, :, :n_fixed]
+    full = np.broadcast_to(fixed, (n_samples, count, n_fixed))
     if config.n_pairs:
-        env = _envelopes(plan, config.n_samples)
-        tiny = np.finfo(np.float64).tiny
-        for j in range(config.n_pairs):
-            amp = alpha[:, n_fixed + j]
-            first, second = plan.pair_indices[j]
-            pos = env[:, j] > 0
-            neg = env[:, j] < 0
-            tie = ~(pos | neg)
-            samples[pos, first] = env[pos, j] * amp[pos]
-            samples[neg, second] = env[neg, j] * amp[neg]
-            samples[tie, first] = tiny * amp[tie]
-        # active pair member is the second index only while the envelope is negative
-        members = np.where(env < 0, plan.pair_indices[None, :, 1], plan.pair_indices[None, :, 0])
-        full = np.concatenate(
-            [np.broadcast_to(plan.fixed_indices, (config.n_samples, n_fixed)), members], axis=1
-        )
-    else:
-        full = np.broadcast_to(plan.fixed_indices, (config.n_samples, config.s))
-    schedule = np.sort(full, axis=1).astype(np.intp)
-    return DynamicTarget(samples, schedule, config.s, config.beta, config.mu)
+        l = np.arange(n_samples)[:, None, None]
+        env = np.sin(2.0 * np.pi * (l + phases) / float(n_samples))
+        amp = alpha[:, :, n_fixed:]
+        values = env * amp
+        tie = env == 0
+        values[tie] = np.finfo(np.float64).tiny * amp[tie]
+        # the active pair member is the second index only while the envelope is negative
+        members = np.where(env < 0, pairs[:, :, 1], pairs[:, :, 0])
+        samples[l, trial, members] = values
+        full = np.concatenate([full, members], axis=2)
+    return samples, np.sort(full, axis=2).astype(np.intp)
 
 
 def zero_hold(target: DynamicTarget, p: int) -> DynamicTarget:

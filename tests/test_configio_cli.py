@@ -216,11 +216,18 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,nan", "--s-values", "2,4"]),
         ("fit-steady", "", ["--mu", "nan"]),
         ("check-theorems", "n = 40\n", []),
+        ("sweep-p", "", ["--values", "1,1,2"]),
+        ("sweep-p", "", ["--values", "1,2,1"]),
+        ("sweep-mu", "", ["--values", "0.4,0.4,0.8"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2,0.1", "--s-values", "2,4"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4,2,4"]),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
          "fit_mu_negative", "lambda_nan", "eta_nan", "noise_level_nan", "lambda_inf",
-         "lambda_values_nan", "fit_mu_nan", "theorem_level_over_budget"],
+         "lambda_values_nan", "fit_mu_nan", "theorem_level_over_budget",
+         "sweep_p_repeated", "sweep_p_repeated_apart", "sweep_mu_repeated",
+         "lambda_repeated", "s_repeated"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args

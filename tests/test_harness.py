@@ -1,11 +1,13 @@
 from dataclasses import replace
 import hashlib
+import math
 from pathlib import Path
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from streamista.harness import (
     THREADS_ENV,
@@ -37,8 +39,12 @@ from streamista.harness import (
     write_qratio_csv,
     write_steady_csv,
 )
+from streamista import harness, measurement, rng, signals
 from streamista.configio import parse_config
 from streamista.kernels import Block
+from streamista.measurement import gen_gaussian_matrix, gen_noise, measure
+from streamista.rng import derive_seed
+from streamista.signals import assemble_target
 from streamista.theory import check_ista_preconditions
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -546,3 +552,98 @@ def test_config_rejects_non_finite_values():
         ExperimentConfig(sweep_lambda_values=(0.1, float("nan")))
     with pytest.raises(ValueError, match="finite"):
         fit_steady_state([1, 2, 3], [0.5, 0.4, 0.3], mu=float("nan"), dl=1.0)
+
+
+# master seeds at every run-entropy layout: one word, two words, and three
+SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64)
+
+
+@st.composite
+def block_configs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    s = draw(st.integers(min_value=1, max_value=n))
+    n_pairs = draw(st.integers(min_value=0, max_value=min(s, n - s)))
+    beta = draw(st.floats(min_value=0.5, max_value=3.0))
+    return ExperimentConfig(
+        m=draw(st.integers(min_value=1, max_value=6)), n=n, s=s, n_pairs=n_pairs,
+        n_samples=draw(st.integers(min_value=1, max_value=6)), beta=beta,
+        mu=draw(st.floats(min_value=0.0, max_value=0.9)) * beta, lam=0.1, eta=0.05,
+        noise_mode=draw(st.sampled_from(["gaussian_scaled", "capped"])),
+        noise_level=draw(st.floats(min_value=0.0, max_value=0.5)),
+        noise_delta=draw(st.floats(min_value=0.0, max_value=0.9)),
+        trials=draw(st.integers(min_value=1, max_value=7)),
+        seed=draw(st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**64))),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(cfg=block_configs(), block_bytes=st.integers(1, 4096), key_rows=st.integers(1, 16))
+@example(  # no pairs, one sample
+    cfg=replace(SMALL, n_pairs=0, n_samples=1, trials=3, seed=2**64), block_bytes=1, key_rows=1,
+)
+@example(  # every index of the target in use
+    cfg=replace(SMALL, n=4, s=3, n_pairs=1, noise_mode="capped", noise_delta=0.3,
+                trials=5, seed=2**32 - 1),
+    block_bytes=900, key_rows=3,
+)
+def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
+    # every block of a run, built from keys derived once for the group (in
+    # chunks and blocks that need not align), against the one-trial functions
+    blocks = []
+
+    def spy(self, lam, eta, p, u0, relax=1.0):
+        count = u0.shape[0]
+        blocks.append([a[:count].copy() for a in (self.phi, self.phi_t)]
+                      + [a[:, :count].copy() for a in (self.targets, self.target_changed, self.ys)])
+        return stream(self, lam, eta, p, u0, relax)
+
+    stream = Block.stream
+    with patch.object(Block, "stream", spy), \
+            patch("streamista.harness._BLOCK_BYTES", block_bytes), \
+            patch("streamista.harness._KEY_ROWS", key_rows):
+        result = run_trials(cfg)
+    phi, phi_t, targets, changed, ys = (
+        np.concatenate(parts, axis=0 if i < 2 else 1) for i, parts in enumerate(zip(*blocks))
+    )
+    for t, trial in enumerate(result.trials):
+        ref = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, t, 0))
+        target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, t, 1)))
+        assert phi[t].tobytes() == ref.entries.tobytes()
+        assert phi_t[t].tobytes() == np.ascontiguousarray(ref.entries.T).tobytes()
+        assert targets[:, t].tobytes() == target.samples.tobytes()
+        flags = np.any(target.support_schedule[1:] != target.support_schedule[:-1], axis=1)
+        assert changed[:, t].tolist() == [False] + flags.tolist()
+        sigma = cfg.noise_level
+        if cfg.noise_mode == "gaussian_scaled":
+            clean = float(np.linalg.norm(ref.entries @ target.samples[0]))
+            sigma = cfg.noise_level * clean / math.sqrt(cfg.m)
+        assert trial.sigma == sigma
+        for k, sample in enumerate(target.samples):
+            noise = gen_noise(cfg.m, sigma, cfg.noise_delta, cfg.noise_mode,
+                              derive_seed(cfg.seed, t, 2, k))
+            assert ys[k, t].tobytes() == measure(ref, sample, noise).tobytes()
+
+
+def test_desk_run_calls_no_scalar_rng(monkeypatch):
+    # the harness builds a run's inputs from block keys: no scalar derivation,
+    # generator, matrix or target call, in any module that holds the names
+    calls = []
+    modules = [harness, rng, measurement, signals]
+    for name in ("make_rng", "derive_seed", "gen_gaussian_matrix", "assemble_target"):
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), trials=10)
+    result = run_trials(cfg)
+    assert len(result.trials) == 10
+    assert calls == []
+    # the counters do count: the one-trial build and the lemma suite call them
+    _trial_problem(cfg, 0)
+    run_lemma_suite(0, n_matrices=1, draws=1)
+    assert set(calls) == {"assemble_target", "derive_seed", "gen_gaussian_matrix", "make_rng"}

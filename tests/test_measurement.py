@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from streamista import measurement
 from streamista.measurement import (
     NOISE_MODES,
     MeasurementMatrix,
     SupportBudgetError,
+    gaussian_matrices,
     gen_gaussian_matrix,
     gen_identity,
     gen_noise,
@@ -21,7 +23,7 @@ from streamista.measurement import (
     rip_monte_carlo,
     save_matrix_csv,
 )
-from streamista.rng import make_rng
+from streamista.rng import make_rng, philox_keys
 
 
 def brute_delta(phi, s):
@@ -271,3 +273,14 @@ def test_matrix_csv_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="rows"):
         load_matrix_csv(path)
+
+
+def test_gaussian_matrices_check_unit_columns(monkeypatch):
+    # a zero column cannot be scaled to unit norm, and the block path says so
+    def zeros(keys, out):
+        out[...] = 0.0
+        return out
+
+    monkeypatch.setattr(measurement, "standard_normals", zeros)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
+        gaussian_matrices(3, 4, philox_keys([0, 1]))

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from streamista.rng import derive_seeds, make_rng, philox_keys, standard_normal_rows
+from streamista.rng import (
+    derive_seeds, keyed_generators, make_rng, philox_keys, standard_normal_rows,
+)
 
 # the run entropy is one word below 2**32, two below 2**64, and is padded to
 # the four-word pool only below 2**128; a stream index takes two words from
@@ -70,3 +72,29 @@ def test_block_derivation_handles_empty_and_invalid_input():
         derive_seeds(0, [0, 1])
     with pytest.raises(ValueError, match="streams"):
         derive_seeds(0, np.empty((2, 0)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(values=st.lists(uint64s, min_size=1, max_size=8), stream=st.lists(indices, max_size=3))
+def test_philox_keys_of_streams_match_seed_sequence(values, stream):
+    # the key make_rng(seed, *stream) starts from; no stream is the plain seed
+    expected = [
+        np.random.SeedSequence(v, spawn_key=tuple(stream)).generate_state(2, np.uint64)
+        for v in values
+    ]
+    keys = philox_keys(values, *stream)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == np.asarray(expected).tolist()
+    for key, v in zip(keys, values):
+        fresh = make_rng(v, *stream)
+        (gen,) = keyed_generators([key])
+        assert gen.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+        drawn = [g.choice(9, size=3, replace=False).tolist() for g in (gen, fresh)]
+        assert drawn[0] == drawn[1]
+
+
+def test_philox_keys_reject_stream_indices_out_of_range():
+    with pytest.raises(ValueError, match="stream index"):
+        philox_keys([0], 2**64)
+    with pytest.raises(ValueError, match="stream index"):
+        philox_keys([0], -1)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import (
     DynamicTarget,
     GenConfig,
@@ -160,3 +161,17 @@ def test_target_csv_round_trip(tmp_path):
     assert np.array_equal(back.samples, target.samples)
     assert np.array_equal(back.support_schedule, target.support_schedule)
     assert back.s == 3 and back.beta == 1.5 and back.mu == 0.4
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_one_seed_builds_reject_seeds_outside_uint64(seed):
+    cfg = GenConfig(n=6, s=2, n_pairs=1, n_samples=3, seed=seed)
+    builds = (
+        assemble_target,
+        gen_support_schedule,
+        lambda c: gen_amplitudes(c.s, c.n_samples, c.beta, c.mu, c.seed),
+        lambda c: gen_gaussian_matrix(3, c.n, c.seed),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="seed"):
+            build(cfg)
