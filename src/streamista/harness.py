@@ -16,15 +16,18 @@ a group that differ only in the threshold run as the columns of one kernel
 call.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
-trials, each with its own matrix, stacked until their inputs fill
-``_BLOCK_BYTES``.  The theorem suite stacks its instances the same way, one
-threshold per instance, and the continuous-bound suite runs each block once
-per step size.  One function, :func:`_run_block`, runs every block from
-zero and reads the kernel's records: the errors, the largest active set,
-and the first step at which a run diverged (an error non-finite or above
-``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
-noise scale).  A run or sweep with a diverged trial raises
-:class:`DivergenceError`; the suites record the step as data.
+trials, each with its own matrix, stacked until what a kernel call holds
+for them fills ``_BLOCK_BYTES`` (:func:`_block_size`): their inputs, and
+per column of the widest call the iterate buffers and the step records of
+the longest call.  The theorem suite stacks its instances the same way,
+one threshold per instance, and the continuous-bound suite runs each block
+once per step size, sized for the refined run.  One function,
+:func:`_run_block`, runs every block from zero and reads the kernel's
+records: the errors, the largest active set, and the first step at which
+a run diverged (an error non-finite or above ``_DIVERGENCE_FACTOR`` times
+its target's largest sample norm plus its noise scale).  A run or sweep
+with a diverged trial raises :class:`DivergenceError`; the suites record
+the step as data.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -102,10 +105,13 @@ _NOISE_STREAM = 2
 # (tracemalloc) in 24 ms, and one call for all 16,000 rows at 3.5 MB in 8 ms
 _KEY_ROWS = 1024
 
-# bytes of one trial's stacked kernel inputs (matrix, its transpose,
-# measurements and target samples) that one kernel block may hold; larger
-# trials run in smaller blocks
-_BLOCK_BYTES = 512 * 1024
+# bytes one kernel block may hold while its kernel call runs, counted per
+# trial by _block_size; larger trials run in smaller blocks.  1 MiB holds 5
+# desk trials: at 2, a 64x128 step spent about half its time dispatching
+# numpy calls.  In paired benchmark runs 1.25 MiB, which keeps 3 trials in
+# a block of the 16-column lambda-s grid, was no faster on the sweeps and
+# raised their peak memory by 0.4 MB
+_BLOCK_BYTES = 1024 * 1024
 
 # a run diverged at the first step whose error is non-finite or above this
 # multiple of its largest target sample norm plus its noise scale
@@ -334,30 +340,51 @@ def _put_measurements(
     return sigma
 
 
-def _put_problems(cfg: ExperimentConfig, block: Block, keys) -> np.ndarray:
-    """Write the matrices and targets of a block's trials from their stream keys.
+def _put_problems(cfg: ExperimentConfig, block: Block, keys, start: int = 0) -> np.ndarray:
+    """Write the matrices and targets of trials from their stream keys into a block.
 
-    ``keys`` is :func:`_stream_keys` of the trials, one per stream of the
-    block.  The matrices, their transposes, the target samples and the
-    support-change flags go straight into the block, each trial with the
-    bits of :func:`_trial_problem`.  Returns the support rows
-    ``(n_samples, T, s)``.
+    ``keys`` is :func:`_stream_keys` of the trials, which go to the block's
+    streams ``start``, ``start + 1``, ...  The matrices, their transposes,
+    the target samples and the support-change flags go straight into the
+    block, each trial with the bits of :func:`_trial_problem`.  Returns the
+    support rows ``(n_samples, T, s)``.
     """
-    gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi)
-    block.phi_t[...] = block.phi.transpose(0, 2, 1)
+    streams = slice(start, start + len(keys.matrix))
+    phi = gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi[streams])
+    block.phi_t[streams] = phi.transpose(0, 2, 1)
     # the keys stand in for the target seed, which gen_config's seed would be
-    _, schedule = assemble_targets(cfg.gen_config(0), keys.target, out=block.targets)
-    block.target_changed[1:] = np.any(schedule[1:] != schedule[:-1], axis=2)
+    _, schedule = assemble_targets(cfg.gen_config(0), keys.target, out=block.targets[:, streams])
+    block.target_changed[1:, streams] = np.any(schedule[1:] != schedule[:-1], axis=2)
     return schedule
 
 
-def _block_size(cfg: ExperimentConfig) -> int:
-    """Trials per kernel block: as many as fit in ``_BLOCK_BYTES``, at least one."""
-    trial_bytes = 8 * (2 * cfg.m * cfg.n + cfg.n_samples * (cfg.m + cfg.n))
-    return max(1, _BLOCK_BYTES // trial_bytes)
+def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None) -> int:
+    """Trials per kernel block: as many as fit in ``_BLOCK_BYTES``, at least one.
+
+    A trial counts what its block holds for it during a kernel call of
+    ``steps`` steps (by default ``n_samples * P``) with ``width`` columns:
+    its inputs (matrix, transpose, measurements and target samples), and
+    per column the iterate buffers (the zero start, ``u``, ``a``, ``mag``,
+    ``g``, both threshold arrays and ``diff``: eight of length n, plus the
+    residual of length m), the active record, a byte per entry and step,
+    and the error and active-set-size records.
+    """
+    if steps is None:
+        steps = cfg.n_samples * cfg.P
+    inputs = 8 * (2 * cfg.m * cfg.n + cfg.n_samples * (cfg.m + cfg.n))
+    column = 8 * (8 * cfg.n + cfg.m) + (steps + 1) * cfg.n + 16 * steps
+    return max(1, _BLOCK_BYTES // (inputs + width * column))
 
 
-def _run_block(block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0):
+def _target_peaks(block: Block, count: int) -> np.ndarray:
+    """The largest target sample norm of each of the block's first ``count`` streams."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(block.targets[:, :count], axis=2).max(axis=0)
+
+
+def _run_block(
+    block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0, peaks=None,
+):
     """Run the first T streams of a block from zero under thresholds ``lam`` ``(T, 1, L)``.
 
     Returns the error record ``(steps, T, L)``, the largest active set per
@@ -365,9 +392,10 @@ def _run_block(block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: 
     and the first diverged step per (trial, column), or -1.  A step diverged
     when its error is non-finite or above ``_DIVERGENCE_FACTOR`` times its
     trial's largest target sample norm plus ``sigma``, one noise scale per
-    trial or one for all.  Numpy's overflow warnings are silenced, because
-    the step names the divergence.  With no stream to run, the kernel is
-    not called.
+    trial or one for all.  A caller that runs a block more than once passes
+    the norms as ``peaks`` (:func:`_target_peaks`), so they are computed
+    once.  Numpy's overflow warnings are silenced, because the step names
+    the divergence.  With no stream to run, the kernel is not called.
     """
     count, _, width = lam.shape
     if not count:
@@ -376,13 +404,23 @@ def _run_block(block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: 
     u0 = np.zeros((count, block.phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
         errors, gamma_sizes = block.stream(lam, eta, p, u0, relax)[:2]
-        scale = np.linalg.norm(block.targets[:, :count], axis=2).max(axis=0) + sigma
+        if peaks is None:
+            peaks = _target_peaks(block, count)
+        scale = peaks + sigma
         bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
     return errors, gamma_sizes.max(axis=0), np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
 def _step_or_none(step) -> int | None:
     return None if step < 0 else int(step)
+
+
+def _batches(cells) -> dict:
+    """``{(eta, P): [cell index, ...]}``: the cells that run as the columns of one kernel call."""
+    batches = {}
+    for idx, cell in enumerate(cells):
+        batches.setdefault((cell.eta, cell.P), []).append(idx)
+    return batches
 
 
 def _trial_results(cells, trials, keys=None) -> list:
@@ -403,13 +441,13 @@ def _trial_results(cells, trials, keys=None) -> list:
     sigmas = _put_measurements(
         cfg, block, keys.noise, cfg.noise_level, cfg.noise_delta, cfg.noise_mode
     )
-    batches = {}
-    for idx, cell in enumerate(cells):
-        batches.setdefault((cell.eta, cell.P), []).append(idx)
+    peaks = _target_peaks(block, count)
     rows = [[None] * len(cells) for _ in trials]
-    for (eta, P), idxs in batches.items():
+    for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(block, lam, eta, P, np.array(sigmas))
+        errors, max_gamma, diverged = _run_block(
+            block, lam, eta, P, np.array(sigmas), peaks=peaks
+        )
         premeasurement = errors[P - 1 :: P]
         for j, row in enumerate(rows):
             for c, i in enumerate(idxs):
@@ -442,15 +480,13 @@ def _run_cells(cells) -> list:
     Cells that agree on every field a trial's inputs depend on form a group
     whose trials each build their inputs once (see :func:`_trial_results`),
     from stream keys derived once for the whole group.  A group's trials
-    run in blocks of consecutive trials, ``_block_size`` per block; the
-    blocks map over the ``STREAM_ISTA_THREADS`` pool and are aggregated in
-    trial order, so the outcome is identical at any worker count.  The keys
-    are local to the group and only read by the blocks.  Extra workers buy
-    no speed, even with each block's inputs built in one pass: numpy
-    releases the GIL inside the stacked products, but a block spends most
-    of its time in Python dispatch and small elementwise steps.  On 400
-    desk trials, 2 threads were slower than 1 in each of 5 alternating
-    pairs (see README "Threading").
+    run in blocks of consecutive trials, ``_block_size`` per block for the
+    group's widest kernel call (its largest ``(eta, P)`` batch of cells)
+    and its longest (its largest P); the blocks map over the
+    ``STREAM_ISTA_THREADS`` pool and are aggregated in trial order, so the
+    outcome is identical at any worker count.  The keys are local to the
+    group and only read by the blocks.  Extra workers buy no speed (see
+    README "Threading").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
@@ -463,7 +499,9 @@ def _run_cells(cells) -> list:
         mapper = pool.map if workers > 1 else map
         for idxs in groups.values():
             group = [cells[i] for i in idxs]
-            trials, size = group[0].trials, _block_size(group[0])
+            width = max(len(batch) for batch in _batches(group).values())
+            steps = group[0].n_samples * max(cell.P for cell in group)
+            trials, size = group[0].trials, _block_size(group[0], width, steps)
             blocks = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
             keys = _stream_keys(group[0], range(trials))
 
@@ -716,13 +754,16 @@ def theorem_level(cfg: ExperimentConfig) -> int:
     return level
 
 
-def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
+def _suite_blocks(cfg: ExperimentConfig, level: int, draw, steps: int | None = None):
     """Draw suite instances in order and stack the ones that run into blocks.
 
     Instance t's matrix and target have the bits of :func:`_trial_problem`;
-    they are built a block at a time from keys derived once for the suite
-    (:func:`_put_problems`).  Its exact isometry constant comes from
-    ``rip_exact`` at ``level``.
+    they are built from keys derived once for the suite
+    (:func:`_put_problems`), straight into the free streams of the block
+    being filled, and a running instance moves down to the first free
+    stream, so one block holds every drawn and running instance.  Blocks
+    are sized by :func:`_block_size` for kernel calls of ``steps`` steps.
+    Its exact isometry constant comes from ``rip_exact`` at ``level``.
     ``draw(t, est, target)`` returns ``(record, lam)``, with ``lam`` the
     instance's threshold, or None when it does not run.  A running
     instance's noise is capped at ``cfg.noise_level`` under its own
@@ -732,27 +773,33 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw):
     block, in order, ``slots[i]`` the block stream of ``records[i]`` (None
     when it does not run) and ``lams`` the block's thresholds, ``(T, 1, 1)``.
     """
-    size = _block_size(cfg)
+    size = _block_size(cfg, steps=steps)
     keys = _stream_keys(cfg, range(cfg.trials))
     records, slots, lams, runs, deltas = [], [], [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
-    for t in range(cfg.trials):
-        j = t % size
-        if not j:
-            drawn = Block(min(size, cfg.trials - t), cfg.m, cfg.n, cfg.n_samples)
-            schedule = _put_problems(cfg, drawn, keys.rows(t, t + size))
-        phi = MeasurementMatrix(cfg.m, cfg.n, drawn.phi[j])
-        target = DynamicTarget(drawn.targets[:, j], schedule[:, j], cfg.s, cfg.beta, cfg.mu)
-        est = rip_exact(phi, level)
-        record, lam = draw(t, est, target)
-        records.append(record)
-        slots.append(None if lam is None else len(lams))
-        if lam is not None:
-            block.put(len(lams), phi.entries, target.samples, target.support_schedule)
-            lams.append(lam)
-            runs.append(t)
-            deltas.append(est.delta)
-        if len(lams) == size or t == cfg.trials - 1:
+    t = 0
+    while t < cfg.trials:
+        # fill the free streams, then keep each running instance in the first one
+        first = len(lams)
+        drawn = min(size - first, cfg.trials - t)
+        schedule = _put_problems(cfg, block, keys.rows(t, t + drawn), first)
+        for j in range(first, first + drawn):
+            phi = MeasurementMatrix(cfg.m, cfg.n, block.phi[j])
+            target = DynamicTarget(
+                block.targets[:, j], schedule[:, j - first], cfg.s, cfg.beta, cfg.mu
+            )
+            est = rip_exact(phi, level)
+            record, lam = draw(t, est, target)
+            records.append(record)
+            slots.append(None if lam is None else len(lams))
+            if lam is not None:
+                if len(lams) < j:
+                    block.put(len(lams), phi.entries, target.samples, target.support_schedule)
+                lams.append(lam)
+                runs.append(t)
+                deltas.append(est.delta)
+            t += 1
+        if len(lams) == size or t == cfg.trials:
             _put_measurements(cfg, block, keys.noise[runs], cfg.noise_level, deltas, "capped")
             yield records, slots, block, np.reshape(lams, (-1, 1, 1))
             records, slots, lams, runs, deltas = [], [], [], [], []
@@ -865,13 +912,15 @@ def run_lca_suite(
 
     The unit-step trace is only a surrogate for the continuous trajectory,
     so each bound gets a discretization allowance of
-    ``slack_factor * delta * mu * tau``.  Any instance that still violates
-    the padded bound is re-run with the step cut by ``substeps``; a genuine
-    discretization artifact must shrink by at least 5x there, and
-    ``resolved`` records whether it did.  Isometry constants are exact at
-    level s + q, and the threshold is raised per instance (5% headroom)
-    to the smallest value satisfying the decay margin, which is solvable
-    only below delta = 1/2.
+    ``slack_factor * delta * mu * tau``.  Every running instance also runs
+    with the step cut by ``substeps`` (its block runs once per step size),
+    and ``fine_max_violation`` records its padded violation there.  An
+    instance that violates the padded bound at the unit step is
+    ``resolved`` when that violation shrank by at least 5x at the refined
+    step, as a genuine discretization artifact must.  Isometry constants
+    are exact at level s + q, and the threshold is raised per instance (5%
+    headroom) to the smallest value satisfying the decay margin, which is
+    solvable only below delta = 1/2.
     """
     sigma = cfg.noise_level
     hold = cfg.P * cfg.tau  # time units each measurement is held
@@ -904,10 +953,15 @@ def run_lca_suite(
         return record, (lam if report.passed and params is not None else None)
 
     instances = []
-    for records, slots, block, lams in _suite_blocks(cfg, min(cfg.s + cfg.q, cfg.n), draw):
+    level = min(cfg.s + cfg.q, cfg.n)
+    fine_steps = cfg.n_samples * cfg.P * substeps
+    for records, slots, block, lams in _suite_blocks(cfg, level, draw, fine_steps):
         # the block runs once per step size: the unit step, then the refined step
+        peaks = _target_peaks(block, len(lams))
         runs = [
-            (steps, _run_block(block, lams, 1.0, cfg.P * steps, sigma, relax=1.0 / steps))
+            (steps, _run_block(
+                block, lams, 1.0, cfg.P * steps, sigma, relax=1.0 / steps, peaks=peaks
+            ))
             for steps in (1, substeps)
         ]
         for (t, delta, lam, report, params, mu_rate), j in zip(records, slots):

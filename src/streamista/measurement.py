@@ -87,17 +87,25 @@ def gaussian_matrices(m: int, n: int, keys, out=None) -> np.ndarray:
 
     Each is ``gen_gaussian_matrix(m, n, seed).entries`` for the seed the key
     stands for, written into ``out`` when given.  The columns are checked
-    for unit norm, as :class:`MeasurementMatrix` checks them.
+    for unit norm, as :class:`MeasurementMatrix` checks them.  The squares
+    are taken one matrix at a time into an ``(m, n)`` scratch, so no
+    temporary grows with the number of matrices.
     """
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got ({m}, {n})")
     if out is None:
         out = np.empty((len(keys), m, n))
     standard_normals(keys, out)
-    square = out * out
-    out /= np.sqrt(np.add.reduce(square, axis=1, keepdims=True))
-    np.multiply(out, out, out=square)
-    deviation = np.abs(np.sqrt(np.add.reduce(square, axis=1)) - 1.0)
+    square = np.empty((m, n))
+    norms = np.empty((len(out), 1, n))
+
+    def column_norms():
+        for matrix, norm in zip(out, norms):
+            np.add.reduce(np.multiply(matrix, matrix, out=square), axis=0, out=norm[0])
+        return np.sqrt(norms, out=norms)
+
+    out /= column_norms()
+    deviation = np.abs(column_norms() - 1.0)
     if not np.all(deviation <= 1e-12):
         raise ValueError(f"columns must have unit norm (worst deviation {deviation.max():.3e})")
     return out

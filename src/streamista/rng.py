@@ -113,7 +113,8 @@ def derive_seeds(seed: int, streams) -> np.ndarray:
     """``derive_seed(seed, *row)`` for every row of ``streams``, as a uint64 array.
 
     ``streams`` is ``(rows, depth)`` of stream indices below 2**64, with
-    ``depth >= 1``.  The run entropy (the seed's words) is padded to the pool
+    ``depth >= 1``; an index outside [0, 2**64), or not an integer, raises
+    ValueError.  The run entropy (the seed's words) is padded to the pool
     size, as a spawn key makes ``SeedSequence`` do, and a stream index of
     2**32 or more takes two words, so rows are hashed in groups of one word
     layout.
@@ -121,7 +122,7 @@ def derive_seeds(seed: int, streams) -> np.ndarray:
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    streams = np.asarray(streams, dtype=np.uint64)
+    streams = _uint64_values(streams, "stream index")
     if streams.ndim != 2 or streams.shape[1] < 1:
         raise ValueError(f"streams must be (rows, depth >= 1), got shape {streams.shape}")
     run = _words(seed)
@@ -141,9 +142,41 @@ def derive_seeds(seed: int, streams) -> np.ndarray:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a uint64 value, as a one-seed block call needs."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    """Raise ValueError unless ``seed`` is an integer in [0, 2**64), a uint64 value.
+
+    An integral float passes, as ``int(seed)`` would take it.
+    """
+    _check_uint64(seed, "seed")
+
+
+def _check_uint64(value, name: str) -> None:
+    """:func:`check_seed` for a value called ``name`` in the message."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
+
+def _uint64_values(values, name: str) -> np.ndarray:
+    """``values`` as a uint64 array, every entry first checked by :func:`check_seed`.
+
+    A cast alone would wrap -1 to 2**64 - 1 and truncate 1.5 to 1, and
+    ``np.asarray`` would turn a list holding 0 and 2**64 - 1 into floats,
+    so other input is checked entry by entry as Python numbers.  An
+    unsigned integer array needs no check, so the harness's uint64 key
+    arrays pay nothing, and a signed one is checked by its minimum.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            _check_uint64(int(values.min()), name)
+        return values.astype(np.uint64, copy=False)
+    array = np.asarray(values, dtype=object)
+    for value in array.ravel().tolist():
+        _check_uint64(value, name)
+    return array.astype(np.uint64)
 
 
 def philox_keys(seeds, *stream: int) -> np.ndarray:
@@ -153,15 +186,15 @@ def philox_keys(seeds, *stream: int) -> np.ndarray:
     uint64)``.  Without a stream, a seed below 2**32 is one entropy word,
     which hashes as its two-word form; with one, the seed's words are
     padded to the pool size, as a spawn key makes ``SeedSequence`` do, and
-    each stream index below 2**64 follows as one or two words.
+    each stream index below 2**64 follows as one or two words.  A seed or
+    index outside [0, 2**64), or not an integer, raises ValueError.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = _uint64_values(seeds, "seed")
     entropy = [seeds & np.uint64(_MASK32), seeds >> np.uint64(32)]
     if stream:
         entropy += [np.zeros_like(seeds)] * (_POOL_SIZE - 2)
     for index in stream:
-        if not 0 <= index < 2**64:
-            raise ValueError(f"stream index must lie in [0, 2**64), got {index}")
+        _check_uint64(index, "stream index")
         entropy += [np.full_like(seeds, word) for word in _words(int(index))]
     return _generate_state(_mix_entropy(np.stack(entropy).astype(np.uint32)), 2)
 

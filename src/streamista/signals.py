@@ -65,10 +65,19 @@ class GenConfig:
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not 0 <= self.mu < self.beta:
-            raise ValueError(f"mu must lie in [0, beta), got mu={self.mu}, beta={self.beta}")
+        _check_energy(self.beta, self.mu)
+
+
+def _check_energy(beta: float, mu: float) -> None:
+    """Raise ValueError unless 0 <= mu < beta and beta**2 is a finite float.
+
+    The amplitude recursion takes ``beta**2``, which overflows from about
+    1.3e154 on.
+    """
+    if not (beta > 0 and math.isfinite(beta * beta)):
+        raise ValueError(f"beta must be positive with a finite square beta**2, got {beta}")
+    if not 0 <= mu < beta:
+        raise ValueError(f"mu must lie in [0, beta), got mu={mu}, beta={beta}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,7 @@ def _amplitude_rows(s: int, n_samples: int, beta: float, mu: float, keys) -> np.
         raise ValueError(f"s must be positive, got {s}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not 0 <= mu < beta:
-        raise ValueError(f"mu must lie in [0, beta), got mu={mu}, beta={beta}")
+    _check_energy(beta, mu)
     draws = standard_normals(keys, np.empty((len(keys), n_samples, s)))
     first = draws[:, 0]
     norm = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0]

@@ -2,6 +2,7 @@ from dataclasses import replace
 import hashlib
 import math
 from pathlib import Path
+import pickle
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -443,6 +444,50 @@ def test_divergence_guard_is_quiet_below_the_spectral_step(
     assert [row[0].diverged_step for row in rows] == [None] * cfg.trials
 
 
+def test_divergence_factor_flags_errors_above_one_hundred_scales():
+    # identity matrices and eta = 1: each iterate is the soft-thresholded
+    # measurement, so each error is set by its measurement row.  Trial t's
+    # target samples are all peak[t] e_1, so its scale is peak[t] + sigma.
+    n, lam, sigma = 3, 1e-3, 1.0
+    peak = np.array([3.0, 1.0])
+    heights = np.array([
+        [5.0, 40.0, 390.0, 300.0],  # between 1 and 100 scales at every step
+        [5.0, 40.0, 210.0, 5.0],  # above 100 scales at step 2 only
+    ])
+    block = Block(2, n, n, heights.shape[1])
+    block.phi[:] = block.phi_t[:] = np.eye(n)
+    block.targets[...] = 0.0
+    block.targets[..., 1] = peak
+    block.ys[...] = block.targets
+    block.ys[..., 0] = heights.T
+    errors, _, diverged = _run_block(block, np.full((2, 1, 1), lam), 1.0, 1, sigma)
+    ratios = errors[..., 0] / (peak + sigma)
+    assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
+    assert ratios[2, 1] > 100.0 and np.all(np.delete(ratios[:, 1], 2) < 100.0)
+    assert diverged[:, 0].tolist() == [-1, 2]
+
+
+def test_records_do_not_depend_on_the_block_partition():
+    # one trial per block, blocks that do not divide the trial count, and
+    # the default bound must give the same bytes in every record
+    def records():
+        _, _, cells = lambda_s_cells(SMALL, (0.05, 0.2), (2, 4))
+        return pickle.dumps((
+            run_trials(SMALL),
+            sweep(SMALL, axis="P", values=(1, 2, 5)),
+            _run_cells(cells),
+            run_theorem_suite(THEOREM_CFG).instances,
+            run_lca_suite(LCA_CFG).instances,
+        ))
+
+    assert min(_block_size(SMALL), _block_size(THEOREM_CFG), _block_size(LCA_CFG)) > 3
+    default = records()
+    with patch("streamista.harness._BLOCK_BYTES", 1):
+        assert records() == default
+    with patch("streamista.harness._block_size", lambda *args, **kwargs: 3):
+        assert records() == default
+
+
 # sha256 of the measurement rows block.ys of every kernel block, in call
 # order, recorded when each noise vector still had its own generator and
 # each measurement its own gemv
@@ -465,10 +510,42 @@ def test_measurement_streams_pin(monkeypatch, name, seed):
         streams.append(self.ys[:, : u0.shape[0]].tobytes())
         return stream(self, lam, eta, p, u0, relax)
 
+    def recorded_partition(cfg, width=1, steps=None):
+        # the block size the hashes were recorded at: inputs only, 512 KiB
+        return max(1, 512 * 1024 // (8 * (2 * cfg.m * cfg.n + cfg.n_samples * (cfg.m + cfg.n))))
+
     monkeypatch.setattr(Block, "stream", spy)
+    monkeypatch.setattr(harness, "_block_size", recorded_partition)
     cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
     (run_trials if name == "desk" else run_theorem_suite)(cfg)
     assert hashlib.sha256(b"".join(streams)).hexdigest() == MEASUREMENT_PIN[name, seed]
+
+
+# sha256 of every streamed trial's measurement rows (n_samples, m), trial
+# after trial in trial order, which no block partition changes; recorded at
+# 512 KiB blocks of inputs (2 desk trials, 14 theorem instances)
+TRIAL_MEASUREMENT_PIN = {
+    ("desk", 0): "6c6356d0dc2e5095b17a8185edd41d6cdb25e38a1898e778e5ff918ad021e05e",
+    ("desk", 5): "0884918c3ed172f302b3e9f8bbfcdc97b92f33c27c3ebff74d150b448df14fa0",
+    ("theorem", 0): "1113f3e4a2f0556c376df99b65fc4f9072df550e96584c4e76e101a61431be61",
+    ("theorem", 5): "2b4fc810b26d03b39d121202f5394df1b00dc70ea517dbf070c668fbcd02dd9b",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(TRIAL_MEASUREMENT_PIN), ids=lambda v: str(v))
+def test_trial_measurement_rows_pin(monkeypatch, name, seed):
+    blocks = []
+    stream = Block.stream
+
+    def spy(self, lam, eta, p, u0, relax=1.0):
+        blocks.append(self.ys[:, : u0.shape[0]].copy())
+        return stream(self, lam, eta, p, u0, relax)
+
+    monkeypatch.setattr(Block, "stream", spy)
+    cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
+    (run_trials if name == "desk" else run_theorem_suite)(cfg)
+    rows = np.ascontiguousarray(np.concatenate(blocks, axis=1).transpose(1, 0, 2))
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == TRIAL_MEASUREMENT_PIN[name, seed]
 
 
 def test_default_configuration_regression():

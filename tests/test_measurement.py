@@ -284,3 +284,24 @@ def test_gaussian_matrices_check_unit_columns(monkeypatch):
     monkeypatch.setattr(measurement, "standard_normals", zeros)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
         gaussian_matrices(3, 4, philox_keys([0, 1]))
+
+
+def test_noise_rows_of_seeds_reject_seeds_outside_uint64():
+    # gen_noise raises for -1, and so must its block case, not draw seed 2**64 - 1
+    for bad in (np.array([-1]), np.array([0, 1.5]), [2**64]):
+        with pytest.raises(ValueError, match="seed"):
+            gen_noise_rows(3, 1.0, 0.0, "capped", bad)
+    with pytest.raises(ValueError, match="seed"):
+        gen_noise(3, 1.0, 0.0, "capped", -1)
+
+
+def test_gaussian_matrices_check_every_matrix(monkeypatch):
+    # only the last column of the last matrix is zero; the check still sees it
+    def last_column_zero(keys, out):
+        out[...] = 1.0
+        out[-1, :, -1] = 0.0
+        return out
+
+    monkeypatch.setattr(measurement, "standard_normals", last_column_zero)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
+        gaussian_matrices(3, 4, philox_keys([0, 1, 2]))

@@ -98,3 +98,30 @@ def test_philox_keys_reject_stream_indices_out_of_range():
         philox_keys([0], 2**64)
     with pytest.raises(ValueError, match="stream index"):
         philox_keys([0], -1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([-1]), np.array([3, -2], dtype=np.int32), [2**64], [5, 2**64 + 3], np.array([1.5]),
+     [float("nan")], [float("inf")]],
+    ids=["minus_one", "negative_int32", "two_to_64", "above_uint64", "fraction", "nan", "inf"],
+)
+def test_block_key_functions_reject_seeds_outside_uint64(bad):
+    # a cast alone would wrap -1 to 2**64 - 1 and truncate 1.5 to 1
+    with pytest.raises(ValueError, match="seed"):
+        philox_keys(bad)
+    with pytest.raises(ValueError, match="seed"):
+        philox_keys(bad, 2)
+    with pytest.raises(ValueError, match="stream index"):
+        derive_seeds(0, np.reshape(np.asarray(bad, dtype=object), (-1, 1)))
+    with pytest.raises(ValueError, match="stream index"):
+        derive_seeds(0, [[0, value] for value in np.asarray(bad, dtype=object).tolist()])
+
+
+def test_block_key_functions_take_integers_of_any_dtype():
+    expected = philox_keys(np.array([0, 7, 2**32], dtype=np.uint64))
+    for seeds in ([0, 7, 2**32], np.array([0, 7, 2**32]), np.array([0.0, 7.0, 2.0**32])):
+        assert philox_keys(seeds).tolist() == expected.tolist()
+    assert derive_seeds(3, np.array([[1, 2]])).tolist() == derive_seeds(3, [[1, 2]]).tolist()
+    assert philox_keys([2**64 - 1]).tolist() == philox_keys(
+        np.array([2**64 - 1], dtype=np.uint64)).tolist()

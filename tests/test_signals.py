@@ -1,3 +1,5 @@
+import math
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -65,6 +67,23 @@ def test_gen_config_validation():
         GenConfig(n=8, s=2, n_pairs=3, n_samples=4)
     with pytest.raises(ValueError, match="distinct"):
         GenConfig(n=3, s=2, n_pairs=2, n_samples=4)
+
+
+@pytest.mark.parametrize("beta", [1e300, 1.4e154, float("inf")])
+def test_beta_whose_square_overflows_is_rejected(beta):
+    # the amplitude recursion takes beta**2, which raises OverflowError there
+    with pytest.raises(ValueError, match="beta"):
+        GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta)
+    with pytest.raises(ValueError, match="beta"):
+        gen_amplitudes(2, 3, beta, 0.0, 0)
+
+
+def test_largest_valid_beta_keeps_its_energy():
+    beta = 1.3e154
+    GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta, mu=0.5 * beta)
+    alpha = gen_amplitudes(2, 3, beta, 0.5 * beta, 7)
+    assert np.all(np.isfinite(alpha))
+    assert math.hypot(*alpha[0]) == pytest.approx(beta, rel=1e-12)
 
 
 def test_target_has_exactly_s_nonzeros_per_sample():
