@@ -9,7 +9,10 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   the last on the criterion-8 grid config (desk.cfg at 10 measurements and
   P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
 * two runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, and
-  ``run`` on theorem.cfg.
+  ``run`` on theorem.cfg;
+* ``run_lca_suite`` on the criterion-7 config (20 instances at either
+  size), which has no subcommand: a Python call that prints the ``repr``
+  of the suite's instances.
 
 Trial counts and sweep values are the benchmark's quick sizes
 (``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
@@ -21,6 +24,7 @@ file it wrote, prints each difference, and exits 1 if there is any, else 0.
 
 import argparse
 from concurrent.futures import ThreadPoolExecutor
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -30,16 +34,32 @@ import tempfile
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import GRID_S, GRID_SAMPLES, SIZES, SWEEP_P  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    GRID_S, GRID_SAMPLES, LCA_CONFIG, SIZES, SWEEP_P,
+)
 
 SWEEP_MU = (0.2, 0.4, 0.8)
+CRITERION_7_TRIALS = 20
+
+# argv[1] is the config's fields as JSON
+LCA_SCRIPT = """
+import json, sys
+from streamista.harness import ExperimentConfig, run_lca_suite
+cfg = ExperimentConfig(**json.loads(sys.argv[1]))
+print(repr(run_lca_suite(cfg, slack_factor=5.0, substeps=10).instances))
+"""
 
 
 def cases(seed: int, size: dict) -> dict:
-    """``{name: (config text additions, argv)}`` of every run at one input seed."""
+    """``{name: (config, config text additions, argv)}`` of every run at one input seed.
+
+    A CLI run names its config file; the LCA suite's config is None, and
+    its argv are Python's.
+    """
     common = ["--seed", str(seed)]
     grid = f"\nn_samples = {GRID_SAMPLES}\np = 5\n"
-    return {
+    lca = dict(LCA_CONFIG, trials=CRITERION_7_TRIALS, seed=seed)
+    cli = {
         "run": ("desk.cfg", "", ["run", "--trials", str(size["desk_trials"])]),
         "sweep-p": ("desk.cfg", "", [
             "sweep-p", "--trials", str(size["sweep_p_trials"]),
@@ -56,18 +76,20 @@ def cases(seed: int, size: dict) -> dict:
         "lemma-suite": ("desk.cfg", "", ["lemma-suite"]),
         "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
-    }, common
+    }
+    runs = {name: (config, extra, argv + common) for name, (config, extra, argv) in cli.items()}
+    runs["lca-suite"] = (None, "", ["-c", LCA_SCRIPT, json.dumps(lca)])
+    return runs
 
 
-def run_case(tree: Path, work: Path, config: str, extra: str, argv: list) -> dict:
-    """Run one CLI call of ``tree`` in ``work``; its exit code, streams and files."""
+def run_case(tree: Path, work: Path, config: str | None, extra: str, argv: list) -> dict:
+    """Run one call of ``tree`` in ``work``; its exit code, streams and files."""
     work.mkdir(parents=True)
-    (work / config).write_text((tree / "configs" / config).read_text() + extra)
+    if config is not None:
+        (work / config).write_text((tree / "configs" / config).read_text() + extra)
+        argv = ["-m", "streamista.cli"] + argv + ["--config", config, "--out", "out"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "streamista.cli"] + argv + ["--config", config, "--out", "out"],
-        cwd=work, env=env, capture_output=True,
-    )
+    proc = subprocess.run([sys.executable] + argv, cwd=work, env=env, capture_output=True)
     out = work / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
@@ -100,12 +122,11 @@ def main(argv=None) -> int:
     problems, count = [], 0
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=2) as pool:
         for seed in (int(s) for s in args.seeds.split(",")):
-            runs, common = cases(seed, size)
-            for name, (config, extra, call) in runs.items():
+            for name, (config, extra, argv) in cases(seed, size).items():
                 label = f"seed {seed} {name}"
                 futures = [
                     pool.submit(run_case, tree, Path(tmp) / side / str(seed) / name,
-                                config, extra, call + common)
+                                config, extra, argv)
                     for side, tree in zip(("parent", "change"), trees)
                 ]
                 parent, change = (f.result() for f in futures)

@@ -344,17 +344,15 @@ def _put_problems(cfg: ExperimentConfig, block: Block, keys, start: int = 0) -> 
     """Write the matrices and targets of trials from their stream keys into a block.
 
     ``keys`` is :func:`_stream_keys` of the trials, which go to the block's
-    streams ``start``, ``start + 1``, ...  The matrices, their transposes,
-    the target samples and the support-change flags go straight into the
-    block, each trial with the bits of :func:`_trial_problem`.  Returns the
-    support rows ``(n_samples, T, s)``.
+    streams ``start``, ``start + 1``, ...  The matrices and the target
+    samples go straight into the block, each trial with the bits of
+    :func:`_trial_problem`.  Returns the support rows ``(n_samples, T, s)``,
+    which the suites keep with each instance's target.
     """
     streams = slice(start, start + len(keys.matrix))
-    phi = gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi[streams])
-    block.phi_t[streams] = phi.transpose(0, 2, 1)
+    gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi[streams])
     # the keys stand in for the target seed, which gen_config's seed would be
     _, schedule = assemble_targets(cfg.gen_config(0), keys.target, out=block.targets[:, streams])
-    block.target_changed[1:, streams] = np.any(schedule[1:] != schedule[:-1], axis=2)
     return schedule
 
 
@@ -388,8 +386,8 @@ def _run_block(
     """Run the first T streams of a block from zero under thresholds ``lam`` ``(T, 1, L)``.
 
     Returns the error record ``(steps, T, L)``, the largest active set per
-    (trial, column) (a zero start has an empty one, so the records' maximum)
-    and the first diverged step per (trial, column), or -1.  A step diverged
+    (trial, column), reduced from the kernel's active masks, and the first
+    diverged step per (trial, column), or -1.  A step diverged
     when its error is non-finite or above ``_DIVERGENCE_FACTOR`` times its
     trial's largest target sample norm plus ``sigma``, one noise scale per
     trial or one for all.  A caller that runs a block more than once passes
@@ -403,12 +401,13 @@ def _run_block(
         return np.empty((block.ys.shape[0] * p, 0, width)), empty, empty
     u0 = np.zeros((count, block.phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
-        errors, gamma_sizes = block.stream(lam, eta, p, u0, relax)[:2]
+        errors, active = block.stream(lam, eta, p, u0, relax)[:2]
         if peaks is None:
             peaks = _target_peaks(block, count)
         scale = peaks + sigma
         bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
-    return errors, gamma_sizes.max(axis=0), np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    max_gamma = np.add.reduce(active, axis=2, dtype=np.int64).max(axis=0)
+    return errors, max_gamma, np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
 def _step_or_none(step) -> int | None:
@@ -540,16 +539,26 @@ def _check_distinct(name: str, values) -> None:
         seen.add(value)
 
 
+def _integers(name: str, values) -> list:
+    """``values`` as ints; a value that is not a whole number raises ValueError."""
+    for value in values:
+        if not float(value).is_integer():
+            raise ValueError(f"{name} values must be whole numbers, got {value!r}")
+    return [int(v) for v in values]
+
+
 def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
     """``[(value, ExperimentConfig), ...]``; an invalid point raises before any trial.
 
     A repeated axis value is invalid: its cells would run as two columns of
-    one kernel call, not as the one-vector run of a lone cell.
+    one kernel call, not as the one-vector run of a lone cell.  So is a P
+    that is not a whole number, which would run at another P than it names.
     """
     axis = axis or cfg.sweep_axis
     values = tuple(values if values is not None else cfg.sweep_values)
     if axis == "P":
-        cells = [(v, replace(cfg, P=int(v), sweep_axis="none")) for v in values]
+        cells = [(v, replace(cfg, P=P, sweep_axis="none"))
+                 for v, P in zip(values, _integers("sweep P", values))]
     elif axis == "mu":
         cells = [(v, replace(cfg, mu=float(v), sweep_axis="none")) for v in values]
     else:
@@ -633,10 +642,11 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
 
     The pair count scales with s to keep the moving fraction of the support
     fixed.  An invalid cell raises before any trial, and so does a repeated
-    lambda or s value, which would repeat rows of the grid.
+    lambda or s value, which would repeat rows of the grid, or an s that is
+    not a whole number.
     """
     lams = tuple(lambda_values if lambda_values is not None else cfg.sweep_lambda_values)
-    svals = tuple(int(v) for v in (s_values if s_values is not None else cfg.sweep_s_values))
+    svals = tuple(_integers("s", s_values if s_values is not None else cfg.sweep_s_values))
     if not lams or not svals:
         raise ValueError("sweep_lambda_s needs nonempty lambda and s value lists")
     _check_distinct("lambda", [float(v) for v in lams])
@@ -794,7 +804,7 @@ def _suite_blocks(cfg: ExperimentConfig, level: int, draw, steps: int | None = N
             slots.append(None if lam is None else len(lams))
             if lam is not None:
                 if len(lams) < j:
-                    block.put(len(lams), phi.entries, target.samples, target.support_schedule)
+                    block.put(len(lams), phi.entries, target.samples)
                 lams.append(lam)
                 runs.append(t)
                 deltas.append(est.delta)

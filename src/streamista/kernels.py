@@ -13,15 +13,20 @@ The loop advances a block of T trials at once, each with its own matrix,
 measurements and target.  Trial t holds an ``n x L`` iterate block whose
 column j runs under threshold ``lam[t, j]``, so one step is two stacked
 matrix products over the whole block.  A single stream is the block with
-T = 1 and L = 1.  :class:`Block` lays the inputs out; the records are
-step-major, of shape ``(steps, T, L)``.
+T = 1 and L = 1.  :class:`Block` lays the inputs out: matrices,
+measurements and targets, nothing else.  The kernel returns the errors and
+the active masks of every iterate and leaves their reading to its callers:
+``harness._run_block`` takes the largest active set, and
+``solver.run_streaming`` the set sizes, the final active set and the
+switch rule, which also needs the target's support schedule.
 
 Each trial of a block gets the same bits as its one-trial call, and a block
 of one column the same bits as a one-vector run, because every product is
 a per-trial BLAS call of the same shape:
 
-* the stacked transpose is a contiguous ``(T, n, m)`` copy, never a
-  ``swapaxes`` view, which BLAS would read with other strides;
+* the kernel copies the stacked transpose into a contiguous ``(T, n, m)``
+  array once per call, never a ``swapaxes`` view, which BLAS would read
+  with other strides;
 * an error norm is a stacked ``(1 x n)(n x 1)`` matmul on a contiguous
   row of a ``(T, L, n)`` buffer, which is the dot product of the one-vector
   norm; ``einsum`` and dot products over strided rows sum in another order.
@@ -36,10 +41,9 @@ allocated once per call, and keeps the bits of the textbook step:
   built once per call, so the elementwise loops run over whole rows, not a
   zero-stride ``(T, 1, L)`` broadcast of ``L`` elements;
 * the active masks ``|u| > lam`` of every iterate go into one
-  ``(steps + 1, T, n, L)`` bool record, a byte per entry and step, and
-  the set sizes and switch flags are reduced from it after the loop.  A
-  NaN entry is inactive, as ``solver.active_set`` counts it, though its
-  output is NaN, so the mask is not ``a != 0``.
+  ``(steps + 1, T, n, L)`` bool record, a byte per entry and step.  A NaN
+  entry is inactive, as ``solver.active_set`` counts it, though its output
+  is NaN, so the mask is not ``a != 0``.
 """
 
 import numpy as np
@@ -53,35 +57,28 @@ def active_backend() -> str:
 class Block:
     """Inputs of ``count`` streams in the kernel's layout.
 
-    The matrices stack as ``phi`` ``(T, m, n)`` with the contiguous transpose
-    ``phi_t`` ``(T, n, m)``; the per-step inputs are step-major:
-    measurements ``ys`` ``(n_meas, T, m)``, target samples ``targets``
-    ``(n_meas, T, n)`` and support-change flags ``target_changed``
-    ``(n_meas, T)``.  :meth:`put` fills one stream's matrix and target; a
-    caller that builds every stream at once writes into the arrays
-    directly.  The measurement rows are always written by the caller.
+    The matrices stack as ``phi`` ``(T, m, n)``; the per-step inputs are
+    step-major: measurements ``ys`` ``(n_meas, T, m)`` and target samples
+    ``targets`` ``(n_meas, T, n)``.  :meth:`put` fills one stream's matrix
+    and target; a caller that builds every stream at once writes into the
+    arrays directly.  The measurement rows are always written by the caller.
     """
 
     def __init__(self, count: int, m: int, n: int, n_meas: int):
         self.phi = np.empty((count, m, n))
-        self.phi_t = np.empty((count, n, m))
         self.ys = np.empty((n_meas, count, m))
         self.targets = np.empty((n_meas, count, n))
-        self.target_changed = np.zeros((n_meas, count), dtype=np.bool_)
 
-    def put(self, t: int, phi, samples, schedule) -> None:
-        """Store stream t: its matrix, target samples and support rows."""
+    def put(self, t: int, phi, samples) -> None:
+        """Store stream t: its matrix and target samples."""
         self.phi[t] = phi
-        self.phi_t[t] = phi.T
         self.targets[:, t] = samples
-        self.target_changed[1:, t] = np.any(schedule[1:] != schedule[:-1], axis=1)
 
     def stream(self, lam, eta, p, u0, relax=1.0):
         """:func:`stream` over the first ``len(u0)`` streams of this block."""
         count = u0.shape[0]
         return stream(
-            self.phi[:count], self.phi_t[:count], self.ys[:, :count],
-            self.targets[:, :count], self.target_changed[:, :count],
+            self.phi[:count], self.ys[:, :count], self.targets[:, :count],
             lam, eta, p, u0, relax,
         )
 
@@ -100,24 +97,24 @@ def _shrink(u, lam, neg_lam, a, mag, active) -> None:
     np.greater(mag, lam, out=active)
 
 
-def stream(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
-    """Per-step records (errors, active-set sizes, switch flags) and the final u, a.
+def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+    """Per-step errors, the active masks of every iterate, and the final u, a.
 
     The inputs are laid out as :class:`Block` describes, and ``u0`` is
     ``(T, n, L)``; ``lam`` broadcasts against ``(T, 1, L)``, so it may be a
-    scalar, one threshold per column, or one per trial.  Record row l holds
-    the iterate produced at step l: its distance to the target held at step
-    l, the size of its active set, and whether the active set or the target
-    support changed relative to the previous step.  Each record is
-    ``(n_meas * p, T, L)``.
+    scalar, one threshold per column, or one per trial.  Error row l holds
+    the distance of the iterate produced at step l to the target held at
+    step l: ``(n_meas * p, T, L)``.  Mask row 0 holds ``|u| > lam`` of
+    ``u0`` and row l + 1 that of the iterate produced at step l:
+    ``(n_meas * p + 1, T, n, L)``.
     """
-    n_meas, count = target_changed.shape
+    n_meas, count = ys.shape[:2]
     steps = n_meas * p
     width = u0.shape[2]
     errors = np.empty((steps, count, width))
-    # the active mask of every iterate, row 0 the start's; the set sizes and
-    # switch flags are reduced from it after the loop
     active = np.empty((steps + 1,) + u0.shape, dtype=np.bool_)
+    # contiguous, so each trial's product is the BLAS call of its one-trial run
+    adjoint = np.ascontiguousarray(phi.transpose(0, 2, 1))
     # contiguous thresholds, so every elementwise loop runs over whole rows
     lam_full = np.empty(u0.shape)
     lam_full[...] = lam
@@ -142,7 +139,7 @@ def stream(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
         for i in range(p):
             np.matmul(phi, a, out=r)
             np.subtract(y, r, out=r)
-            np.matmul(phi_t, r, out=g)
+            np.matmul(adjoint, r, out=g)
             np.multiply(eta, g, out=g)
             if relax == 1.0:
                 np.add(a, g, out=u)
@@ -157,8 +154,4 @@ def stream(phi, phi_t, ys, targets, target_changed, lam, eta, p, u0, relax=1.0):
             np.subtract(a, tgt, out=diff_cols)
             np.matmul(diff[..., None, :], diff[..., :, None], out=sq_norms)
             np.sqrt(sq_norms[..., 0, 0], out=errors[l])
-    gamma_sizes = np.add.reduce(active[1:], axis=2, dtype=np.int64)
-    switches = np.logical_or.reduce(active[1:] != active[:-1], axis=2)
-    # the first step against a new measurement also flags a target support change
-    switches[p::p] |= target_changed[1:, :, None]
-    return errors, gamma_sizes, switches, u, a
+    return errors, active, u, a

@@ -10,13 +10,14 @@ where G_T is the s x s Gram block of the matrix restricted to columns T.
 
 Random matrices and noise vectors are drawn many to a block from Philox
 keys (:mod:`.rng`): :func:`gaussian_matrices` and :func:`noise_rows`.
-:func:`gen_gaussian_matrix`, :func:`gen_noise` and :func:`gen_noise_rows`
-are their cases for seeds, so every block row has the bits of its one-seed
-call.  A block keeps those bits because each of its reductions sums in the
-one-seed order: a column norm is ``np.add.reduce`` over the row axis,
-which is what ``np.linalg.norm(axis=0)`` computes, and a row norm is a
-stacked ``(1 x m)(m x 1)`` product, the dot product ``np.linalg.norm``
-takes of a vector.
+:func:`gen_gaussian_matrix` and :func:`gen_noise` are their one-row cases,
+drawn from the key :func:`.rng.philox_keys` makes of the seed, so every
+block row has the bits of its one-seed call.  A block keeps those bits
+because each of its reductions sums in the one-seed order: a column norm
+is ``np.add.reduce`` over the row axis, which is what
+``np.linalg.norm(axis=0)`` computes, and a row norm is a stacked
+``(1 x m)(m x 1)`` product, the dot product ``np.linalg.norm`` takes of a
+vector.
 """
 
 from dataclasses import dataclass
@@ -140,15 +141,7 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
     case of :func:`noise_rows`.
     """
     check_seed(seed)
-    return gen_noise_rows(m, sigma, delta, mode, [seed])[0]
-
-
-def gen_noise_rows(m: int, sigma, delta, mode: str, seeds) -> np.ndarray:
-    """Noise vectors ``(rows, m)``: row i is ``gen_noise(m, sigma, delta, mode, seeds[i])``.
-
-    ``seeds`` are uint64 values; see :func:`noise_rows`.
-    """
-    return noise_rows(m, sigma, delta, mode, philox_keys(seeds))
+    return noise_rows(m, sigma, delta, mode, philox_keys([seed]))[0]
 
 
 def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:

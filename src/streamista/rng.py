@@ -234,9 +234,3 @@ def standard_normals(keys, out: np.ndarray) -> np.ndarray:
     for row, gen in zip(out, keyed_generators(keys)):
         gen.standard_normal(out=row)
     return out
-
-
-def standard_normal_rows(seeds, width: int) -> np.ndarray:
-    """Row i is ``make_rng(seeds[i]).standard_normal(width)``, for uint64 seeds."""
-    keys = philox_keys(seeds)
-    return standard_normals(keys, np.empty((len(keys), width)))

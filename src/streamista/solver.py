@@ -10,9 +10,10 @@ error at row l is ||a[l+1] - target[l]||, and the subsequence at i = p-1
 is the pre-measurement error ||a[kp] - target[kp-1]|| used by the tracking
 experiments.  ``run_streaming`` runs the kernel on a one-trial,
 one-column block (:class:`.kernels.Block`) and builds a full
-:class:`SolverTrace`; the experiment harness stacks many trials, and the
-thresholds of a sweep as columns, in one block and reads the kernel
-records without building traces.
+:class:`SolverTrace` from the kernel's errors and active masks, so the
+switch rule of :class:`SolverTrace` lives here alone.  The experiment
+harness stacks many trials, and the thresholds of a sweep as columns, in
+one block and reads the kernel records without building traces.
 
 ``lca_simulate`` advances the continuous-time sparse-coding network
 
@@ -166,9 +167,9 @@ def ista_iterate(
         raise ValueError(f"measurement shape {y.shape} does not match ({phi.rows},)")
     if state.a.shape != (phi.cols,):
         raise ValueError(f"state dimension {state.a.shape} does not match ({phi.cols},)")
-    phi_t = np.ascontiguousarray(phi.entries.T)
+    adjoint = np.ascontiguousarray(phi.entries.T)
     r = y - phi.entries @ state.a
-    u = state.a + config.eta * (phi_t @ r)
+    u = state.a + config.eta * (adjoint @ r)
     return SolverState(u, soft_threshold(u, config.lam), state.l + 1, active_set(u, config.lam))
 
 
@@ -193,7 +194,7 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
     if not np.all(np.isfinite(u0)):
         raise ValueError("init_u must be finite")
     block = kernels.Block(1, phi.rows, phi.cols, ys.shape[0])
-    block.put(0, phi.entries, samples, target.support_schedule)
+    block.put(0, phi.entries, samples)
     block.ys[:, 0] = ys
     return block, u0
 
@@ -212,24 +213,29 @@ def run_streaming(
     """
     block, u0 = _kernel_inputs(phi, measurements, target, init_u)
     P = int(config.P)
-    errors, gamma_sizes, switches, u_fin, a_fin = block.stream(
+    errors, active, u_fin, a_fin = block.stream(
         float(config.lam), float(config.eta), P, u0[None, :, None]
     )
+    active = active[:, 0, :, 0]
+    gamma_sizes = active.sum(axis=1, dtype=np.int64)
+    switches = np.any(active[1:] != active[:-1], axis=1)
+    # the first step against a new measurement also flags a target support change
+    schedule = target.support_schedule
+    switches[P::P] |= np.any(schedule[1:] != schedule[:-1], axis=1)
     n_meas = block.ys.shape[0]
     total = n_meas * P
     l = np.arange(total)
-    u = u_fin[0, :, 0]
     return SolverTrace(
         l=l,
         k=l // P,
         i=l % P,
         errors=errors[:, 0, 0],
-        gamma_sizes=gamma_sizes[:, 0, 0],
-        switches=switches[:, 0, 0],
+        gamma_sizes=gamma_sizes[1:],
+        switches=switches,
         P=P,
         n_measurements=n_meas,
-        initial_gamma_size=int(active_set(u0, config.lam).size),
-        final_state=SolverState(u, a_fin[0, :, 0], total, active_set(u, config.lam)),
+        initial_gamma_size=int(gamma_sizes[0]),
+        final_state=SolverState(u_fin[0, :, 0], a_fin[0, :, 0], total, np.flatnonzero(active[-1])),
     )
 
 

@@ -224,6 +224,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("run", "beta = 1e300\n", []),
         ("sweep-p", "beta = 1e300\n", ["--values", "1,2"]),
         ("sweep-lambda-s", "beta = 1e300\n", ["--lambda-values", "0.1", "--s-values", "2,4"]),
+        ("sweep-p", "sweep_axis = P\nsweep_values = 1,2.5,5\n", []),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
@@ -231,7 +232,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
          "lambda_values_nan", "fit_mu_nan", "theorem_level_over_budget",
          "sweep_p_repeated", "sweep_p_repeated_apart", "sweep_mu_repeated",
          "lambda_repeated", "s_repeated", "beta_square_overflows",
-         "sweep_p_beta_square_overflows", "lambda_s_beta_square_overflows"],
+         "sweep_p_beta_square_overflows", "lambda_s_beta_square_overflows",
+         "sweep_p_fractional_config"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args

@@ -32,6 +32,7 @@ from streamista.harness import (
     run_trial,
     run_trials,
     sweep,
+    sweep_cells,
     sweep_lambda_s,
     worker_count,
     write_curve_csv,
@@ -374,8 +375,10 @@ def spy_streams(monkeypatch):
 def test_suite_blocks_map_instances_to_their_slots(monkeypatch):
     # distinct thresholds, skipped instances, and a last block in which no
     # instance runs
-    cfg = replace(LCA_CFG, trials=20)
-    runs = [t for t in range(cfg.trials) if t % 3 != 1][: _block_size(cfg)]
+    # a fixed block size, so the block bound does not decide the call count
+    cfg, size = replace(LCA_CFG, trials=20), 4
+    monkeypatch.setattr(harness, "_block_size", lambda *args, **kwargs: size)
+    runs = [t for t in range(cfg.trials) if t % 3 != 1][:size]
 
     def draw(t, est, target):
         return t, (0.5 + t if t in runs else None)
@@ -455,7 +458,7 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
         [5.0, 40.0, 210.0, 5.0],  # above 100 scales at step 2 only
     ])
     block = Block(2, n, n, heights.shape[1])
-    block.phi[:] = block.phi_t[:] = np.eye(n)
+    block.phi[:] = np.eye(n)
     block.targets[...] = 0.0
     block.targets[..., 1] = peak
     block.ys[...] = block.targets
@@ -619,6 +622,16 @@ def test_run_cells_matches_per_cell_runs_on_mixed_cells():
         np.testing.assert_allclose(result.mean_curve, alone.mean_curve, rtol=1e-9, atol=0)
 
 
+def test_sweeps_reject_fractional_p_and_s():
+    # P = 2.5 would run at P = 2 under the name 2.5; whole floats still pass
+    assert [c.P for _, c in sweep_cells(SMALL, "P", (1.0, 2, 5.0))] == [1, 2, 5]
+    with pytest.raises(ValueError, match="whole numbers, got 2.5"):
+        sweep_cells(SMALL, "P", (1, 2.5, 5))
+    assert lambda_s_cells(SMALL, (0.1,), (2.0, 4))[1] == (2, 4)
+    with pytest.raises(ValueError, match="whole numbers, got 2.5"):
+        lambda_s_cells(SMALL, (0.1,), (2.5, 4))
+
+
 def test_config_rejects_non_finite_values():
     for field in ("beta", "mu", "lam", "eta", "dl", "tau", "noise_level", "noise_delta",
                   "tail_fraction"):
@@ -666,30 +679,34 @@ def block_configs(draw):
 def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     # every block of a run, built from keys derived once for the group (in
     # chunks and blocks that need not align), against the one-trial functions
-    blocks = []
+    blocks, schedules = [], []
 
     def spy(self, lam, eta, p, u0, relax=1.0):
         count = u0.shape[0]
-        blocks.append([a[:count].copy() for a in (self.phi, self.phi_t)]
-                      + [a[:, :count].copy() for a in (self.targets, self.target_changed, self.ys)])
+        blocks.append([self.phi[:count].copy()]
+                      + [a[:, :count].copy() for a in (self.targets, self.ys)])
         return stream(self, lam, eta, p, u0, relax)
 
-    stream = Block.stream
+    def spy_put(*args, **kwargs):
+        schedules.append(put_problems(*args, **kwargs))
+        return schedules[-1]
+
+    stream, put_problems = Block.stream, harness._put_problems
     with patch.object(Block, "stream", spy), \
+            patch.object(harness, "_put_problems", spy_put), \
             patch("streamista.harness._BLOCK_BYTES", block_bytes), \
             patch("streamista.harness._KEY_ROWS", key_rows):
         result = run_trials(cfg)
-    phi, phi_t, targets, changed, ys = (
-        np.concatenate(parts, axis=0 if i < 2 else 1) for i, parts in enumerate(zip(*blocks))
+    phi, targets, ys = (
+        np.concatenate(parts, axis=0 if i == 0 else 1) for i, parts in enumerate(zip(*blocks))
     )
+    schedule = np.concatenate(schedules, axis=1)
     for t, trial in enumerate(result.trials):
         ref = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, t, 0))
         target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, t, 1)))
         assert phi[t].tobytes() == ref.entries.tobytes()
-        assert phi_t[t].tobytes() == np.ascontiguousarray(ref.entries.T).tobytes()
         assert targets[:, t].tobytes() == target.samples.tobytes()
-        flags = np.any(target.support_schedule[1:] != target.support_schedule[:-1], axis=1)
-        assert changed[:, t].tolist() == [False] + flags.tolist()
+        assert np.array_equal(schedule[:, t], target.support_schedule)
         sigma = cfg.noise_level
         if cfg.noise_mode == "gaussian_scaled":
             clean = float(np.linalg.norm(ref.entries @ target.samples[0]))

@@ -77,6 +77,8 @@ def test_kernel_matches_reference_iterate(n, m_frac, s_frac, P, seed, step, lam)
     assert np.array_equal(trace.gamma_sizes, gamma_sizes)
     assert np.array_equal(trace.switches, switches)
     assert np.array_equal(trace.final_state.u, state.u)
+    assert trace.initial_gamma_size == init_state(init_u, lam).gamma.size
+    assert np.array_equal(trace.final_state.gamma, state.gamma)
 
 
 @settings(deadline=None, max_examples=40)
@@ -101,18 +103,21 @@ def test_batched_columns_match_single_runs(n, m_frac, s_frac, P, seed, step, lam
     init_u = 0.5 * rng.standard_normal(n)
     eta = 2.0 * step / float(np.linalg.norm(phi.entries, 2)) ** 2
     block = Block(1, m, n, ys.shape[0])
-    block.put(0, phi.entries, target.samples, target.support_schedule)
+    block.put(0, phi.entries, target.samples)
     block.ys[:, 0] = ys
     L = len(lams)
     lam = np.asarray(lams, dtype=float).reshape(1, 1, L)
     u0 = np.repeat(init_u[None, :, None], L, axis=2)
-    errors, gamma_sizes, switches, u_fin, _ = block.stream(lam, eta, P, u0)
+    errors, active, u_fin, _ = block.stream(lam, eta, P, u0)
 
     assert errors.shape == (ys.shape[0] * P, 1, L)
+    assert active.shape == (ys.shape[0] * P + 1, 1, n, L)
     for j, lam_j in enumerate(lams):
         ref = run_streaming(phi, ys, target, SolverConfig(lam=lam_j, eta=eta, P=P), init_u)
-        assert np.array_equal(gamma_sizes[:, 0, j], ref.gamma_sizes)
-        assert np.array_equal(switches[:, 0, j], ref.switches)
+        # the masks decide the set sizes and, with the target, the switch flags
+        alone = block.stream(lam_j, eta, P, init_u[None, :, None])[1]
+        assert np.array_equal(active[:, 0, :, j], alone[:, 0, :, 0])
+        assert np.array_equal(active[1:, 0, :, j].sum(axis=1), ref.gamma_sizes)
         np.testing.assert_allclose(errors[:, 0, j], ref.errors, rtol=1e-9, atol=0)
         np.testing.assert_allclose(u_fin[0, :, j], ref.final_state.u, rtol=1e-9, atol=1e-15)
         assert np.array_equal(active_set(u_fin[0, :, j], lam_j), ref.final_state.gamma)
@@ -142,10 +147,10 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
             GenConfig(n=n, s=2, n_pairs=1, n_samples=n_meas, beta=1.0, mu=0.3, seed=seed + t)
         )
         ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((n_meas, m))
-        block.put(t, phi.entries, target.samples, target.support_schedule)
+        block.put(t, phi.entries, target.samples)
         block.ys[:, t] = ys
         one = Block(1, m, n, n_meas)
-        one.put(0, phi.entries, target.samples, target.support_schedule)
+        one.put(0, phi.entries, target.samples)
         one.ys[:, 0] = ys
         singles.append(one)
         spectral = max(spectral, float(np.linalg.norm(phi.entries, 2)) ** 2)
@@ -154,12 +159,14 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
     eta = 2.0 * step / spectral
     relax = 1.0 / substeps
     stacked = block.stream(lam, eta, P * substeps, u0, relax)
+    steps = n_meas * P * substeps
+    assert stacked[0].shape == (steps, count, L)
+    assert stacked[1].shape == (steps + 1, count, n, L)
     for t, one in enumerate(singles):
         alone = one.stream(lam[t : t + 1], eta, P * substeps, u0[t : t + 1], relax)
-        for record, ref in zip(stacked[:3], alone[:3]):
-            assert record.shape == (n_meas * P * substeps, count, L)
+        for record, ref in zip(stacked[:2], alone[:2]):
             assert record[:, t].tobytes() == ref[:, 0].tobytes()
-        for final, ref in zip(stacked[3:], alone[3:]):
+        for final, ref in zip(stacked[2:], alone[2:]):
             assert final[t].tobytes() == ref[0].tobytes()
 
 
@@ -206,14 +213,10 @@ def test_diverging_block_matches_reference_iterate(n, m_frac, seed, blowup, lam)
     init_u = 0.5 * rng.standard_normal(n)
     # far above 2 / ||Phi||^2: the iterate overflows to inf, then to NaN
     cfg = SolverConfig(lam=lam, eta=blowup / float(np.linalg.norm(phi.entries, 2)) ** 2, P=P)
-    block = Block(1, m, n, n_meas)
-    block.put(0, phi.entries, target.samples, target.support_schedule)
-    block.ys[:, 0] = ys
     with np.errstate(over="ignore", invalid="ignore"):
-        errors, gamma_sizes, switches, u_fin, a_fin = block.stream(
-            lam, cfg.eta, P, init_u[None, :, None]
-        )
+        trace = run_streaming(phi, ys, target, cfg, init_u)
         state = init_state(init_u, lam)
+        initial_size = state.gamma.size
         ref_errors, ref_sizes, ref_switches = [], [], []
         for k in range(n_meas):
             support_moved = k > 0 and not np.array_equal(
@@ -228,9 +231,12 @@ def test_diverging_block_matches_reference_iterate(n, m_frac, seed, blowup, lam)
                     not np.array_equal(nxt.gamma, state.gamma) or (i == 0 and support_moved)
                 )
                 state = nxt
-    assert np.isnan(u_fin).any()
-    assert np.array_equal(errors[:, 0, 0], ref_errors, equal_nan=True)
-    assert np.array_equal(gamma_sizes[:, 0, 0], ref_sizes)
-    assert np.array_equal(switches[:, 0, 0], ref_switches)
-    assert np.array_equal(u_fin[0, :, 0], state.u, equal_nan=True)
-    assert np.array_equal(a_fin[0, :, 0], state.a, equal_nan=True)
+    final = trace.final_state
+    assert np.isnan(final.u).any()
+    assert np.array_equal(trace.errors, ref_errors, equal_nan=True)
+    assert np.array_equal(trace.gamma_sizes, ref_sizes)
+    assert np.array_equal(trace.switches, ref_switches)
+    assert trace.initial_gamma_size == initial_size
+    assert np.array_equal(final.gamma, state.gamma)
+    assert np.array_equal(final.u, state.u, equal_nan=True)
+    assert np.array_equal(final.a, state.a, equal_nan=True)

@@ -15,9 +15,9 @@ from streamista.measurement import (
     gen_gaussian_matrix,
     gen_identity,
     gen_noise,
-    gen_noise_rows,
     load_matrix_csv,
     measure,
+    noise_rows,
     rip_exact,
     rip_exact_witness,
     rip_monte_carlo,
@@ -195,9 +195,9 @@ def test_gen_noise_validation():
 
 def test_noise_rows_validate_every_row():
     with pytest.raises(ValueError, match="sigma"):
-        gen_noise_rows(4, [1.0, math.nan], 0.0, "capped", [0, 1])
+        noise_rows(4, [1.0, math.nan], 0.0, "capped", philox_keys([0, 1]))
     with pytest.raises(ValueError, match="delta"):
-        gen_noise_rows(4, 1.0, [0.5, 1.0], "capped", [0, 1])
+        noise_rows(4, 1.0, [0.5, 1.0], "capped", philox_keys([0, 1]))
     with pytest.raises(ValueError, match="seed"):
         gen_noise(4, 1.0, 0.0, "capped", 2**64)
 
@@ -213,7 +213,7 @@ def scalar_noise(m, sigma, delta, mode, seed):
     return eps
 
 
-noise_rows = st.lists(
+noise_args = st.lists(
     st.tuples(
         st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
         st.one_of(
@@ -227,11 +227,11 @@ noise_rows = st.lists(
 
 
 @settings(deadline=None, max_examples=80)
-@given(m=st.integers(min_value=1, max_value=24), mode=st.sampled_from(NOISE_MODES), rows=noise_rows)
+@given(m=st.integers(min_value=1, max_value=24), mode=st.sampled_from(NOISE_MODES), rows=noise_args)
 @example(m=2, mode="capped", rows=[(1.0, 0.5, seed) for seed in range(12)])
 def test_noise_rows_match_one_row_calls(m, mode, rows):
     sigma, delta, seeds = zip(*rows)
-    block = gen_noise_rows(m, sigma, delta, mode, seeds)
+    block = noise_rows(m, sigma, delta, mode, philox_keys(seeds))
     assert block.shape == (len(rows), m)
     for row, (sig, dlt, seed) in zip(block, rows):
         assert row.tobytes() == gen_noise(m, sig, dlt, mode, seed).tobytes()
@@ -241,8 +241,8 @@ def test_noise_rows_match_one_row_calls(m, mode, rows):
 def test_noise_rows_cap_only_oversized_rows():
     cap = 1.0 / math.sqrt(1.5)
     seeds = range(12)
-    raw = gen_noise_rows(2, 1.0, 0.5, "gaussian_scaled", seeds)
-    capped = gen_noise_rows(2, 1.0, 0.5, "capped", seeds)
+    raw = noise_rows(2, 1.0, 0.5, "gaussian_scaled", philox_keys(seeds))
+    capped = noise_rows(2, 1.0, 0.5, "capped", philox_keys(seeds))
     over = np.linalg.norm(raw, axis=1) > cap
     assert 0 < over.sum() < len(seeds)  # both sides of the cap
     assert np.array_equal(capped[~over], raw[~over])
@@ -287,10 +287,11 @@ def test_gaussian_matrices_check_unit_columns(monkeypatch):
 
 
 def test_noise_rows_of_seeds_reject_seeds_outside_uint64():
-    # gen_noise raises for -1, and so must its block case, not draw seed 2**64 - 1
+    # gen_noise raises for -1, and so must the keys of its block case, not
+    # draw seed 2**64 - 1
     for bad in (np.array([-1]), np.array([0, 1.5]), [2**64]):
         with pytest.raises(ValueError, match="seed"):
-            gen_noise_rows(3, 1.0, 0.0, "capped", bad)
+            noise_rows(3, 1.0, 0.0, "capped", philox_keys(bad))
     with pytest.raises(ValueError, match="seed"):
         gen_noise(3, 1.0, 0.0, "capped", -1)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from streamista.rng import (
-    derive_seeds, keyed_generators, make_rng, philox_keys, standard_normal_rows,
+    derive_seeds, keyed_generators, make_rng, philox_keys, standard_normals,
 )
 
 # the run entropy is one word below 2**32, two below 2**64, and is padded to
@@ -57,7 +57,7 @@ def test_philox_keys_match_seed_sequence(values):
 @given(values=st.lists(uint64s, min_size=1, max_size=8), width=st.integers(1, 70))
 def test_standard_normal_rows_match_fresh_generators(values, width):
     # one reused Philox, reset per row, draws what a fresh generator draws
-    rows = standard_normal_rows(values, width)
+    rows = standard_normals(philox_keys(values), np.empty((len(values), width)))
     assert rows.shape == (len(values), width)
     for row, v in zip(rows, values):
         assert row.tobytes() == make_rng(v).standard_normal(width).tobytes()
@@ -65,7 +65,7 @@ def test_standard_normal_rows_match_fresh_generators(values, width):
 
 def test_block_derivation_handles_empty_and_invalid_input():
     assert derive_seeds(3, np.empty((0, 3), dtype=np.uint64)).shape == (0,)
-    assert standard_normal_rows([], 4).shape == (0, 4)
+    assert standard_normals(philox_keys([]), np.empty((0, 4))).shape == (0, 4)
     with pytest.raises(ValueError, match="seed"):
         derive_seeds(-1, [[0]])
     with pytest.raises(ValueError, match="streams"):
