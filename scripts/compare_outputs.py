@@ -12,7 +12,11 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   ``run`` on theorem.cfg;
 * ``run_lca_suite`` on the criterion-7 config (20 instances at either
   size), which has no subcommand: a Python call that prints the ``repr``
-  of the suite's instances.
+  of the suite's instances;
+* ``run_theorem_suite`` on theorem.cfg, at the trial count of
+  ``check-theorems``: a Python call that prints the ``repr`` of the
+  suite's instances, every float at full precision, where
+  ``check-theorems`` rounds them.
 
 Trial counts and sweep values are the benchmark's quick sizes
 (``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
@@ -49,12 +53,22 @@ cfg = ExperimentConfig(**json.loads(sys.argv[1]))
 print(repr(run_lca_suite(cfg, slack_factor=5.0, substeps=10).instances))
 """
 
+# argv[1:] are the config file, the trial count and the seed
+THEOREM_SCRIPT = """
+import dataclasses, sys
+from streamista.configio import parse_config
+from streamista.harness import run_theorem_suite
+cfg = parse_config(sys.argv[1])
+cfg = dataclasses.replace(cfg, trials=int(sys.argv[2]), seed=int(sys.argv[3]))
+print(repr(run_theorem_suite(cfg).instances))
+"""
+
 
 def cases(seed: int, size: dict) -> dict:
     """``{name: (config, config text additions, argv)}`` of every run at one input seed.
 
-    A CLI run names its config file; the LCA suite's config is None, and
-    its argv are Python's.
+    The argv are Python's.  A run that reads a config file names it, and
+    the LCA suite's config is None.
     """
     common = ["--seed", str(seed)]
     grid = f"\nn_samples = {GRID_SAMPLES}\np = 5\n"
@@ -77,8 +91,14 @@ def cases(seed: int, size: dict) -> dict:
         "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
     }
-    runs = {name: (config, extra, argv + common) for name, (config, extra, argv) in cli.items()}
+    runs = {
+        name: (config, extra, ["-m", "streamista.cli", *argv, *common,
+                               "--config", config, "--out", "out"])
+        for name, (config, extra, argv) in cli.items()
+    }
     runs["lca-suite"] = (None, "", ["-c", LCA_SCRIPT, json.dumps(lca)])
+    runs["theorem-suite"] = ("theorem.cfg", "", [
+        "-c", THEOREM_SCRIPT, "theorem.cfg", str(size["theorem_trials"]), str(seed)])
     return runs
 
 
@@ -87,7 +107,6 @@ def run_case(tree: Path, work: Path, config: str | None, extra: str, argv: list)
     work.mkdir(parents=True)
     if config is not None:
         (work / config).write_text((tree / "configs" / config).read_text() + extra)
-        argv = ["-m", "streamista.cli"] + argv + ["--config", config, "--out", "out"]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable] + argv, cwd=work, env=env, capture_output=True)
     out = work / "out"

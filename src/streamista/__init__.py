@@ -18,7 +18,6 @@ from .harness import (
     estimate_steady_state,
     fit_lambda_level,
     fit_steady_state,
-    rmse,
     run_lca_suite,
     run_lemma_suite,
     run_theorem_suite,
@@ -53,7 +52,6 @@ from .signals import (
     gen_support_schedule,
     load_target_csv,
     save_target_csv,
-    zero_hold,
 )
 from .solver import (
     SolverConfig,

@@ -15,18 +15,6 @@ class ConfigError(ValueError):
     """A config file could not be parsed into a valid experiment."""
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
-
-
 def _parse_float_list(v: str):
     return tuple(float(x) for x in v.split(",") if x.strip()) if v else ()
 
@@ -37,29 +25,29 @@ def _parse_int_list(v: str):
 
 # file key -> (dataclass field, parser)
 KEY_MAP = {
-    "m": ("m", _parse_int),
-    "n": ("n", _parse_int),
-    "s": ("s", _parse_int),
-    "n_pairs": ("n_pairs", _parse_int),
-    "n_samples": ("n_samples", _parse_int),
-    "beta": ("beta", _parse_float),
-    "mu": ("mu", _parse_float),
-    "lambda": ("lam", _parse_float),
-    "eta": ("eta", _parse_float),
-    "p": ("P", _parse_int),
-    "dl": ("dl", _parse_float),
-    "tau": ("tau", _parse_float),
-    "noise_mode": ("noise_mode", _parse_str),
-    "noise_level": ("noise_level", _parse_float),
-    "noise_delta": ("noise_delta", _parse_float),
-    "trials": ("trials", _parse_int),
-    "q": ("q", _parse_int),
-    "seed": ("seed", _parse_int),
-    "sweep_axis": ("sweep_axis", _parse_str),
+    "m": ("m", int),
+    "n": ("n", int),
+    "s": ("s", int),
+    "n_pairs": ("n_pairs", int),
+    "n_samples": ("n_samples", int),
+    "beta": ("beta", float),
+    "mu": ("mu", float),
+    "lambda": ("lam", float),
+    "eta": ("eta", float),
+    "p": ("P", int),
+    "dl": ("dl", float),
+    "tau": ("tau", float),
+    "noise_mode": ("noise_mode", str),
+    "noise_level": ("noise_level", float),
+    "noise_delta": ("noise_delta", float),
+    "trials": ("trials", int),
+    "q": ("q", int),
+    "seed": ("seed", int),
+    "sweep_axis": ("sweep_axis", str),
     "sweep_values": ("sweep_values", _parse_float_list),
     "sweep_lambda_values": ("sweep_lambda_values", _parse_float_list),
     "sweep_s_values": ("sweep_s_values", _parse_int_list),
-    "tail_fraction": ("tail_fraction", _parse_float),
+    "tail_fraction": ("tail_fraction", float),
 }
 
 assert {f.name for f in fields(ExperimentConfig)} == {f for f, _ in KEY_MAP.values()}

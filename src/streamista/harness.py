@@ -19,15 +19,16 @@ Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until what a kernel call holds
 for them fills ``_BLOCK_BYTES`` (:func:`_block_size`): their inputs, and
 per column of the widest call the iterate buffers and the step records of
-the longest call.  The theorem suite stacks its instances the same way,
-one threshold per instance, and the continuous-bound suite runs each block
-once per step size, sized for the refined run.  One function,
-:func:`_run_block`, runs every block from zero and reads the kernel's
-records: the errors, the largest active set, and the first step at which
-a run diverged (an error non-finite or above ``_DIVERGENCE_FACTOR`` times
-its target's largest sample norm plus its noise scale).  A run or sweep
-with a diverged trial raises :class:`DivergenceError`; the suites record
-the step as data.
+the longest call.  One driver, :func:`_run_suite`, draws the instances of
+the theorem and continuous-bound suites and stacks the running ones the
+same way, one threshold per instance, running each block once per step
+size the suite asks for; each suite keeps only its threshold rule and
+its verdict.  One function, :func:`_run_block`, runs every block from
+zero and reads the kernel's records: the errors, the largest active set,
+and the first step at which a run diverged (an error non-finite or above
+``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
+noise scale).  A run or sweep with a diverged trial raises
+:class:`DivergenceError`; the suites record the step as data.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -305,24 +306,24 @@ def _stream_keys(cfg: ExperimentConfig, trials) -> _StreamKeys:
 
 
 def _put_measurements(
-    cfg: ExperimentConfig, block: Block, noise_keys, level: float, delta, noise_mode: str,
+    cfg: ExperimentConfig, block: Block, noise_keys, delta, noise_mode: str
 ) -> list:
     """Write the noisy measurement rows of the block's first ``len(noise_keys)`` streams.
 
     Stream j's matrix and target are already in the block; its sample k
     takes its noise from Philox key ``noise_keys[j, k]`` (see
     :func:`_stream_keys`).  Returns each stream's noise scale: under
-    ``gaussian_scaled``, ``level`` times the norm of its first clean row
-    over sqrt(m), the per-entry std relative to that measurement's energy;
-    under the other modes, ``level``.  ``delta`` is a scalar or one value
-    per stream, since it may depend on the drawn matrix.  The clean rows
-    are one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``; a
-    first row's norm is a stacked ``(1 x m)(m x 1)`` product, the dot
-    product of ``np.linalg.norm``; and the noise of the whole block is one
-    :func:`noise_rows` call, so each row has the bits of
-    ``measure(phi, sample, gen_noise(...))``.
+    ``gaussian_scaled``, ``cfg.noise_level`` times the norm of its first
+    clean row over sqrt(m), the per-entry std relative to that
+    measurement's energy; under the other modes, ``cfg.noise_level``.
+    ``delta`` is a scalar or one value per stream, since it may depend on
+    the drawn matrix.  The clean rows are one stacked ``(m x n)(n x 1)``
+    product, the gemv of ``measure``; a first row's norm is a stacked
+    ``(1 x m)(m x 1)`` product, the dot product of ``np.linalg.norm``; and
+    the noise of the whole block is one :func:`noise_rows` call, so each
+    row has the bits of ``measure(phi, sample, gen_noise(...))``.
     """
-    count, n_meas = len(noise_keys), cfg.n_samples
+    count, n_meas, level = len(noise_keys), cfg.n_samples, cfg.noise_level
     ys = block.ys[:, :count]
     np.matmul(block.phi[:count], block.targets[:, :count, :, None], out=ys[..., None])
     if noise_mode == "gaussian_scaled":
@@ -381,29 +382,25 @@ def _target_peaks(block: Block, count: int) -> np.ndarray:
 
 
 def _run_block(
-    block: Block, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0, peaks=None,
+    block: Block, lam: np.ndarray, eta: float, p: int, sigma, peaks, relax: float = 1.0,
 ):
     """Run the first T streams of a block from zero under thresholds ``lam`` ``(T, 1, L)``.
 
-    Returns the error record ``(steps, T, L)``, the largest active set per
-    (trial, column), reduced from the kernel's active masks, and the first
-    diverged step per (trial, column), or -1.  A step diverged
-    when its error is non-finite or above ``_DIVERGENCE_FACTOR`` times its
-    trial's largest target sample norm plus ``sigma``, one noise scale per
-    trial or one for all.  A caller that runs a block more than once passes
-    the norms as ``peaks`` (:func:`_target_peaks`), so they are computed
-    once.  Numpy's overflow warnings are silenced, because the step names
-    the divergence.  With no stream to run, the kernel is not called.
+    T is at least one: a suite block with no running instance makes no
+    call (:func:`_run_suite`).  Returns the error record ``(steps, T, L)``,
+    the largest active set per (trial, column), reduced from the kernel's
+    active masks, and the first diverged step per (trial, column), or -1.
+    A step diverged when its error is non-finite or above
+    ``_DIVERGENCE_FACTOR`` times its trial's largest target sample norm
+    plus ``sigma``, one noise scale per trial or one for all; the caller
+    passes those norms as ``peaks`` (:func:`_target_peaks`), computed once
+    for every run of the block.  Numpy's overflow warnings are silenced,
+    because the step names the divergence.
     """
     count, _, width = lam.shape
-    if not count:
-        empty = np.empty((0, width), dtype=np.int64)
-        return np.empty((block.ys.shape[0] * p, 0, width)), empty, empty
     u0 = np.zeros((count, block.phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
         errors, active = block.stream(lam, eta, p, u0, relax)[:2]
-        if peaks is None:
-            peaks = _target_peaks(block, count)
         scale = peaks + sigma
         bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
     max_gamma = np.add.reduce(active, axis=2, dtype=np.int64).max(axis=0)
@@ -437,16 +434,12 @@ def _trial_results(cells, trials, keys=None) -> list:
         keys = _stream_keys(cfg, trials)
     block = Block(count, cfg.m, cfg.n, cfg.n_samples)
     _put_problems(cfg, block, keys)
-    sigmas = _put_measurements(
-        cfg, block, keys.noise, cfg.noise_level, cfg.noise_delta, cfg.noise_mode
-    )
+    sigmas = _put_measurements(cfg, block, keys.noise, cfg.noise_delta, cfg.noise_mode)
     peaks = _target_peaks(block, count)
     rows = [[None] * len(cells) for _ in trials]
     for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(
-            block, lam, eta, P, np.array(sigmas), peaks=peaks
-        )
+        errors, max_gamma, diverged = _run_block(block, lam, eta, P, np.array(sigmas), peaks)
         premeasurement = errors[P - 1 :: P]
         for j, row in enumerate(rows):
             for c, i in enumerate(idxs):
@@ -653,7 +646,7 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
     _check_distinct("s", svals)
     cells = [
         replace(cfg, lam=float(lam), s=s, n_pairs=min(s, max(0, round(s * cfg.n_pairs / cfg.s))),
-                q=4 * s, sweep_axis="none")
+                sweep_axis="none")
         for lam, s in product(lams, svals)
     ]
     return lams, svals, cells
@@ -687,18 +680,6 @@ def fit_lambda_level(grid: QRatioGrid, level: float = 4.0) -> LambdaLevelFit:
     num = sum(lam / math.sqrt(s) for s, lam in points)
     den = sum(1.0 / s for s, _ in points)
     return LambdaLevelFit(num / den, level, tuple(points))
-
-
-def rmse(a: np.ndarray, target: np.ndarray) -> float:
-    """Relative error ||a - target|| / ||target||."""
-    a = np.asarray(a, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if a.shape != target.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {target.shape}")
-    denom = float(np.linalg.norm(target))
-    if denom == 0.0:
-        raise ValueError("relative error is undefined for a zero target")
-    return float(np.linalg.norm(a - target)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -764,82 +745,96 @@ def theorem_level(cfg: ExperimentConfig) -> int:
     return level
 
 
-def _suite_blocks(cfg: ExperimentConfig, level: int, draw, steps: int | None = None):
-    """Draw suite instances in order and stack the ones that run into blocks.
+def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
+    """Draw suite instances in order and run the ones that run in kernel blocks.
 
     Instance t's matrix and target have the bits of :func:`_trial_problem`;
     they are built from keys derived once for the suite
     (:func:`_put_problems`), straight into the free streams of the block
     being filled, and a running instance moves down to the first free
-    stream, so one block holds every drawn and running instance.  Blocks
-    are sized by :func:`_block_size` for kernel calls of ``steps`` steps.
-    Its exact isometry constant comes from ``rip_exact`` at ``level``.
-    ``draw(t, est, target)`` returns ``(record, lam)``, with ``lam`` the
+    stream, so one block holds every drawn and running instance.
+    ``draw(t, est, beta, mu_dl, target)`` gets the instance's exact
+    isometry constant at ``level`` (``rip_exact``) and its target's
+    empirical energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``,
+    0.0 at one sample), and returns ``(record, lam)``, with ``lam`` the
     instance's threshold, or None when it does not run.  A running
     instance's noise is capped at ``cfg.noise_level`` under its own
-    isometry constant, the regime the bounds assume.  Yields
-    ``(records, slots, block, lams)`` once a block is full and after the
-    last instance: ``records`` holds every instance drawn since the previous
-    block, in order, ``slots[i]`` the block stream of ``records[i]`` (None
-    when it does not run) and ``lams`` the block's thresholds, ``(T, 1, 1)``.
+    isometry constant, the regime the bounds assume.
+
+    A full block, and the last one, runs once per ``(eta, p, relax)`` of
+    ``runs`` (see :func:`_run_block`), sized by :func:`_block_size` for the
+    longest run; a block with no running instance makes no kernel call.
+    After each block, yields ``(record, out)`` for every instance drawn
+    since the previous block, in order: ``out`` is None for an instance
+    that did not run, else one ``(errors, max_gamma, diverged_step)`` per
+    run, with ``diverged_step`` None when the run did not diverge.
     """
-    size = _block_size(cfg, steps=steps)
+    size = _block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = _stream_keys(cfg, range(cfg.trials))
-    records, slots, lams, runs, deltas = [], [], [], [], []
+    drawn, lams, running, deltas = [], [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     t = 0
     while t < cfg.trials:
         # fill the free streams, then keep each running instance in the first one
         first = len(lams)
-        drawn = min(size - first, cfg.trials - t)
-        schedule = _put_problems(cfg, block, keys.rows(t, t + drawn), first)
-        for j in range(first, first + drawn):
+        count = min(size - first, cfg.trials - t)
+        schedule = _put_problems(cfg, block, keys.rows(t, t + count), first)
+        for j in range(first, first + count):
             phi = MeasurementMatrix(cfg.m, cfg.n, block.phi[j])
             target = DynamicTarget(
                 block.targets[:, j], schedule[:, j - first], cfg.s, cfg.beta, cfg.mu
             )
             est = rip_exact(phi, level)
-            record, lam = draw(t, est, target)
-            records.append(record)
-            slots.append(None if lam is None else len(lams))
+            mu_dl = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
+            record, lam = draw(t, est, estimate_beta(target), mu_dl, target)
+            drawn.append((record, None if lam is None else len(lams)))
             if lam is not None:
                 if len(lams) < j:
                     block.put(len(lams), phi.entries, target.samples)
                 lams.append(lam)
-                runs.append(t)
+                running.append(t)
                 deltas.append(est.delta)
             t += 1
         if len(lams) == size or t == cfg.trials:
-            _put_measurements(cfg, block, keys.noise[runs], cfg.noise_level, deltas, "capped")
-            yield records, slots, block, np.reshape(lams, (-1, 1, 1))
-            records, slots, lams, runs, deltas = [], [], [], [], []
+            results = []
+            if lams:
+                _put_measurements(cfg, block, keys.noise[running], deltas, "capped")
+                thresholds = np.reshape(lams, (-1, 1, 1))
+                peaks = _target_peaks(block, len(lams))
+                results = [
+                    _run_block(block, thresholds, eta, p, cfg.noise_level, peaks, relax)
+                    for eta, p, relax in runs
+                ]
+            for record, j in drawn:
+                yield record, None if j is None else [
+                    (errors[:, j, 0], int(max_gamma[j, 0]), _step_or_none(diverged[j, 0]))
+                    for errors, max_gamma, diverged in results
+                ]
+            drawn, lams, running, deltas = [], [], [], []
             block = Block(size, cfg.m, cfg.n, cfg.n_samples)
 
 
-def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> TheoremSuiteResult:
+def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
     """Check bound dominance and the support cap on ``cfg.trials`` instances.
 
     Instances must be small enough for exact isometry constants at level
     s + 2q.  Noise is forced to the capped mode (the regime the guarantee
-    assumes), with its energy bound taken from ``cfg.noise_level``.  When
-    ``adjust_lambda`` is set, the threshold is raised per instance to the
-    smallest value satisfying the drift/noise margin with 5% headroom, so
-    the preconditions are attainable; the empirical energy and jump bounds
-    of the realized target parameterize the bound.  Every instance with
-    delta < 1 runs, as one column of a kernel block under its own threshold,
-    and records the step at which its trace diverged, if it did.
+    assumes), with its energy bound taken from ``cfg.noise_level``.  The
+    threshold is raised per instance to the smallest value satisfying the
+    drift/noise margin with 5% headroom, so the preconditions are
+    attainable; the empirical energy and jump bounds of the realized target
+    parameterize the bound.  Every instance with delta < 1 runs, as one
+    column of a kernel block under its own threshold, and records the step
+    at which its trace diverged, if it did.
     """
-    level = theorem_level(cfg)
     sigma = cfg.noise_level
     init_u = np.zeros(cfg.n)
 
-    def draw(t, est, target):
+    def draw(t, est, beta_emp, mudl_emp, target):
         delta = est.delta
-        beta_emp = estimate_beta(target)
-        mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
         c = abs(cfg.eta - 1.0) + delta * cfg.eta
         lam = cfg.lam
-        if adjust_lambda and c < 1.0:
+        if c < 1.0:
             lam_floor = 1.05 * cfg.eta * ((1.0 + delta) * beta_emp + sigma) / (
                 (1.0 - c) * math.sqrt(cfg.q)
             )
@@ -849,30 +844,28 @@ def run_theorem_suite(cfg: ExperimentConfig, adjust_lambda: bool = True) -> Theo
         return record, (lam if delta < 1.0 else None)
 
     instances = []
-    for records, slots, block, lams in _suite_blocks(cfg, level, draw):
-        errors_block, max_gammas, diverged_steps = _run_block(block, lams, cfg.eta, cfg.P, sigma)
-        for (t, est, beta_emp, mudl_emp, lam, report), j in zip(records, slots):
-            max_violation = float("nan")
-            support_ok = None
-            max_gamma = -1
-            diverged = None
-            if j is not None:
-                errors = errors_block[:, j, 0]
-                max_gamma = int(max_gammas[j, 0])
-                diverged = _step_or_none(diverged_steps[j, 0])
-                if report.passed:
-                    params = IstaBoundParams(
-                        eta=cfg.eta, delta=est.delta, sigma=sigma, lam=lam, q=cfg.q,
-                        mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
-                        e1=float(errors[0]),
-                    )
-                    bounds = ista_error_bound(np.arange(errors.size), params)
-                    max_violation = float(np.max(errors - bounds))
-                    support_ok = max_gamma <= cfg.q
-            instances.append(TheoremInstance(
-                t, est.delta, est.method, lam, sigma, report, max_violation, support_ok,
-                max_gamma, diverged,
-            ))
+    runs = [(cfg.eta, cfg.P, 1.0)]
+    for record, out in _run_suite(cfg, theorem_level(cfg), draw, runs):
+        t, est, beta_emp, mudl_emp, lam, report = record
+        max_violation = float("nan")
+        support_ok = None
+        max_gamma = -1
+        diverged = None
+        if out is not None:
+            [(errors, max_gamma, diverged)] = out
+            if report.passed:
+                params = IstaBoundParams(
+                    eta=cfg.eta, delta=est.delta, sigma=sigma, lam=lam, q=cfg.q,
+                    mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
+                    e1=float(errors[0]),
+                )
+                bounds = ista_error_bound(np.arange(errors.size), params)
+                max_violation = float(np.max(errors - bounds))
+                support_ok = max_gamma <= cfg.q
+        instances.append(TheoremInstance(
+            t, est.delta, est.method, lam, sigma, report, max_violation, support_ok,
+            max_gamma, diverged,
+        ))
     return TheoremSuiteResult(tuple(instances))
 
 
@@ -916,7 +909,6 @@ class LcaSuiteResult:
 
 def run_lca_suite(
     cfg: ExperimentConfig, slack_factor: float = 5.0, substeps: int = 10,
-    adjust_lambda: bool = True,
 ) -> LcaSuiteResult:
     """Check the continuous tracking bound against Euler traces.
 
@@ -936,13 +928,11 @@ def run_lca_suite(
     hold = cfg.P * cfg.tau  # time units each measurement is held
     init_u = np.zeros(cfg.n)
 
-    def draw(t, est, target):
+    def draw(t, est, beta_emp, mudl_emp, target):
         delta = est.delta
-        beta_emp = estimate_beta(target)
-        mudl_emp = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
         mu_rate = mudl_emp / hold
         lam = cfg.lam
-        if adjust_lambda and delta < 0.5:
+        if delta < 0.5:
             # smallest lam with delta*max{e0, D} + beta + sigma <= lam*sqrt(q),
             # using e0 = beta (zero start); the D branch needs delta < 1/2
             e0_branch = delta * beta_emp + beta_emp + sigma
@@ -964,33 +954,27 @@ def run_lca_suite(
 
     instances = []
     level = min(cfg.s + cfg.q, cfg.n)
-    fine_steps = cfg.n_samples * cfg.P * substeps
-    for records, slots, block, lams in _suite_blocks(cfg, level, draw, fine_steps):
-        # the block runs once per step size: the unit step, then the refined step
-        peaks = _target_peaks(block, len(lams))
-        runs = [
-            (steps, _run_block(
-                block, lams, 1.0, cfg.P * steps, sigma, relax=1.0 / steps, peaks=peaks
-            ))
-            for steps in (1, substeps)
-        ]
-        for (t, delta, lam, report, params, mu_rate), j in zip(records, slots):
-            max_violation = fine_max = float("nan")
-            resolved = diverged = fine_diverged = None
-            if j is not None:
-                slack = slack_factor * delta * mu_rate * cfg.tau
-                viol = []
-                for steps, (errors, _, _) in runs:
-                    times = (cfg.tau / steps) * np.arange(1, errors.shape[0] + 1)
-                    bounds = lca_error_bound(times, params)
-                    viol.append(float(np.max(errors[:, j, 0] - (bounds + slack))))
-                max_violation, fine_max = viol
-                resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
-                diverged, fine_diverged = (_step_or_none(div[j, 0]) for _, (_, _, div) in runs)
-            instances.append(LcaInstance(
-                t, delta, lam, sigma, report, max_violation, fine_max, resolved,
-                diverged, fine_diverged,
-            ))
+    # the unit step, then the refined step
+    refinements = (1, substeps)
+    runs = [(1.0, cfg.P * steps, 1.0 / steps) for steps in refinements]
+    for record, out in _run_suite(cfg, level, draw, runs):
+        t, delta, lam, report, params, mu_rate = record
+        max_violation = fine_max = float("nan")
+        resolved = diverged = fine_diverged = None
+        if out is not None:
+            slack = slack_factor * delta * mu_rate * cfg.tau
+            viol = []
+            for steps, (errors, _, _) in zip(refinements, out):
+                times = (cfg.tau / steps) * np.arange(1, errors.size + 1)
+                bounds = lca_error_bound(times, params)
+                viol.append(float(np.max(errors - (bounds + slack))))
+            max_violation, fine_max = viol
+            resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
+            (_, _, diverged), (_, _, fine_diverged) = out
+        instances.append(LcaInstance(
+            t, delta, lam, sigma, report, max_violation, fine_max, resolved,
+            diverged, fine_diverged,
+        ))
     return LcaSuiteResult(tuple(instances), slack_factor, substeps)
 
 

@@ -213,19 +213,6 @@ def assemble_targets(config: GenConfig, keys, out=None):
     return samples, np.sort(full, axis=2).astype(np.intp)
 
 
-def zero_hold(target: DynamicTarget, p: int) -> DynamicTarget:
-    """Repeat every sample (and its support row) p times."""
-    if p < 1:
-        raise ValueError(f"hold factor must be positive, got {p}")
-    return DynamicTarget(
-        np.repeat(target.samples, p, axis=0),
-        np.repeat(target.support_schedule, p, axis=0),
-        target.s,
-        target.beta,
-        target.mu,
-    )
-
-
 def estimate_mu_dl(target: DynamicTarget) -> float:
     """Tightest bound on the consecutive-sample jump: max ||x[l] - x[l-1]||."""
     if target.samples.shape[0] < 2:

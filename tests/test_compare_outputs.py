@@ -1,8 +1,10 @@
+from dataclasses import replace
 import importlib.util
 import json
 from pathlib import Path
 
-from streamista.harness import ExperimentConfig, run_lca_suite
+from streamista.configio import parse_config
+from streamista.harness import ExperimentConfig, run_lca_suite, run_theorem_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
@@ -23,6 +25,21 @@ def test_lca_case_prints_the_suite_instances(tmp_path):
     )
     cfg = ExperimentConfig(**fields)
     expected = repr(run_lca_suite(cfg, slack_factor=5.0, substeps=10).instances)
+    assert found["exit"] == 0
+    assert found["stdout"].decode() == expected + "\n"
+    assert found["files"] == {}
+
+
+def test_theorem_case_prints_the_suite_instances(tmp_path):
+    # check-theorems rounds its floats, so the case prints the instances
+    config, extra, argv = compare_outputs.cases(3, compare_outputs.SIZES["quick"])["theorem-suite"]
+    assert (config, argv[-3:]) == ("theorem.cfg", ["theorem.cfg", "10", "3"])
+    # fewer instances, so the test stays quick; the script reads them from argv
+    found = compare_outputs.run_case(
+        ROOT, tmp_path / "work", config, extra, argv[:-2] + ["3", "3"]
+    )
+    cfg = replace(parse_config(ROOT / "configs" / "theorem.cfg"), trials=3, seed=3)
+    expected = repr(run_theorem_suite(cfg).instances)
     assert found["exit"] == 0
     assert found["stdout"].decode() == expected + "\n"
     assert found["files"] == {}

@@ -16,7 +16,8 @@ from streamista.harness import (
     _block_size,
     _run_block,
     _run_cells,
-    _suite_blocks,
+    _run_suite,
+    _target_peaks,
     _trial_problem,
     _trial_results,
     estimate_steady_state,
@@ -25,7 +26,6 @@ from streamista.harness import (
     lambda_s_cells,
     QRatioGrid,
     read_steady_csv,
-    rmse,
     run_lca_suite,
     run_lemma_suite,
     run_theorem_suite,
@@ -101,14 +101,6 @@ def test_estimate_steady_state_tail_mean():
         estimate_steady_state(np.arange(3.0))
     with pytest.raises(ValueError):
         estimate_steady_state(curve, 0.0)
-
-
-def test_rmse_hand_case():
-    assert rmse(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 0.5
-    with pytest.raises(ValueError, match="zero target"):
-        rmse(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError, match="shape"):
-        rmse(np.zeros(2), np.zeros(3))
 
 
 def test_worker_count_env(monkeypatch):
@@ -372,7 +364,7 @@ def spy_streams(monkeypatch):
     return calls
 
 
-def test_suite_blocks_map_instances_to_their_slots(monkeypatch):
+def test_run_suite_maps_instances_to_their_runs(monkeypatch):
     # distinct thresholds, skipped instances, and a last block in which no
     # instance runs
     # a fixed block size, so the block bound does not decide the call count
@@ -380,24 +372,57 @@ def test_suite_blocks_map_instances_to_their_slots(monkeypatch):
     monkeypatch.setattr(harness, "_block_size", lambda *args, **kwargs: size)
     runs = [t for t in range(cfg.trials) if t % 3 != 1][:size]
 
-    def draw(t, est, target):
+    def draw(t, est, beta, mu_dl, target):
         return t, (0.5 + t if t in runs else None)
 
-    calls = spy_streams(monkeypatch)
-    drawn, streamed = [], []
-    for records, slots, block, lams in _suite_blocks(cfg, cfg.s + cfg.q, draw):
-        assert lams.shape == (sum(j is not None for j in slots), 1, 1)
-        for t, j in zip(records, slots):
-            drawn.append(t)
-            assert (j is not None) == (t in runs)
-            if j is not None:
-                assert lams[j, 0, 0] == 0.5 + t
-                assert np.array_equal(block.phi[j], _trial_problem(cfg, t)[0].entries)
-        before = len(calls)
-        _run_block(block, lams, cfg.eta, cfg.P, cfg.noise_level)
-        streamed.append(len(calls) - before)
+    calls = []
+    stream = Block.stream
+
+    def spy(self, lam, eta, p, u0, relax=1.0):
+        out = stream(self, lam, eta, p, u0, relax)
+        calls.append((self.phi[: u0.shape[0]].copy(), lam[:, 0, 0].copy(), out[0][..., 0]))
+        return out
+
+    monkeypatch.setattr(Block, "stream", spy)
+    drawn = []
+    for t, out in _run_suite(cfg, cfg.s + cfg.q, draw, [(cfg.eta, cfg.P, 1.0)]):
+        drawn.append(t)
+        assert (out is not None) == (t in runs)
+        if out is not None:
+            # its own stream of its own kernel call, under its own threshold
+            [(errors, max_gamma, diverged)] = out
+            phi = _trial_problem(cfg, t)[0].entries
+            [(lam, streamed)] = [
+                (lams[j], errs[:, j])
+                for phis, lams, errs in calls
+                for j in range(len(phis))
+                if np.array_equal(phis[j], phi)
+            ]
+            assert lam == 0.5 + t
+            assert np.array_equal(errors, streamed)
+            assert isinstance(max_gamma, int) and diverged is None
     assert drawn == list(range(cfg.trials))
-    assert streamed == [1, 0]
+    assert [len(phis) for phis, _, _ in calls] == [size]
+
+
+@pytest.mark.parametrize(
+    "suite, cfg, ran",
+    [
+        (run_theorem_suite, THEOREM_CFG, lambda inst: inst.max_gamma_size != -1),
+        (run_lca_suite, LCA_CFG, lambda inst: inst.resolved is not None),
+    ],
+    ids=["theorem", "lca"],
+)
+def test_suites_make_no_kernel_call_when_no_instance_runs(monkeypatch, suite, cfg, ran):
+    # at m = 2 the theorem suite's isometry constants (level 3) are near 2
+    # and the continuous suite's (level 2) within 1e-5 of 1, so no
+    # instance's preconditions hold and none runs
+    calls = spy_streams(monkeypatch)
+    instances = suite(replace(cfg, m=2)).instances
+    assert [inst.index for inst in instances] == list(range(cfg.trials))
+    assert not any(inst.report.passed for inst in instances)
+    assert not any(ran(inst) for inst in instances)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -463,7 +488,9 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
     block.targets[..., 1] = peak
     block.ys[...] = block.targets
     block.ys[..., 0] = heights.T
-    errors, _, diverged = _run_block(block, np.full((2, 1, 1), lam), 1.0, 1, sigma)
+    errors, _, diverged = _run_block(
+        block, np.full((2, 1, 1), lam), 1.0, 1, sigma, _target_peaks(block, 2)
+    )
     ratios = errors[..., 0] / (peak + sigma)
     assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
     assert ratios[2, 1] > 100.0 and np.all(np.delete(ratios[:, 1], 2) < 100.0)

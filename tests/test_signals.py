@@ -16,7 +16,6 @@ from streamista.signals import (
     gen_support_schedule,
     load_target_csv,
     save_target_csv,
-    zero_hold,
 )
 
 
@@ -133,18 +132,6 @@ def test_static_target_when_mu_zero_and_no_pairs():
     cfg = GenConfig(n=8, s=2, n_pairs=0, n_samples=6, beta=1.0, mu=0.0, seed=1)
     target = assemble_target(cfg)
     assert np.all(target.samples == target.samples[0])
-
-
-def test_zero_hold_repeats_rows():
-    cfg = GenConfig(n=8, s=2, n_pairs=1, n_samples=4, beta=1.0, mu=0.2, seed=2)
-    target = assemble_target(cfg)
-    held = zero_hold(target, 3)
-    assert held.samples.shape == (12, 8)
-    assert np.array_equal(held.samples[0], held.samples[2])
-    assert np.array_equal(held.samples[::3], target.samples)
-    assert np.array_equal(held.support_schedule[::3], target.support_schedule)
-    with pytest.raises(ValueError):
-        zero_hold(target, 0)
 
 
 def test_estimate_mu_dl_hand_case():
