@@ -16,7 +16,13 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
 * ``run_theorem_suite`` on theorem.cfg, at the trial count of
   ``check-theorems``: a Python call that prints the ``repr`` of the
   suite's instances, every float at full precision, where
-  ``check-theorems`` rounds them.
+  ``check-theorems`` rounds them;
+* ``rip_exact_witness`` on the Gaussian matrices the suites use (18 x 20 at
+  level 3, 64 x 72 at level 2, 8 x 16 at level 4) and on two where few
+  supports can be skipped (a tall 1000 x 16 at level 13, the identity at
+  n = 20, level 10): a Python call that prints each constant, witness
+  support and coefficients at full precision, the matrices drawn from the
+  input seed.
 
 Trial counts and sweep values are the benchmark's quick sizes
 (``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
@@ -63,6 +69,25 @@ cfg = dataclasses.replace(cfg, trials=int(sys.argv[2]), seed=int(sys.argv[3]))
 print(repr(run_theorem_suite(cfg).instances))
 """
 
+# argv[1] is the matrices as JSON, argv[2] the seed of the Gaussian ones
+RIP_SCRIPT = """
+import json, sys
+from streamista.measurement import gen_gaussian_matrix, gen_identity, rip_exact_witness
+for kind, m, n, s in json.loads(sys.argv[1]):
+    phi = gen_identity(n) if kind == "identity" else gen_gaussian_matrix(m, n, int(sys.argv[2]))
+    est, support, coeffs = rip_exact_witness(phi, s)
+    print(kind, m, n, s, repr(est), support.tolist(), coeffs.tolist())
+"""
+
+# (kind, m, n, level) of every matrix of the rip case
+RIP_MATRICES = (
+    ("gaussian", 18, 20, 3),
+    ("gaussian", 64, 72, 2),
+    ("gaussian", 8, 16, 4),
+    ("gaussian", 1000, 16, 13),
+    ("identity", 20, 20, 10),
+)
+
 
 def cases(seed: int, size: dict) -> dict:
     """``{name: (config, config text additions, argv)}`` of every run at one input seed.
@@ -99,6 +124,7 @@ def cases(seed: int, size: dict) -> dict:
     runs["lca-suite"] = (None, "", ["-c", LCA_SCRIPT, json.dumps(lca)])
     runs["theorem-suite"] = ("theorem.cfg", "", [
         "-c", THEOREM_SCRIPT, "theorem.cfg", str(size["theorem_trials"]), str(seed)])
+    runs["rip"] = (None, "", ["-c", RIP_SCRIPT, json.dumps(RIP_MATRICES), str(seed)])
     return runs
 
 

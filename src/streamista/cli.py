@@ -9,6 +9,7 @@ run or sweep whose trials diverged numerically (no CSV is written then).
 import argparse
 from contextlib import contextmanager
 from dataclasses import replace
+import math
 import os
 import sys
 
@@ -173,6 +174,8 @@ def _cmd_sweep_lambda_s(args) -> int:
     svals = _parse_list(args.s_values, int) if args.s_values else None
     with _config_errors():
         lambda_s_cells(cfg, lams, svals)
+        if not math.isfinite(args.level):
+            raise ValueError(f"--level must be finite, got {args.level}")
     grid, fit = sweep_lambda_s(cfg, lams, svals, ratio_level=args.level)
     write_qratio_csv(os.path.join(out, "qratio.csv"), grid)
     with open(os.path.join(out, "qfit.csv"), "w") as fh:

@@ -403,7 +403,10 @@ def _run_block(
         errors, active = block.stream(lam, eta, p, u0, relax)[:2]
         scale = peaks + sigma
         bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
-    max_gamma = np.add.reduce(active, axis=2, dtype=np.int64).max(axis=0)
+    # a count never exceeds n, so the narrowest type holding n sums exactly
+    max_gamma = np.add.reduce(
+        active.view(np.uint8), axis=2, dtype=np.min_scalar_type(block.phi.shape[2])
+    ).max(axis=0)
     return errors, max_gamma, np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
@@ -657,8 +660,12 @@ def sweep_lambda_s(
 ):
     """Grid of active-set ratios over (lambda, s), plus the level-set fit.
 
-    Per-trial inputs are shared across the thresholds of each s.
+    Per-trial inputs are shared across the thresholds of each s.  A ratio
+    level that is not finite raises before any trial: no grid point is
+    nearest to it.
     """
+    if not math.isfinite(ratio_level):
+        raise ValueError(f"ratio level must be finite, got {ratio_level}")
     lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
     ratios = np.empty((len(lams), len(svals)))
     for j, s in enumerate(svals):
@@ -1035,12 +1042,15 @@ def run_lemma_suite(
             x = np.zeros((rows, n))
             y = np.empty((rows, m))
             for r in range(rows):
-                gamma1[r] = np.sort(rng.choice(n, size=set_q, replace=False))
-                gamma2[r] = np.sort(rng.choice(n, size=set_s, replace=False))
+                # a few indices sort faster as a list than as an array
+                first = sorted(rng.choice(n, size=set_q, replace=False).tolist())
+                second = sorted(rng.choice(n, size=set_s, replace=False).tolist())
+                gamma1[r] = first
+                gamma2[r] = second
                 # ascending, so each draw lands on the index it always has
-                union = sorted({*gamma1[r].tolist(), *gamma2[r].tolist()})
+                union = sorted({*first, *second})
                 x[r, union] = rng.standard_normal(len(union))
-                y[r] = rng.standard_normal(m)
+                rng.standard_normal(out=y[r])
             suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
             slack = np.stack([check.slack for check in suite.checks])
             rip_checks += slack.size

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from streamista.configio import parse_config
 from streamista.harness import ExperimentConfig, run_lca_suite, run_theorem_suite
+from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
@@ -42,4 +43,20 @@ def test_theorem_case_prints_the_suite_instances(tmp_path):
     expected = repr(run_theorem_suite(cfg).instances)
     assert found["exit"] == 0
     assert found["stdout"].decode() == expected + "\n"
+    assert found["files"] == {}
+
+
+def test_rip_case_prints_the_witnesses(tmp_path):
+    config, extra, argv = compare_outputs.cases(3, compare_outputs.SIZES["quick"])["rip"]
+    assert (config, json.loads(argv[-2]), argv[-1]) == (
+        None, [list(matrix) for matrix in compare_outputs.RIP_MATRICES], "3"
+    )
+    # one matrix, so the test stays quick; the script reads them from argv
+    found = compare_outputs.run_case(
+        ROOT, tmp_path / "work", config, extra, argv[:-2] + ['[["gaussian", 8, 16, 4]]', "3"]
+    )
+    est, support, coeffs = rip_exact_witness(gen_gaussian_matrix(8, 16, 3), 4)
+    expected = f"gaussian 8 16 4 {est!r} {support.tolist()} {coeffs.tolist()}\n"
+    assert found["exit"] == 0
+    assert found["stdout"].decode() == expected
     assert found["files"] == {}

@@ -225,6 +225,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("sweep-p", "beta = 1e300\n", ["--values", "1,2"]),
         ("sweep-lambda-s", "beta = 1e300\n", ["--lambda-values", "0.1", "--s-values", "2,4"]),
         ("sweep-p", "sweep_axis = P\nsweep_values = 1,2.5,5\n", []),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4", "--level", "nan"]),
+        ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4", "--level", "inf"]),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
@@ -233,7 +235,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
          "sweep_p_repeated", "sweep_p_repeated_apart", "sweep_mu_repeated",
          "lambda_repeated", "s_repeated", "beta_square_overflows",
          "sweep_p_beta_square_overflows", "lambda_s_beta_square_overflows",
-         "sweep_p_fractional_config"],
+         "sweep_p_fractional_config", "ratio_level_nan", "ratio_level_inf"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args

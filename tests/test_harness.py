@@ -669,6 +669,10 @@ def test_config_rejects_non_finite_values():
         ExperimentConfig(sweep_lambda_values=(0.1, float("nan")))
     with pytest.raises(ValueError, match="finite"):
         fit_steady_state([1, 2, 3], [0.5, 0.4, 0.3], mu=float("nan"), dl=1.0)
+    for bad in (float("nan"), float("inf")):
+        # no grid point is nearest to the level, so no trial runs
+        with pytest.raises(ValueError, match="finite"):
+            sweep_lambda_s(SMALL, (0.1,), (2,), ratio_level=bad)
 
 
 # master seeds at every run-entropy layout: one word, two words, and three

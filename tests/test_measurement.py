@@ -139,6 +139,104 @@ def test_rip_witness_achieves_the_constant(m, n, s, seed):
     assert abs(quad - 1.0) == pytest.approx(est.delta, abs=1e-10)
 
 
+def exhaustive_witness(phi, s):
+    """Every support eigen-solved, batch by batch, keeping the first maximum."""
+    gram = phi.entries.T @ phi.entries
+    best_dev, best_support = -np.inf, None
+    for supports in measurement._support_batches(phi.cols, s):
+        bmin, bmax = measurement._batch_extremes(gram, supports)
+        dev = np.maximum(1.0 - bmin, bmax - 1.0)
+        i = int(np.argmax(dev))
+        if dev[i] > best_dev:
+            best_dev, best_support = float(dev[i]), supports[i].copy()
+    evals, evecs = np.linalg.eigh(gram[np.ix_(best_support, best_support)])
+    coeffs = evecs[:, 0] if 1.0 - evals[0] >= evals[-1] - 1.0 else evecs[:, -1]
+    return best_dev, best_support, coeffs
+
+
+def assert_witness_is_exhaustive(phi, s):
+    est, support, coeffs = rip_exact_witness(phi, s)
+    delta, ref_support, ref_coeffs = exhaustive_witness(phi, s)
+    assert est.delta == delta
+    assert np.array_equal(support, ref_support)
+    assert np.array_equal(coeffs, ref_coeffs)
+
+
+def small_levels(n):
+    return [s for s in range(1, n + 1) if math.comb(n, s) <= 2000]
+
+
+def unit_columns(entries):
+    entries = np.asarray(entries, dtype=np.float64)
+    entries = entries / np.linalg.norm(entries, axis=0)
+    return MeasurementMatrix(*entries.shape, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    # past 18 columns level 3 bounds its supports by gathering, not a product
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+    tie=st.sampled_from(["none", "duplicate", "flip"]),
+)
+@example(m=12, n=20, seed=0, tie="none")
+def test_pruned_witness_matches_exhaustive_search(m, n, seed, tie):
+    entries = gen_gaussian_matrix(m, n, seed).entries.copy()
+    if tie != "none" and n >= 2:
+        # tied supports: a column repeated, or repeated with its sign flipped
+        entries[:, -1] = entries[:, 0] * (1.0 if tie == "duplicate" else -1.0)
+    phi = MeasurementMatrix(m, n, entries)
+    for s in small_levels(n):
+        assert_witness_is_exhaustive(phi, s)
+
+
+def tie_families():
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal((6, 5))
+    orthogonal = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    eye = np.eye(5)
+    return {
+        "identity": gen_identity(12),
+        "orthogonal": unit_columns(orthogonal),
+        "duplicated": unit_columns(np.hstack([half, half])),
+        "sign_flipped": unit_columns(np.hstack([half, -half])),
+        "signed_identity": unit_columns(np.hstack([eye, -eye])),
+        "tall": gen_gaussian_matrix(1000, 16, 3),
+        "wide": gen_gaussian_matrix(18, 20, 8),
+    }
+
+
+@pytest.mark.parametrize("name", list(tie_families()))
+def test_pruned_witness_matches_exhaustive_search_on_ties(name):
+    phi = tie_families()[name]
+    for s in small_levels(phi.cols):
+        assert_witness_is_exhaustive(phi, s)
+
+
+def test_pruned_witness_skips_a_batch_that_cannot_win(monkeypatch):
+    # columns 0 and 1 nearly parallel, the rest orthonormal: every support
+    # of the second batch of comb(17, 6) starts at column 2 and is exact
+    entries = np.eye(17)
+    entries[:, 1] = entries[:, 0] + 0.1 * entries[:, 1]
+    phi = unit_columns(entries)
+    assert math.comb(17, 6) > measurement._BATCH
+    solved = []
+    batch_extremes = measurement._batch_extremes
+
+    def counting(gram, supports):
+        solved.append(len(supports))
+        return batch_extremes(gram, supports)
+
+    monkeypatch.setattr(measurement, "_batch_extremes", counting)
+    rip_exact_witness(phi, 6)
+    # the lead supports and the kept ones of the first batch, none of the second
+    assert len(solved) == 2
+    assert sum(solved) < measurement._BATCH
+    monkeypatch.undo()
+    assert_witness_is_exhaustive(phi, 6)
+
+
 def test_measure_is_exact_linear_map():
     phi = gen_identity(3)
     y = measure(phi, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.5]))
