@@ -217,14 +217,14 @@ def _cmd_check_theorems(args) -> int:
         if inst.report.passed:
             status = "dominated" if inst.dominated else "VIOLATED"
             print(
-                f"instance {inst.index:3d}: delta={inst.delta:.4f} ({inst.rip_method}) "
+                f"instance {inst.index:3d}: delta={inst.delta:.4f} (exact) "
                 f"lambda={inst.lam:.4g} max_violation={inst.max_violation:.3e} "
                 f"max_active={inst.max_gamma_size} -> {status}"
             )
         else:
             failed = [c.name for c in inst.report.checks if not c.passed]
             print(
-                f"instance {inst.index:3d}: delta={inst.delta:.4f} ({inst.rip_method}) "
+                f"instance {inst.index:3d}: delta={inst.delta:.4f} (exact) "
                 f"preconditions failed: {', '.join(failed)}"
             )
     print(

@@ -454,11 +454,6 @@ def _trial_results(cells, trials, keys=None) -> list:
     return rows
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
-    """One seeded trial: fresh matrix, target, and noise; zero initial state."""
-    return _trial_results([cfg], [trial])[0][0]
-
-
 def _check_divergence(cfg: ExperimentConfig, results) -> None:
     steps = [r.diverged_step for r in results if r.diverged_step is not None]
     if steps:
@@ -700,7 +695,6 @@ class TheoremInstance:
 
     index: int
     delta: float
-    rip_method: str
     lam: float
     sigma: float
     report: PreconditionReport
@@ -870,7 +864,7 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
                 max_violation = float(np.max(errors - bounds))
                 support_ok = max_gamma <= cfg.q
         instances.append(TheoremInstance(
-            t, est.delta, est.method, lam, sigma, report, max_violation, support_ok,
+            t, est.delta, lam, sigma, report, max_violation, support_ok,
             max_gamma, diverged,
         ))
     return TheoremSuiteResult(tuple(instances))

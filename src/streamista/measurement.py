@@ -7,7 +7,7 @@ The restricted isometry constant at sparsity level s is
 
 where G_T is the s x s Gram block of the matrix restricted to columns T.
 ``rip_exact`` enumerates every support, and eigen-solves only those whose
-Gershgorin bound can reach the maximum; ``rip_monte_carlo`` samples them.
+Gershgorin bound can reach the maximum.
 
 Random matrices and noise vectors are drawn many to a block from Philox
 keys (:mod:`.rng`): :func:`gaussian_matrices` and :func:`noise_rows`.
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .rng import check_seed, make_rng, philox_keys, standard_normals
+from .rng import check_seed, philox_keys, standard_normals
 
 DEFAULT_SUPPORT_BUDGET = 10**6
 
@@ -44,9 +44,11 @@ _ROUNDING = 1e-9
 
 NOISE_MODES = ("gaussian_scaled", "capped")
 
+_TINY = np.finfo(np.float64).tiny
+
 
 class SupportBudgetError(ValueError):
-    """Exact enumeration would exceed the caller's support budget."""
+    """Exact enumeration would exceed ``DEFAULT_SUPPORT_BUDGET`` supports."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,10 @@ class MeasurementMatrix:
 
 @dataclass(frozen=True)
 class RipEstimate:
-    """Restricted isometry constant estimate at one sparsity level."""
+    """Exact restricted isometry constant at one sparsity level."""
 
     sparsity_level: int
     delta: float
-    method: str  # "exact" | "monte_carlo"
-    samples: int = 0  # supports inspected (monte_carlo only)
 
 
 def gen_gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
@@ -159,7 +159,10 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     drawn, scaled and capped with the bits of its one-row call: the scaling
     and the cap are elementwise, and a row's norm is a stacked
     ``(1 x m)(m x 1)`` product, which is the dot product ``np.linalg.norm``
-    takes.
+    takes.  Where that product overflows or leaves the normal range, the
+    capped row is rescaled from the norm of its unscaled draw, so every
+    capped row's norm stays within rounding of the smaller of its drawn
+    norm and the cap.
     """
     if m < 1:
         raise ValueError(f"noise length must be positive, got {m}")
@@ -178,9 +181,20 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     eps *= sigma[:, None]
     if mode == "capped":
         cap = sigma / np.sqrt(1.0 + delta)
-        nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
-        over = nrm > cap
+        with np.errstate(over="ignore"):
+            nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
+        # the squares of a row overflow from a level of about 1e154 on, and
+        # below about 1e-154 they fall under the normal range and lose bits
+        lost = (sigma > 0) & ~((nrm >= math.sqrt(m * _TINY)) & np.isfinite(nrm))
+        over = (nrm > cap) & ~lost
         eps[over] *= (cap[over] / nrm[over])[:, None]
+        if lost.any():
+            # such a row is rescaled from the norm of its unscaled draw
+            raw = standard_normals(keys[lost], np.empty((lost.sum(), m)))
+            raw_nrm = np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0, 0]
+            scale = sigma[lost]
+            scale = np.where(scale * raw_nrm > cap[lost], cap[lost] / raw_nrm, scale)
+            eps[lost] = raw * scale[:, None]
     return eps
 
 
@@ -250,14 +264,12 @@ def _below(bound, dev: float):
     return bound < dev - _ROUNDING * (1.0 + abs(dev))
 
 
-def rip_exact(
-    phi: MeasurementMatrix, s: int, budget: int = DEFAULT_SUPPORT_BUDGET
-) -> RipEstimate:
+def rip_exact(phi: MeasurementMatrix, s: int) -> RipEstimate:
     """Exact isometry constant over all supports of size ``s``.
 
     Refuses with :class:`SupportBudgetError` when ``comb(n, s)`` exceeds
-    ``budget``; use :func:`rip_monte_carlo` for such sizes.  The budget
-    counts every support of the level, solved or not.
+    ``DEFAULT_SUPPORT_BUDGET``, read at call time.  The budget counts every
+    support of the level, solved or not.
 
     Supports run in lexicographic batches.  Each support's Gershgorin bound
     caps its deviation.  A batch first solves the few supports with the
@@ -270,12 +282,10 @@ def rip_exact(
     lexicographic order.  So the constant and the first support that
     reaches it are those of solving every support.
     """
-    return rip_exact_witness(phi, s, budget)[0]
+    return rip_exact_witness(phi, s)[0]
 
 
-def rip_exact_witness(
-    phi: MeasurementMatrix, s: int, budget: int = DEFAULT_SUPPORT_BUDGET
-):
+def rip_exact_witness(phi: MeasurementMatrix, s: int):
     """Exact constant plus a support and unit vector achieving it.
 
     Returns ``(estimate, support, coeffs)`` where ``coeffs`` are the
@@ -284,10 +294,9 @@ def rip_exact_witness(
     if not 1 <= s <= phi.cols:
         raise ValueError(f"sparsity level must lie in [1, {phi.cols}], got {s}")
     total = math.comb(phi.cols, s)
-    if total > budget:
+    if total > DEFAULT_SUPPORT_BUDGET:
         raise SupportBudgetError(
-            f"enumerating {total} supports exceeds budget {budget}; "
-            "use rip_monte_carlo instead"
+            f"enumerating {total} supports exceeds the budget {DEFAULT_SUPPORT_BUDGET}"
         )
     gram = phi.entries.T @ phi.entries
     radius = np.abs(gram)
@@ -312,51 +321,4 @@ def rip_exact_witness(
         coeffs = evecs[:, 0]
     else:
         coeffs = evecs[:, -1]
-    return RipEstimate(s, best_dev, "exact"), best_support, coeffs
-
-
-def rip_monte_carlo(phi: MeasurementMatrix, s: int, trials: int, seed: int) -> RipEstimate:
-    """Lower estimate of the isometry constant from sampled supports.
-
-    Always at or below the exact value.
-    """
-    if not 1 <= s <= phi.cols:
-        raise ValueError(f"sparsity level must lie in [1, {phi.cols}], got {s}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    gram = phi.entries.T @ phi.entries
-    rng = make_rng(seed)
-    lo, hi = np.inf, -np.inf
-    done = 0
-    while done < trials:
-        batch = min(_BATCH, trials - done)
-        supports = np.argsort(rng.random((batch, phi.cols)), axis=1)[:, :s]
-        bmin, bmax = _batch_extremes(gram, supports)
-        lo = min(lo, float(bmin.min()))
-        hi = max(hi, float(bmax.max()))
-        done += batch
-    return RipEstimate(s, max(1.0 - lo, hi - 1.0), "monte_carlo", trials)
-
-
-def save_matrix_csv(phi: MeasurementMatrix, path) -> None:
-    """Write ``m,n,seed`` header then one CSV row per matrix row."""
-    with open(path, "w") as fh:
-        fh.write(f"{phi.rows},{phi.cols},{phi.seed}\n")
-        for row in phi.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> MeasurementMatrix:
-    """Inverse of :func:`save_matrix_csv`; round-trips entries exactly."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ValueError(f"malformed matrix header in {path}")
-        m, n, seed = int(header[0]), int(header[1]), int(header[2])
-        entries = np.empty((m, n))
-        for i in range(m):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"expected {m} data rows in {path}, found {i}")
-            entries[i] = [float(v) for v in line.strip().split(",")]
-    return MeasurementMatrix(m, n, entries, seed)
+    return RipEstimate(s, best_dev), best_support, coeffs

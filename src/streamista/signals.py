@@ -13,9 +13,8 @@ a sinusoidal envelope, which makes the support change over time.
 Targets are built many to a block from Philox keys (:mod:`.rng`), two per
 target: :func:`target_keys` gives them for target seeds, and
 :func:`assemble_targets` builds the samples and support rows of every key
-pair at once.  :func:`assemble_target`, :func:`gen_amplitudes` and
-:func:`gen_support_schedule` are its cases for one seed, and each target of
-a block has their bits:
+pair at once.  :func:`assemble_target` is its case for one seed, and each
+target of a block has its bits:
 
 * an amplitude stream is one ``(n_samples, s)`` draw, which equals the
   draws of ``s`` one sample at a time; the first row's norm is a stacked
@@ -34,7 +33,7 @@ import numpy as np
 
 from .rng import check_seed, keyed_generators, philox_keys, standard_normals
 
-# substream tags so standalone calls match assemble_target exactly
+# substream tags of a target's amplitude and support draws
 _AMPLITUDE_STREAM = 0
 _SUPPORT_STREAM = 1
 
@@ -69,25 +68,17 @@ class GenConfig:
 
 
 def _check_energy(beta: float, mu: float) -> None:
-    """Raise ValueError unless 0 <= mu < beta and beta**2 is a finite float.
+    """Raise ValueError unless 0 <= mu < beta and beta**2 is finite and positive.
 
-    The amplitude recursion takes ``beta**2``, which overflows from about
-    1.3e154 on.
+    The amplitude recursion divides by ``beta**2``, which overflows from
+    about 1.3e154 on and underflows to 0 below about 1.6e-162.
     """
-    if not (beta > 0 and math.isfinite(beta * beta)):
-        raise ValueError(f"beta must be positive with a finite square beta**2, got {beta}")
+    if not (beta > 0 and 0 < beta * beta < math.inf):
+        raise ValueError(
+            f"beta must be positive with a finite, nonzero square beta**2, got {beta}"
+        )
     if not 0 <= mu < beta:
         raise ValueError(f"mu must lie in [0, beta), got mu={mu}, beta={beta}")
-
-
-@dataclass(frozen=True)
-class SupportPlan:
-    """Index assignment for the amplitude sequences of one target."""
-
-    fixed_indices: np.ndarray  # (s - n_pairs,)
-    pair_indices: np.ndarray  # (n_pairs, 2)
-    phases: np.ndarray  # (n_pairs,) uniform on [0, period)
-    period: float  # envelope period, equal to n_samples
 
 
 @dataclass(frozen=True)
@@ -112,16 +103,6 @@ def target_keys(seeds) -> np.ndarray:
     )
 
 
-def gen_amplitudes(s: int, n_samples: int, beta: float, mu: float, seed: int) -> np.ndarray:
-    """Amplitude sequences, shape (n_samples, s); row 0 has norm beta exactly.
-
-    ``seed`` lies in [0, 2**64); this is the one-seed case of
-    :func:`_amplitude_rows`.
-    """
-    check_seed(seed)
-    return _amplitude_rows(s, n_samples, beta, mu, philox_keys([seed], _AMPLITUDE_STREAM))[:, 0]
-
-
 def _amplitude_rows(s: int, n_samples: int, beta: float, mu: float, keys) -> np.ndarray:
     """Amplitude sequences of every amplitude-stream key, step-major: ``(n_samples, rows, s)``."""
     if s < 1:
@@ -140,17 +121,6 @@ def _amplitude_rows(s: int, n_samples: int, beta: float, mu: float, keys) -> np.
         np.multiply(keep, prev, out=row)
         row += step
     return alpha
-
-
-def gen_support_schedule(config: GenConfig) -> SupportPlan:
-    """Draw index assignments: fixed indices first, then index pairs with phases.
-
-    ``config.seed`` lies in [0, 2**64); this is the one-seed case of
-    :func:`_support_plans`.
-    """
-    check_seed(config.seed)
-    fixed, pairs, phases = _support_plans(config, philox_keys([config.seed], _SUPPORT_STREAM))
-    return SupportPlan(fixed[0], pairs[0], phases[0], float(config.n_samples))
 
 
 def _support_plans(config: GenConfig, keys):
@@ -224,20 +194,3 @@ def estimate_mu_dl(target: DynamicTarget) -> float:
 def estimate_beta(target: DynamicTarget) -> float:
     """Tightest bound on sample energy: max ||x[l]||."""
     return float(np.max(np.linalg.norm(target.samples, axis=1)))
-
-
-def save_target_csv(target: DynamicTarget, samples_path, schedule_path) -> None:
-    """Write samples (one row per time step) and the support index lists."""
-    with open(samples_path, "w") as fh:
-        for row in target.samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(schedule_path, "w") as fh:
-        for row in target.support_schedule:
-            fh.write(",".join(str(int(i)) for i in row) + "\n")
-
-
-def load_target_csv(samples_path, schedule_path, beta: float, mu: float) -> DynamicTarget:
-    """Rebuild a target from the two CSV files written by :func:`save_target_csv`."""
-    samples = np.loadtxt(samples_path, delimiter=",", ndmin=2)
-    schedule = np.loadtxt(schedule_path, delimiter=",", dtype=np.intp, ndmin=2)
-    return DynamicTarget(samples, schedule, schedule.shape[1], beta, mu)

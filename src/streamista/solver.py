@@ -88,30 +88,6 @@ class SolverTrace:
     initial_gamma_size: int
     final_state: SolverState
 
-    def premeasurement_errors(self) -> np.ndarray:
-        """Errors at i = P-1: ||a[kP] - target[kP-1]|| for k = 1..n_measurements."""
-        return self.errors[self.P - 1 :: self.P]
-
-    def max_gamma_size(self) -> int:
-        """Largest active set over the run, initial state included."""
-        return max(int(self.gamma_sizes.max()), self.initial_gamma_size)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("l,k,i,error,gamma_size,switch\n")
-            for row in zip(self.l, self.k, self.i, self.errors, self.gamma_sizes, self.switches):
-                fh.write(
-                    f"{row[0]},{row[1]},{row[2]},{repr(float(row[3]))},{row[4]},{int(row[5])}\n"
-                )
-
-
-def soft_threshold(u: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise shrinkage: 0 where |u| <= lam, else u - lam*sign(u)."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    u = np.asarray(u, dtype=np.float64)
-    return np.where(np.abs(u) <= lam, 0.0, u - lam * np.sign(u))
-
 
 def active_set(u: np.ndarray, lam: float) -> np.ndarray:
     """Indices with |u| strictly above the threshold (boundary is inactive)."""
@@ -148,29 +124,6 @@ def top_q_indices(u: np.ndarray, q: int) -> np.ndarray:
         raise ValueError(f"q must lie in [1, {n}], got {q}")
     order = np.argsort(-np.abs(u), axis=-1, kind="stable")
     return np.sort(order[..., :q], axis=-1)
-
-
-def init_state(init_u: np.ndarray, lam: float) -> SolverState:
-    """State at l = 0 for a given internal vector."""
-    u = np.asarray(init_u, dtype=np.float64).copy()
-    if not np.all(np.isfinite(u)):
-        raise ValueError("init_u must be finite")
-    return SolverState(u, soft_threshold(u, lam), 0, active_set(u, lam))
-
-
-def ista_iterate(
-    state: SolverState, y: np.ndarray, phi: MeasurementMatrix, config: SolverConfig
-) -> SolverState:
-    """One update against measurement y; returns the successor state."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (phi.rows,):
-        raise ValueError(f"measurement shape {y.shape} does not match ({phi.rows},)")
-    if state.a.shape != (phi.cols,):
-        raise ValueError(f"state dimension {state.a.shape} does not match ({phi.cols},)")
-    adjoint = np.ascontiguousarray(phi.entries.T)
-    r = y - phi.entries @ state.a
-    u = state.a + config.eta * (adjoint @ r)
-    return SolverState(u, soft_threshold(u, config.lam), state.l + 1, active_set(u, config.lam))
 
 
 def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, init_u):

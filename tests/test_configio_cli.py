@@ -222,6 +222,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2,0.1", "--s-values", "2,4"]),
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4,2,4"]),
         ("run", "beta = 1e300\n", []),
+        ("run", "beta = 1e-300\nmu = 0\n", []),
         ("sweep-p", "beta = 1e300\n", ["--values", "1,2"]),
         ("sweep-lambda-s", "beta = 1e300\n", ["--lambda-values", "0.1", "--s-values", "2,4"]),
         ("sweep-p", "sweep_axis = P\nsweep_values = 1,2.5,5\n", []),
@@ -233,7 +234,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
          "fit_mu_negative", "lambda_nan", "eta_nan", "noise_level_nan", "lambda_inf",
          "lambda_values_nan", "fit_mu_nan", "theorem_level_over_budget",
          "sweep_p_repeated", "sweep_p_repeated_apart", "sweep_mu_repeated",
-         "lambda_repeated", "s_repeated", "beta_square_overflows",
+         "lambda_repeated", "s_repeated", "beta_square_overflows", "beta_square_underflows",
          "sweep_p_beta_square_overflows", "lambda_s_beta_square_overflows",
          "sweep_p_fractional_config", "ratio_level_nan", "ratio_level_inf"],
 )
@@ -243,7 +244,6 @@ def test_cli_invalid_config_exits_one_before_trials(
     def no_trials(cfg, trial):
         raise AssertionError("a trial ran for an invalid config")
 
-    monkeypatch.setattr("streamista.harness.run_trial", no_trials)
     monkeypatch.setattr("streamista.harness._trial_results", no_trials)
     monkeypatch.setattr("streamista.harness._trial_problem", no_trials)
     path = tmp_path / "bad.cfg"
@@ -266,8 +266,9 @@ def test_cli_invalid_config_exits_one_before_trials(
         ("desk.cfg", "eta = 0.6\n", ["--trials", "5"], "5 of 5"),
         ("desk.cfg", "eta = 1.5\n", [], "50 of 50"),
         ("theorem.cfg", "", ["--trials", "20"], "10 of 20"),
+        ("desk.cfg", "noise_mode = capped\nnoise_level = 1e300\n", ["--trials", "3"], "3 of 3"),
     ],
-    ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg"],
+    ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg", "desk_capped_noise_1e300"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):

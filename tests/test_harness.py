@@ -29,7 +29,6 @@ from streamista.harness import (
     run_lca_suite,
     run_lemma_suite,
     run_theorem_suite,
-    run_trial,
     run_trials,
     sweep,
     sweep_cells,
@@ -123,8 +122,8 @@ def test_run_trials_thread_count_does_not_change_results(monkeypatch):
 
 
 def test_run_trial_is_deterministic():
-    a = run_trial(SMALL, 2)
-    b = run_trial(SMALL, 2)
+    [[a]] = _trial_results([SMALL], [2])
+    [[b]] = _trial_results([SMALL], [2])
     assert np.array_equal(a.errors, b.errors)
     assert a.sigma == b.sigma
     assert a.max_gamma_size == b.max_gamma_size

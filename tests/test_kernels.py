@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,14 +10,9 @@ from hypothesis import given, settings
 from streamista.kernels import Block, _shrink, stream
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
-from streamista.solver import (
-    SolverConfig,
-    active_set,
-    init_state,
-    ista_iterate,
-    run_streaming,
-    soft_threshold,
-)
+from streamista.solver import SolverConfig, active_set, run_streaming
+
+from reference import init_state, ista_iterate, soft_threshold
 
 
 def make_problem(seed=0):
@@ -173,6 +171,21 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
 def test_stream_signature_names_traced_arguments():
     # perfbench/tracer.py binds these names to count a call's steps and flops
     assert {"phi", "ys", "p", "u0"} <= set(inspect.signature(stream).parameters)
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/tracer.py looks up each traced function with getattr, and
+    # perfbench/run.py records kernels.active_backend, so deleting one of them
+    # breaks only a benchmark run unless this test names it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = list(tracer.LAYER_FUNCTIONS)
+    names += [("harness", fn) for fn in tracer.CSV_WRITERS]
+    names.append(("kernels", "active_backend"))
+    for module, function in names:
+        assert callable(getattr(importlib.import_module(f"streamista.{module}"), function))
 
 
 @settings(deadline=None, max_examples=200)

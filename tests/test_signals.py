@@ -9,14 +9,24 @@ from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import (
     DynamicTarget,
     GenConfig,
+    _amplitude_rows,
+    _support_plans,
     assemble_target,
     estimate_beta,
     estimate_mu_dl,
-    gen_amplitudes,
-    gen_support_schedule,
-    load_target_csv,
-    save_target_csv,
+    target_keys,
 )
+
+
+def amplitudes(s, n_samples, beta, mu, seed):
+    """The amplitude sequences ``(n_samples, s)`` of the target of ``seed``."""
+    return _amplitude_rows(s, n_samples, beta, mu, target_keys([seed])[:, 0])[:, 0]
+
+
+def support_plan(config):
+    """Fixed indices, index pairs and phases of the target of ``config.seed``."""
+    fixed, pairs, phases = _support_plans(config, target_keys([config.seed])[:, 1])
+    return fixed[0], pairs[0], phases[0]
 
 
 @settings(deadline=None, max_examples=30)
@@ -26,18 +36,18 @@ from streamista.signals import (
     st.integers(min_value=0, max_value=100),
 )
 def test_first_amplitude_row_has_energy_beta(s, beta, seed):
-    alpha = gen_amplitudes(s, 3, beta, 0.0, seed)
+    alpha = amplitudes(s, 3, beta, 0.0, seed)
     assert np.linalg.norm(alpha[0]) == pytest.approx(beta, rel=1e-12)
 
 
 def test_amplitude_energy_is_stationary():
     # the recursion keeps E||alpha[l]||^2 pinned at beta^2 for every l
-    vals = [np.sum(gen_amplitudes(6, 6, 2.0, 1.0, seed)[5] ** 2) for seed in range(2000)]
+    vals = [np.sum(amplitudes(6, 6, 2.0, 1.0, seed)[5] ** 2) for seed in range(2000)]
     assert np.mean(vals) == pytest.approx(4.0, rel=0.08)
 
 
 def test_amplitudes_frozen_regression():
-    alpha = gen_amplitudes(2, 3, 1.0, 0.5, 7)
+    alpha = amplitudes(2, 3, 1.0, 0.5, 7)
     expected = np.array(
         [
             [0.20844429967554995, 0.9780342396525642],
@@ -50,13 +60,13 @@ def test_amplitudes_frozen_regression():
 
 def test_gen_amplitudes_validation():
     with pytest.raises(ValueError):
-        gen_amplitudes(0, 3, 1.0, 0.0, 0)
+        amplitudes(0, 3, 1.0, 0.0, 0)
     with pytest.raises(ValueError):
-        gen_amplitudes(2, 0, 1.0, 0.0, 0)
+        amplitudes(2, 0, 1.0, 0.0, 0)
     with pytest.raises(ValueError):
-        gen_amplitudes(2, 3, 0.0, 0.0, 0)
+        amplitudes(2, 3, 0.0, 0.0, 0)
     with pytest.raises(ValueError, match="mu"):
-        gen_amplitudes(2, 3, 1.0, 1.0, 0)
+        amplitudes(2, 3, 1.0, 1.0, 0)
 
 
 def test_gen_config_validation():
@@ -74,13 +84,22 @@ def test_beta_whose_square_overflows_is_rejected(beta):
     with pytest.raises(ValueError, match="beta"):
         GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta)
     with pytest.raises(ValueError, match="beta"):
-        gen_amplitudes(2, 3, beta, 0.0, 0)
+        amplitudes(2, 3, beta, 0.0, 0)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1.5e-162, 5e-324])
+def test_beta_whose_square_underflows_is_rejected(beta):
+    # the amplitude recursion divides by beta**2, which is 0 there
+    with pytest.raises(ValueError, match="beta"):
+        GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta)
+    with pytest.raises(ValueError, match="beta"):
+        amplitudes(2, 3, beta, 0.0, 0)
 
 
 def test_largest_valid_beta_keeps_its_energy():
     beta = 1.3e154
     GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta, mu=0.5 * beta)
-    alpha = gen_amplitudes(2, 3, beta, 0.5 * beta, 7)
+    alpha = amplitudes(2, 3, beta, 0.5 * beta, 7)
     assert np.all(np.isfinite(alpha))
     assert math.hypot(*alpha[0]) == pytest.approx(beta, rel=1e-12)
 
@@ -103,21 +122,21 @@ def test_schedule_matches_nonzero_indices():
 def test_fixed_indices_stay_active():
     cfg = GenConfig(n=10, s=3, n_pairs=1, n_samples=15, beta=1.0, mu=0.2, seed=9)
     target = assemble_target(cfg)
-    plan = gen_support_schedule(cfg)
+    fixed, _, _ = support_plan(cfg)
     for row in target.support_schedule:
-        assert np.all(np.isin(plan.fixed_indices, row))
+        assert np.all(np.isin(fixed, row))
 
 
 def test_pair_routing_follows_envelope_sign():
     cfg = GenConfig(n=10, s=3, n_pairs=2, n_samples=12, beta=1.0, mu=0.3, seed=3)
     target = assemble_target(cfg)
-    plan = gen_support_schedule(cfg)
-    alpha = gen_amplitudes(cfg.s, cfg.n_samples, cfg.beta, cfg.mu, cfg.seed)
+    _, pairs, phases = support_plan(cfg)
+    alpha = amplitudes(cfg.s, cfg.n_samples, cfg.beta, cfg.mu, cfg.seed)
     n_fixed = cfg.s - cfg.n_pairs
     l = np.arange(cfg.n_samples)
     for j in range(cfg.n_pairs):
-        env = np.sin(2.0 * np.pi * (l + plan.phases[j]) / plan.period)
-        first, second = plan.pair_indices[j]
+        env = np.sin(2.0 * np.pi * (l + phases[j]) / cfg.n_samples)
+        first, second = pairs[j]
         for t in range(cfg.n_samples):
             expected = env[t] * alpha[t, n_fixed + j]
             if env[t] > 0:
@@ -158,24 +177,12 @@ def test_estimate_beta_is_max_row_norm():
     assert estimate_beta(target) == 5.0
 
 
-def test_target_csv_round_trip(tmp_path):
-    cfg = GenConfig(n=9, s=3, n_pairs=1, n_samples=7, beta=1.5, mu=0.4, seed=8)
-    target = assemble_target(cfg)
-    sp, cp = tmp_path / "samples.csv", tmp_path / "schedule.csv"
-    save_target_csv(target, sp, cp)
-    back = load_target_csv(sp, cp, beta=1.5, mu=0.4)
-    assert np.array_equal(back.samples, target.samples)
-    assert np.array_equal(back.support_schedule, target.support_schedule)
-    assert back.s == 3 and back.beta == 1.5 and back.mu == 0.4
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_one_seed_builds_reject_seeds_outside_uint64(seed):
     cfg = GenConfig(n=6, s=2, n_pairs=1, n_samples=3, seed=seed)
     builds = (
         assemble_target,
-        gen_support_schedule,
-        lambda c: gen_amplitudes(c.s, c.n_samples, c.beta, c.mu, c.seed),
+        lambda c: target_keys([c.seed]),
         lambda c: gen_gaussian_matrix(3, c.n, c.seed),
     )
     for build in builds:
