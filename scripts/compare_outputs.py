@@ -9,7 +9,11 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   the last on the criterion-8 grid config (desk.cfg at 10 measurements and
   P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
 * two runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, and
-  ``run`` on theorem.cfg;
+  ``run`` on theorem.cfg; and desk.cfg at capped noise 1e307, where the
+  errors overflow;
+* four config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
+  a repeated P, ``check-theorems`` over its support budget, a NaN ratio
+  level, and a ``beta`` whose square is subnormal;
 * ``run_lca_suite`` on the criterion-7 config (20 instances at either
   size), which has no subcommand: a Python call that prints the ``repr``
   of the suite's instances;
@@ -50,6 +54,12 @@ from perfbench.workloads import (  # noqa: E402
 
 SWEEP_MU = (0.2, 0.4, 0.8)
 CRITERION_7_TRIALS = 20
+
+# the cases that exit 1 with a config error
+CONFIG_ERROR_CASES = (
+    "sweep-p-repeated", "check-theorems-over-budget", "sweep-lambda-s-level-nan",
+    "run-beta-square-subnormal",
+)
 
 # argv[1] is the config's fields as JSON
 LCA_SCRIPT = """
@@ -97,6 +107,10 @@ def cases(seed: int, size: dict) -> dict:
     """
     common = ["--seed", str(seed)]
     grid = f"\nn_samples = {GRID_SAMPLES}\np = 5\n"
+    grid_argv = [
+        "sweep-lambda-s", "--trials", str(size["grid_trials"]),
+        "--lambda-values", ",".join(map(repr, size["grid_lambdas"])),
+        "--s-values", ",".join(map(str, GRID_S))]
     lca = dict(LCA_CONFIG, trials=CRITERION_7_TRIALS, seed=seed)
     cli = {
         "run": ("desk.cfg", "", ["run", "--trials", str(size["desk_trials"])]),
@@ -106,15 +120,19 @@ def cases(seed: int, size: dict) -> dict:
         "sweep-mu": ("desk.cfg", "", [
             "sweep-mu", "--trials", str(size["sweep_p_trials"]),
             "--values", ",".join(map(str, SWEEP_MU))]),
-        "sweep-lambda-s": ("desk.cfg", grid, [
-            "sweep-lambda-s", "--trials", str(size["grid_trials"]),
-            "--lambda-values", ",".join(map(repr, size["grid_lambdas"])),
-            "--s-values", ",".join(map(str, GRID_S)), "--level", "4"]),
+        "sweep-lambda-s": ("desk.cfg", grid, grid_argv + ["--level", "4"]),
         "check-theorems": ("theorem.cfg", "", [
             "check-theorems", "--trials", str(size["theorem_trials"])]),
         "lemma-suite": ("desk.cfg", "", ["lemma-suite"]),
         "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
+        "run-capped-noise-1e307": (
+            "desk.cfg", "\nnoise_mode = capped\nnoise_level = 1e307\n", ["run", "--trials", "3"]),
+        "sweep-p-repeated": ("desk.cfg", "", ["sweep-p", "--values", "1,1"]),
+        "check-theorems-over-budget": ("theorem.cfg", "\nn = 40\nq = 8\n", ["check-theorems"]),
+        "sweep-lambda-s-level-nan": ("desk.cfg", grid, grid_argv + ["--level", "nan"]),
+        "run-beta-square-subnormal": (
+            "desk.cfg", "\nbeta = 1e-160\nmu = 5e-161\n", ["run", "--trials", "3"]),
     }
     runs = {
         name: (config, extra, ["-m", "streamista.cli", *argv, *common,

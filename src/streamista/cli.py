@@ -4,30 +4,28 @@ Subcommands: run, sweep-p, sweep-mu, sweep-lambda-s, fit-steady,
 check-theorems, lemma-suite.  Exit codes: 0 success, 1 configuration error
 (bad flags, unreadable or invalid config), 2 runtime failure, including a
 run or sweep whose trials diverged numerically (no CSV is written then).
+
+Each value comes from its flag, then the config file, then a built-in
+default; the harness raises ConfigError, exit 1, for any config it rejects.
 """
 
 import argparse
-from contextlib import contextmanager
 from dataclasses import replace
-import math
 import os
 import sys
 
-from .configio import ConfigError, parse_config
+from .configio import ConfigError, parse_config, parse_list
 from .harness import (
     MIN_STEADY_POINTS,
     ExperimentConfig,
     estimate_steady_state,
     fit_steady_state,
-    lambda_s_cells,
     read_steady_csv,
     run_lemma_suite,
     run_theorem_suite,
     run_trials,
     sweep,
-    sweep_cells,
     sweep_lambda_s,
-    theorem_level,
     write_curve_csv,
     write_fit_csv,
     write_preconditions_csv,
@@ -90,22 +88,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-@contextmanager
-def _config_errors():
-    """Report a ValueError caused by flag or config values as a config error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    with _config_errors():
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if getattr(args, "trials", None) is not None:
-            cfg = replace(cfg, trials=args.trials)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.trials is not None:
+        cfg = replace(cfg, trials=args.trials)
     return cfg
 
 
@@ -120,7 +108,7 @@ def _require_steady_curve(cfg: ExperimentConfig) -> None:
 
 def _parse_list(text, kind=float):
     try:
-        return tuple(kind(v) for v in text.split(",") if v.strip())
+        return parse_list(text, kind)
     except ValueError as exc:
         raise ConfigError(f"bad list value {text!r}: {exc}") from exc
 
@@ -146,15 +134,13 @@ def _cmd_sweep(args, axis: str) -> int:
     cfg = _load_config(args)
     _require_steady_curve(cfg)
     out = _outdir(args)
-    if getattr(args, "values", None):
+    if args.values:
         values = _parse_list(args.values, int if axis == "P" else float)
     elif cfg.sweep_axis == axis and cfg.sweep_values:
         values = cfg.sweep_values
     else:
         values = (1, 2, 5, 10) if axis == "P" else (0.2, 0.4, 0.8)
-    with _config_errors():
-        sweep_cells(cfg, axis, values)
-    results = sweep(cfg, axis=axis, values=values)
+    results = sweep(cfg, axis, values)
     steadies = []
     for value, result in results:
         tag = f"{axis}{int(value) if float(value).is_integer() else value}"
@@ -170,12 +156,8 @@ def _cmd_sweep(args, axis: str) -> int:
 def _cmd_sweep_lambda_s(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
-    lams = _parse_list(args.lambda_values) if args.lambda_values else None
-    svals = _parse_list(args.s_values, int) if args.s_values else None
-    with _config_errors():
-        lambda_s_cells(cfg, lams, svals)
-        if not math.isfinite(args.level):
-            raise ValueError(f"--level must be finite, got {args.level}")
+    lams = _parse_list(args.lambda_values) if args.lambda_values else cfg.sweep_lambda_values
+    svals = _parse_list(args.s_values, int) if args.s_values else cfg.sweep_s_values
     grid, fit = sweep_lambda_s(cfg, lams, svals, ratio_level=args.level)
     write_qratio_csv(os.path.join(out, "qratio.csv"), grid)
     with open(os.path.join(out, "qfit.csv"), "w") as fh:
@@ -195,8 +177,10 @@ def _cmd_fit_steady(args) -> int:
         raise ConfigError(f"fit-steady expects a P sweep, got axis {axis!r} in {args.input}")
     mu = args.mu if args.mu is not None else cfg.mu
     dl = args.dl if args.dl is not None else cfg.dl
-    with _config_errors():  # the fit runs no trials; its inputs are the flags and the file
+    try:  # the fit runs no trials; its inputs are the flags and the file
         fit = fit_steady_state(values, steadies, mu, dl)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_fit_csv(os.path.join(out, "fit.csv"), fit)
     print(f"c_hat={fit.c_hat:.6g} V_hat={fit.V_hat:.6g} sse={fit.sse:.6g} r2={fit.r2:.6g}")
     print(f"wrote {os.path.join(out, 'fit.csv')}")
@@ -205,10 +189,8 @@ def _cmd_fit_steady(args) -> int:
 
 def _cmd_check_theorems(args) -> int:
     cfg = _load_config(args)
-    with _config_errors():
-        theorem_level(cfg)
-    out = _outdir(args)
     suite = run_theorem_suite(cfg)
+    out = _outdir(args)
     write_preconditions_csv(
         os.path.join(out, "preconditions.csv"),
         [(f"instance{inst.index:03d}", inst.report) for inst in suite.instances],

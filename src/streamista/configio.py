@@ -1,56 +1,36 @@
 """Flat `key = value` experiment-config files.
 
-Keys mirror :class:`~streamista.harness.ExperimentConfig` fields (with
-``lambda`` and ``p`` spelled as in the file format).  Unknown keys are
-errors, not warnings.  Lists are comma-separated.  Blank lines and
-``#`` comments are ignored.
+Keys are the :class:`~streamista.harness.ExperimentConfig` fields, read
+from the dataclass itself, with ``lam`` and ``P`` spelled ``lambda`` and
+``p``; each field's annotation picks its parser.  Unknown keys are errors,
+not warnings.  Lists are comma-separated.  Blank lines and ``#`` comments
+are ignored.  The harness decides which values are valid and raises
+:class:`ConfigError`, re-exported here, for any it rejects.
 """
 
 from dataclasses import fields
+from functools import partial
+from typing import get_args
 
-from .harness import ExperimentConfig
+from .harness import ConfigError, ExperimentConfig
 
-
-class ConfigError(ValueError):
-    """A config file could not be parsed into a valid experiment."""
-
-
-def _parse_float_list(v: str):
-    return tuple(float(x) for x in v.split(",") if x.strip()) if v else ()
+# field -> its key in the file format, where the two differ
+_FILE_SPELLINGS = {"lam": "lambda", "P": "p"}
 
 
-def _parse_int_list(v: str):
-    return tuple(int(x) for x in v.split(",") if x.strip()) if v else ()
+def parse_list(text: str, kind=float) -> tuple:
+    """Comma-separated values as a tuple of ``kind``; blank items are skipped."""
+    return tuple(kind(v) for v in text.split(",") if v.strip())
 
 
-# file key -> (dataclass field, parser)
+# file key -> (dataclass field, parser): the field's type, or for a field
+# annotated tuple[kind, ...], a list of kind
 KEY_MAP = {
-    "m": ("m", int),
-    "n": ("n", int),
-    "s": ("s", int),
-    "n_pairs": ("n_pairs", int),
-    "n_samples": ("n_samples", int),
-    "beta": ("beta", float),
-    "mu": ("mu", float),
-    "lambda": ("lam", float),
-    "eta": ("eta", float),
-    "p": ("P", int),
-    "dl": ("dl", float),
-    "tau": ("tau", float),
-    "noise_mode": ("noise_mode", str),
-    "noise_level": ("noise_level", float),
-    "noise_delta": ("noise_delta", float),
-    "trials": ("trials", int),
-    "q": ("q", int),
-    "seed": ("seed", int),
-    "sweep_axis": ("sweep_axis", str),
-    "sweep_values": ("sweep_values", _parse_float_list),
-    "sweep_lambda_values": ("sweep_lambda_values", _parse_float_list),
-    "sweep_s_values": ("sweep_s_values", _parse_int_list),
-    "tail_fraction": ("tail_fraction", float),
+    _FILE_SPELLINGS.get(f.name, f.name): (
+        f.name, partial(parse_list, kind=get_args(f.type)[0]) if get_args(f.type) else f.type
+    )
+    for f in fields(ExperimentConfig)
 }
-
-assert {f.name for f in fields(ExperimentConfig)} == {f for f, _ in KEY_MAP.values()}
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -74,7 +54,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     try:
         return ExperimentConfig(**kwargs)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 

@@ -30,6 +30,11 @@ and the first step at which a run diverged (an error non-finite or above
 noise scale).  A run or sweep with a diverged trial raises
 :class:`DivergenceError`; the suites record the step as data.
 
+Every check made before the first trial raises :class:`ConfigError`: the
+fields of :class:`ExperimentConfig` (``GenConfig``'s and ``SolverConfig``'s
+checks included, so ``replace`` raises it too), the sweep and grid values,
+the ratio level and the theorem suite's support budget.
+
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
 
@@ -123,6 +128,10 @@ _DIVERGENCE_FACTOR = 100.0
 _LEMMA_BLOCK = 256
 
 
+class ConfigError(ValueError):
+    """A configuration the harness rejects before its first trial."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Desk-scale defaults; every field maps to one config-file key.
@@ -153,51 +162,51 @@ class ExperimentConfig:
     q: int = 32
     seed: int = 0
     sweep_axis: str = "none"
-    sweep_values: tuple = ()
-    sweep_lambda_values: tuple = ()
-    sweep_s_values: tuple = ()
+    sweep_values: tuple[float, ...] = ()
+    sweep_lambda_values: tuple[float, ...] = ()
+    sweep_s_values: tuple[int, ...] = ()
     tail_fraction: float = 0.25
 
     def __post_init__(self):
         if self.noise_mode not in NOISE_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown noise mode {self.noise_mode!r}; expected one of {NOISE_MODES}"
             )
         if self.sweep_axis not in SWEEP_AXES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown sweep axis {self.sweep_axis!r}; expected one of {SWEEP_AXES}"
             )
         if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+            raise ConfigError(f"m must be positive, got {self.m}")
         if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+            raise ConfigError(f"trials must be positive, got {self.trials}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
+            raise ConfigError(f"q must be positive, got {self.q}")
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
-            raise ValueError(
+            raise ConfigError(
                 f"noise_level must be nonnegative and finite, got {self.noise_level}"
             )
         if not 0.0 <= self.noise_delta < 1.0:
-            raise ValueError(f"noise_delta must lie in [0, 1), got {self.noise_delta}")
+            raise ConfigError(f"noise_delta must lie in [0, 1), got {self.noise_delta}")
         if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
+            raise ConfigError(f"tail_fraction must lie in (0, 1], got {self.tail_fraction}")
         if not all(math.isfinite(v) for v in (*self.sweep_values, *self.sweep_lambda_values)):
-            raise ValueError("sweep values must be finite")
+            raise ConfigError("sweep values must be finite")
         # validate signal and solver parameters eagerly so config errors
         # surface before any trial runs
-        self.gen_config(0)
-        self.solver_config()
+        try:
+            self.gen_config(0)
+            SolverConfig(lam=self.lam, eta=self.eta, P=self.P, dl=self.dl, tau=self.tau)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def gen_config(self, seed: int) -> GenConfig:
         return GenConfig(
             n=self.n, s=self.s, n_pairs=self.n_pairs, n_samples=self.n_samples,
             beta=self.beta, mu=self.mu, seed=seed,
         )
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(lam=self.lam, eta=self.eta, P=self.P, dl=self.dl, tau=self.tau)
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,15 +403,16 @@ def _run_block(
     ``_DIVERGENCE_FACTOR`` times its trial's largest target sample norm
     plus ``sigma``, one noise scale per trial or one for all; the caller
     passes those norms as ``peaks`` (:func:`_target_peaks`), computed once
-    for every run of the block.  Numpy's overflow warnings are silenced,
-    because the step names the divergence.
+    for every run of the block.  That limit is clipped to the largest
+    float, so an error that overflows diverges at every scale.  Numpy's
+    overflow warnings are silenced, because the step names the divergence.
     """
     count, _, width = lam.shape
     u0 = np.zeros((count, block.phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
         errors, active = block.stream(lam, eta, p, u0, relax)[:2]
-        scale = peaks + sigma
-        bad = ~(errors <= _DIVERGENCE_FACTOR * scale[:, None])
+        limit = np.minimum(_DIVERGENCE_FACTOR * (peaks + sigma), np.finfo(float).max)
+        bad = ~(errors <= limit[:, None])
     # a count never exceeds n, so the narrowest type holding n sums exactly
     max_gamma = np.add.reduce(
         active.view(np.uint8), axis=2, dtype=np.min_scalar_type(block.phi.shape[2])
@@ -522,45 +532,43 @@ def run_trials(cfg: ExperimentConfig) -> RunResult:
 
 
 def _check_distinct(name: str, values) -> None:
-    """Raise ValueError naming the first value of ``values`` that repeats."""
+    """Raise ConfigError naming the first value of ``values`` that repeats."""
     seen = set()
     for value in values:
         if value in seen:
-            raise ValueError(f"{name} values must be distinct, but {value!r} repeats")
+            raise ConfigError(f"{name} values must be distinct, but {value!r} repeats")
         seen.add(value)
 
 
 def _integers(name: str, values) -> list:
-    """``values`` as ints; a value that is not a whole number raises ValueError."""
+    """``values`` as ints; a value that is not a whole number raises ConfigError."""
     for value in values:
         if not float(value).is_integer():
-            raise ValueError(f"{name} values must be whole numbers, got {value!r}")
+            raise ConfigError(f"{name} values must be whole numbers, got {value!r}")
     return [int(v) for v in values]
 
 
-def sweep_cells(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
-    """``[(value, ExperimentConfig), ...]``; an invalid point raises before any trial.
+def sweep_cells(cfg: ExperimentConfig, axis: str, values) -> list:
+    """``[(value, ExperimentConfig), ...]``; an invalid point raises ConfigError.
 
     A repeated axis value is invalid: its cells would run as two columns of
     one kernel call, not as the one-vector run of a lone cell.  So is a P
     that is not a whole number, which would run at another P than it names.
     """
-    axis = axis or cfg.sweep_axis
-    values = tuple(values if values is not None else cfg.sweep_values)
     if axis == "P":
         cells = [(v, replace(cfg, P=P, sweep_axis="none"))
                  for v, P in zip(values, _integers("sweep P", values))]
     elif axis == "mu":
         cells = [(v, replace(cfg, mu=float(v), sweep_axis="none")) for v in values]
     else:
-        raise ValueError(f"sweep axis must be 'P' or 'mu', got {axis!r}")
+        raise ConfigError(f"sweep axis must be 'P' or 'mu', got {axis!r}")
     if not cells:
-        raise ValueError("sweep requires at least one axis value")
+        raise ConfigError("sweep requires at least one axis value")
     _check_distinct(f"sweep {axis}", [getattr(c, axis) for _, c in cells])
     return cells
 
 
-def sweep(cfg: ExperimentConfig, axis: str | None = None, values=None) -> list:
+def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     """``[(value, RunResult), ...]`` in order, every point run on shared per-trial inputs."""
     values, configs = zip(*sweep_cells(cfg, axis, values))
     return list(zip(values, _run_cells(configs)))
@@ -628,18 +636,18 @@ class LambdaLevelFit:
     level_points: tuple  # ((s, lambda) ...) grid points nearest the level
 
 
-def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
+def lambda_s_cells(cfg: ExperimentConfig, lambda_values, s_values):
     """``(lambda_values, s_values, cells)`` with one config per cell, row-major.
 
     The pair count scales with s to keep the moving fraction of the support
-    fixed.  An invalid cell raises before any trial, and so does a repeated
-    lambda or s value, which would repeat rows of the grid, or an s that is
-    not a whole number.
+    fixed.  An invalid cell raises ConfigError, and so does an empty list, a
+    repeated lambda or s value, which would repeat rows of the grid, or an s
+    that is not a whole number.
     """
-    lams = tuple(lambda_values if lambda_values is not None else cfg.sweep_lambda_values)
-    svals = tuple(_integers("s", s_values if s_values is not None else cfg.sweep_s_values))
+    lams = tuple(lambda_values)
+    svals = tuple(_integers("s", s_values))
     if not lams or not svals:
-        raise ValueError("sweep_lambda_s needs nonempty lambda and s value lists")
+        raise ConfigError("sweep_lambda_s needs nonempty lambda and s value lists")
     _check_distinct("lambda", [float(v) for v in lams])
     _check_distinct("s", svals)
     cells = [
@@ -650,18 +658,16 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values=None, s_values=None):
     return lams, svals, cells
 
 
-def sweep_lambda_s(
-    cfg: ExperimentConfig, lambda_values=None, s_values=None, ratio_level: float = 4.0
-):
+def sweep_lambda_s(cfg: ExperimentConfig, lambda_values, s_values, ratio_level: float = 4.0):
     """Grid of active-set ratios over (lambda, s), plus the level-set fit.
 
     Per-trial inputs are shared across the thresholds of each s.  A ratio
-    level that is not finite raises before any trial: no grid point is
-    nearest to it.
+    level that is not finite raises ConfigError before any trial: no grid
+    point is nearest to it.
     """
-    if not math.isfinite(ratio_level):
-        raise ValueError(f"ratio level must be finite, got {ratio_level}")
     lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
+    if not math.isfinite(ratio_level):
+        raise ConfigError(f"ratio level must be finite, got {ratio_level}")
     ratios = np.empty((len(lams), len(svals)))
     for j, s in enumerate(svals):
         # one s at a time, so only one column's per-trial records are alive
@@ -731,14 +737,14 @@ class TheoremSuiteResult:
 def theorem_level(cfg: ExperimentConfig) -> int:
     """Support size of the exact isometry constant the theorem suite needs.
 
-    Raises ValueError when enumerating its supports would exceed
+    Raises ConfigError when enumerating its supports would exceed
     ``DEFAULT_SUPPORT_BUDGET``, so a config the suite cannot check fails
     before any instance is drawn.
     """
     level = min(cfg.s + 2 * cfg.q, cfg.n)
     total = math.comb(cfg.n, level)
     if total > DEFAULT_SUPPORT_BUDGET:
-        raise ValueError(
+        raise ConfigError(
             f"check-theorems needs exact isometry constants at level min(s + 2q, n) = {level}; "
             f"enumerating comb({cfg.n}, {level}) = {total} supports exceeds the budget "
             f"{DEFAULT_SUPPORT_BUDGET}"

@@ -162,7 +162,8 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     takes.  Where that product overflows or leaves the normal range, the
     capped row is rescaled from the norm of its unscaled draw, so every
     capped row's norm stays within rounding of the smaller of its drawn
-    norm and the cap.
+    norm and the cap; numpy's overflow warnings are silenced there, since
+    that fallback handles them.  Uncapped rows keep numpy's warnings.
     """
     if m < 1:
         raise ValueError(f"noise length must be positive, got {m}")
@@ -178,11 +179,13 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
     eps = standard_normals(keys, np.empty(rows + (m,)))
-    eps *= sigma[:, None]
-    if mode == "capped":
+    if mode != "capped":
+        eps *= sigma[:, None]
+        return eps
+    with np.errstate(over="ignore"):
+        eps *= sigma[:, None]
         cap = sigma / np.sqrt(1.0 + delta)
-        with np.errstate(over="ignore"):
-            nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
+        nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
         # the squares of a row overflow from a level of about 1e154 on, and
         # below about 1e-154 they fall under the normal range and lose bits
         lost = (sigma > 0) & ~((nrm >= math.sqrt(m * _TINY)) & np.isfinite(nrm))

@@ -37,6 +37,8 @@ from .rng import check_seed, keyed_generators, philox_keys, standard_normals
 _AMPLITUDE_STREAM = 0
 _SUPPORT_STREAM = 1
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -68,14 +70,15 @@ class GenConfig:
 
 
 def _check_energy(beta: float, mu: float) -> None:
-    """Raise ValueError unless 0 <= mu < beta and beta**2 is finite and positive.
+    """Raise ValueError unless 0 <= mu < beta and beta**2 is a finite normal float.
 
     The amplitude recursion divides by ``beta**2``, which overflows from
-    about 1.3e154 on and underflows to 0 below about 1.6e-162.
+    about 1.3e154 on and is subnormal below about 1.5e-154, where it keeps
+    too few bits for the recursion to preserve the energy.
     """
-    if not (beta > 0 and 0 < beta * beta < math.inf):
+    if not (beta > 0 and _TINY <= beta * beta < math.inf):
         raise ValueError(
-            f"beta must be positive with a finite, nonzero square beta**2, got {beta}"
+            f"beta must be positive with a finite, normal square beta**2, got {beta}"
         )
     if not 0 <= mu < beta:
         raise ValueError(f"mu must lie in [0, beta), got mu={mu}, beta={beta}")

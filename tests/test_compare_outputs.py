@@ -60,3 +60,13 @@ def test_rip_case_prints_the_witnesses(tmp_path):
     assert found["exit"] == 0
     assert found["stdout"].decode() == expected
     assert found["files"] == {}
+
+
+def test_config_error_cases_exit_one_and_write_nothing(tmp_path):
+    # a case that exits 1 shows when a config error moves to another exit code
+    runs = compare_outputs.cases(3, compare_outputs.SIZES["quick"])
+    for name in compare_outputs.CONFIG_ERROR_CASES:
+        found = compare_outputs.run_case(ROOT, tmp_path / name, *runs[name])
+        assert found["exit"] == 1, name
+        assert found["stderr"].decode().startswith("config error:"), name
+        assert found["files"] == {}, name

@@ -84,10 +84,23 @@ def test_parse_config_missing_file(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
-def test_key_map_covers_every_field():
-    from dataclasses import fields
-
-    assert {f for f, _ in KEY_MAP.values()} == {f.name for f in fields(ExperimentConfig)}
+def test_key_map_pins_the_file_format():
+    # the keys come from the ExperimentConfig fields, so a renamed field
+    # would rename its key; pin the keys every config file spells
+    assert sorted(KEY_MAP) == sorted([
+        "m", "n", "s", "n_pairs", "n_samples", "beta", "mu", "lambda", "eta", "p", "dl",
+        "tau", "noise_mode", "noise_level", "noise_delta", "trials", "q", "seed",
+        "sweep_axis", "sweep_values", "sweep_lambda_values", "sweep_s_values",
+        "tail_fraction",
+    ])
+    assert KEY_MAP["lambda"][0] == "lam" and KEY_MAP["p"][0] == "P"
+    assert all(field == key for key, (field, _) in KEY_MAP.items() if key not in ("lambda", "p"))
+    for key, kind in (("sweep_values", float), ("sweep_lambda_values", float),
+                      ("sweep_s_values", int)):
+        parsed = KEY_MAP[key][1]("1, 2,")
+        assert parsed == (1, 2) and all(type(v) is kind for v in parsed)
+    with pytest.raises(ValueError):
+        KEY_MAP["sweep_s_values"][1]("1,2.5")
 
 
 SMALL_CFG = """
@@ -228,6 +241,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("sweep-p", "sweep_axis = P\nsweep_values = 1,2.5,5\n", []),
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4", "--level", "nan"]),
         ("sweep-lambda-s", "", ["--lambda-values", "0.1,0.2", "--s-values", "4", "--level", "inf"]),
+        ("run", "beta = 1e-160\nmu = 5e-161\n", []),
     ],
     ids=["noise_delta", "m", "n_samples2", "n_samples3", "seed", "sweep_p_zero",
          "sweep_mu_negative", "lambda_negative", "s_zero", "s_above_n", "fit_dl_zero",
@@ -236,16 +250,17 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
          "sweep_p_repeated", "sweep_p_repeated_apart", "sweep_mu_repeated",
          "lambda_repeated", "s_repeated", "beta_square_overflows", "beta_square_underflows",
          "sweep_p_beta_square_overflows", "lambda_s_beta_square_overflows",
-         "sweep_p_fractional_config", "ratio_level_nan", "ratio_level_inf"],
+         "sweep_p_fractional_config", "ratio_level_nan", "ratio_level_inf",
+         "beta_square_subnormal"],
 )
 def test_cli_invalid_config_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_lines, extra_args
 ):
-    def no_trials(cfg, trial):
+    def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran for an invalid config")
 
-    monkeypatch.setattr("streamista.harness._trial_results", no_trials)
-    monkeypatch.setattr("streamista.harness._trial_problem", no_trials)
+    for name in ("harness._trial_results", "harness._run_suite", "kernels.stream"):
+        monkeypatch.setattr(f"streamista.{name}", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
     argv = [command, "--config", str(path), "--out", str(tmp_path)] + extra_args
@@ -267,8 +282,14 @@ def test_cli_invalid_config_exits_one_before_trials(
         ("desk.cfg", "eta = 1.5\n", [], "50 of 50"),
         ("theorem.cfg", "", ["--trials", "20"], "10 of 20"),
         ("desk.cfg", "noise_mode = capped\nnoise_level = 1e300\n", ["--trials", "3"], "3 of 3"),
+        # the divergence limit itself overflows here, so it is clipped
+        ("desk.cfg", "noise_mode = capped\nnoise_level = 1e307\n", ["--trials", "3"], "3 of 3"),
+        ("desk.cfg", "noise_level = 1e307\n", ["--trials", "3"], "3 of 3"),
+        # the noise rows overflow while they are scaled; the cap's fallback holds
+        ("desk.cfg", "noise_mode = capped\nnoise_level = 1.7e308\n", ["--trials", "3"], "3 of 3"),
     ],
-    ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg", "desk_capped_noise_1e300"],
+    ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg", "desk_capped_noise_1e300",
+         "desk_capped_noise_1e307", "desk_gaussian_noise_1e307", "desk_capped_noise_1.7e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):

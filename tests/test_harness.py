@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 
 from streamista.harness import (
     THREADS_ENV,
+    ConfigError,
     ExperimentConfig,
     _block_size,
     _run_block,
@@ -656,6 +657,42 @@ def test_sweeps_reject_fractional_p_and_s():
     assert lambda_s_cells(SMALL, (0.1,), (2.0, 4))[1] == (2, 4)
     with pytest.raises(ValueError, match="whole numbers, got 2.5"):
         lambda_s_cells(SMALL, (0.1,), (2.5, 4))
+
+
+# every check the harness makes before its first trial, one call each
+PRE_TRIAL_REJECTIONS = {
+    "seed": lambda: replace(SMALL, seed=-1),
+    "solver_p_zero": lambda: replace(SMALL, P=0),
+    "gen_beta_square_subnormal": lambda: replace(SMALL, beta=1e-161, mu=0.0),
+    "sweep_p_repeated": lambda: sweep(SMALL, "P", (1, 2, 1)),
+    "sweep_p_fractional": lambda: sweep(SMALL, "P", (1, 2.5)),
+    "sweep_mu_negative": lambda: sweep(SMALL, "mu", (0.4, -1.0)),
+    "sweep_axis": lambda: sweep(SMALL, "sigma", (1,)),
+    "sweep_no_values": lambda: sweep(SMALL, "P", ()),
+    "lambda_list_empty": lambda: sweep_lambda_s(SMALL, (), (2,)),
+    "s_repeated": lambda: sweep_lambda_s(SMALL, (0.1,), (2, 2)),
+    "ratio_level_nan": lambda: sweep_lambda_s(SMALL, (0.1,), (2,), ratio_level=float("nan")),
+    "theorem_level_over_budget": lambda: run_theorem_suite(replace(SMALL, n=40)),
+}
+
+
+@pytest.mark.parametrize("reject", PRE_TRIAL_REJECTIONS.values(), ids=PRE_TRIAL_REJECTIONS.keys())
+def test_harness_raises_config_error_before_any_trial(monkeypatch, reject):
+    # the harness is the one place a config is rejected, with no kernel call
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel call ran for an invalid config")
+
+    monkeypatch.setattr("streamista.kernels.stream", no_kernel)
+    with pytest.raises(ConfigError):
+        reject()
+
+
+def test_checks_outside_an_experiment_config_keep_plain_value_error():
+    for call in (lambda: signals.GenConfig(n=8, s=9, n_pairs=0, n_samples=4),
+                 lambda: fit_steady_state([1, 2, 3], [0.5, 0.4, 0.3], mu=-1.0, dl=1.0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError
 
 
 def test_config_rejects_non_finite_values():

@@ -87,13 +87,22 @@ def test_beta_whose_square_overflows_is_rejected(beta):
         amplitudes(2, 3, beta, 0.0, 0)
 
 
-@pytest.mark.parametrize("beta", [1e-300, 1.5e-162, 5e-324])
+@pytest.mark.parametrize("beta", [1e-300, 1.5e-162, 5e-324, 1e-161, 1.49e-154])
 def test_beta_whose_square_underflows_is_rejected(beta):
-    # the amplitude recursion divides by beta**2, which is 0 there
+    # the amplitude recursion divides by beta**2, which is 0 or subnormal there
     with pytest.raises(ValueError, match="beta"):
         GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta)
     with pytest.raises(ValueError, match="beta"):
         amplitudes(2, 3, beta, 0.0, 0)
+
+
+def test_smallest_valid_beta_keeps_its_energy():
+    # the square of 1.5e-154 is just above the smallest normal float
+    beta = 1.5e-154
+    GenConfig(n=8, s=2, n_pairs=0, n_samples=4, beta=beta, mu=0.9 * beta)
+    alpha = amplitudes(2, 3, beta, 0.9 * beta, 7)
+    assert np.all(np.isfinite(alpha))
+    assert math.hypot(*alpha[0]) == pytest.approx(beta, rel=1e-12)
 
 
 def test_largest_valid_beta_keeps_its_energy():
