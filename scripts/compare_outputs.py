@@ -9,11 +9,16 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   the last on the criterion-8 grid config (desk.cfg at 10 measurements and
   P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
 * two runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, and
-  ``run`` on theorem.cfg; and desk.cfg at capped noise 1e307, where the
-  errors overflow;
-* four config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
+  ``run`` on theorem.cfg; desk.cfg at capped noise 1e307, where the errors
+  overflow; and desk.cfg at noise level 1e308, where the noise scale
+  overflows;
+* five config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
   a repeated P, ``check-theorems`` over its support budget, a NaN ratio
-  level, and a ``beta`` whose square is subnormal;
+  level, a ``beta`` whose square is subnormal, and a ``STREAM_ISTA_THREADS``
+  that is not an integer (a Python call that sets it and runs ``run``);
+* ``run_lemma_suite`` at the input seed: a Python call that prints the
+  ``repr`` of its result, the worst slack at full precision, where
+  ``lemma-suite`` rounds it;
 * ``run_lca_suite`` on the criterion-7 config (20 instances at either
   size), which has no subcommand: a Python call that prints the ``repr``
   of the suite's instances;
@@ -58,7 +63,7 @@ CRITERION_7_TRIALS = 20
 # the cases that exit 1 with a config error
 CONFIG_ERROR_CASES = (
     "sweep-p-repeated", "check-theorems-over-budget", "sweep-lambda-s-level-nan",
-    "run-beta-square-subnormal",
+    "run-beta-square-subnormal", "run-threads-not-integer",
 )
 
 # argv[1] is the config's fields as JSON
@@ -77,6 +82,21 @@ from streamista.harness import run_theorem_suite
 cfg = parse_config(sys.argv[1])
 cfg = dataclasses.replace(cfg, trials=int(sys.argv[2]), seed=int(sys.argv[3]))
 print(repr(run_theorem_suite(cfg).instances))
+"""
+
+# argv[1] is the seed
+LEMMA_SCRIPT = """
+import sys
+from streamista.harness import run_lemma_suite
+print(repr(run_lemma_suite(int(sys.argv[1]))))
+"""
+
+# argv[1:] are the CLI's
+THREADS_SCRIPT = """
+import os, sys
+os.environ["STREAM_ISTA_THREADS"] = "abc"
+from streamista.cli import cli_main
+sys.exit(cli_main(sys.argv[1:]))
 """
 
 # argv[1] is the matrices as JSON, argv[2] the seed of the Gaussian ones
@@ -128,6 +148,7 @@ def cases(seed: int, size: dict) -> dict:
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
         "run-capped-noise-1e307": (
             "desk.cfg", "\nnoise_mode = capped\nnoise_level = 1e307\n", ["run", "--trials", "3"]),
+        "run-gaussian-noise-1e308": ("desk.cfg", "\nnoise_level = 1e308\n", ["run", "--trials", "3"]),
         "sweep-p-repeated": ("desk.cfg", "", ["sweep-p", "--values", "1,1"]),
         "check-theorems-over-budget": ("theorem.cfg", "\nn = 40\nq = 8\n", ["check-theorems"]),
         "sweep-lambda-s-level-nan": ("desk.cfg", grid, grid_argv + ["--level", "nan"]),
@@ -142,6 +163,9 @@ def cases(seed: int, size: dict) -> dict:
     runs["lca-suite"] = (None, "", ["-c", LCA_SCRIPT, json.dumps(lca)])
     runs["theorem-suite"] = ("theorem.cfg", "", [
         "-c", THEOREM_SCRIPT, "theorem.cfg", str(size["theorem_trials"]), str(seed)])
+    runs["lemma-suite-repr"] = (None, "", ["-c", LEMMA_SCRIPT, str(seed)])
+    runs["run-threads-not-integer"] = ("desk.cfg", "", [
+        "-c", THREADS_SCRIPT, *cli["run"][2], *common, "--config", "desk.cfg", "--out", "out"])
     runs["rip"] = (None, "", ["-c", RIP_SCRIPT, json.dumps(RIP_MATRICES), str(seed)])
     return runs
 

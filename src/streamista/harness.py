@@ -123,9 +123,21 @@ _BLOCK_BYTES = 1024 * 1024
 # multiple of its largest target sample norm plus its noise scale
 _DIVERGENCE_FACTOR = 100.0
 
-# rows per call of a lemma oracle: draws of one matrix, or points of one
-# (lambda, q) cell of the support-cap grid; bounds the block's memory
+# draws per call of the near-isometry oracle, which bounds the block's memory
 _LEMMA_BLOCK = 256
+
+# the lemma suite's matrices (m x n), its two index sets (sizes q and s,
+# exact isometry constant at level q + s) and its violation tolerance
+_LEMMA_M = 8
+_LEMMA_N = 16
+_LEMMA_Q = 2
+_LEMMA_S = 2
+_LEMMA_TOL = 1e-10
+
+# Generator.choice(n, k, replace=False) runs Floyd's algorithm up to this
+# population and shuffles a tail above it
+_FLOYD_MAX = 10_000
+_MASK32 = 0xFFFFFFFF
 
 
 class ConfigError(ValueError):
@@ -244,14 +256,18 @@ class SteadyStateFit:
 
 
 def worker_count() -> int:
-    """Worker cap from the environment; defaults to serial execution."""
+    """Worker cap from the environment; defaults to serial execution.
+
+    A value that is not an integer is a :class:`ConfigError`, raised
+    before any trial runs.
+    """
     env = os.environ.get(THREADS_ENV, "").strip()
     if not env:
         return 1
     try:
         return max(1, int(env))
     except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
 
 
 def _trial_problem(cfg: ExperimentConfig, trial: int):
@@ -324,9 +340,11 @@ def _put_measurements(
     :func:`_stream_keys`).  Returns each stream's noise scale: under
     ``gaussian_scaled``, ``cfg.noise_level`` times the norm of its first
     clean row over sqrt(m), the per-entry std relative to that
-    measurement's energy; under the other modes, ``cfg.noise_level``.
-    ``delta`` is a scalar or one value per stream, since it may depend on
-    the drawn matrix.  The clean rows are one stacked ``(m x n)(n x 1)``
+    measurement's energy; under the other modes, ``cfg.noise_level``.  A
+    scale that overflows is inf: that stream's measurements are inf, so its
+    run diverges at its first step, and :func:`_check_divergence` names
+    ``noise_level``.  ``delta`` is a scalar or one value per stream, since
+    it may depend on the drawn matrix.  The clean rows are one stacked ``(m x n)(n x 1)``
     product, the gemv of ``measure``; a first row's norm is a stacked
     ``(1 x m)(m x 1)`` product, the dot product of ``np.linalg.norm``; and
     the noise of the whole block is one :func:`noise_rows` call, so each
@@ -338,15 +356,20 @@ def _put_measurements(
     if noise_mode == "gaussian_scaled":
         first = ys[0]
         norms = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0, 0]
-        sigma = (level * norms / math.sqrt(cfg.m)).tolist()
+        with np.errstate(over="ignore"):
+            sigma = (level * norms / math.sqrt(cfg.m)).tolist()
     else:
         sigma = [level] * count
+    # an overflowed scale's noise draw is not used
+    finite = np.isfinite(sigma)
     # rows step-major, (sample k, stream j), as block.ys lays them out
     noise = noise_rows(
-        cfg.m, np.tile(sigma, n_meas), np.tile(np.broadcast_to(delta, count), n_meas),
+        cfg.m, np.tile(np.where(finite, sigma, 0.0), n_meas),
+        np.tile(np.broadcast_to(delta, count), n_meas),
         noise_mode, np.swapaxes(noise_keys, 0, 1).reshape(-1, 2),
     )
     ys += noise.reshape(n_meas, count, cfg.m)
+    ys[:, ~finite] = np.inf
     return sigma
 
 
@@ -467,10 +490,13 @@ def _trial_results(cells, trials, keys=None) -> list:
 def _check_divergence(cfg: ExperimentConfig, results) -> None:
     steps = [r.diverged_step for r in results if r.diverged_step is not None]
     if steps:
+        overflowed = sum(not math.isfinite(r.sigma) for r in results)
         raise DivergenceError(
             f"numerical divergence in cell lambda={cfg.lam!r} s={cfg.s} P={cfg.P} "
             f"mu={cfg.mu!r} eta={cfg.eta!r}: {len(steps)} of {len(results)} trials "
             f"diverged, the first at solver step {min(steps)}"
+            + (f"; noise_level={cfg.noise_level!r} overflows the noise scale of "
+               f"{overflowed} of them" if overflowed else "")
         )
 
 
@@ -1010,52 +1036,145 @@ class LemmaSuiteResult:
         )
 
 
-def run_lemma_suite(
-    seed: int,
-    n_matrices: int = 10,
-    draws: int = 1000,
-    m: int = 8,
-    n: int = 16,
-    set_q: int = 2,
-    set_s: int = 2,
-    tol: float = 1e-10,
-) -> LemmaSuiteResult:
+class _ChoiceReplay:
+    """Sorted picks of ``rng.choice(n, k, replace=False)``, one per size, from Philox's words.
+
+    Each call returns, for every k of ``sizes`` in order, the sorted list of
+    the indices ``rng.choice(n, k, replace=False)`` would return, and leaves
+    the stream where those calls would leave it.  It relies on numpy 2.4:
+
+    * ``Generator.choice`` without ``p``, up to a population of
+      ``_FLOYD_MAX``, runs Floyd's algorithm: for j from n - k to n - 1, one
+      bounded draw in [0, j], taking j when the draw repeats a pick; a j of
+      0 draws 0 and reads no word.  It then shuffles the k picks with one
+      bounded draw in [0, i] for i from k - 1 down to 1; the picks are
+      sorted here, so those draws are read and thrown away.
+    * A bounded draw in [0, j] below 2**32 - 1 is Lemire's on 32-bit words:
+      ``m = w * (j + 1)``, redrawn while ``m mod 2**32 < 2**32 mod (j + 1)``,
+      and the result is ``m >> 32``.  ``Generator.integers(0, j + 1)`` makes
+      the same draw.
+    * Philox's 32-bit word is the low half of its next 64-bit output; the
+      high half is held for the following 32-bit read.  The 64-bit reads of
+      ``random_raw`` and ``standard_normal`` neither use nor drop a held
+      half.
+
+    So the replay holds the pending half itself, starting from the one the
+    generator holds (``has_uint32`` and ``uinteger`` of Philox's ``state``),
+    and every 32-bit read of the stream from then on must go through it.
+    A call reads every word of the picks with one ``random_raw`` call when
+    the word count is even, no half is pending and no word lands in
+    Lemire's zone ``m mod 2**32 < j + 1``, where a redraw can happen;
+    otherwise it draws word by word, exactly.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, sizes):
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "Philox":
+            raise ValueError(f"replays a Philox stream, got {state['bit_generator']}")
+        if not 0 < n <= _FLOYD_MAX or not all(0 < k <= n for k in sizes):
+            raise ValueError(f"replays picks of 1 to n of n <= {_FLOYD_MAX}, got {n}, {sizes}")
+        self._raw = rng.bit_generator.random_raw
+        # the pending words, the next one last
+        self._held = [state["uinteger"]] if state["has_uint32"] else []
+        # per size: the picks it starts from ([0] when k = n, a draw that
+        # reads no word), where its Floyd draws start among a call's draws,
+        # and their j
+        self._plan, self._excl = [], []
+        for k in sizes:
+            floyd = range(max(n - k, 1), n)
+            self._plan.append(([0] if k == n else [], len(self._excl), floyd))
+            # the draws' bounds plus one: Floyd's, then the shuffle's
+            self._excl += (*(j + 1 for j in floyd), *range(k, 1, -1))
+        self._outputs = None if len(self._excl) % 2 else len(self._excl) // 2
+
+    def _word(self) -> int:
+        if self._held:
+            return self._held.pop()
+        out = int(self._raw())
+        self._held.append(out >> 32)
+        return out & _MASK32
+
+    def bounded(self, excl: int) -> int:
+        """One bounded draw in [0, excl), as ``rng.integers(0, excl)`` makes it, for excl < 2**32."""
+        m = self._word() * excl
+        if m & _MASK32 < excl:
+            threshold = (1 << 32) % excl
+            while m & _MASK32 < threshold:
+                m = self._word() * excl
+        return m >> 32
+
+    def __call__(self) -> list:
+        if not self._held and self._outputs is not None:
+            words = []
+            for out in self._raw(self._outputs).tolist():
+                words += (out & _MASK32, out >> 32)
+            values = []
+            for word, excl in zip(words, self._excl):
+                m = word * excl
+                if m & _MASK32 < excl:  # Lemire's zone: the word may be redrawn
+                    break
+                values.append(m >> 32)
+            else:
+                return self._picks(values)
+            self._held = words[::-1]
+        return self._picks([self.bounded(excl) for excl in self._excl])
+
+    def _picks(self, values) -> list:
+        picks = []
+        for first, at, floyd in self._plan:
+            chosen = first.copy()
+            for j, value in zip(floyd, values[at:]):
+                chosen.append(j if value in chosen else value)
+            chosen.sort()
+            picks.append(chosen)
+        return picks
+
+
+def run_lemma_suite(seed: int, n_matrices: int = 10, draws: int = 1000) -> LemmaSuiteResult:
     """Randomized near-isometry checks, the support-cap grid, and envelopes.
 
-    The isometry consequences are exercised with exact constants at level
-    ``set_q + set_s``; a violation beyond ``tol`` counts as a failure.
-    Draws are made one at a time, so every random stream is fixed by the
-    seed alone, and each oracle checks them in blocks of up to
-    ``_LEMMA_BLOCK`` rows per call.
+    Each of ``n_matrices`` Gaussian ``_LEMMA_M x _LEMMA_N`` matrices gets
+    its exact isometry constant at level ``_LEMMA_Q + _LEMMA_S`` and
+    ``draws`` draws from its own stream: two index sets, of sizes
+    ``_LEMMA_Q`` and ``_LEMMA_S``, picked without replacement and sorted;
+    then one normal call, split into x's entries on their union and the
+    measurement y.  A normal call draws its values one after another, so
+    that call gives the values of one call for x and one for y.  The picks
+    are those of two ``rng.choice(n, k, replace=False)`` calls, read from
+    the stream's words by :class:`_ChoiceReplay`, so every stream is fixed
+    by the seed alone.
+    The isometry oracle checks the draws ``_LEMMA_BLOCK`` rows per call,
+    and a violation beyond ``_LEMMA_TOL`` counts as a failure.  The
+    support-cap grid runs one call per (threshold, budget) cell.
     """
     rip_checks = 0
     rip_violations = 0
     worst = math.inf
     for idx in range(n_matrices):
-        phi = gen_gaussian_matrix(m, n, derive_seed(seed, idx))
-        delta = rip_exact(phi, set_q + set_s).delta
+        phi = gen_gaussian_matrix(_LEMMA_M, _LEMMA_N, derive_seed(seed, idx))
+        delta = rip_exact(phi, _LEMMA_Q + _LEMMA_S).delta
         rng = make_rng(seed, idx, 1)
+        choices = _ChoiceReplay(rng, _LEMMA_N, (_LEMMA_Q, _LEMMA_S))
         for start in range(0, draws, _LEMMA_BLOCK):
             rows = min(_LEMMA_BLOCK, draws - start)
-            gamma1 = np.empty((rows, set_q), dtype=np.intp)
-            gamma2 = np.empty((rows, set_s), dtype=np.intp)
-            x = np.zeros((rows, n))
-            y = np.empty((rows, m))
+            gamma1 = np.empty((rows, _LEMMA_Q), dtype=np.intp)
+            gamma2 = np.empty((rows, _LEMMA_S), dtype=np.intp)
+            x = np.zeros((rows, _LEMMA_N))
+            y = np.empty((rows, _LEMMA_M))
             for r in range(rows):
-                # a few indices sort faster as a list than as an array
-                first = sorted(rng.choice(n, size=set_q, replace=False).tolist())
-                second = sorted(rng.choice(n, size=set_s, replace=False).tolist())
+                first, second = choices()
                 gamma1[r] = first
                 gamma2[r] = second
                 # ascending, so each draw lands on the index it always has
                 union = sorted({*first, *second})
-                x[r, union] = rng.standard_normal(len(union))
-                rng.standard_normal(out=y[r])
+                z = rng.standard_normal(len(union) + _LEMMA_M)
+                x[r, union] = z[: len(union)]
+                y[r] = z[len(union) :]
             suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
             slack = np.stack([check.slack for check in suite.checks])
             rip_checks += slack.size
             worst = min(worst, float(slack.min()))
-            rip_violations += int(np.count_nonzero(slack < -tol))
+            rip_violations += int(np.count_nonzero(slack < -_LEMMA_TOL))
 
     cap_checks = 0
     cap_premise = 0
@@ -1064,11 +1183,10 @@ def run_lemma_suite(
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     for lam in (0.5, 1.0, 2.0):
         for q in (1, 2, 3):
-            for start in range(0, len(grid), _LEMMA_BLOCK):
-                res = support_cap_check(grid[start : start + _LEMMA_BLOCK], lam, q)
-                cap_checks += res.premise_holds.size
-                cap_premise += int(np.count_nonzero(res.premise_holds))
-                cap_violations += int(np.count_nonzero(res.premise_holds & ~res.conclusion_holds))
+            res = support_cap_check(grid, lam, q)
+            cap_checks += res.premise_holds.size
+            cap_premise += int(np.count_nonzero(res.premise_holds))
+            cap_violations += int(np.count_nonzero(res.premise_holds & ~res.conclusion_holds))
 
     statuses = []
     steps = 2000

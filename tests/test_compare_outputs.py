@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 from streamista.configio import parse_config
-from streamista.harness import ExperimentConfig, run_lca_suite, run_theorem_suite
+from streamista.harness import (
+    ExperimentConfig, run_lca_suite, run_lemma_suite, run_theorem_suite,
+)
 from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +61,16 @@ def test_rip_case_prints_the_witnesses(tmp_path):
     expected = f"gaussian 8 16 4 {est!r} {support.tolist()} {coeffs.tolist()}\n"
     assert found["exit"] == 0
     assert found["stdout"].decode() == expected
+    assert found["files"] == {}
+
+
+def test_lemma_case_prints_the_suite_result(tmp_path):
+    # lemma-suite rounds the worst slack, so the case prints the whole result
+    config, extra, argv = compare_outputs.cases(3, compare_outputs.SIZES["quick"])["lemma-suite-repr"]
+    assert (config, extra, argv[-1]) == (None, "", "3")
+    found = compare_outputs.run_case(ROOT, tmp_path / "work", config, extra, argv)
+    assert found["exit"] == 0
+    assert found["stdout"].decode() == repr(run_lemma_suite(3)) + "\n"
     assert found["files"] == {}
 
 

@@ -275,6 +275,28 @@ def test_cli_invalid_config_exits_one_before_trials(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, extra_args", [
+    ("run", []),
+    ("sweep-p", ["--values", "1,2"]),
+    ("sweep-lambda-s", ["--lambda-values", "0.1", "--s-values", "2,4"]),
+])
+def test_cli_thread_count_not_an_integer_exits_one_before_trials(
+    tmp_path, monkeypatch, capsys, command, extra_args
+):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran for an invalid thread count")
+
+    for name in ("harness._trial_results", "harness._run_suite", "kernels.stream"):
+        monkeypatch.setattr(f"streamista.{name}", no_trials)
+    monkeypatch.setenv("STREAM_ISTA_THREADS", "abc")
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL_CFG)
+    rc = cli_main([command, "--config", str(path), "--out", str(tmp_path)] + extra_args)
+    assert rc == 1
+    assert "config error: STREAM_ISTA_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "config, extra_lines, extra_args, diverged",
     [
@@ -287,9 +309,12 @@ def test_cli_invalid_config_exits_one_before_trials(
         ("desk.cfg", "noise_level = 1e307\n", ["--trials", "3"], "3 of 3"),
         # the noise rows overflow while they are scaled; the cap's fallback holds
         ("desk.cfg", "noise_mode = capped\nnoise_level = 1.7e308\n", ["--trials", "3"], "3 of 3"),
+        # the noise scale itself overflows, for two of the three trials
+        ("desk.cfg", "noise_level = 1e308\n", ["--trials", "3"], "3 of 3"),
     ],
     ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg", "desk_capped_noise_1e300",
-         "desk_capped_noise_1e307", "desk_gaussian_noise_1e307", "desk_capped_noise_1.7e308"],
+         "desk_capped_noise_1e307", "desk_gaussian_noise_1e307", "desk_capped_noise_1.7e308",
+         "desk_gaussian_noise_1e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):

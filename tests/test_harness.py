@@ -271,6 +271,94 @@ def test_lemma_suite_regression(seed, worst_slack):
     assert suite.rip_worst_slack == pytest.approx(worst_slack, rel=1e-12)
 
 
+def _philox_pair(seed):
+    return tuple(np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 100, 10000])
+def test_choice_replay_matches_generator_choice(n):
+    # k = 1 reads an odd number of words, so the held half carries to the next draw
+    for k in range(1, min(n, 7) + 1):
+        for seed in range(5):
+            numpy_rng, replay_rng = _philox_pair(seed)
+            replay = harness._ChoiceReplay(replay_rng, n, (k,))
+            for _ in range(200):
+                assert replay() == [sorted(numpy_rng.choice(n, k, replace=False).tolist())]
+                assert replay_rng.standard_normal() == numpy_rng.standard_normal()
+
+
+def test_choice_replay_starts_from_the_half_the_generator_holds():
+    numpy_rng, replay_rng = _philox_pair(4)
+    for rng_ in (numpy_rng, replay_rng):
+        rng_.integers(0, 5)  # one word: the high half of the output stays held
+    replay = harness._ChoiceReplay(replay_rng, 16, (2, 2))
+    for _ in range(50):
+        assert replay() == [sorted(numpy_rng.choice(16, 2, replace=False).tolist())
+                            for _ in range(2)]
+        assert replay_rng.standard_normal(3).tolist() == numpy_rng.standard_normal(3).tolist()
+
+
+# (seed, call): the call-th replay of two picks of 2 of 10,000 from that
+# Philox seed reads a word in Lemire's zone; at seed 3 it is redrawn
+@pytest.mark.parametrize("seed, call, redrawn", [(3, 5329, True), (0, 262013, False)])
+def test_choice_replay_falls_back_to_word_by_word_draws_in_lemires_zone(seed, call, redrawn):
+    numpy_rng, replay_rng = _philox_pair(seed)
+    for rng_ in (numpy_rng, replay_rng):
+        rng_.bit_generator.random_raw(3 * call)  # the words of the earlier calls
+    replay = harness._ChoiceReplay(replay_rng, 10000, (2, 2))
+    bounded = replay.bounded
+    exact = []
+    replay.bounded = lambda excl: exact.append(excl) or bounded(excl)
+    for draw in range(20):
+        assert replay() == [sorted(numpy_rng.choice(10000, 2, replace=False).tolist())
+                            for _ in range(2)]
+        if draw == 0:
+            # all six draws again, word by word; a redraw reads a seventh
+            # word, so the next half stays held
+            assert (exact, bool(replay._held)) == ([9999, 10000, 2] * 2, redrawn)
+        assert replay_rng.standard_normal() == numpy_rng.standard_normal()
+
+
+@pytest.mark.parametrize("hi", [3 * 10**9, 2**32 - 2, 3 * 2**30 - 1])
+def test_choice_replay_bounded_draw_matches_integers(hi):
+    # at 3e9, 70% of the words land in Lemire's zone and 30% are redrawn; at
+    # 2**32 - 2 nearly every word lands in the zone and its threshold is 1;
+    # at 3 * 2**30 - 1 a quarter of the words land on the threshold 2**30
+    # itself, and are kept
+    numpy_rng, replay_rng = _philox_pair(2)
+    replay = harness._ChoiceReplay(replay_rng, 1, (1,))
+    for _ in range(300):
+        assert replay.bounded(hi + 1) == int(numpy_rng.integers(0, hi + 1))
+        assert replay_rng.standard_normal() == numpy_rng.standard_normal()
+
+
+def test_choice_replay_redraws_a_word_one_below_the_threshold():
+    # for an even first word w and excl = -(w + 1)**-1 mod 2**32 above 2**31,
+    # w * excl mod 2**32 is 2**32 - excl - 1, one below the threshold
+    def first_word(seed):
+        return int(np.random.Philox(seed).random_raw()) & 0xFFFFFFFF
+
+    def excl_for(word):
+        return -pow(word + 1, -1, 2**32) % 2**32 if word % 2 == 0 else 0
+
+    seed = next(seed for seed in range(100) if 2**31 < excl_for(first_word(seed)) < 2**32 - 1)
+    word, excl = first_word(seed), excl_for(first_word(seed))
+    assert word * excl % 2**32 == 2**32 % excl - 1
+    numpy_rng, replay_rng = _philox_pair(seed)
+    replay = harness._ChoiceReplay(replay_rng, 1, (1,))
+    for _ in range(20):
+        assert replay.bounded(excl) == int(numpy_rng.integers(0, excl))
+        assert replay_rng.standard_normal() == numpy_rng.standard_normal()
+
+
+@pytest.mark.parametrize("n, sizes", [(10001, (2,)), (16, (17,)), (16, (0,)), (0, (1,))])
+def test_choice_replay_rejects_what_choice_draws_another_way(n, sizes):
+    with pytest.raises(ValueError, match="n <= 10000"):
+        harness._ChoiceReplay(_philox_pair(0)[0], n, sizes)
+    with pytest.raises(ValueError, match="Philox"):
+        harness._ChoiceReplay(np.random.default_rng(0), 16, (2,))
+
+
 # instance records of the theorem and LCA suites, recorded before the
 # suites ran their instances as kernel blocks: per instance
 # (delta, lambda, max_violation, max_gamma_size, dominated or None when the
@@ -495,6 +583,20 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
     assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
     assert ratios[2, 1] > 100.0 and np.all(np.delete(ratios[:, 1], 2) < 100.0)
     assert diverged[:, 0].tolist() == [-1, 2]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_noise_scale_diverges_at_the_first_step():
+    # desk.cfg's clean first rows have norms on both sides of 1.8, so at
+    # noise_level 1e308 the scale of some trials overflows and of others not
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), noise_level=1e308, trials=3)
+    rows = _trial_results([cfg], range(cfg.trials))
+    overflowed = [not math.isfinite(row[0].sigma) for row in rows]
+    assert overflowed == [True, False, True]
+    assert [rows[t][0].diverged_step for t in (0, 2)] == [0, 0]
+    with pytest.raises(harness.DivergenceError, match=r"3 of 3 trials diverged, the first at "
+                       r"solver step 0; noise_level=1e\+308 overflows the noise scale of 2 of them"):
+        run_trials(cfg)
 
 
 def test_records_do_not_depend_on_the_block_partition():
