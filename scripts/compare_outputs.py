@@ -8,10 +8,10 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
 * ``run``, ``sweep-p``, ``sweep-mu`` and ``sweep-lambda-s`` on desk.cfg,
   the last on the criterion-8 grid config (desk.cfg at 10 measurements and
   P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
-* two runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, and
-  ``run`` on theorem.cfg; desk.cfg at capped noise 1e307, where the errors
-  overflow; and desk.cfg at noise level 1e308, where the noise scale
-  overflows;
+* runs that diverge and exit 2: desk.cfg with ``eta = 0.6``; ``run`` on
+  theorem.cfg; desk.cfg at capped noise 1e307, where the errors overflow; desk.cfg at noise level 1e308, where the noise scale
+  overflows; and desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level
+  1.5e308, where every scale is finite but some noise entries overflow;
 * five config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
   a repeated P, ``check-theorems`` over its support budget, a NaN ratio
   level, a ``beta`` whose square is subnormal, and a ``STREAM_ISTA_THREADS``
@@ -149,6 +149,11 @@ def cases(seed: int, size: dict) -> dict:
         "run-capped-noise-1e307": (
             "desk.cfg", "\nnoise_mode = capped\nnoise_level = 1e307\n", ["run", "--trials", "3"]),
         "run-gaussian-noise-1e308": ("desk.cfg", "\nnoise_level = 1e308\n", ["run", "--trials", "3"]),
+        "run-tiny-noise-entry-1.5e308": (
+            "desk.cfg",
+            "\nm = 4\nn = 8\ns = 1\nn_pairs = 0\nn_samples = 8\nbeta = 1.0\nmu = 0.1\n"
+            "noise_level = 1.5e308\n",
+            ["run", "--trials", "20"]),
         "sweep-p-repeated": ("desk.cfg", "", ["sweep-p", "--values", "1,1"]),
         "check-theorems-over-budget": ("theorem.cfg", "\nn = 40\nq = 8\n", ["check-theorems"]),
         "sweep-lambda-s-level-nan": ("desk.cfg", grid, grid_argv + ["--level", "nan"]),

@@ -94,6 +94,10 @@ SWEEP_AXES = ("none", "P", "mu", "lambda_S")
 # fewest curve points a steady-state estimate accepts
 MIN_STEADY_POINTS = 4
 
+# candidate contraction factors c the steady-state fit searches, evenly
+# spaced over [1e-4, 0.9999]
+_FIT_GRID_SIZE = 10000
+
 # every field a trial's matrix, target or noise stream depends on, plus the
 # trial count; sweep cells that agree on these share each trial's inputs
 _INPUT_FIELDS = (
@@ -221,28 +225,23 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TrialResult:
-    """Pre-measurement error sequence and support behaviour of one trial."""
-
-    errors: np.ndarray  # one entry per measurement
-    max_gamma_size: int
-    sigma: float  # realized noise scale
-    diverged_step: int | None = None  # first diverged solver step, if any
-
-
 class DivergenceError(RuntimeError):
     """Trials of a run or sweep cell diverged numerically."""
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Averaged curve over trials plus the per-trial records."""
+    """Averaged curve over trials plus the per-trial records, row t for trial t.
+
+    ``errors`` is C-ordered, so the mean and std over trials add the rows
+    one after another, the same sums at any block partition.
+    """
 
     mean_curve: np.ndarray
     std_curve: np.ndarray
-    trials: tuple
-    config: ExperimentConfig
+    errors: np.ndarray  # (trials, n_samples): pre-measurement errors
+    max_gamma_size: np.ndarray  # (trials,): largest active set, unsigned
+    sigma: np.ndarray  # (trials,): realized noise scale
 
 
 @dataclass(frozen=True)
@@ -332,23 +331,26 @@ def _stream_keys(cfg: ExperimentConfig, trials) -> _StreamKeys:
 
 def _put_measurements(
     cfg: ExperimentConfig, block: Block, noise_keys, delta, noise_mode: str
-) -> list:
+) -> np.ndarray:
     """Write the noisy measurement rows of the block's first ``len(noise_keys)`` streams.
 
     Stream j's matrix and target are already in the block; its sample k
     takes its noise from Philox key ``noise_keys[j, k]`` (see
-    :func:`_stream_keys`).  Returns each stream's noise scale: under
-    ``gaussian_scaled``, ``cfg.noise_level`` times the norm of its first
-    clean row over sqrt(m), the per-entry std relative to that
+    :func:`_stream_keys`).  Returns each stream's noise scale as an array:
+    under ``gaussian_scaled``, ``cfg.noise_level`` times the norm of its
+    first clean row over sqrt(m), the per-entry std relative to that
     measurement's energy; under the other modes, ``cfg.noise_level``.  A
-    scale that overflows is inf: that stream's measurements are inf, so its
-    run diverges at its first step, and :func:`_check_divergence` names
-    ``noise_level``.  ``delta`` is a scalar or one value per stream, since
-    it may depend on the drawn matrix.  The clean rows are one stacked ``(m x n)(n x 1)``
-    product, the gemv of ``measure``; a first row's norm is a stacked
-    ``(1 x m)(m x 1)`` product, the dot product of ``np.linalg.norm``; and
-    the noise of the whole block is one :func:`noise_rows` call, so each
-    row has the bits of ``measure(phi, sample, gen_noise(...))``.
+    stream whose noise overflows, in its scale or in an entry (scale times
+    draw), gets scale inf and inf measurements, so its run diverges at its
+    first step and :func:`_check_divergence` names ``noise_level``.
+    Numpy's overflow warnings are silenced for this :func:`noise_rows` call
+    only; direct callers keep them.  ``delta`` is a scalar or one value per
+    stream, since it may depend on the drawn matrix.  The clean rows are
+    one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``; a
+    first row's norm is a stacked ``(1 x m)(m x 1)`` product, the dot
+    product of ``np.linalg.norm``; and the noise of the whole block is one
+    :func:`noise_rows` call, so each row has the bits of ``measure(phi,
+    sample, gen_noise(...))``.
     """
     count, n_meas, level = len(noise_keys), cfg.n_samples, cfg.noise_level
     ys = block.ys[:, :count]
@@ -357,19 +359,22 @@ def _put_measurements(
         first = ys[0]
         norms = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0, 0]
         with np.errstate(over="ignore"):
-            sigma = (level * norms / math.sqrt(cfg.m)).tolist()
+            sigma = level * norms / math.sqrt(cfg.m)
     else:
-        sigma = [level] * count
+        sigma = np.full(count, level)
     # an overflowed scale's noise draw is not used
     finite = np.isfinite(sigma)
     # rows step-major, (sample k, stream j), as block.ys lays them out
-    noise = noise_rows(
-        cfg.m, np.tile(np.where(finite, sigma, 0.0), n_meas),
-        np.tile(np.broadcast_to(delta, count), n_meas),
-        noise_mode, np.swapaxes(noise_keys, 0, 1).reshape(-1, 2),
-    )
-    ys += noise.reshape(n_meas, count, cfg.m)
+    with np.errstate(over="ignore"):
+        noise = noise_rows(
+            cfg.m, np.tile(np.where(finite, sigma, 0.0), n_meas),
+            np.tile(np.broadcast_to(delta, count), n_meas),
+            noise_mode, np.swapaxes(noise_keys, 0, 1).reshape(-1, 2),
+        ).reshape(n_meas, count, cfg.m)
+    finite &= np.isfinite(noise).all(axis=(0, 2))
+    ys += noise
     ys[:, ~finite] = np.inf
+    sigma[~finite] = np.inf
     return sigma
 
 
@@ -455,46 +460,44 @@ def _batches(cells) -> dict:
     return batches
 
 
-def _trial_results(cells, trials, keys=None) -> list:
-    """TrialResult of every cell at each trial of a block: one row per trial.
+def _trial_results(cells, keys) -> list:
+    """Per cell, ``(errors, max_gamma_size, diverged_step, sigma)`` of a block of trials.
 
-    The cells share the trials' inputs: each trial's matrix, target and
-    noise stream are built once, into one kernel block, from ``keys``, the
-    trials' :func:`_stream_keys` (derived here when not given).  Cells that
-    differ only in ``lam`` run as the columns of one kernel call; cells
-    with another step or hold length run the block in a call of their own.
+    ``keys`` is :func:`_stream_keys` of the trials, one row each.  The
+    errors are ``(T, n_samples)`` and C-ordered, a copy that pins none of
+    the kernel's records; the largest active set, the first diverged step
+    (-1 for none) and the realized noise scale are ``(T,)``.  The cells
+    share the trials' inputs: each trial's matrix, target and noise stream
+    are built once, into one kernel block.  Cells that differ only in
+    ``lam`` run as the columns of one kernel call; cells with another step
+    or hold length run the block in a call of their own.
     """
     cfg = cells[0]
-    count = len(trials)
-    if keys is None:
-        keys = _stream_keys(cfg, trials)
+    count = len(keys.matrix)
     block = Block(count, cfg.m, cfg.n, cfg.n_samples)
     _put_problems(cfg, block, keys)
-    sigmas = _put_measurements(cfg, block, keys.noise, cfg.noise_delta, cfg.noise_mode)
+    sigma = _put_measurements(cfg, block, keys.noise, cfg.noise_delta, cfg.noise_mode)
     peaks = _target_peaks(block, count)
-    rows = [[None] * len(cells) for _ in trials]
+    out = [None] * len(cells)
     for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(block, lam, eta, P, np.array(sigmas), peaks)
-        premeasurement = errors[P - 1 :: P]
-        for j, row in enumerate(rows):
-            for c, i in enumerate(idxs):
-                # a copy, so a sweep's kept records do not pin the block's records
-                row[i] = TrialResult(
-                    premeasurement[:, j, c].copy(), int(max_gamma[j, c]), sigmas[j],
-                    diverged_step=_step_or_none(diverged[j, c]),
-                )
-    return rows
+        errors, max_gamma, diverged = _run_block(block, lam, eta, P, sigma, peaks)
+        # (columns, T, n_samples), so each cell's errors are contiguous rows
+        premeasurement = np.ascontiguousarray(errors[P - 1 :: P].transpose(2, 1, 0))
+        for c, i in enumerate(idxs):
+            out[i] = (premeasurement[c], max_gamma[:, c], diverged[:, c], sigma)
+    return out
 
 
-def _check_divergence(cfg: ExperimentConfig, results) -> None:
-    steps = [r.diverged_step for r in results if r.diverged_step is not None]
-    if steps:
-        overflowed = sum(not math.isfinite(r.sigma) for r in results)
+def _check_divergence(cfg: ExperimentConfig, diverged: np.ndarray, sigma: np.ndarray) -> None:
+    """Raise :class:`DivergenceError` when a trial of the cell diverged (``diverged`` >= 0)."""
+    steps = diverged[diverged >= 0]
+    if steps.size:
+        overflowed = np.count_nonzero(~np.isfinite(sigma))
         raise DivergenceError(
             f"numerical divergence in cell lambda={cfg.lam!r} s={cfg.s} P={cfg.P} "
-            f"mu={cfg.mu!r} eta={cfg.eta!r}: {len(steps)} of {len(results)} trials "
-            f"diverged, the first at solver step {min(steps)}"
+            f"mu={cfg.mu!r} eta={cfg.eta!r}: {steps.size} of {diverged.size} trials "
+            f"diverged, the first at solver step {int(steps.min())}"
             + (f"; noise_level={cfg.noise_level!r} overflows the noise scale of "
                f"{overflowed} of them" if overflowed else "")
         )
@@ -509,10 +512,10 @@ def _run_cells(cells) -> list:
     run in blocks of consecutive trials, ``_block_size`` per block for the
     group's widest kernel call (its largest ``(eta, P)`` batch of cells)
     and its longest (its largest P); the blocks map over the
-    ``STREAM_ISTA_THREADS`` pool and are aggregated in trial order, so the
-    outcome is identical at any worker count.  The keys are local to the
-    group and only read by the blocks.  Extra workers buy no speed (see
-    README "Threading").
+    ``STREAM_ISTA_THREADS`` pool and each cell's records are joined in
+    trial order, so the outcome is identical at any worker count.  The
+    keys are local to the group and only read by the blocks.  Extra
+    workers buy no speed (see README "Threading").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
@@ -528,28 +531,19 @@ def _run_cells(cells) -> list:
             width = max(len(batch) for batch in _batches(group).values())
             steps = group[0].n_samples * max(cell.P for cell in group)
             trials, size = group[0].trials, _block_size(group[0], width, steps)
-            blocks = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
             keys = _stream_keys(group[0], range(trials))
-
-            def run(b):
-                return _trial_results(group, b, keys.rows(b.start, b.stop))
-
-            rows = [row for block in mapper(run, blocks) for row in block]
+            parts = list(mapper(
+                lambda t: _trial_results(group, keys.rows(t, t + size)), range(0, trials, size)
+            ))
             for j, i in enumerate(idxs):
-                results = [row[j] for row in rows]
-                _check_divergence(cells[i], results)
-                out[i] = _aggregate(cells[i], results)
+                errors, max_gamma, diverged, sigma = (
+                    np.concatenate(records) for records in zip(*(part[j] for part in parts))
+                )
+                _check_divergence(cells[i], diverged, sigma)
+                mean = errors.mean(axis=0)
+                std = errors.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
+                out[i] = RunResult(mean, std, errors, max_gamma, sigma)
     return out
-
-
-def _aggregate(cfg: ExperimentConfig, results: list) -> RunResult:
-    stacked = np.stack([r.errors for r in results])
-    mean = stacked.mean(axis=0)
-    if cfg.trials > 1:
-        std = stacked.std(axis=0, ddof=1)
-    else:
-        std = np.zeros_like(mean)
-    return RunResult(mean, std, tuple(results), cfg)
 
 
 def run_trials(cfg: ExperimentConfig) -> RunResult:
@@ -613,9 +607,7 @@ def estimate_steady_state(curve: np.ndarray, tail_fraction: float = 0.25) -> flo
     return float(curve[-count:].mean())
 
 
-def fit_steady_state(
-    p_values, steady_values, mu: float, dl: float, grid_size: int = 10000
-) -> SteadyStateFit:
+def fit_steady_state(p_values, steady_values, mu: float, dl: float) -> SteadyStateFit:
     """Fit steady(P) = c**P/(1 - c**P) * mu * dl + V over a grid of c.
 
     V is solved in closed form for each candidate c (clipped at zero); the
@@ -631,7 +623,7 @@ def fit_steady_state(
         raise ValueError("steady values must be positive")
     if not (mu >= 0 and dl > 0 and math.isfinite(mu) and math.isfinite(dl)):
         raise ValueError(f"need finite mu >= 0 and dl > 0, got mu={mu}, dl={dl}")
-    c_grid = np.linspace(1e-4, 0.9999, grid_size)
+    c_grid = np.linspace(1e-4, 0.9999, _FIT_GRID_SIZE)
     powers = c_grid[:, None] ** p[None, :]
     g = powers / (1.0 - powers) * (mu * dl)
     v = np.clip((y[None, :] - g).mean(axis=1), 0.0, None)
@@ -687,21 +679,17 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values, s_values):
 def sweep_lambda_s(cfg: ExperimentConfig, lambda_values, s_values, ratio_level: float = 4.0):
     """Grid of active-set ratios over (lambda, s), plus the level-set fit.
 
-    Per-trial inputs are shared across the thresholds of each s.  A ratio
-    level that is not finite raises ConfigError before any trial: no grid
-    point is nearest to it.
+    Every cell runs in one :func:`_run_cells` call, in which the
+    thresholds of each s share its per-trial inputs and run as the columns
+    of one kernel call.  A cell's ratio is the mean over its trials of the
+    largest active set over s.  A ratio level that is not finite raises
+    ConfigError before any trial: no grid point is nearest to it.
     """
     lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
     if not math.isfinite(ratio_level):
         raise ConfigError(f"ratio level must be finite, got {ratio_level}")
-    ratios = np.empty((len(lams), len(svals)))
-    for j, s in enumerate(svals):
-        # one s at a time, so only one column's per-trial records are alive
-        ratios[:, j] = [
-            np.mean([t.max_gamma_size / s for t in r.trials])
-            for r in _run_cells(cells[j :: len(svals)])
-        ]
-    grid = QRatioGrid(lams, svals, ratios)
+    ratios = [np.mean(r.max_gamma_size / cell.s) for cell, r in zip(cells, _run_cells(cells))]
+    grid = QRatioGrid(lams, svals, np.reshape(ratios, (len(lams), len(svals))))
     return grid, fit_lambda_level(grid, ratio_level)
 
 
@@ -1275,6 +1263,6 @@ def write_preconditions_csv(path, reports) -> None:
     with open(path, "w") as fh:
         fh.write("condition,lhs,rhs,pass\n")
         for label, report in reports:
+            prefix = f"{label}:" if label else ""
             for check in report.checks:
-                name = f"{label}:{check.name}" if label else check.name
-                fh.write(f"{name},{_fmt(check.lhs)},{_fmt(check.rhs)},{int(check.passed)}\n")
+                fh.write(f"{prefix}{check.line()}\n")

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .rng import check_seed, philox_keys, standard_normals
+from .rng import philox_keys, standard_normals
 
 DEFAULT_SUPPORT_BUDGET = 10**6
 
@@ -87,7 +87,6 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
     ``seed`` lies in [0, 2**64).  This is the one-matrix case of
     :func:`gaussian_matrices`.
     """
-    check_seed(seed)
     return MeasurementMatrix(m, n, gaussian_matrices(m, n, philox_keys([seed]))[0], seed)
 
 
@@ -148,7 +147,6 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
     surely (the regime the tracking bounds assume).  This is the one-row
     case of :func:`noise_rows`.
     """
-    check_seed(seed)
     return noise_rows(m, sigma, delta, mode, philox_keys([seed]))[0]
 
 

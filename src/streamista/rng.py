@@ -141,16 +141,12 @@ def derive_seeds(seed: int, streams) -> np.ndarray:
     return out
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an integer in [0, 2**64), a uint64 value.
-
-    An integral float passes, as ``int(seed)`` would take it.
-    """
-    _check_uint64(seed, "seed")
-
-
 def _check_uint64(value, name: str) -> None:
-    """:func:`check_seed` for a value called ``name`` in the message."""
+    """Raise ValueError unless ``value`` is an integer in [0, 2**64), a uint64 value.
+
+    An integral float passes, as ``int(value)`` would take it.  ``name``
+    names the value in the message.
+    """
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, (float, np.floating)) and float(value).is_integer()
     )
@@ -161,7 +157,7 @@ def _check_uint64(value, name: str) -> None:
 
 
 def _uint64_values(values, name: str) -> np.ndarray:
-    """``values`` as a uint64 array, every entry first checked by :func:`check_seed`.
+    """``values`` as a uint64 array, every entry first checked by :func:`_check_uint64`.
 
     A cast alone would wrap -1 to 2**64 - 1 and truncate 1.5 to 1, and
     ``np.asarray`` would turn a list holding 0 and 2**64 - 1 into floats,

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .rng import check_seed, keyed_generators, philox_keys, standard_normals
+from .rng import keyed_generators, philox_keys, standard_normals
 
 # substream tags of a target's amplitude and support draws
 _AMPLITUDE_STREAM = 0
@@ -151,7 +151,6 @@ def assemble_target(config: GenConfig) -> DynamicTarget:
     entries.  ``config.seed`` lies in [0, 2**64); this is the one-seed case
     of :func:`assemble_targets`.
     """
-    check_seed(config.seed)
     samples, schedule = assemble_targets(config, target_keys([config.seed]))
     return DynamicTarget(samples[:, 0], schedule[:, 0], config.s, config.beta, config.mu)
 

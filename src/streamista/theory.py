@@ -168,6 +168,7 @@ class ConditionCheck:
         return self.rhs - self.lhs
 
     def line(self) -> str:
+        """The ``condition,lhs,rhs,pass`` row of ``preconditions.csv``."""
         return f"{self.name},{repr(float(self.lhs))},{repr(float(self.rhs))},{int(self.passed)}"
 
 
@@ -186,9 +187,6 @@ class PreconditionReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def lines(self) -> list:
-        return [c.line() for c in self.checks]
 
 
 def check_ista_preconditions(

@@ -32,7 +32,7 @@ DESK = ExperimentConfig()  # 64x128, S=8, 50 trials, 40 measurements
 
 
 def per_trial_steadies(result, tail_fraction=0.25):
-    return np.array([estimate_steady_state(t.errors, tail_fraction) for t in result.trials])
+    return np.array([estimate_steady_state(row, tail_fraction) for row in result.errors])
 
 
 def report(number, ok, detail, dt):

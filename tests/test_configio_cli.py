@@ -311,10 +311,13 @@ def test_cli_thread_count_not_an_integer_exits_one_before_trials(
         ("desk.cfg", "noise_mode = capped\nnoise_level = 1.7e308\n", ["--trials", "3"], "3 of 3"),
         # the noise scale itself overflows, for two of the three trials
         ("desk.cfg", "noise_level = 1e308\n", ["--trials", "3"], "3 of 3"),
+        # every scale is finite, but some noise entries overflow
+        ("desk.cfg", "m = 4\nn = 8\ns = 1\nn_pairs = 0\nn_samples = 8\nbeta = 1.0\nmu = 0.1\n"
+         "noise_level = 1.5e308\n", ["--trials", "20"], "20 of 20"),
     ],
     ids=["desk_eta_0.6", "desk_eta_1.5", "theorem_cfg", "desk_capped_noise_1e300",
          "desk_capped_noise_1e307", "desk_gaussian_noise_1e307", "desk_capped_noise_1.7e308",
-         "desk_gaussian_noise_1e308"],
+         "desk_gaussian_noise_1e308", "tiny_gaussian_noise_1.5e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_divergence_exits_two(tmp_path, capsys, config, extra_lines, extra_args, diverged):

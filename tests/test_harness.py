@@ -18,6 +18,7 @@ from streamista.harness import (
     _run_block,
     _run_cells,
     _run_suite,
+    _stream_keys,
     _target_peaks,
     _trial_problem,
     _trial_results,
@@ -123,11 +124,11 @@ def test_run_trials_thread_count_does_not_change_results(monkeypatch):
 
 
 def test_run_trial_is_deterministic():
-    [[a]] = _trial_results([SMALL], [2])
-    [[b]] = _trial_results([SMALL], [2])
-    assert np.array_equal(a.errors, b.errors)
-    assert a.sigma == b.sigma
-    assert a.max_gamma_size == b.max_gamma_size
+    [(a_errors, a_gamma, _, a_sigma)] = _trial_results([SMALL], _stream_keys(SMALL, [2]))
+    [(b_errors, b_gamma, _, b_sigma)] = _trial_results([SMALL], _stream_keys(SMALL, [2]))
+    assert np.array_equal(a_errors, b_errors)
+    assert np.array_equal(a_sigma, b_sigma)
+    assert np.array_equal(a_gamma, b_gamma)
 
 
 def test_drift_raises_tracking_error():
@@ -556,8 +557,8 @@ def test_divergence_guard_is_quiet_below_the_spectral_step(
         for t in range(cfg.trials)
     )
     cfg = replace(cfg, eta=2.0 * step / spectral)
-    rows = _trial_results([cfg], range(cfg.trials))
-    assert [row[0].diverged_step for row in rows] == [None] * cfg.trials
+    [(_, _, diverged, _)] = _trial_results([cfg], _stream_keys(cfg, range(cfg.trials)))
+    assert diverged.tolist() == [-1] * cfg.trials
 
 
 def test_divergence_factor_flags_errors_above_one_hundred_scales():
@@ -590,12 +591,24 @@ def test_an_overflowing_noise_scale_diverges_at_the_first_step():
     # desk.cfg's clean first rows have norms on both sides of 1.8, so at
     # noise_level 1e308 the scale of some trials overflows and of others not
     cfg = replace(parse_config(CONFIGS / "desk.cfg"), noise_level=1e308, trials=3)
-    rows = _trial_results([cfg], range(cfg.trials))
-    overflowed = [not math.isfinite(row[0].sigma) for row in rows]
+    [(_, _, diverged, sigma)] = _trial_results([cfg], _stream_keys(cfg, range(cfg.trials)))
+    overflowed = [not math.isfinite(s) for s in sigma]
     assert overflowed == [True, False, True]
-    assert [rows[t][0].diverged_step for t in (0, 2)] == [0, 0]
+    assert [diverged[t] for t in (0, 2)] == [0, 0]
     with pytest.raises(harness.DivergenceError, match=r"3 of 3 trials diverged, the first at "
                        r"solver step 0; noise_level=1e\+308 overflows the noise scale of 2 of them"):
+        run_trials(cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_noise_entry_diverges_and_names_noise_level():
+    # m = 4 and a unit first clean row keep every scale finite (7.5e307),
+    # but a draw above 2.4 in magnitude overflows its noise entry
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), m=4, n=8, s=1, n_pairs=0, n_samples=8,
+                  beta=1.0, mu=0.1, noise_level=1.5e308, trials=20)
+    with pytest.raises(harness.DivergenceError, match=r"20 of 20 trials diverged, the first at "
+                       r"solver step 0; noise_level=1\.5e\+308 overflows the noise scale of 7 "
+                       r"of them"):
         run_trials(cfg)
 
 
@@ -680,6 +693,27 @@ def test_trial_measurement_rows_pin(monkeypatch, name, seed):
     assert hashlib.sha256(rows.tobytes()).hexdigest() == TRIAL_MEASUREMENT_PIN[name, seed]
 
 
+# sha256 of the mean_curve bytes, then the std_curve bytes, of desk.cfg at
+# 10 trials: a run, and each cell of a P sweep over (2, 5).  A change of one
+# ulp, such as summing the trials in another order, changes them
+CURVE_PIN = {
+    "run": "408abbfaf85a48a19e14664680b04eb055938908c22b14779fecc7507ee43a54",
+    "P=2": "405a919311c8c4eeeca843b79450545796593921501a65934289775993246af8",
+    "P=5": "5dc38ad731f66a7e099c81e3b5598643247d444e195f3272ab3129bb01fc2bac",
+}
+
+
+def test_averaged_curves_pin():
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), trials=10)
+    results = {"run": run_trials(cfg)}
+    results.update((f"P={v}", r) for v, r in sweep(cfg, "P", (2, 5)))
+    digests = {
+        name: hashlib.sha256(r.mean_curve.tobytes() + r.std_curve.tobytes()).hexdigest()
+        for name, r in results.items()
+    }
+    assert digests == CURVE_PIN
+
+
 def test_default_configuration_regression():
     # pins the default-seed learning curve against accidental drift
     cfg = ExperimentConfig()
@@ -715,7 +749,7 @@ def test_sweep_lambda_s_matches_per_cell_runs(monkeypatch):
     cfg = replace(SMALL, trials=4, n_samples=6)
     lams, svals, cells = lambda_s_cells(cfg, (0.05, 0.1, 0.2, 0.5), (2, 4))
     per_cell = np.array(
-        [np.mean([t.max_gamma_size / c.s for t in run_trials(c).trials]) for c in cells]
+        [np.mean([int(g) / c.s for g in run_trials(c).max_gamma_size]) for c in cells]
     ).reshape(len(lams), len(svals))
     for threads in ("1", "2"):
         monkeypatch.setenv(THREADS_ENV, threads)
@@ -734,9 +768,7 @@ def test_p_sweep_matches_per_cell_runs(monkeypatch):
         for (_, result), alone in zip(cells, per_cell):
             assert result.mean_curve.tobytes() == alone.mean_curve.tobytes()
             assert result.std_curve.tobytes() == alone.std_curve.tobytes()
-            assert [t.max_gamma_size for t in result.trials] == [
-                t.max_gamma_size for t in alone.trials
-            ]
+            assert result.max_gamma_size.tolist() == alone.max_gamma_size.tolist()
 
 
 def test_run_cells_matches_per_cell_runs_on_mixed_cells():
@@ -745,9 +777,7 @@ def test_run_cells_matches_per_cell_runs_on_mixed_cells():
     cells = grid + [replace(grid[0], s=3), replace(grid[0], mu=0.2), replace(grid[1], P=3)]
     for cell, result in zip(cells, _run_cells(cells)):
         alone = run_trials(cell)
-        assert [t.max_gamma_size for t in result.trials] == [
-            t.max_gamma_size for t in alone.trials
-        ]
+        assert result.max_gamma_size.tolist() == alone.max_gamma_size.tolist()
         np.testing.assert_allclose(result.mean_curve, alone.mean_curve, rtol=1e-9, atol=0)
 
 
@@ -870,7 +900,7 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
         np.concatenate(parts, axis=0 if i == 0 else 1) for i, parts in enumerate(zip(*blocks))
     )
     schedule = np.concatenate(schedules, axis=1)
-    for t, trial in enumerate(result.trials):
+    for t in range(cfg.trials):
         ref = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, t, 0))
         target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, t, 1)))
         assert phi[t].tobytes() == ref.entries.tobytes()
@@ -880,7 +910,7 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
         if cfg.noise_mode == "gaussian_scaled":
             clean = float(np.linalg.norm(ref.entries @ target.samples[0]))
             sigma = cfg.noise_level * clean / math.sqrt(cfg.m)
-        assert trial.sigma == sigma
+        assert result.sigma[t] == sigma
         for k, sample in enumerate(target.samples):
             noise = gen_noise(cfg.m, sigma, cfg.noise_delta, cfg.noise_mode,
                               derive_seed(cfg.seed, t, 2, k))
@@ -904,7 +934,7 @@ def test_desk_run_calls_no_scalar_rng(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     cfg = replace(parse_config(CONFIGS / "desk.cfg"), trials=10)
     result = run_trials(cfg)
-    assert len(result.trials) == 10
+    assert len(result.errors) == 10
     assert calls == []
     # the counters do count: the one-trial build and the lemma suite call them
     _trial_problem(cfg, 0)
