@@ -20,10 +20,12 @@ trials, each with its own matrix, stacked until what a kernel call holds
 for them fills ``_BLOCK_BYTES`` (:func:`_block_size`): their inputs, and
 per column of the widest call the iterate buffers and the step records of
 the longest call.  One driver, :func:`_run_suite`, draws the instances of
-the theorem and continuous-bound suites and stacks the running ones the
-same way, one threshold per instance, running each block once per step
-size the suite asks for; each suite keeps only its threshold rule and
-its verdict.  One function, :func:`_run_block`, runs every block from
+the theorem and continuous-bound suites, hands each suite's rule the
+plain numbers of each instance (its isometry constant and its target's
+statistics, reduced once per block), and stacks the running ones the same
+way, one threshold per instance, running each block once per step size
+the suite asks for; each suite keeps only its threshold rule and its
+verdict.  One function, :func:`_run_block`, runs every block from
 zero and reads the kernel's records: the errors, the largest active set,
 and the first step at which a run diverged (an error non-finite or above
 ``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
@@ -33,7 +35,7 @@ noise scale).  A run or sweep with a diverged trial raises
 Every check made before the first trial raises :class:`ConfigError`: the
 fields of :class:`ExperimentConfig` (``GenConfig``'s and ``SolverConfig``'s
 checks included, so ``replace`` raises it too), the sweep and grid values,
-the ratio level and the theorem suite's support budget.
+the ratio level and each suite's support budget.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -60,11 +62,11 @@ from .measurement import (
     gen_gaussian_matrix,
     noise_rows,
     rip_exact,
+    row_norms,
 )
 from .kernels import Block
 from .rng import derive_seed, derive_seeds, make_rng, philox_keys
 from .signals import (
-    DynamicTarget,
     GenConfig,
     assemble_target,
     assemble_targets,
@@ -346,18 +348,16 @@ def _put_measurements(
     Numpy's overflow warnings are silenced for this :func:`noise_rows` call
     only; direct callers keep them.  ``delta`` is a scalar or one value per
     stream, since it may depend on the drawn matrix.  The clean rows are
-    one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``; a
-    first row's norm is a stacked ``(1 x m)(m x 1)`` product, the dot
-    product of ``np.linalg.norm``; and the noise of the whole block is one
-    :func:`noise_rows` call, so each row has the bits of ``measure(phi,
-    sample, gen_noise(...))``.
+    one stacked ``(m x n)(n x 1)`` product, the gemv of ``measure``; the
+    first rows' norms are ``row_norms``; and the noise of the whole block
+    is one :func:`noise_rows` call, so each row has the bits of
+    ``measure(phi, sample, gen_noise(...))``.
     """
     count, n_meas, level = len(noise_keys), cfg.n_samples, cfg.noise_level
     ys = block.ys[:, :count]
     np.matmul(block.phi[:count], block.targets[:, :count, :, None], out=ys[..., None])
     if noise_mode == "gaussian_scaled":
-        first = ys[0]
-        norms = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0, 0]
+        norms = row_norms(ys[0])
         with np.errstate(over="ignore"):
             sigma = level * norms / math.sqrt(cfg.m)
     else:
@@ -378,20 +378,18 @@ def _put_measurements(
     return sigma
 
 
-def _put_problems(cfg: ExperimentConfig, block: Block, keys, start: int = 0) -> np.ndarray:
+def _put_problems(cfg: ExperimentConfig, block: Block, keys, start: int = 0) -> None:
     """Write the matrices and targets of trials from their stream keys into a block.
 
     ``keys`` is :func:`_stream_keys` of the trials, which go to the block's
     streams ``start``, ``start + 1``, ...  The matrices and the target
     samples go straight into the block, each trial with the bits of
-    :func:`_trial_problem`.  Returns the support rows ``(n_samples, T, s)``,
-    which the suites keep with each instance's target.
+    :func:`_trial_problem`.
     """
     streams = slice(start, start + len(keys.matrix))
     gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi[streams])
     # the keys stand in for the target seed, which gen_config's seed would be
-    _, schedule = assemble_targets(cfg.gen_config(0), keys.target, out=block.targets[:, streams])
-    return schedule
+    assemble_targets(cfg.gen_config(0), keys.target, out=block.targets[:, streams])
 
 
 def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None) -> int:
@@ -412,12 +410,6 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     return max(1, _BLOCK_BYTES // (inputs + width * column))
 
 
-def _target_peaks(block: Block, count: int) -> np.ndarray:
-    """The largest target sample norm of each of the block's first ``count`` streams."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(block.targets[:, :count], axis=2).max(axis=0)
-
-
 def _run_block(
     block: Block, lam: np.ndarray, eta: float, p: int, sigma, peaks, relax: float = 1.0,
 ):
@@ -430,10 +422,11 @@ def _run_block(
     A step diverged when its error is non-finite or above
     ``_DIVERGENCE_FACTOR`` times its trial's largest target sample norm
     plus ``sigma``, one noise scale per trial or one for all; the caller
-    passes those norms as ``peaks`` (:func:`_target_peaks`), computed once
-    for every run of the block.  That limit is clipped to the largest
-    float, so an error that overflows diverges at every scale.  Numpy's
-    overflow warnings are silenced, because the step names the divergence.
+    passes those norms as ``peaks`` (``estimate_beta`` of the trials'
+    targets), computed once for every run of the block.  That limit is
+    clipped to the largest float, so an error that overflows diverges at
+    every scale.  Numpy's overflow warnings are silenced, because the step
+    names the divergence.
     """
     count, _, width = lam.shape
     u0 = np.zeros((count, block.phi.shape[2], width))
@@ -477,7 +470,8 @@ def _trial_results(cells, keys) -> list:
     block = Block(count, cfg.m, cfg.n, cfg.n_samples)
     _put_problems(cfg, block, keys)
     sigma = _put_measurements(cfg, block, keys.noise, cfg.noise_delta, cfg.noise_mode)
-    peaks = _target_peaks(block, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = estimate_beta(block.targets)
     out = [None] * len(cells)
     for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
@@ -748,18 +742,18 @@ class TheoremSuiteResult:
         return all(inst.dominated for inst in self.instances if inst.report.passed)
 
 
-def theorem_level(cfg: ExperimentConfig) -> int:
-    """Support size of the exact isometry constant the theorem suite needs.
+def _suite_level(cfg: ExperimentConfig, suite: str, formula: str, level: int) -> int:
+    """``level``, the support size of the exact isometry constants ``suite`` needs.
 
     Raises ConfigError when enumerating its supports would exceed
     ``DEFAULT_SUPPORT_BUDGET``, so a config the suite cannot check fails
-    before any instance is drawn.
+    before any instance is drawn; the message names the suite and its
+    level's ``formula``.
     """
-    level = min(cfg.s + 2 * cfg.q, cfg.n)
     total = math.comb(cfg.n, level)
     if total > DEFAULT_SUPPORT_BUDGET:
         raise ConfigError(
-            f"check-theorems needs exact isometry constants at level min(s + 2q, n) = {level}; "
+            f"{suite} needs exact isometry constants at level {formula} = {level}; "
             f"enumerating comb({cfg.n}, {level}) = {total} supports exceeds the budget "
             f"{DEFAULT_SUPPORT_BUDGET}"
         )
@@ -774,13 +768,17 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     (:func:`_put_problems`), straight into the free streams of the block
     being filled, and a running instance moves down to the first free
     stream, so one block holds every drawn and running instance.
-    ``draw(t, est, beta, mu_dl, target)`` gets the instance's exact
-    isometry constant at ``level`` (``rip_exact``) and its target's
-    empirical energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``,
-    0.0 at one sample), and returns ``(record, lam)``, with ``lam`` the
-    instance's threshold, or None when it does not run.  A running
-    instance's noise is capped at ``cfg.noise_level`` under its own
-    isometry constant, the regime the bounds assume.
+    ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
+    isometry constant at ``level`` (``rip_exact``), its target's empirical
+    energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
+    one sample) and its first sample's norm, the first error of a zero
+    start.  The three target statistics are reduced once for every stream
+    filled, each with the bits of its target's own call.  ``draw`` returns
+    ``(record, lam)``, with ``lam`` the instance's threshold, or None when
+    it does not run.  A running instance's noise is capped at
+    ``cfg.noise_level`` under its own isometry constant, the regime the
+    bounds assume, and its energy bound is the target peak
+    :func:`_run_block` scales the divergence limit by.
 
     A full block, and the last one, runs once per ``(eta, p, relax)`` of
     ``runs`` (see :func:`_run_block`), sized by :func:`_block_size` for the
@@ -792,38 +790,37 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     """
     size = _block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = _stream_keys(cfg, range(cfg.trials))
-    drawn, lams, running, deltas = [], [], [], []
+    drawn, lams, running, deltas, peaks = [], [], [], [], []
     block = Block(size, cfg.m, cfg.n, cfg.n_samples)
     t = 0
     while t < cfg.trials:
         # fill the free streams, then keep each running instance in the first one
         first = len(lams)
         count = min(size - first, cfg.trials - t)
-        schedule = _put_problems(cfg, block, keys.rows(t, t + count), first)
-        for j in range(first, first + count):
-            phi = MeasurementMatrix(cfg.m, cfg.n, block.phi[j])
-            target = DynamicTarget(
-                block.targets[:, j], schedule[:, j - first], cfg.s, cfg.beta, cfg.mu
-            )
-            est = rip_exact(phi, level)
-            mu_dl = estimate_mu_dl(target) if cfg.n_samples > 1 else 0.0
-            record, lam = draw(t, est, estimate_beta(target), mu_dl, target)
+        _put_problems(cfg, block, keys.rows(t, t + count), first)
+        samples = block.targets[:, first : first + count]
+        betas = estimate_beta(samples).tolist()
+        mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
+        e0s = row_norms(samples[0]).tolist()
+        for j, beta, mu_dl, e0 in zip(range(first, first + count), betas, mu_dls, e0s):
+            delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, block.phi[j]), level).delta
+            record, lam = draw(t, delta, beta, mu_dl, e0)
             drawn.append((record, None if lam is None else len(lams)))
             if lam is not None:
                 if len(lams) < j:
-                    block.put(len(lams), phi.entries, target.samples)
+                    block.put(len(lams), block.phi[j], block.targets[:, j])
                 lams.append(lam)
                 running.append(t)
-                deltas.append(est.delta)
+                deltas.append(delta)
+                peaks.append(beta)
             t += 1
         if len(lams) == size or t == cfg.trials:
             results = []
             if lams:
                 _put_measurements(cfg, block, keys.noise[running], deltas, "capped")
                 thresholds = np.reshape(lams, (-1, 1, 1))
-                peaks = _target_peaks(block, len(lams))
                 results = [
-                    _run_block(block, thresholds, eta, p, cfg.noise_level, peaks, relax)
+                    _run_block(block, thresholds, eta, p, cfg.noise_level, np.array(peaks), relax)
                     for eta, p, relax in runs
                 ]
             for record, j in drawn:
@@ -831,7 +828,7 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
                     (errors[:, j, 0], int(max_gamma[j, 0]), _step_or_none(diverged[j, 0]))
                     for errors, max_gamma, diverged in results
                 ]
-            drawn, lams, running, deltas = [], [], [], []
+            drawn, lams, running, deltas, peaks = [], [], [], [], []
             block = Block(size, cfg.m, cfg.n, cfg.n_samples)
 
 
@@ -851,8 +848,7 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
     sigma = cfg.noise_level
     init_u = np.zeros(cfg.n)
 
-    def draw(t, est, beta_emp, mudl_emp, target):
-        delta = est.delta
+    def draw(t, delta, beta_emp, mudl_emp, e0):
         c = abs(cfg.eta - 1.0) + delta * cfg.eta
         lam = cfg.lam
         if c < 1.0:
@@ -861,13 +857,14 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
             )
             lam = max(lam, lam_floor)
         report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u, 0)
-        record = (t, est, beta_emp, mudl_emp, lam, report)
+        record = (t, delta, mudl_emp, lam, report)
         return record, (lam if delta < 1.0 else None)
 
     instances = []
     runs = [(cfg.eta, cfg.P, 1.0)]
-    for record, out in _run_suite(cfg, theorem_level(cfg), draw, runs):
-        t, est, beta_emp, mudl_emp, lam, report = record
+    level = _suite_level(cfg, "check-theorems", "min(s + 2q, n)", min(cfg.s + 2 * cfg.q, cfg.n))
+    for record, out in _run_suite(cfg, level, draw, runs):
+        t, delta, mudl_emp, lam, report = record
         max_violation = float("nan")
         support_ok = None
         max_gamma = -1
@@ -876,15 +873,14 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
             [(errors, max_gamma, diverged)] = out
             if report.passed:
                 params = IstaBoundParams(
-                    eta=cfg.eta, delta=est.delta, sigma=sigma, lam=lam, q=cfg.q,
-                    mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, beta=beta_emp,
-                    e1=float(errors[0]),
+                    eta=cfg.eta, delta=delta, sigma=sigma, lam=lam, q=cfg.q,
+                    mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, e1=float(errors[0]),
                 )
                 bounds = ista_error_bound(np.arange(errors.size), params)
                 max_violation = float(np.max(errors - bounds))
                 support_ok = max_gamma <= cfg.q
         instances.append(TheoremInstance(
-            t, est.delta, lam, sigma, report, max_violation, support_ok,
+            t, delta, lam, sigma, report, max_violation, support_ok,
             max_gamma, diverged,
         ))
     return TheoremSuiteResult(tuple(instances))
@@ -949,8 +945,7 @@ def run_lca_suite(
     hold = cfg.P * cfg.tau  # time units each measurement is held
     init_u = np.zeros(cfg.n)
 
-    def draw(t, est, beta_emp, mudl_emp, target):
-        delta = est.delta
+    def draw(t, delta, beta_emp, mudl_emp, e0):
         mu_rate = mudl_emp / hold
         lam = cfg.lam
         if delta < 0.5:
@@ -961,12 +956,11 @@ def run_lca_suite(
                 delta * (cfg.tau * mu_rate + sigma) + (1.0 - delta) * (beta_emp + sigma)
             ) / (1.0 - 2.0 * delta)
             lam = max(lam, 1.05 * max(e0_branch, d_branch) / math.sqrt(cfg.q))
-        e0 = float(np.linalg.norm(target.samples[0]))
         params = None
         if delta < 1.0:
             params = LcaBoundParams(
                 delta=delta, tau=cfg.tau, sigma=sigma, lam=lam, q=cfg.q,
-                mu=mu_rate, beta=beta_emp, e0=e0,
+                mu=mu_rate, e0=e0,
             )
         D = math.inf if params is None else params.D
         report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u, 0)
@@ -975,6 +969,7 @@ def run_lca_suite(
 
     instances = []
     level = min(cfg.s + cfg.q, cfg.n)
+    level = _suite_level(cfg, "the continuous-bound suite", "min(s + q, n)", level)
     # the unit step, then the refined step
     refinements = (1, substeps)
     runs = [(1.0, cfg.P * steps, 1.0 / steps) for steps in refinements]

@@ -16,9 +16,8 @@ drawn from the key :func:`.rng.philox_keys` makes of the seed, so every
 block row has the bits of its one-seed call.  A block keeps those bits
 because each of its reductions sums in the one-seed order: a column norm
 is ``np.add.reduce`` over the row axis, which is what
-``np.linalg.norm(axis=0)`` computes, and a row norm is a stacked
-``(1 x m)(m x 1)`` product, the dot product ``np.linalg.norm`` takes of a
-vector.
+``np.linalg.norm(axis=0)`` computes, and a row norm is
+:func:`row_norms`, the dot product ``np.linalg.norm`` takes of a vector.
 """
 
 from dataclasses import dataclass
@@ -45,6 +44,15 @@ _ROUNDING = 1e-9
 NOISE_MODES = ("gaussian_scaled", "capped")
 
 _TINY = np.finfo(np.float64).tiny
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``rows`` ``(T, k)``, with the bits of ``np.linalg.norm(row)``.
+
+    Each is a stacked ``(1 x k)(k x 1)`` product, the dot product
+    ``np.linalg.norm`` takes of a vector.
+    """
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
 class SupportBudgetError(ValueError):
@@ -155,9 +163,8 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
 
     ``sigma`` and ``delta`` are scalars or one value per row.  Every row is
     drawn, scaled and capped with the bits of its one-row call: the scaling
-    and the cap are elementwise, and a row's norm is a stacked
-    ``(1 x m)(m x 1)`` product, which is the dot product ``np.linalg.norm``
-    takes.  Where that product overflows or leaves the normal range, the
+    and the cap are elementwise, and a row's norm is :func:`row_norms`.
+    Where that product overflows or leaves the normal range, the
     capped row is rescaled from the norm of its unscaled draw, so every
     capped row's norm stays within rounding of the smaller of its drawn
     norm and the cap; numpy's overflow warnings are silenced there, since
@@ -183,7 +190,7 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     with np.errstate(over="ignore"):
         eps *= sigma[:, None]
         cap = sigma / np.sqrt(1.0 + delta)
-        nrm = np.sqrt(eps[:, None, :] @ eps[:, :, None])[:, 0, 0]
+        nrm = row_norms(eps)
         # the squares of a row overflow from a level of about 1e154 on, and
         # below about 1e-154 they fall under the normal range and lose bits
         lost = (sigma > 0) & ~((nrm >= math.sqrt(m * _TINY)) & np.isfinite(nrm))
@@ -192,7 +199,7 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
         if lost.any():
             # such a row is rescaled from the norm of its unscaled draw
             raw = standard_normals(keys[lost], np.empty((lost.sum(), m)))
-            raw_nrm = np.sqrt(raw[:, None, :] @ raw[:, :, None])[:, 0, 0]
+            raw_nrm = row_norms(raw)
             scale = sigma[lost]
             scale = np.where(scale * raw_nrm > cap[lost], cap[lost] / raw_nrm, scale)
             eps[lost] = raw * scale[:, None]

@@ -17,13 +17,16 @@ pair at once.  :func:`assemble_target` is its case for one seed, and each
 target of a block has its bits:
 
 * an amplitude stream is one ``(n_samples, s)`` draw, which equals the
-  draws of ``s`` one sample at a time; the first row's norm is a stacked
-  ``(1 x s)(s x 1)`` product, the dot product ``np.linalg.norm`` takes; and
+  draws of ``s`` one sample at a time; the first row's norm is
+  ``measurement.row_norms``, the dot product ``np.linalg.norm`` takes; and
   the recursion runs over samples, each step across the whole block;
 * a support plan draws its ``choice`` and ``uniform`` from one generator
   per target, reset to the target's key;
 * the envelopes, the routing and the schedule sort are elementwise or per
   row.
+
+The energy and jump estimators reduce one target's samples or a whole
+block's over the sample axis.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ import math
 
 import numpy as np
 
+from .measurement import row_norms
 from .rng import keyed_generators, philox_keys, standard_normals
 
 # substream tags of a target's amplitude and support draws
@@ -90,9 +94,6 @@ class DynamicTarget:
 
     samples: np.ndarray  # (n_samples, n)
     support_schedule: np.ndarray  # (n_samples, s), sorted indices
-    s: int
-    beta: float
-    mu: float
 
 
 def target_keys(seeds) -> np.ndarray:
@@ -115,9 +116,8 @@ def _amplitude_rows(s: int, n_samples: int, beta: float, mu: float, keys) -> np.
     _check_energy(beta, mu)
     draws = standard_normals(keys, np.empty((len(keys), n_samples, s)))
     first = draws[:, 0]
-    norm = np.sqrt(first[:, None, :] @ first[:, :, None])[:, 0]
     alpha = np.empty((n_samples, len(keys), s))
-    alpha[0] = beta * first / norm
+    alpha[0] = beta * first / row_norms(first)[:, None]
     keep = np.sqrt((beta**2 - mu**2) / beta**2)
     steps = (mu / np.sqrt(s)) * draws.transpose(1, 0, 2)
     for prev, row, step in zip(alpha, alpha[1:], steps[1:]):
@@ -152,7 +152,7 @@ def assemble_target(config: GenConfig) -> DynamicTarget:
     of :func:`assemble_targets`.
     """
     samples, schedule = assemble_targets(config, target_keys([config.seed]))
-    return DynamicTarget(samples[:, 0], schedule[:, 0], config.s, config.beta, config.mu)
+    return DynamicTarget(samples[:, 0], schedule[:, 0])
 
 
 def assemble_targets(config: GenConfig, keys, out=None):
@@ -185,14 +185,20 @@ def assemble_targets(config: GenConfig, keys, out=None):
     return samples, np.sort(full, axis=2).astype(np.intp)
 
 
-def estimate_mu_dl(target: DynamicTarget) -> float:
-    """Tightest bound on the consecutive-sample jump: max ||x[l] - x[l-1]||."""
-    if target.samples.shape[0] < 2:
+def estimate_mu_dl(samples: np.ndarray):
+    """Tightest bound on the consecutive-sample jump: max ||x[l] - x[l-1]||.
+
+    ``samples`` is ``(n_samples, ..., n)``, one target's samples or a
+    block's; the jumps reduce over the sample axis, a float for one target
+    and one per stream for a block, each with the bits of its stream's own
+    call.
+    """
+    if samples.shape[0] < 2:
         raise ValueError("need at least two samples to estimate a jump bound")
-    diffs = np.diff(target.samples, axis=0)
-    return float(np.max(np.linalg.norm(diffs, axis=1)))
+    return np.linalg.norm(np.diff(samples, axis=0), axis=-1).max(axis=0)
 
 
-def estimate_beta(target: DynamicTarget) -> float:
-    """Tightest bound on sample energy: max ||x[l]||."""
-    return float(np.max(np.linalg.norm(target.samples, axis=1)))
+def estimate_beta(samples: np.ndarray):
+    """Tightest bound on sample energy: max ||x[l]||, over the sample axis as
+    :func:`estimate_mu_dl` reduces."""
+    return np.linalg.norm(samples, axis=-1).max(axis=0)

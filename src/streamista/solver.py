@@ -72,19 +72,15 @@ class SolverState:
 class SolverTrace:
     """Per-iteration record of one streaming run.
 
-    Row l (= k*P + i) stores the error ||a[l+1] - target[l]||, the size of
-    the active set of u[l+1], and a switch flag that is true when the active
-    set or the target support changed versus the previous iteration.
+    Row l (= k*P + i, iteration i against measurement k, with the P of the
+    run's config) stores the error ||a[l+1] - target[l]||, the size of the
+    active set of u[l+1], and a switch flag that is true when the active set
+    or the target support changed versus the previous iteration.
     """
 
-    l: np.ndarray
-    k: np.ndarray
-    i: np.ndarray
     errors: np.ndarray
     gamma_sizes: np.ndarray
     switches: np.ndarray
-    P: int
-    n_measurements: int
     initial_gamma_size: int
     final_state: SolverState
 
@@ -175,20 +171,14 @@ def run_streaming(
     # the first step against a new measurement also flags a target support change
     schedule = target.support_schedule
     switches[P::P] |= np.any(schedule[1:] != schedule[:-1], axis=1)
-    n_meas = block.ys.shape[0]
-    total = n_meas * P
-    l = np.arange(total)
     return SolverTrace(
-        l=l,
-        k=l // P,
-        i=l % P,
         errors=errors[:, 0, 0],
         gamma_sizes=gamma_sizes[1:],
         switches=switches,
-        P=P,
-        n_measurements=n_meas,
         initial_gamma_size=int(gamma_sizes[0]),
-        final_state=SolverState(u_fin[0, :, 0], a_fin[0, :, 0], total, np.flatnonzero(active[-1])),
+        final_state=SolverState(
+            u_fin[0, :, 0], a_fin[0, :, 0], len(errors), np.flatnonzero(active[-1])
+        ),
     )
 
 

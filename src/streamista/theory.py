@@ -80,7 +80,6 @@ class IstaBoundParams:
     mu: float
     dl: float
     P: int
-    beta: float
     e1: float  # ||a[1] - target[0]||, the first recorded error
     c: float = field(init=False)
     V: float = field(init=False)
@@ -105,7 +104,6 @@ class LcaBoundParams:
     lam: float
     q: int
     mu: float
-    beta: float
     e0: float  # ||a(0) - target(0)||
     D: float = field(init=False)
 

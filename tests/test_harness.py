@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis.extra.numpy import arrays
 
 from streamista.harness import (
     THREADS_ENV,
@@ -19,7 +20,6 @@ from streamista.harness import (
     _run_cells,
     _run_suite,
     _stream_keys,
-    _target_peaks,
     _trial_problem,
     _trial_results,
     estimate_steady_state,
@@ -460,8 +460,11 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
     cfg, size = replace(LCA_CFG, trials=20), 4
     monkeypatch.setattr(harness, "_block_size", lambda *args, **kwargs: size)
     runs = [t for t in range(cfg.trials) if t % 3 != 1][:size]
+    level = cfg.s + cfg.q
+    passed = {}
 
-    def draw(t, est, beta, mu_dl, target):
+    def draw(t, delta, beta, mu_dl, e0):
+        passed[t] = (delta, beta, mu_dl, e0)
         return t, (0.5 + t if t in runs else None)
 
     calls = []
@@ -474,7 +477,7 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
 
     monkeypatch.setattr(Block, "stream", spy)
     drawn = []
-    for t, out in _run_suite(cfg, cfg.s + cfg.q, draw, [(cfg.eta, cfg.P, 1.0)]):
+    for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
         drawn.append(t)
         assert (out is not None) == (t in runs)
         if out is not None:
@@ -492,6 +495,46 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
             assert isinstance(max_gamma, int) and diverged is None
     assert drawn == list(range(cfg.trials))
     assert [len(phis) for phis, _, _ in calls] == [size]
+    # each instance gets the floats of its own matrix and target, whichever
+    # block and stream it was drawn into
+    for t in range(cfg.trials):
+        phi, target = _trial_problem(cfg, t)
+        expected = (
+            measurement.rip_exact(phi, level).delta,
+            signals.estimate_beta(target.samples),
+            signals.estimate_mu_dl(target.samples),
+            np.linalg.norm(target.samples[0]),
+        )
+        assert all(type(value) is float for value in passed[t])
+        assert passed[t] == expected
+    assert len(set(passed.values())) == cfg.trials
+
+
+# the largest beta whose square is finite, the largest a target may have
+BETA_MAX = math.sqrt(np.finfo(float).max)
+
+
+@settings(deadline=None, max_examples=80)
+@given(samples=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-BETA_MAX, BETA_MAX))
+))
+@example(samples=np.full((1, 2, 3), BETA_MAX))  # one sample, and norms that overflow
+def test_block_statistics_match_each_stream_alone(samples):
+    # what the suite driver hands draw(), reduced once over a block
+    # (n_samples, T, n), against each stream's samples built alone
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    with np.errstate(over="ignore"):
+        betas = signals.estimate_beta(samples)
+        e0s = measurement.row_norms(samples[0])
+        jumps = signals.estimate_mu_dl(samples) if len(samples) > 1 else None
+        for j in range(samples.shape[1]):
+            stream = samples[:, j].copy()
+            assert bits(betas[j]) == bits(signals.estimate_beta(stream))
+            assert bits(e0s[j]) == bits(np.linalg.norm(stream[0]))
+            if jumps is not None:
+                assert bits(jumps[j]) == bits(signals.estimate_mu_dl(stream))
 
 
 @pytest.mark.parametrize(
@@ -578,7 +621,7 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
     block.ys[...] = block.targets
     block.ys[..., 0] = heights.T
     errors, _, diverged = _run_block(
-        block, np.full((2, 1, 1), lam), 1.0, 1, sigma, _target_peaks(block, 2)
+        block, np.full((2, 1, 1), lam), 1.0, 1, sigma, signals.estimate_beta(block.targets)
     )
     ratios = errors[..., 0] / (peak + sigma)
     assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
@@ -805,16 +848,19 @@ PRE_TRIAL_REJECTIONS = {
     "s_repeated": lambda: sweep_lambda_s(SMALL, (0.1,), (2, 2)),
     "ratio_level_nan": lambda: sweep_lambda_s(SMALL, (0.1,), (2,), ratio_level=float("nan")),
     "theorem_level_over_budget": lambda: run_theorem_suite(replace(SMALL, n=40)),
+    "lca_level_over_budget": lambda: run_lca_suite(replace(SMALL, n=40)),
 }
 
 
 @pytest.mark.parametrize("reject", PRE_TRIAL_REJECTIONS.values(), ids=PRE_TRIAL_REJECTIONS.keys())
 def test_harness_raises_config_error_before_any_trial(monkeypatch, reject):
-    # the harness is the one place a config is rejected, with no kernel call
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a kernel call ran for an invalid config")
+    # the harness is the one place a config is rejected, before any input
+    # is built and with no kernel call
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial's inputs were built or run for an invalid config")
 
-    monkeypatch.setattr("streamista.kernels.stream", no_kernel)
+    monkeypatch.setattr("streamista.kernels.stream", no_trial)
+    monkeypatch.setattr(harness, "_put_problems", no_trial)
     with pytest.raises(ConfigError):
         reject()
 
@@ -886,13 +932,14 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
                       + [a[:, :count].copy() for a in (self.targets, self.ys)])
         return stream(self, lam, eta, p, u0, relax)
 
-    def spy_put(*args, **kwargs):
-        schedules.append(put_problems(*args, **kwargs))
-        return schedules[-1]
+    def spy_targets(*args, **kwargs):
+        samples, schedule = assemble_targets(*args, **kwargs)
+        schedules.append(schedule)
+        return samples, schedule
 
-    stream, put_problems = Block.stream, harness._put_problems
+    stream, assemble_targets = Block.stream, harness.assemble_targets
     with patch.object(Block, "stream", spy), \
-            patch.object(harness, "_put_problems", spy_put), \
+            patch.object(harness, "assemble_targets", spy_targets), \
             patch("streamista.harness._BLOCK_BYTES", block_bytes), \
             patch("streamista.harness._KEY_ROWS", key_rows):
         result = run_trials(cfg)

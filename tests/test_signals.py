@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import (
-    DynamicTarget,
     GenConfig,
     _amplitude_rows,
     _support_plans,
@@ -163,27 +162,17 @@ def test_static_target_when_mu_zero_and_no_pairs():
 
 
 def test_estimate_mu_dl_hand_case():
-    target = DynamicTarget(
-        np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]]),
-        np.array([[0, 1], [0, 1], [0, 1]]),
-        2,
-        5.0,
-        5.0,
-    )
-    assert estimate_mu_dl(target) == 5.0
+    samples = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]])
+    assert estimate_mu_dl(samples) == 5.0
 
 
 def test_estimate_mu_dl_needs_two_samples():
-    target = DynamicTarget(np.array([[1.0]]), np.array([[0]]), 1, 1.0, 0.0)
     with pytest.raises(ValueError):
-        estimate_mu_dl(target)
+        estimate_mu_dl(np.array([[1.0]]))
 
 
 def test_estimate_beta_is_max_row_norm():
-    target = DynamicTarget(
-        np.array([[0.0, 1.0], [3.0, 4.0]]), np.array([[1], [0]]), 1, 5.0, 0.0
-    )
-    assert estimate_beta(target) == 5.0
+    assert estimate_beta(np.array([[0.0, 1.0], [3.0, 4.0]])) == 5.0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -23,13 +23,7 @@ from reference import init_state, ista_iterate, soft_threshold
 def static_target(x, n_meas):
     x = np.asarray(x, dtype=np.float64)
     supp = np.flatnonzero(x)
-    return DynamicTarget(
-        np.tile(x, (n_meas, 1)),
-        np.tile(supp, (n_meas, 1)),
-        max(1, supp.size),
-        float(np.linalg.norm(x)) or 1.0,
-        0.0,
-    )
+    return DynamicTarget(np.tile(x, (n_meas, 1)), np.tile(supp, (n_meas, 1)))
 
 
 def test_soft_threshold_boundary_is_inactive():
@@ -176,13 +170,13 @@ def test_trace_indexing_and_premeasurement_slice():
     phi = gen_gaussian_matrix(8, 12, 6)
     ys = (phi.entries @ target.samples.T).T
     trace = run_streaming(phi, ys, target, SolverConfig(lam=0.1, eta=0.3, P=3), np.zeros(12))
-    assert np.array_equal(trace.l, np.arange(15))
-    assert np.array_equal(trace.k, trace.l // 3)
-    assert np.array_equal(trace.i, trace.l % 3)
+    # row l is iteration i = l % P against measurement k = l // P
+    l = np.arange(15)
+    assert trace.errors.size == trace.gamma_sizes.size == trace.switches.size == l.size
     # the pre-measurement errors the harness keeps are the rows at i = P - 1
     premeasurement = trace.errors[2::3]
-    assert premeasurement.size == trace.n_measurements == 5
-    assert np.array_equal(trace.errors[trace.i == 2], premeasurement)
+    assert premeasurement.size == 5
+    assert np.array_equal(trace.errors[l % 3 == 2], premeasurement)
 
 
 def test_max_gamma_includes_initial_state():

@@ -60,7 +60,7 @@ def test_drift_offset_worked_case():
 def test_error_bound_worked_case():
     # independent arbitrary-precision evaluation gives exactly 17/20
     params = IstaBoundParams(eta=1.0, delta=0.5, sigma=0.0, lam=0.2, q=1,
-                             P=2, mu=1.0, dl=1.0, beta=1.0, e1=2.0)
+                             P=2, mu=1.0, dl=1.0, e1=2.0)
     assert params.c == 0.5
     assert params.V == 0.4
     assert ista_error_bound(3, params) == pytest.approx(0.85, rel=1e-12)
@@ -68,20 +68,20 @@ def test_error_bound_worked_case():
 
 def test_error_bound_starts_at_initial_error():
     params = IstaBoundParams(eta=1.0, delta=0.3, sigma=0.1, lam=0.2, q=2,
-                             P=1, mu=0.5, dl=1.0, beta=1.0, e1=3.0)
+                             P=1, mu=0.5, dl=1.0, e1=3.0)
     assert ista_error_bound(0, params) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_error_bound_rejects_negative_iteration():
     params = IstaBoundParams(eta=1.0, delta=0.3, sigma=0.0, lam=0.2, q=1,
-                             P=1, mu=0.0, dl=1.0, beta=1.0, e1=1.0)
+                             P=1, mu=0.0, dl=1.0, e1=1.0)
     with pytest.raises(ValueError):
         ista_error_bound(-1, params)
 
 
 def test_error_bound_approaches_steady_state():
     params = IstaBoundParams(eta=1.0, delta=0.4, sigma=0.05, lam=0.3, q=2,
-                             P=2, mu=0.4, dl=1.0, beta=1.0, e1=5.0)
+                             P=2, mu=0.4, dl=1.0, e1=5.0)
     steady = ista_steady_state(params)
     # the plateau is the limit along iterations that land just before a
     # new measurement, i.e. l % P == P - 1
@@ -100,22 +100,22 @@ def test_error_bound_approaches_steady_state():
 def test_error_bound_decays_along_aligned_iterations(delta, P, mu, extra, l):
     # with e1 above the drift offset, the bound shrinks P iterations later
     params = IstaBoundParams(eta=1.0, delta=delta, sigma=0.1, lam=0.2, q=2,
-                             P=P, mu=mu, dl=1.0, beta=1.0, e1=0.0)
+                             P=P, mu=mu, dl=1.0, e1=0.0)
     params = IstaBoundParams(eta=1.0, delta=delta, sigma=0.1, lam=0.2, q=2,
-                             P=P, mu=mu, dl=1.0, beta=1.0, e1=params.W + extra)
+                             P=P, mu=mu, dl=1.0, e1=params.W + extra)
     assert ista_error_bound(l + P, params) <= ista_error_bound(l, params) + 1e-12
 
 
 def test_steady_state_drops_with_more_iterations_per_measurement():
     def steady(P):
         params = IstaBoundParams(eta=1.0, delta=0.4, sigma=0.0, lam=0.2, q=2,
-                                 P=P, mu=0.5, dl=1.0, beta=1.0, e1=1.0)
+                                 P=P, mu=0.5, dl=1.0, e1=1.0)
         return ista_steady_state(params)
 
     values = [steady(P) for P in (1, 2, 5, 20)]
     assert all(a > b for a, b in zip(values, values[1:]))
     static = IstaBoundParams(eta=1.0, delta=0.4, sigma=0.0, lam=0.2, q=2,
-                             P=1, mu=0.0, dl=1.0, beta=1.0, e1=1.0)
+                             P=1, mu=0.0, dl=1.0, e1=1.0)
     assert values[-1] > ista_steady_state(static) == static.V
 
 
@@ -131,7 +131,7 @@ def test_matched_discretization_stays_below_continuous_bound():
     # then sits exactly tau*mu below the continuous constant
     delta, tau, mu, sigma, lam, q = 0.3, 2.0, 0.7, 0.1, 0.5, 3
     params = IstaBoundParams(eta=1.0, delta=delta, sigma=sigma, lam=lam, q=q,
-                             P=1, mu=mu, dl=tau, beta=1.0, e1=1.0)
+                             P=1, mu=mu, dl=tau, e1=1.0)
     discrete = ista_steady_state(params)
     continuous = lca_steady_bound(delta, tau, mu, sigma, lam, q)
     assert discrete <= continuous
@@ -141,14 +141,14 @@ def test_matched_discretization_stays_below_continuous_bound():
 def test_matched_discretization_equality_in_static_case():
     delta, tau, sigma, lam, q = 0.3, 2.0, 0.1, 0.5, 3
     params = IstaBoundParams(eta=1.0, delta=delta, sigma=sigma, lam=lam, q=q,
-                             P=1, mu=0.0, dl=tau, beta=1.0, e1=1.0)
+                             P=1, mu=0.0, dl=tau, e1=1.0)
     assert ista_steady_state(params) == pytest.approx(
         lca_steady_bound(delta, tau, 0.0, sigma, lam, q), rel=1e-14
     )
 
 
 def test_continuous_error_bound_interpolates():
-    params = LcaBoundParams(delta=0.25, tau=1.5, mu=0.4, sigma=0.1, lam=0.3, q=2, beta=1.0, e0=5.0)
+    params = LcaBoundParams(delta=0.25, tau=1.5, mu=0.4, sigma=0.1, lam=0.3, q=2, e0=5.0)
     assert lca_error_bound(0.0, params) == 5.0
     assert lca_error_bound(1e6, params) == pytest.approx(params.D, rel=1e-12)
     half_life = params.tau / (1.0 - params.delta) * math.log(2.0)
@@ -397,13 +397,13 @@ def test_rip_suite_rejects_indices_outside_the_columns():
 
 def test_error_bounds_take_whole_traces():
     ista = IstaBoundParams(eta=0.8, delta=0.3, sigma=0.1, lam=0.2, q=2,
-                           P=3, mu=0.5, dl=1.0, beta=1.0, e1=4.0)
+                           P=3, mu=0.5, dl=1.0, e1=4.0)
     steps = np.arange(300)
     np.testing.assert_allclose(
         ista_error_bound(steps, ista), [ista_error_bound(int(l), ista) for l in steps],
         rtol=1e-12, atol=0,
     )
-    lca = LcaBoundParams(delta=0.25, tau=1.5, mu=0.4, sigma=0.1, lam=0.3, q=2, beta=1.0, e0=5.0)
+    lca = LcaBoundParams(delta=0.25, tau=1.5, mu=0.4, sigma=0.1, lam=0.3, q=2, e0=5.0)
     times = np.linspace(0.0, 30.0, 301)
     np.testing.assert_allclose(
         lca_error_bound(times, lca), [lca_error_bound(float(t), lca) for t in times],
