@@ -12,10 +12,15 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   theorem.cfg; desk.cfg at capped noise 1e307, where the errors overflow; desk.cfg at noise level 1e308, where the noise scale
   overflows; and desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level
   1.5e308, where every scale is finite but some noise entries overflow;
-* five config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
+* six config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
   a repeated P, ``check-theorems`` over its support budget, a NaN ratio
-  level, a ``beta`` whose square is subnormal, and a ``STREAM_ISTA_THREADS``
-  that is not an integer (a Python call that sets it and runs ``run``);
+  level, a ``beta`` whose square is subnormal, a ``STREAM_ISTA_THREADS``
+  that is not an integer (a Python call that sets it and runs ``run``), and
+  ``fit-steady`` on a ``steady.csv`` holding a NaN steady value;
+* ``fit-steady`` on a fixed valid three-row ``steady.csv``.  Both
+  ``fit-steady`` cases are Python calls that write the file and run the
+  CLI.  The NaN case differs from a tree older than its check, which
+  exited 0 and wrote a ``fit.csv`` of NaN;
 * ``run_lemma_suite`` at the input seed: a Python call that prints the
   ``repr`` of its result, the worst slack at full precision, where
   ``lemma-suite`` rounds it;
@@ -63,7 +68,7 @@ CRITERION_7_TRIALS = 20
 # the cases that exit 1 with a config error
 CONFIG_ERROR_CASES = (
     "sweep-p-repeated", "check-theorems-over-budget", "sweep-lambda-s-level-nan",
-    "run-beta-square-subnormal", "run-threads-not-integer",
+    "run-beta-square-subnormal", "run-threads-not-integer", "fit-steady-nan",
 )
 
 # argv[1] is the config's fields as JSON
@@ -98,6 +103,21 @@ os.environ["STREAM_ISTA_THREADS"] = "abc"
 from streamista.cli import cli_main
 sys.exit(cli_main(sys.argv[1:]))
 """
+
+# argv[1] is the text of steady.csv, argv[2:] the CLI's
+FIT_SCRIPT = """
+import sys
+from pathlib import Path
+from streamista.cli import cli_main
+Path("steady.csv").write_text(sys.argv[1])
+sys.exit(cli_main(sys.argv[2:]))
+"""
+
+# a P sweep's steady.csv, valid and with a NaN steady value
+FIT_STEADY = {
+    "fit-steady": "P,steady\n1,0.5\n2,0.4\n5,0.3\n",
+    "fit-steady-nan": "P,steady\n1,nan\n2,0.4\n5,0.3\n",
+}
 
 # argv[1] is the matrices as JSON, argv[2] the seed of the Gaussian ones
 RIP_SCRIPT = """
@@ -172,6 +192,10 @@ def cases(seed: int, size: dict) -> dict:
     runs["run-threads-not-integer"] = ("desk.cfg", "", [
         "-c", THREADS_SCRIPT, *cli["run"][2], *common, "--config", "desk.cfg", "--out", "out"])
     runs["rip"] = (None, "", ["-c", RIP_SCRIPT, json.dumps(RIP_MATRICES), str(seed)])
+    for name, text in FIT_STEADY.items():
+        runs[name] = ("desk.cfg", "", [
+            "-c", FIT_SCRIPT, text, "fit-steady", "--input", "steady.csv", *common,
+            "--config", "desk.cfg", "--out", "out"])
     return runs
 
 

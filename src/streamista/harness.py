@@ -4,12 +4,12 @@ A trial draws a fresh measurement matrix, synthetic target, and noise stream
 from seeds derived off the master seed and trial index, runs the streaming
 solver from a zero initial state, and keeps the pre-measurement error
 sequence.  The Philox keys of every stream of a group of trials are derived
-once, ``_KEY_ROWS`` rows per hash call (:func:`_stream_keys`).  Each kernel
-block's matrices, targets and noisy measurement rows are then built from
-its trials' keys straight into the block (:func:`_put_problems`), with the
-bits of ``gen_gaussian_matrix``, ``assemble_target`` and one ``measure``
-and ``gen_noise`` call per sample.  Curves average the error sequence over
-trials.  Sweeps share per-trial inputs across axis values, so
+once, ``_KEY_ROWS`` rows per hash call (:func:`_stream_keys`).  A kernel
+block is three arrays, the matrices, target samples and noisy measurement
+rows of its trials, built from their keys (:func:`_problems`,
+:func:`_measurements`) with the bits of ``gen_gaussian_matrix``,
+``assemble_target`` and one ``measure`` and ``gen_noise`` call per
+sample.  Curves average the error sequence over trials.  Sweeps share per-trial inputs across axis values, so
 comparisons are paired: cells that agree on every field the inputs depend
 on build each trial's matrix, target and noise once, and the cells of such
 a group that differ only in the threshold run as the columns of one kernel
@@ -22,10 +22,10 @@ per column of the widest call the iterate buffers and the step records of
 the longest call.  One driver, :func:`_run_suite`, draws the instances of
 the theorem and continuous-bound suites, hands each suite's rule the
 plain numbers of each instance (its isometry constant and its target's
-statistics, reduced once per block), and stacks the running ones the same
-way, one threshold per instance, running each block once per step size
-the suite asks for; each suite keeps only its threshold rule and its
-verdict.  One function, :func:`_run_block`, runs every block from
+statistics, reduced once per block), and stacks the rows of the running
+ones the same way, one threshold per instance, running each block once
+per step size the suite asks for; each suite keeps only its threshold rule
+and its verdict.  One function, :func:`_run_block`, runs every block from
 zero and reads the kernel's records: the errors, the largest active set,
 and the first step at which a run diverged (an error non-finite or above
 ``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
@@ -64,7 +64,7 @@ from .measurement import (
     rip_exact,
     row_norms,
 )
-from .kernels import Block
+from . import kernels
 from .rng import derive_seed, derive_seeds, make_rng, philox_keys
 from .signals import (
     GenConfig,
@@ -132,8 +132,11 @@ _DIVERGENCE_FACTOR = 100.0
 # draws per call of the near-isometry oracle, which bounds the block's memory
 _LEMMA_BLOCK = 256
 
-# the lemma suite's matrices (m x n), its two index sets (sizes q and s,
-# exact isometry constant at level q + s) and its violation tolerance
+# the lemma suite's matrix count and draws per matrix, its matrices
+# (m x n), its two index sets (sizes q and s, exact isometry constant at
+# level q + s) and its violation tolerance
+_LEMMA_MATRICES = 10
+_LEMMA_DRAWS = 1000
 _LEMMA_M = 8
 _LEMMA_N = 16
 _LEMMA_Q = 2
@@ -276,7 +279,7 @@ def _trial_problem(cfg: ExperimentConfig, trial: int):
 
     This is the one-trial build through ``gen_gaussian_matrix`` and
     ``assemble_target``; blocks of trials get its bits from
-    :func:`_put_problems`.
+    :func:`_problems`.
     """
     phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, trial, _MATRIX_STREAM))
     target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, trial, _TARGET_STREAM)))
@@ -331,17 +334,16 @@ def _stream_keys(cfg: ExperimentConfig, trials) -> _StreamKeys:
     return keys
 
 
-def _put_measurements(
-    cfg: ExperimentConfig, block: Block, noise_keys, delta, noise_mode: str
-) -> np.ndarray:
-    """Write the noisy measurement rows of the block's first ``len(noise_keys)`` streams.
+def _measurements(cfg: ExperimentConfig, phi, targets, noise_keys, delta, noise_mode: str):
+    """``(ys, sigma)``: the noisy measurement rows ``(n_samples, T, m)`` of T streams.
 
-    Stream j's matrix and target are already in the block; its sample k
-    takes its noise from Philox key ``noise_keys[j, k]`` (see
-    :func:`_stream_keys`).  Returns each stream's noise scale as an array:
-    under ``gaussian_scaled``, ``cfg.noise_level`` times the norm of its
-    first clean row over sqrt(m), the per-entry std relative to that
-    measurement's energy; under the other modes, ``cfg.noise_level``.  A
+    Stream j has matrix ``phi[j]`` and target samples ``targets[:, j]``
+    (:func:`_problems`); its sample k takes its noise from Philox key
+    ``noise_keys[j, k]`` (see :func:`_stream_keys`).  ``sigma`` is each
+    stream's noise scale as an array: under ``gaussian_scaled``,
+    ``cfg.noise_level`` times the norm of its first clean row over sqrt(m),
+    the per-entry std relative to that measurement's energy; under the
+    other modes, ``cfg.noise_level``.  A
     stream whose noise overflows, in its scale or in an entry (scale times
     draw), gets scale inf and inf measurements, so its run diverges at its
     first step and :func:`_check_divergence` names ``noise_level``.
@@ -354,8 +356,7 @@ def _put_measurements(
     ``measure(phi, sample, gen_noise(...))``.
     """
     count, n_meas, level = len(noise_keys), cfg.n_samples, cfg.noise_level
-    ys = block.ys[:, :count]
-    np.matmul(block.phi[:count], block.targets[:, :count, :, None], out=ys[..., None])
+    ys = np.matmul(phi, targets[..., None])[..., 0]
     if noise_mode == "gaussian_scaled":
         norms = row_norms(ys[0])
         with np.errstate(over="ignore"):
@@ -364,7 +365,7 @@ def _put_measurements(
         sigma = np.full(count, level)
     # an overflowed scale's noise draw is not used
     finite = np.isfinite(sigma)
-    # rows step-major, (sample k, stream j), as block.ys lays them out
+    # rows step-major, (sample k, stream j), as ys lays them out
     with np.errstate(over="ignore"):
         noise = noise_rows(
             cfg.m, np.tile(np.where(finite, sigma, 0.0), n_meas),
@@ -375,21 +376,18 @@ def _put_measurements(
     ys += noise
     ys[:, ~finite] = np.inf
     sigma[~finite] = np.inf
-    return sigma
+    return ys, sigma
 
 
-def _put_problems(cfg: ExperimentConfig, block: Block, keys, start: int = 0) -> None:
-    """Write the matrices and targets of trials from their stream keys into a block.
+def _problems(cfg: ExperimentConfig, keys):
+    """``(phi, targets)``: matrices ``(T, m, n)`` and target samples ``(n_samples, T, n)``.
 
-    ``keys`` is :func:`_stream_keys` of the trials, which go to the block's
-    streams ``start``, ``start + 1``, ...  The matrices and the target
-    samples go straight into the block, each trial with the bits of
-    :func:`_trial_problem`.
+    ``keys`` is :func:`_stream_keys` of the T trials; each trial gets the
+    bits of :func:`_trial_problem`.
     """
-    streams = slice(start, start + len(keys.matrix))
-    gaussian_matrices(cfg.m, cfg.n, keys.matrix, out=block.phi[streams])
+    phi = gaussian_matrices(cfg.m, cfg.n, keys.matrix)
     # the keys stand in for the target seed, which gen_config's seed would be
-    assemble_targets(cfg.gen_config(0), keys.target, out=block.targets[:, streams])
+    return phi, assemble_targets(cfg.gen_config(0), keys.target)[0]
 
 
 def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None) -> int:
@@ -411,12 +409,13 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
 
 
 def _run_block(
-    block: Block, lam: np.ndarray, eta: float, p: int, sigma, peaks, relax: float = 1.0,
+    phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, peaks, relax: float = 1.0,
 ):
-    """Run the first T streams of a block from zero under thresholds ``lam`` ``(T, 1, L)``.
+    """Run a block of T streams from zero under thresholds ``lam`` ``(T, 1, L)``.
 
-    T is at least one: a suite block with no running instance makes no
-    call (:func:`_run_suite`).  Returns the error record ``(steps, T, L)``,
+    The block is the three arrays of :func:`.kernels.stream`.  T is at
+    least one: a suite block with no running instance makes no call
+    (:func:`_run_suite`).  Returns the error record ``(steps, T, L)``,
     the largest active set per (trial, column), reduced from the kernel's
     active masks, and the first diverged step per (trial, column), or -1.
     A step diverged when its error is non-finite or above
@@ -429,14 +428,14 @@ def _run_block(
     names the divergence.
     """
     count, _, width = lam.shape
-    u0 = np.zeros((count, block.phi.shape[2], width))
+    u0 = np.zeros((count, phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
-        errors, active = block.stream(lam, eta, p, u0, relax)[:2]
+        errors, active = kernels.stream(phi, ys, targets, lam, eta, p, u0, relax)[:2]
         limit = np.minimum(_DIVERGENCE_FACTOR * (peaks + sigma), np.finfo(float).max)
         bad = ~(errors <= limit[:, None])
     # a count never exceeds n, so the narrowest type holding n sums exactly
     max_gamma = np.add.reduce(
-        active.view(np.uint8), axis=2, dtype=np.min_scalar_type(block.phi.shape[2])
+        active.view(np.uint8), axis=2, dtype=np.min_scalar_type(phi.shape[2])
     ).max(axis=0)
     return errors, max_gamma, np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
@@ -467,15 +466,14 @@ def _trial_results(cells, keys) -> list:
     """
     cfg = cells[0]
     count = len(keys.matrix)
-    block = Block(count, cfg.m, cfg.n, cfg.n_samples)
-    _put_problems(cfg, block, keys)
-    sigma = _put_measurements(cfg, block, keys.noise, cfg.noise_delta, cfg.noise_mode)
+    phi, targets = _problems(cfg, keys)
+    ys, sigma = _measurements(cfg, phi, targets, keys.noise, cfg.noise_delta, cfg.noise_mode)
     with np.errstate(over="ignore", invalid="ignore"):
-        peaks = estimate_beta(block.targets)
+        peaks = estimate_beta(targets)
     out = [None] * len(cells)
     for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(block, lam, eta, P, sigma, peaks)
+        errors, max_gamma, diverged = _run_block(phi, ys, targets, lam, eta, P, sigma, peaks)
         # (columns, T, n_samples), so each cell's errors are contiguous rows
         premeasurement = np.ascontiguousarray(errors[P - 1 :: P].transpose(2, 1, 0))
         for c, i in enumerate(idxs):
@@ -606,27 +604,36 @@ def fit_steady_state(p_values, steady_values, mu: float, dl: float) -> SteadySta
 
     V is solved in closed form for each candidate c (clipped at zero); the
     reported r2 is 1 - sse/sst, defined as 0 when the inputs are constant.
+    Raises ValueError for a P value that is not finite or is below 1, a
+    steady value that is not finite or not positive, and a fit whose sse or
+    r2 is not finite, such as steady values whose squares overflow; numpy's
+    warnings in the fit are silenced, since the error names the overflow.
     """
     p = np.asarray(p_values, dtype=np.float64)
     y = np.asarray(steady_values, dtype=np.float64)
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError("p_values and steady_values must be 1-d and equally long")
+    if not np.all((p >= 1) & np.isfinite(p)):
+        raise ValueError(f"P values must be finite and at least 1, got {p.tolist()}")
+    if not np.all((y > 0) & np.isfinite(y)):
+        raise ValueError(f"steady values must be positive and finite, got {y.tolist()}")
     if np.unique(p).size < 3:
         raise ValueError("need at least 3 distinct P values to fit the steady-state law")
-    if np.any(y <= 0):
-        raise ValueError("steady values must be positive")
     if not (mu >= 0 and dl > 0 and math.isfinite(mu) and math.isfinite(dl)):
         raise ValueError(f"need finite mu >= 0 and dl > 0, got mu={mu}, dl={dl}")
     c_grid = np.linspace(1e-4, 0.9999, _FIT_GRID_SIZE)
-    powers = c_grid[:, None] ** p[None, :]
-    g = powers / (1.0 - powers) * (mu * dl)
-    v = np.clip((y[None, :] - g).mean(axis=1), 0.0, None)
-    resid = y[None, :] - g - v[:, None]
-    sse = np.einsum("ij,ij->i", resid, resid)
-    best = int(np.argmin(sse))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    best_sse = float(sse[best])
-    r2 = 0.0 if sst == 0.0 else 1.0 - best_sse / sst
+    with np.errstate(all="ignore"):
+        powers = c_grid[:, None] ** p[None, :]
+        g = powers / (1.0 - powers) * (mu * dl)
+        v = np.clip((y[None, :] - g).mean(axis=1), 0.0, None)
+        resid = y[None, :] - g - v[:, None]
+        sse = np.einsum("ij,ij->i", resid, resid)
+        best = int(np.argmin(sse))
+        sst = float(np.sum((y - y.mean()) ** 2))
+        best_sse = float(sse[best])
+        r2 = 0.0 if sst == 0.0 else 1.0 - best_sse / sst
+    if not (math.isfinite(best_sse) and math.isfinite(r2)):
+        raise ValueError(f"the steady-state fit overflows: sse={best_sse!r}, r2={r2!r}")
     return SteadyStateFit(float(c_grid[best]), float(v[best]), best_sse, r2)
 
 
@@ -764,16 +771,16 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     """Draw suite instances in order and run the ones that run in kernel blocks.
 
     Instance t's matrix and target have the bits of :func:`_trial_problem`;
-    they are built from keys derived once for the suite
-    (:func:`_put_problems`), straight into the free streams of the block
-    being filled, and a running instance moves down to the first free
-    stream, so one block holds every drawn and running instance.
-    ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
+    they are built from keys derived once for the suite (:func:`_problems`),
+    a batch at a time, as many as the block being filled has free streams.
+    The rows of the batch's running instances are appended to the block's
+    arrays, so one block holds every running instance drawn since the last
+    kernel call.  ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
     isometry constant at ``level`` (``rip_exact``), its target's empirical
     energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
     one sample) and its first sample's norm, the first error of a zero
-    start.  The three target statistics are reduced once for every stream
-    filled, each with the bits of its target's own call.  ``draw`` returns
+    start.  The three target statistics are reduced once per batch, each
+    with the bits of its target's own call.  ``draw`` returns
     ``(record, lam)``, with ``lam`` the instance's threshold, or None when
     it does not run.  A running instance's noise is capped at
     ``cfg.noise_level`` under its own isometry constant, the regime the
@@ -790,46 +797,53 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     """
     size = _block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = _stream_keys(cfg, range(cfg.trials))
+    empty = ((0, cfg.m, cfg.n), (cfg.n_samples, 0, cfg.n))
     drawn, lams, running, deltas, peaks = [], [], [], [], []
-    block = Block(size, cfg.m, cfg.n, cfg.n_samples)
+    phi, targets = (np.empty(shape) for shape in empty)
     t = 0
     while t < cfg.trials:
-        # fill the free streams, then keep each running instance in the first one
-        first = len(lams)
-        count = min(size - first, cfg.trials - t)
-        _put_problems(cfg, block, keys.rows(t, t + count), first)
-        samples = block.targets[:, first : first + count]
+        # draw into the free streams; keep the rows of the running instances
+        count = min(size - len(lams), cfg.trials - t)
+        batch, samples = _problems(cfg, keys.rows(t, t + count))
         betas = estimate_beta(samples).tolist()
         mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
         e0s = row_norms(samples[0]).tolist()
-        for j, beta, mu_dl, e0 in zip(range(first, first + count), betas, mu_dls, e0s):
-            delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, block.phi[j]), level).delta
+        kept = []
+        for j, (beta, mu_dl, e0) in enumerate(zip(betas, mu_dls, e0s)):
+            delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, batch[j]), level).delta
             record, lam = draw(t, delta, beta, mu_dl, e0)
             drawn.append((record, None if lam is None else len(lams)))
             if lam is not None:
-                if len(lams) < j:
-                    block.put(len(lams), block.phi[j], block.targets[:, j])
+                kept.append(j)
                 lams.append(lam)
                 running.append(t)
                 deltas.append(delta)
                 peaks.append(beta)
             t += 1
+        phi = np.concatenate([phi, batch[kept]])
+        targets = np.concatenate([targets, samples[:, kept]], axis=1)
+        # the batch is not held through the kernel call
+        del batch, samples
         if len(lams) == size or t == cfg.trials:
             results = []
             if lams:
-                _put_measurements(cfg, block, keys.noise[running], deltas, "capped")
+                ys, _ = _measurements(cfg, phi, targets, keys.noise[running], deltas, "capped")
                 thresholds = np.reshape(lams, (-1, 1, 1))
                 results = [
-                    _run_block(block, thresholds, eta, p, cfg.noise_level, np.array(peaks), relax)
+                    _run_block(phi, ys, targets, thresholds, eta, p, cfg.noise_level,
+                               np.array(peaks), relax)
                     for eta, p, relax in runs
                 ]
+                # nor are the measurements while the suite reads the records
+                del ys
             for record, j in drawn:
                 yield record, None if j is None else [
                     (errors[:, j, 0], int(max_gamma[j, 0]), _step_or_none(diverged[j, 0]))
                     for errors, max_gamma, diverged in results
                 ]
             drawn, lams, running, deltas, peaks = [], [], [], [], []
-            block = Block(size, cfg.m, cfg.n, cfg.n_samples)
+            # fresh arrays, not views that would keep this block alive
+            phi, targets = (np.empty(shape) for shape in empty)
 
 
 def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
@@ -856,7 +870,7 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
                 (1.0 - c) * math.sqrt(cfg.q)
             )
             lam = max(lam, lam_floor)
-        report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u, 0)
+        report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u)
         record = (t, delta, mudl_emp, lam, report)
         return record, (lam if delta < 1.0 else None)
 
@@ -963,7 +977,7 @@ def run_lca_suite(
                 mu=mu_rate, e0=e0,
             )
         D = math.inf if params is None else params.D
-        report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u, 0)
+        report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u)
         record = (t, delta, lam, report, params, mu_rate)
         return record, (lam if report.passed and params is not None else None)
 
@@ -1113,12 +1127,12 @@ class _ChoiceReplay:
         return picks
 
 
-def run_lemma_suite(seed: int, n_matrices: int = 10, draws: int = 1000) -> LemmaSuiteResult:
+def run_lemma_suite(seed: int) -> LemmaSuiteResult:
     """Randomized near-isometry checks, the support-cap grid, and envelopes.
 
-    Each of ``n_matrices`` Gaussian ``_LEMMA_M x _LEMMA_N`` matrices gets
-    its exact isometry constant at level ``_LEMMA_Q + _LEMMA_S`` and
-    ``draws`` draws from its own stream: two index sets, of sizes
+    Each of ``_LEMMA_MATRICES`` Gaussian ``_LEMMA_M x _LEMMA_N`` matrices
+    gets its exact isometry constant at level ``_LEMMA_Q + _LEMMA_S`` and
+    ``_LEMMA_DRAWS`` draws from its own stream: two index sets, of sizes
     ``_LEMMA_Q`` and ``_LEMMA_S``, picked without replacement and sorted;
     then one normal call, split into x's entries on their union and the
     measurement y.  A normal call draws its values one after another, so
@@ -1133,13 +1147,13 @@ def run_lemma_suite(seed: int, n_matrices: int = 10, draws: int = 1000) -> Lemma
     rip_checks = 0
     rip_violations = 0
     worst = math.inf
-    for idx in range(n_matrices):
+    for idx in range(_LEMMA_MATRICES):
         phi = gen_gaussian_matrix(_LEMMA_M, _LEMMA_N, derive_seed(seed, idx))
         delta = rip_exact(phi, _LEMMA_Q + _LEMMA_S).delta
         rng = make_rng(seed, idx, 1)
         choices = _ChoiceReplay(rng, _LEMMA_N, (_LEMMA_Q, _LEMMA_S))
-        for start in range(0, draws, _LEMMA_BLOCK):
-            rows = min(_LEMMA_BLOCK, draws - start)
+        for start in range(0, _LEMMA_DRAWS, _LEMMA_BLOCK):
+            rows = min(_LEMMA_BLOCK, _LEMMA_DRAWS - start)
             gamma1 = np.empty((rows, _LEMMA_Q), dtype=np.intp)
             gamma2 = np.empty((rows, _LEMMA_S), dtype=np.intp)
             x = np.zeros((rows, _LEMMA_N))

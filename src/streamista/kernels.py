@@ -13,8 +13,9 @@ The loop advances a block of T trials at once, each with its own matrix,
 measurements and target.  Trial t holds an ``n x L`` iterate block whose
 column j runs under threshold ``lam[t, j]``, so one step is two stacked
 matrix products over the whole block.  A single stream is the block with
-T = 1 and L = 1.  :class:`Block` lays the inputs out: matrices,
-measurements and targets, nothing else.  The kernel returns the errors and
+T = 1 and L = 1.  A block is three arrays, laid out as :func:`stream`
+describes: matrices, measurements and targets, nothing else.  Every caller
+reaches the loop as ``kernels.stream``.  The kernel returns the errors and
 the active masks of every iterate and leaves their reading to its callers:
 ``harness._run_block`` takes the largest active set, and
 ``solver.run_streaming`` the set sizes, the final active set and the
@@ -54,35 +55,6 @@ def active_backend() -> str:
     return "numpy"
 
 
-class Block:
-    """Inputs of ``count`` streams in the kernel's layout.
-
-    The matrices stack as ``phi`` ``(T, m, n)``; the per-step inputs are
-    step-major: measurements ``ys`` ``(n_meas, T, m)`` and target samples
-    ``targets`` ``(n_meas, T, n)``.  :meth:`put` fills one stream's matrix
-    and target; a caller that builds every stream at once writes into the
-    arrays directly.  The measurement rows are always written by the caller.
-    """
-
-    def __init__(self, count: int, m: int, n: int, n_meas: int):
-        self.phi = np.empty((count, m, n))
-        self.ys = np.empty((n_meas, count, m))
-        self.targets = np.empty((n_meas, count, n))
-
-    def put(self, t: int, phi, samples) -> None:
-        """Store stream t: its matrix and target samples."""
-        self.phi[t] = phi
-        self.targets[:, t] = samples
-
-    def stream(self, lam, eta, p, u0, relax=1.0):
-        """:func:`stream` over the first ``len(u0)`` streams of this block."""
-        count = u0.shape[0]
-        return stream(
-            self.phi[:count], self.ys[:, :count], self.targets[:, :count],
-            lam, eta, p, u0, relax,
-        )
-
-
 def _shrink(u, lam, neg_lam, a, mag, active) -> None:
     """Soft-threshold ``u`` into ``a`` and write ``|u| > lam`` into ``active``.
 
@@ -100,7 +72,11 @@ def _shrink(u, lam, neg_lam, a, mag, active) -> None:
 def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0):
     """Per-step errors, the active masks of every iterate, and the final u, a.
 
-    The inputs are laid out as :class:`Block` describes, and ``u0`` is
+    The T streams' matrices stack as ``phi`` ``(T, m, n)``, C-contiguous,
+    so each trial's product is the BLAS call of its one-trial run; the
+    per-step inputs are step-major: measurements ``ys`` ``(n_meas, T, m)``
+    and target samples ``targets`` ``(n_meas, T, n)``, read only
+    elementwise, so any strides give the same bits.  ``u0`` is
     ``(T, n, L)``; ``lam`` broadcasts against ``(T, 1, L)``, so it may be a
     scalar, one threshold per column, or one per trial.  Error row l holds
     the distance of the iterate produced at step l to the target held at

@@ -98,19 +98,18 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
     return MeasurementMatrix(m, n, gaussian_matrices(m, n, philox_keys([seed]))[0], seed)
 
 
-def gaussian_matrices(m: int, n: int, keys, out=None) -> np.ndarray:
+def gaussian_matrices(m: int, n: int, keys) -> np.ndarray:
     """Stacked matrices ``(rows, m, n)``: matrix i is drawn from Philox key ``keys[i]``.
 
     Each is ``gen_gaussian_matrix(m, n, seed).entries`` for the seed the key
-    stands for, written into ``out`` when given.  The columns are checked
-    for unit norm, as :class:`MeasurementMatrix` checks them.  The squares
-    are taken one matrix at a time into an ``(m, n)`` scratch, so no
-    temporary grows with the number of matrices.
+    stands for.  The columns are checked for unit norm, as
+    :class:`MeasurementMatrix` checks them.  The squares are taken one
+    matrix at a time into an ``(m, n)`` scratch, so no temporary grows with
+    the number of matrices.
     """
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got ({m}, {n})")
-    if out is None:
-        out = np.empty((len(keys), m, n))
+    out = np.empty((len(keys), m, n))
     standard_normals(keys, out)
     square = np.empty((m, n))
     norms = np.empty((len(out), 1, n))

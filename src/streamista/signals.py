@@ -155,19 +155,17 @@ def assemble_target(config: GenConfig) -> DynamicTarget:
     return DynamicTarget(samples[:, 0], schedule[:, 0])
 
 
-def assemble_targets(config: GenConfig, keys, out=None):
+def assemble_targets(config: GenConfig, keys):
     """Samples ``(n_samples, rows, n)`` and sorted support rows ``(n_samples, rows, s)``
     of the target of every key pair ``keys[i]`` from :func:`target_keys`.
 
     Target i is ``assemble_target`` at the seed its keys stand for;
-    ``config.seed`` is not read.  The samples are written into ``out`` when
-    given.
+    ``config.seed`` is not read.
     """
     count, n_samples, n_fixed = len(keys), config.n_samples, config.s - config.n_pairs
     alpha = _amplitude_rows(config.s, n_samples, config.beta, config.mu, keys[:, 0])
     fixed, pairs, phases = _support_plans(config, keys[:, 1])
-    samples = np.empty((n_samples, count, config.n)) if out is None else out
-    samples[...] = 0.0
+    samples = np.zeros((n_samples, count, config.n))
     trial = np.arange(count)[:, None]
     samples[:, trial, fixed] = alpha[:, :, :n_fixed]
     full = np.broadcast_to(fixed, (n_samples, count, n_fixed))

@@ -8,10 +8,10 @@ to each incoming measurement y[k], holding the target fixed between
 measurements (iteration index l = k*p + i with 0 <= i < p).  The recorded
 error at row l is ||a[l+1] - target[l]||, and the subsequence at i = p-1
 is the pre-measurement error ||a[kp] - target[kp-1]|| used by the tracking
-experiments.  ``run_streaming`` runs the kernel on a one-trial,
-one-column block (:class:`.kernels.Block`) and builds a full
-:class:`SolverTrace` from the kernel's errors and active masks, so the
-switch rule of :class:`SolverTrace` lives here alone.  The experiment
+experiments.  ``run_streaming`` runs the kernel (``kernels.stream``) on a
+one-trial, one-column block, views of the caller's arrays, and builds a
+full :class:`SolverTrace` from the kernel's errors and active masks, so
+the switch rule of :class:`SolverTrace` lives here alone.  The experiment
 harness stacks many trials, and the thresholds of a sweep as columns, in
 one block and reads the kernel records without building traces.
 
@@ -125,7 +125,9 @@ def top_q_indices(u: np.ndarray, q: int) -> np.ndarray:
 def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, init_u):
     """Validate a stream against ``phi`` and lay it out as a one-trial block.
 
-    Returns ``(block, u0)`` with ``u0`` the validated float array of ``init_u``.
+    Returns ``(phi, ys, targets, u0)``: the block's three arrays, views of
+    the caller's, and the validated ``(1, n, 1)`` start of ``init_u``.  The
+    matrix is C-contiguous, as :func:`.kernels.stream` asks.
     """
     ys = np.asarray(measurements, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[1] != phi.rows:
@@ -142,10 +144,8 @@ def _kernel_inputs(phi: MeasurementMatrix, measurements, target: DynamicTarget, 
         raise ValueError(f"init_u shape {u0.shape} does not match ({phi.cols},)")
     if not np.all(np.isfinite(u0)):
         raise ValueError("init_u must be finite")
-    block = kernels.Block(1, phi.rows, phi.cols, ys.shape[0])
-    block.put(0, phi.entries, samples)
-    block.ys[:, 0] = ys
-    return block, u0
+    matrix = np.ascontiguousarray(phi.entries)[None]
+    return matrix, ys[:, None], samples[:, None], u0[None, :, None]
 
 
 def run_streaming(
@@ -160,10 +160,10 @@ def run_streaming(
     ``measurements`` has one row per target sample; the zero-order hold of
     the target across the P iterations of a measurement happens here.
     """
-    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
+    *block, u0 = _kernel_inputs(phi, measurements, target, init_u)
     P = int(config.P)
-    errors, active, u_fin, a_fin = block.stream(
-        float(config.lam), float(config.eta), P, u0[None, :, None]
+    errors, active, u_fin, a_fin = kernels.stream(
+        *block, float(config.lam), float(config.eta), P, u0
     )
     active = active[:, 0, :, 0]
     gamma_sizes = active.sum(axis=1, dtype=np.int64)
@@ -225,10 +225,10 @@ def euler_lca_trace(
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     SolverConfig(lam=lam, P=P, dl=tau, tau=tau)  # same parameter checks as the solver
-    block, u0 = _kernel_inputs(phi, measurements, target, init_u)
+    *block, u0 = _kernel_inputs(phi, measurements, target, init_u)
     # the network step is the streaming update at eta = 1, relaxed by 1/substeps
-    errors = block.stream(
-        float(lam), 1.0, P * substeps, u0[None, :, None], relax=1.0 / substeps
+    errors = kernels.stream(
+        *block, float(lam), 1.0, P * substeps, u0, relax=1.0 / substeps
     )[0][:, 0, 0]
     times = (tau / substeps) * np.arange(1, errors.size + 1)
     return times, errors

@@ -195,7 +195,6 @@ def check_ista_preconditions(
     lam: float,
     eta: float,
     init_u: np.ndarray,
-    init_gamma_size: int | None = None,
 ) -> PreconditionReport:
     """Evaluate the hypotheses of the discrete tracking guarantee.
 
@@ -204,8 +203,7 @@ def check_ista_preconditions(
     rather than exceptions.
     """
     init_u = np.asarray(init_u, dtype=np.float64)
-    if init_gamma_size is None:
-        init_gamma_size = int(active_set(init_u, lam).size)
+    init_gamma_size = active_set(init_u, lam).size
     c = abs(eta - 1.0) + delta * eta
     q_eff = min(q, init_u.size)
     lam_rq = lam * math.sqrt(q)
@@ -230,15 +228,13 @@ def check_lca_preconditions(
     e0: float,
     D: float,
     init_u: np.ndarray,
-    init_gamma_size: int | None = None,
 ) -> PreconditionReport:
     """Evaluate the hypotheses of the continuous-time tracking guarantee.
 
     ``delta`` must be the isometry constant at level s + q.
     """
     init_u = np.asarray(init_u, dtype=np.float64)
-    if init_gamma_size is None:
-        init_gamma_size = int(active_set(init_u, lam).size)
+    init_gamma_size = active_set(init_u, lam).size
     q_eff = min(q, init_u.size)
     lam_rq = lam * math.sqrt(q)
     checks = (

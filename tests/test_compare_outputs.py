@@ -5,7 +5,8 @@ from pathlib import Path
 
 from streamista.configio import parse_config
 from streamista.harness import (
-    ExperimentConfig, run_lca_suite, run_lemma_suite, run_theorem_suite,
+    ExperimentConfig, fit_steady_state, run_lca_suite, run_lemma_suite, run_theorem_suite,
+    write_fit_csv,
 )
 from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
 
@@ -72,6 +73,17 @@ def test_lemma_case_prints_the_suite_result(tmp_path):
     assert found["exit"] == 0
     assert found["stdout"].decode() == repr(run_lemma_suite(3)) + "\n"
     assert found["files"] == {}
+
+
+def test_fit_steady_case_writes_the_fit(tmp_path):
+    config, extra, argv = compare_outputs.cases(3, compare_outputs.SIZES["quick"])["fit-steady"]
+    assert argv[2] == compare_outputs.FIT_STEADY["fit-steady"]
+    found = compare_outputs.run_case(ROOT, tmp_path / "work", config, extra, argv)
+    desk = parse_config(ROOT / "configs" / "desk.cfg")
+    write_fit_csv(tmp_path / "fit.csv", fit_steady_state([1, 2, 5], [0.5, 0.4, 0.3],
+                                                         desk.mu, desk.dl))
+    assert found["exit"] == 0
+    assert found["files"] == {"fit.csv": (tmp_path / "fit.csv").read_bytes()}
 
 
 def test_config_error_cases_exit_one_and_write_nothing(tmp_path):

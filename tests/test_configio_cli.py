@@ -1,9 +1,16 @@
+from contextlib import redirect_stderr, redirect_stdout
+import io
+import math
 import os
 from pathlib import Path
+import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from streamista import harness, kernels
 from streamista.cli import cli_main
 from streamista.configio import KEY_MAP, ConfigError, parse_config, parse_config_text
 from streamista.harness import ExperimentConfig
@@ -342,6 +349,29 @@ def test_cli_fit_steady_malformed_row_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out" / "fit.csv").exists()
 
 
+# a valid three-row P sweep with one value replaced: each of these used to
+# exit 0 and write a fit.csv of nan, inf or a meaningless r2
+BAD_STEADY_ROWS = {
+    "steady_nan": "1,nan",
+    "steady_inf": "1,inf",
+    "p_nan": "nan,0.5",
+    "p_zero": "0,0.5",
+    "p_negative": "-1,0.5",
+    "steady_1e200": "1,1e200",
+}
+
+
+@pytest.mark.parametrize("row", BAD_STEADY_ROWS.values(), ids=BAD_STEADY_ROWS.keys())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_fit_steady_rejects_a_meaningless_fit(tmp_path, capsys, row):
+    steady = tmp_path / "steady.csv"
+    steady.write_text(f"P,steady\n{row}\n2,0.4\n5,0.3\n")
+    rc = cli_main(["fit-steady", "--input", str(steady), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.csv").exists()
+
+
 def test_cli_check_theorems_small(tmp_path, capsys):
     cfg = tmp_path / "thm.cfg"
     cfg.write_text(
@@ -364,3 +394,110 @@ def test_cli_lemma_suite_small(tmp_path, capsys):
     rc = cli_main(["lemma-suite", "--seed", "0", "--out", str(tmp_path)])
     assert rc == 0
     assert "lemma suite passed" in capsys.readouterr().out
+
+
+# the fuzz's tiny base config, every key at a typical value; both of its
+# theorem-suite instances pass their preconditions, so check-theorems runs
+FUZZ_BASE = {
+    "m": "16", "n": "8", "s": "1", "n_pairs": "1", "n_samples": "6", "beta": "1.0",
+    "mu": "0.1", "lambda": "0.1", "eta": "0.3", "p": "2", "dl": "1.0", "tau": "1.0",
+    "noise_mode": "capped", "noise_level": "0.05", "noise_delta": "0.2", "trials": "2",
+    "q": "1", "seed": "1", "tail_fraction": "0.25",
+}
+# values every numeric key is drawn from, besides its own
+FUZZ_EXTREMES = ("0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
+                 "nan", "inf", "-inf")
+# each key's typical value and boundaries, inside the tiny sizes (m, n <= 16,
+# 4-8 samples, at most 2 trials) or just past them
+FUZZ_VALUES = {
+    "m": ("16", "1", "8"),
+    "n": ("8", "2", "16"),
+    "s": ("1", "4", "8"),
+    "n_pairs": ("1", "0", "2"),
+    "n_samples": ("6", "3", "4", "8"),
+    "beta": ("1.0", "1.5e-154", "1.3e154", "1e154"),
+    "mu": ("0.1", "1.0", "1.0000001"),
+    "lambda": ("0.1", "1e-3", "10"),
+    "eta": ("0.3", "1.0", "1.5", "2.0"),
+    "p": ("2", "1", "8"),
+    "dl": ("1.0", "1e-3", "1e3"),
+    "tau": ("1.0", "1e-3", "1e3"),
+    "noise_level": ("0.05", "1e154", "1e307", "1.7e308"),
+    "noise_delta": ("0.2", "0.999", "1"),
+    "trials": ("2", "1"),
+    "q": ("1", "4", "16"),
+    "seed": ("1", "0", str(2**64 - 1), str(2**64)),
+    "tail_fraction": ("0.25", "1.0", "1e-3"),
+}
+# what stderr ends with on exit 2, each a documented runtime failure
+RUNTIME_FAILURES = (
+    r"error: numerical divergence in cell lambda=.+ trials diverged, the first at solver "
+    r"step \d+(; noise_level=.+ overflows the noise scale of \d+ of them)?",
+    r"bound dominance FAILED on a precondition-passing instance",
+)
+
+
+def fuzz_text(changes: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in dict(FUZZ_BASE, **changes).items())
+
+
+@st.composite
+def fuzz_configs(draw):
+    changes = {"noise_mode": draw(st.sampled_from(["capped", "gaussian_scaled"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), min_size=1, max_size=2,
+                             unique=True)):
+        changes[key] = draw(st.sampled_from(FUZZ_VALUES[key] + FUZZ_EXTREMES))
+    return fuzz_text(changes)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(text=fuzz_configs(), command=st.sampled_from(["run", "check-theorems"]))
+@example(text=fuzz_text({}), command="run")
+@example(text=fuzz_text({}), command="check-theorems")
+@example(text=fuzz_text({"eta": "1.5"}), command="run")  # diverges
+@example(text=fuzz_text({"noise_level": "1e300"}), command="check-theorems")  # a bound failure
+def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, command):
+    # north star 3 as a property: a config error exits 1 before any trial, a
+    # runtime failure exits 2 and names its cause, and exit 0 writes only
+    # finite values
+    calls = []
+    patches = pytest.MonkeyPatch()
+    for module, name in ((harness, "_trial_results"), (harness, "_run_suite"),
+                         (kernels, "stream")):
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        patches.setattr(module, name, counted)
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "fuzz.cfg").write_text(text)
+    try:
+        parse_config_text(text)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = cli_main([command, "--config", str(work / "fuzz.cfg"),
+                           "--out", str(work / "out")])
+    finally:
+        patches.undo()
+    csvs = sorted((work / "out").glob("*.csv"))
+    assert rc in (0, 1, 2)
+    assert parsed or rc == 1
+    if rc == 1:
+        assert calls == [] and csvs == []
+    elif rc == 2:
+        assert [p.name for p in csvs] in ([], ["preconditions.csv"])
+        last = err.getvalue().splitlines()[-1]
+        assert any(re.fullmatch(pattern, last) for pattern in RUNTIME_FAILURES), last
+    else:
+        for path in csvs:
+            for row in path.read_text().splitlines()[1:]:
+                for field in row.split(","):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (path.name, row)

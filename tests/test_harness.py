@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 import hashlib
 import math
 from pathlib import Path
@@ -42,9 +43,8 @@ from streamista.harness import (
     write_qratio_csv,
     write_steady_csv,
 )
-from streamista import harness, measurement, rng, signals
+from streamista import harness, kernels, measurement, rng, signals
 from streamista.configio import parse_config
-from streamista.kernels import Block
 from streamista.measurement import gen_gaussian_matrix, gen_noise, measure
 from streamista.rng import derive_seed
 from streamista.signals import assemble_target
@@ -92,6 +92,25 @@ def test_fit_validation():
         fit_steady_state([1, 2, 3], [0.5, -0.1, 0.6], mu=0.1, dl=1.0)
     with pytest.raises(ValueError):
         fit_steady_state([1, 2, 3], [0.5, 0.4, 0.6], mu=-0.1, dl=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_values_without_a_finite_fit():
+    nan, inf = float("nan"), float("inf")
+    for p_values in ([nan, 2, 5], [inf, 2, 5], [0, 2, 5], [-1, 2, 5], [0.5, 2, 5]):
+        with pytest.raises(ValueError, match="P values must be finite and at least 1"):
+            fit_steady_state(p_values, [0.5, 0.4, 0.3], mu=0.1, dl=1.0)
+    for steady in ([nan, 0.4, 0.3], [inf, 0.4, 0.3], [0.5, 0.4, nan]):
+        with pytest.raises(ValueError, match="steady values must be positive and finite"):
+            fit_steady_state([1, 2, 5], steady, mu=0.1, dl=1.0)
+    # finite inputs whose squared residuals overflow
+    for steady in ([1e200, 0.4, 0.3], [1e300, 1e300, 1e-300]):
+        with pytest.raises(ValueError, match="fit overflows"):
+            fit_steady_state([1, 2, 5], steady, mu=0.1, dl=1.0)
+    with pytest.raises(ValueError, match="fit overflows"):
+        fit_steady_state([1, 2, 5], [0.5, 0.4, 0.3], mu=1e300, dl=1e8)
+    # a fractional P at least 1 still fits
+    assert math.isfinite(fit_steady_state([1, 1.5, 5], [0.5, 0.4, 0.3], mu=0.1, dl=1.0).r2)
 
 
 def test_estimate_steady_state_tail_mean():
@@ -253,8 +272,10 @@ def test_lca_suite_small_run_resolves():
     assert suite.substeps == 10
 
 
-def test_lemma_suite_small_run_is_clean():
-    suite = run_lemma_suite(0, n_matrices=2, draws=60)
+def test_lemma_suite_small_run_is_clean(monkeypatch):
+    monkeypatch.setattr(harness, "_LEMMA_MATRICES", 2)
+    monkeypatch.setattr(harness, "_LEMMA_DRAWS", 60)
+    suite = run_lemma_suite(0)
     assert suite.rip_checks == 600
     assert suite.rip_violations == 0
     assert suite.cap_violations == 0
@@ -442,14 +463,14 @@ def test_lca_suite_regression(seed):
 def spy_streams(monkeypatch):
     """Record every kernel block call as (matrices, thresholds) of its streams."""
     calls = []
-    stream = Block.stream
+    stream = kernels.stream
 
-    def spy(self, lam, eta, p, u0, relax=1.0):
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
         count, _, width = u0.shape
-        calls.append((self.phi[:count].copy(), np.broadcast_to(lam, (count, 1, width)).copy()))
-        return stream(self, lam, eta, p, u0, relax)
+        calls.append((phi.copy(), np.broadcast_to(lam, (count, 1, width)).copy()))
+        return stream(phi, ys, targets, lam, eta, p, u0, relax)
 
-    monkeypatch.setattr(Block, "stream", spy)
+    monkeypatch.setattr(kernels, "stream", spy)
     return calls
 
 
@@ -468,14 +489,14 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
         return t, (0.5 + t if t in runs else None)
 
     calls = []
-    stream = Block.stream
+    stream = kernels.stream
 
-    def spy(self, lam, eta, p, u0, relax=1.0):
-        out = stream(self, lam, eta, p, u0, relax)
-        calls.append((self.phi[: u0.shape[0]].copy(), lam[:, 0, 0].copy(), out[0][..., 0]))
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+        out = stream(phi, ys, targets, lam, eta, p, u0, relax)
+        calls.append((phi.copy(), lam[:, 0, 0].copy(), out[0][..., 0]))
         return out
 
-    monkeypatch.setattr(Block, "stream", spy)
+    monkeypatch.setattr(kernels, "stream", spy)
     drawn = []
     for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
         drawn.append(t)
@@ -578,6 +599,48 @@ def test_suites_stream_each_instance_under_its_own_threshold(
         assert lams == ([inst.lam] * calls_per_instance if ran(inst) else [])
 
 
+# the instances of every kernel call of each suite, in call order, with the
+# call's relaxation factor: theorem.cfg at seed 0 (100 instances, 18 per
+# block) and the criterion-7 continuous-bound config at 20 instances, seed 0
+# (5 per block, each block at the unit step, then refined by 10)
+CRITERION_7_CFG = ExperimentConfig(m=64, n=72, s=1, n_pairs=1, n_samples=20, beta=1.0,
+                                   mu=0.05, lam=0.1, eta=1.0, P=5, tau=1.0,
+                                   noise_mode="capped", noise_level=0.05, trials=20, q=1,
+                                   seed=0)
+KERNEL_CALLS_PIN = {
+    "theorem": [
+        ([0, 1, 5, 7, 11, 13, 14, 15, 19, 23, 24, 25, 26, 28, 29, 33, 37, 38], 1.0),
+        ([40, 41, 44, 50, 53, 54, 55, 57, 58, 59, 60, 63, 66, 67, 69, 73, 77, 80], 1.0),
+        ([81, 83, 84, 86, 87, 88, 89, 93, 94, 96, 98], 1.0),
+    ],
+    "lca": [
+        (list(range(first, first + 5)), relax) for first in range(0, 20, 5) for relax in (1.0, 0.1)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CALLS_PIN))
+def test_suite_kernel_calls_pin(monkeypatch, name):
+    # how densely the driver fills its blocks decides the suites' speed, and
+    # no record shows it, since the records do not depend on the partition
+    if name == "theorem":
+        cfg, suite = replace(parse_config(CONFIGS / "theorem.cfg"), seed=0), run_theorem_suite
+    else:
+        cfg, suite = CRITERION_7_CFG, partial(run_lca_suite, slack_factor=5.0, substeps=10)
+    calls = []
+    stream = kernels.stream
+
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+        calls.append((phi.copy(), relax))
+        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+
+    monkeypatch.setattr(kernels, "stream", spy)
+    suite(cfg)
+    matrices = [_trial_problem(cfg, t)[0].entries.tobytes() for t in range(cfg.trials)]
+    found = [([matrices.index(phi.tobytes()) for phi in phis], relax) for phis, relax in calls]
+    assert found == KERNEL_CALLS_PIN[name]
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -614,14 +677,13 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
         [5.0, 40.0, 390.0, 300.0],  # between 1 and 100 scales at every step
         [5.0, 40.0, 210.0, 5.0],  # above 100 scales at step 2 only
     ])
-    block = Block(2, n, n, heights.shape[1])
-    block.phi[:] = np.eye(n)
-    block.targets[...] = 0.0
-    block.targets[..., 1] = peak
-    block.ys[...] = block.targets
-    block.ys[..., 0] = heights.T
+    phi = np.broadcast_to(np.eye(n), (2, n, n)).copy()
+    targets = np.zeros((heights.shape[1], 2, n))
+    targets[..., 1] = peak
+    ys = targets.copy()
+    ys[..., 0] = heights.T
     errors, _, diverged = _run_block(
-        block, np.full((2, 1, 1), lam), 1.0, 1, sigma, signals.estimate_beta(block.targets)
+        phi, ys, targets, np.full((2, 1, 1), lam), 1.0, 1, sigma, signals.estimate_beta(targets)
     )
     ratios = errors[..., 0] / (peak + sigma)
     assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
@@ -692,17 +754,17 @@ def test_measurement_streams_pin(monkeypatch, name, seed):
     # desk.cfg runs gaussian_scaled noise with per-trial sigma; the theorem
     # suite caps noise under each instance's own isometry constant
     streams = []
-    stream = Block.stream
+    stream = kernels.stream
 
-    def spy(self, lam, eta, p, u0, relax=1.0):
-        streams.append(self.ys[:, : u0.shape[0]].tobytes())
-        return stream(self, lam, eta, p, u0, relax)
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+        streams.append(ys.tobytes())
+        return stream(phi, ys, targets, lam, eta, p, u0, relax)
 
     def recorded_partition(cfg, width=1, steps=None):
         # the block size the hashes were recorded at: inputs only, 512 KiB
         return max(1, 512 * 1024 // (8 * (2 * cfg.m * cfg.n + cfg.n_samples * (cfg.m + cfg.n))))
 
-    monkeypatch.setattr(Block, "stream", spy)
+    monkeypatch.setattr(kernels, "stream", spy)
     monkeypatch.setattr(harness, "_block_size", recorded_partition)
     cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
     (run_trials if name == "desk" else run_theorem_suite)(cfg)
@@ -723,13 +785,13 @@ TRIAL_MEASUREMENT_PIN = {
 @pytest.mark.parametrize("name, seed", list(TRIAL_MEASUREMENT_PIN), ids=lambda v: str(v))
 def test_trial_measurement_rows_pin(monkeypatch, name, seed):
     blocks = []
-    stream = Block.stream
+    stream = kernels.stream
 
-    def spy(self, lam, eta, p, u0, relax=1.0):
-        blocks.append(self.ys[:, : u0.shape[0]].copy())
-        return stream(self, lam, eta, p, u0, relax)
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+        blocks.append(ys.copy())
+        return stream(phi, ys, targets, lam, eta, p, u0, relax)
 
-    monkeypatch.setattr(Block, "stream", spy)
+    monkeypatch.setattr(kernels, "stream", spy)
     cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
     (run_trials if name == "desk" else run_theorem_suite)(cfg)
     rows = np.ascontiguousarray(np.concatenate(blocks, axis=1).transpose(1, 0, 2))
@@ -860,7 +922,7 @@ def test_harness_raises_config_error_before_any_trial(monkeypatch, reject):
         raise AssertionError("a trial's inputs were built or run for an invalid config")
 
     monkeypatch.setattr("streamista.kernels.stream", no_trial)
-    monkeypatch.setattr(harness, "_put_problems", no_trial)
+    monkeypatch.setattr(harness, "_problems", no_trial)
     with pytest.raises(ConfigError):
         reject()
 
@@ -926,19 +988,17 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     # chunks and blocks that need not align), against the one-trial functions
     blocks, schedules = [], []
 
-    def spy(self, lam, eta, p, u0, relax=1.0):
-        count = u0.shape[0]
-        blocks.append([self.phi[:count].copy()]
-                      + [a[:, :count].copy() for a in (self.targets, self.ys)])
-        return stream(self, lam, eta, p, u0, relax)
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+        blocks.append([a.copy() for a in (phi, targets, ys)])
+        return stream(phi, ys, targets, lam, eta, p, u0, relax)
 
     def spy_targets(*args, **kwargs):
         samples, schedule = assemble_targets(*args, **kwargs)
         schedules.append(schedule)
         return samples, schedule
 
-    stream, assemble_targets = Block.stream, harness.assemble_targets
-    with patch.object(Block, "stream", spy), \
+    stream, assemble_targets = kernels.stream, harness.assemble_targets
+    with patch.object(kernels, "stream", spy), \
             patch.object(harness, "assemble_targets", spy_targets), \
             patch("streamista.harness._BLOCK_BYTES", block_bytes), \
             patch("streamista.harness._KEY_ROWS", key_rows):
@@ -985,5 +1045,7 @@ def test_desk_run_calls_no_scalar_rng(monkeypatch):
     assert calls == []
     # the counters do count: the one-trial build and the lemma suite call them
     _trial_problem(cfg, 0)
-    run_lemma_suite(0, n_matrices=1, draws=1)
+    monkeypatch.setattr(harness, "_LEMMA_MATRICES", 1)
+    monkeypatch.setattr(harness, "_LEMMA_DRAWS", 1)
+    run_lemma_suite(0)
     assert set(calls) == {"assemble_target", "derive_seed", "gen_gaussian_matrix", "make_rng"}

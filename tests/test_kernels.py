@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from streamista.kernels import Block, _shrink, stream
+from streamista.kernels import _shrink, stream
 from streamista.measurement import gen_gaussian_matrix
 from streamista.signals import GenConfig, assemble_target
 from streamista.solver import SolverConfig, active_set, run_streaming
@@ -100,20 +100,18 @@ def test_batched_columns_match_single_runs(n, m_frac, s_frac, P, seed, step, lam
     ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((5, m))
     init_u = 0.5 * rng.standard_normal(n)
     eta = 2.0 * step / float(np.linalg.norm(phi.entries, 2)) ** 2
-    block = Block(1, m, n, ys.shape[0])
-    block.put(0, phi.entries, target.samples)
-    block.ys[:, 0] = ys
+    block = (phi.entries[None], ys[:, None], target.samples[:, None])
     L = len(lams)
     lam = np.asarray(lams, dtype=float).reshape(1, 1, L)
     u0 = np.repeat(init_u[None, :, None], L, axis=2)
-    errors, active, u_fin, _ = block.stream(lam, eta, P, u0)
+    errors, active, u_fin, _ = stream(*block, lam, eta, P, u0)
 
     assert errors.shape == (ys.shape[0] * P, 1, L)
     assert active.shape == (ys.shape[0] * P + 1, 1, n, L)
     for j, lam_j in enumerate(lams):
         ref = run_streaming(phi, ys, target, SolverConfig(lam=lam_j, eta=eta, P=P), init_u)
         # the masks decide the set sizes and, with the target, the switch flags
-        alone = block.stream(lam_j, eta, P, init_u[None, :, None])[1]
+        alone = stream(*block, lam_j, eta, P, init_u[None, :, None])[1]
         assert np.array_equal(active[:, 0, :, j], alone[:, 0, :, 0])
         assert np.array_equal(active[1:, 0, :, j].sum(axis=1), ref.gamma_sizes)
         np.testing.assert_allclose(errors[:, 0, j], ref.errors, rtol=1e-9, atol=0)
@@ -136,8 +134,7 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
     m = max(2, round(m_frac * n))
     n_meas = 4
     rng = np.random.default_rng(seed)
-    block = Block(count, m, n, n_meas)
-    singles = []
+    phis, measurements, samples, singles = [], [], [], []
     spectral = 0.0
     for t in range(count):
         phi = gen_gaussian_matrix(m, n, seed + t)
@@ -145,23 +142,22 @@ def test_stacked_trials_match_one_trial_calls(count, L, n, m_frac, P, substeps, 
             GenConfig(n=n, s=2, n_pairs=1, n_samples=n_meas, beta=1.0, mu=0.3, seed=seed + t)
         )
         ys = (phi.entries @ target.samples.T).T + 0.05 * rng.standard_normal((n_meas, m))
-        block.put(t, phi.entries, target.samples)
-        block.ys[:, t] = ys
-        one = Block(1, m, n, n_meas)
-        one.put(0, phi.entries, target.samples)
-        one.ys[:, 0] = ys
-        singles.append(one)
+        phis.append(phi.entries)
+        measurements.append(ys)
+        samples.append(target.samples)
+        singles.append((phi.entries[None], ys[:, None], target.samples[:, None]))
         spectral = max(spectral, float(np.linalg.norm(phi.entries, 2)) ** 2)
     lam = rng.uniform(0.01, 0.5, size=(count, 1, L))  # per trial and per column
     u0 = 0.5 * rng.standard_normal((count, n, L))
     eta = 2.0 * step / spectral
     relax = 1.0 / substeps
-    stacked = block.stream(lam, eta, P * substeps, u0, relax)
+    block = (np.stack(phis), np.stack(measurements, axis=1), np.stack(samples, axis=1))
+    stacked = stream(*block, lam, eta, P * substeps, u0, relax)
     steps = n_meas * P * substeps
     assert stacked[0].shape == (steps, count, L)
     assert stacked[1].shape == (steps + 1, count, n, L)
     for t, one in enumerate(singles):
-        alone = one.stream(lam[t : t + 1], eta, P * substeps, u0[t : t + 1], relax)
+        alone = stream(*one, lam[t : t + 1], eta, P * substeps, u0[t : t + 1], relax)
         for record, ref in zip(stacked[:2], alone[:2]):
             assert record[:, t].tobytes() == ref[:, 0].tobytes()
         for final, ref in zip(stacked[2:], alone[2:]):
