@@ -7,8 +7,10 @@ Each tree is a checkout of this repository.  Pair i runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 each tree, in its own directory, the parent first in even pairs and the
 change first in odd ones, so a drift in host speed falls on both sides.
-Every run's last stdout line is perfbench's JSON result.  For each
-end-to-end metric the script prints each side's median and quartiles, the
+Every run's last stdout line is perfbench's JSON result.  After each pair
+the script prints every end-to-end metric of both runs, so each run of a
+metric can be reported.  At the end, for each end-to-end metric it prints
+each side's median and quartiles, the
 number of pairs the change won (lower is better, except for ``ok_frac``),
 and the gap between the medians in units of the parent's interquartile
 range, positive when the change is better.  It exits 1 if any run failed
@@ -53,6 +55,14 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def pair_line(pair: int, order, runs: dict, names) -> str:
+    """Every metric of ``names`` from the last run of each side, in run order."""
+    return f"pair {pair + 1}: " + "; ".join(
+        side + " " + " ".join(f"{name} {runs[side][-1][name]:.6g}" for name in names)
+        for side in order
+    )
+
+
 def summary(runs: dict, directions: dict) -> list:
     """One printed line per metric: both sides' quartiles, the change's wins, the gap in IQRs."""
     lines = []
@@ -84,20 +94,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds per run")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    directions = better_directions()
     runs = {side: [] for side in SIDES}
     try:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs[side].append(run_once(trees[side], args.workload, args.seed, args.seconds))
-            print(f"pair {pair + 1}: " + ", ".join(
-                f"{side} wall_s {runs[side][-1]['wall_s']:.4f}" for side in order
-            ), flush=True)
+            print(pair_line(pair, order, runs, directions), flush=True)
     except RuntimeError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs:")
-    for line in summary(runs, better_directions()):
+    for line in summary(runs, directions):
         print("  " + line)
     return 0
 

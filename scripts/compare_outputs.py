@@ -38,6 +38,11 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   support and coefficients at full precision, the matrices drawn from the
   input seed.
 
+The Python calls import the suites from ``streamista.harness``, which
+loads them from ``streamista.suites`` on first use where that module
+exists, so one script runs on trees from before and after the suites
+moved there.
+
 Trial counts and sweep values are the benchmark's quick sizes
 (``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
 starts in its own directory holding copies of the configs and writes to a

@@ -21,8 +21,6 @@ from .harness import (
     estimate_steady_state,
     fit_steady_state,
     read_steady_csv,
-    run_lemma_suite,
-    run_theorem_suite,
     run_trials,
     sweep,
     sweep_lambda_s,
@@ -188,6 +186,9 @@ def _cmd_fit_steady(args) -> int:
 
 
 def _cmd_check_theorems(args) -> int:
+    # the suites load only for the commands that run them
+    from .suites import run_theorem_suite
+
     cfg = _load_config(args)
     suite = run_theorem_suite(cfg)
     out = _outdir(args)
@@ -221,6 +222,8 @@ def _cmd_check_theorems(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
+    from .suites import run_lemma_suite
+
     cfg = _load_config(args)
     suite = run_lemma_suite(cfg.seed)
     print(

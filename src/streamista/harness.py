@@ -9,28 +9,30 @@ block is three arrays, the matrices, target samples and noisy measurement
 rows of its trials, built from their keys (:func:`_problems`,
 :func:`_measurements`) with the bits of ``gen_gaussian_matrix``,
 ``assemble_target`` and one ``measure`` and ``gen_noise`` call per
-sample.  Curves average the error sequence over trials.  Sweeps share per-trial inputs across axis values, so
-comparisons are paired: cells that agree on every field the inputs depend
-on build each trial's matrix, target and noise once, and the cells of such
-a group that differ only in the threshold run as the columns of one kernel
-call.
+sample.  Curves average the error sequence over trials.  Sweeps share
+per-trial inputs across axis values, so comparisons are paired: cells that
+agree on every field the inputs depend on build each trial's matrix,
+target and noise once, and the cells of such a group that differ only in
+the threshold run as the columns of one kernel call.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until what a kernel call holds
 for them fills ``_BLOCK_BYTES`` (:func:`_block_size`): their inputs, and
 per column of the widest call the iterate buffers and the step records of
-the longest call.  One driver, :func:`_run_suite`, draws the instances of
-the theorem and continuous-bound suites, hands each suite's rule the
-plain numbers of each instance (its isometry constant and its target's
-statistics, reduced once per block), and stacks the rows of the running
-ones the same way, one threshold per instance, running each block once
-per step size the suite asks for; each suite keeps only its threshold rule
-and its verdict.  One function, :func:`_run_block`, runs every block from
+the longest call.  One function, :func:`_run_block`, runs every block from
 zero and reads the kernel's records: the errors, the largest active set,
 and the first step at which a run diverged (an error non-finite or above
 ``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
 noise scale).  A run or sweep with a diverged trial raises
-:class:`DivergenceError`; the suites record the step as data.
+:class:`DivergenceError`.  Blocks map over a thread pool only above one
+worker (:func:`worker_count`), so a serial run never loads
+``concurrent.futures``.
+
+The theorem, continuous-bound and lemma suites live in :mod:`.suites`,
+which builds and runs its blocks with these helpers and records a
+divergence as data.  ``run`` and the sweeps do not load it;
+``run_theorem_suite``, ``run_lca_suite`` and ``run_lemma_suite`` stay
+importable from here and load it on first use.
 
 Every check made before the first trial raises :class:`ConfigError`: the
 fields of :class:`ExperimentConfig` (``GenConfig``'s and ``SolverConfig``'s
@@ -45,7 +47,7 @@ fits the predicted steady-state law
 by grid search on c with the offset V solved in closed form per candidate.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import product
 import math
@@ -55,39 +57,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .measurement import (
-    DEFAULT_SUPPORT_BUDGET,
     NOISE_MODES,
-    MeasurementMatrix,
     gaussian_matrices,
     gen_gaussian_matrix,
     noise_rows,
-    rip_exact,
     row_norms,
 )
 from . import kernels
-from .rng import derive_seed, derive_seeds, make_rng, philox_keys
+from .rng import derive_seed, derive_seeds, philox_keys
 from .signals import (
     GenConfig,
     assemble_target,
     assemble_targets,
     estimate_beta,
-    estimate_mu_dl,
     target_keys,
 )
 from .solver import SolverConfig
-from .theory import (
-    BOUND_TOL,
-    IstaBoundParams,
-    LcaBoundParams,
-    PreconditionReport,
-    check_ista_preconditions,
-    check_lca_preconditions,
-    ista_error_bound,
-    lca_error_bound,
-    rip_inequality_suite,
-    support_cap_check,
-    target_energy_envelope_check,
-)
+# nothing here calls theory, but perfbench's tracer wraps its functions
+# from sys.modules, so every command that imports the harness loads it
+from . import theory  # noqa: F401
 
 THREADS_ENV = "STREAM_ISTA_THREADS"
 
@@ -128,25 +116,6 @@ _BLOCK_BYTES = 1024 * 1024
 # a run diverged at the first step whose error is non-finite or above this
 # multiple of its largest target sample norm plus its noise scale
 _DIVERGENCE_FACTOR = 100.0
-
-# draws per call of the near-isometry oracle, which bounds the block's memory
-_LEMMA_BLOCK = 256
-
-# the lemma suite's matrix count and draws per matrix, its matrices
-# (m x n), its two index sets (sizes q and s, exact isometry constant at
-# level q + s) and its violation tolerance
-_LEMMA_MATRICES = 10
-_LEMMA_DRAWS = 1000
-_LEMMA_M = 8
-_LEMMA_N = 16
-_LEMMA_Q = 2
-_LEMMA_S = 2
-_LEMMA_TOL = 1e-10
-
-# Generator.choice(n, k, replace=False) runs Floyd's algorithm up to this
-# population and shuffles a tail above it
-_FLOYD_MAX = 10_000
-_MASK32 = 0xFFFFFFFF
 
 
 class ConfigError(ValueError):
@@ -440,10 +409,6 @@ def _run_block(
     return errors, max_gamma, np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
 
 
-def _step_or_none(step) -> int | None:
-    return None if step < 0 else int(step)
-
-
 def _batches(cells) -> dict:
     """``{(eta, P): [cell index, ...]}``: the cells that run as the columns of one kernel call."""
     batches = {}
@@ -503,11 +468,12 @@ def _run_cells(cells) -> list:
     from stream keys derived once for the whole group.  A group's trials
     run in blocks of consecutive trials, ``_block_size`` per block for the
     group's widest kernel call (its largest ``(eta, P)`` batch of cells)
-    and its longest (its largest P); the blocks map over the
-    ``STREAM_ISTA_THREADS`` pool and each cell's records are joined in
-    trial order, so the outcome is identical at any worker count.  The
-    keys are local to the group and only read by the blocks.  Extra
-    workers buy no speed (see README "Threading").
+    and its longest (its largest P); the blocks map over a pool of
+    ``STREAM_ISTA_THREADS`` threads, or over plain ``map`` at one worker,
+    and each cell's records are joined in trial order, so the outcome is
+    identical at any worker count.  The keys are local to the group and
+    only read by the blocks.  Extra workers buy no speed (see README
+    "Threading").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
@@ -516,8 +482,13 @@ def _run_cells(cells) -> list:
         groups.setdefault(tuple(getattr(cell, f) for f in _INPUT_FIELDS), []).append(idx)
     workers = worker_count()
     out = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = pool.map if workers > 1 else map
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # imported here, so a serial run never loads concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
+
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         for idxs in groups.values():
             group = [cells[i] for i in idxs]
             width = max(len(batch) for batch in _batches(group).values())
@@ -705,504 +676,17 @@ def fit_lambda_level(grid: QRatioGrid, level: float = 4.0) -> LambdaLevelFit:
     return LambdaLevelFit(num / den, level, tuple(points))
 
 
-# ---------------------------------------------------------------------------
-# theorem-mode experiment: small instances with exact isometry constants
-# ---------------------------------------------------------------------------
+# the suites' entry points, which :mod:`.suites` holds; importing them from
+# here loads it on first use
+_SUITE_NAMES = ("run_theorem_suite", "run_lca_suite", "run_lemma_suite")
 
 
-@dataclass(frozen=True)
-class TheoremInstance:
-    """One small-instance dominance check."""
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suites
 
-    index: int
-    delta: float
-    lam: float
-    sigma: float
-    report: PreconditionReport
-    max_violation: float  # max over l of error - bound; nan when skipped
-    support_ok: bool | None
-    max_gamma_size: int
-    diverged_step: int | None = None  # first diverged solver step, if any
-
-    @property
-    def dominated(self) -> bool:
-        """The error stayed under the bound (within BOUND_TOL) and the active
-        set within the support cap."""
-        return self.max_violation <= BOUND_TOL and bool(self.support_ok)
-
-
-@dataclass(frozen=True)
-class TheoremSuiteResult:
-    instances: tuple
-
-    @property
-    def n_passing(self) -> int:
-        return sum(1 for inst in self.instances if inst.report.passed)
-
-    @property
-    def pass_rate(self) -> float:
-        return self.n_passing / len(self.instances)
-
-    @property
-    def all_dominated(self) -> bool:
-        """True when every precondition-passing instance obeyed the bound."""
-        return all(inst.dominated for inst in self.instances if inst.report.passed)
-
-
-def _suite_level(cfg: ExperimentConfig, suite: str, formula: str, level: int) -> int:
-    """``level``, the support size of the exact isometry constants ``suite`` needs.
-
-    Raises ConfigError when enumerating its supports would exceed
-    ``DEFAULT_SUPPORT_BUDGET``, so a config the suite cannot check fails
-    before any instance is drawn; the message names the suite and its
-    level's ``formula``.
-    """
-    total = math.comb(cfg.n, level)
-    if total > DEFAULT_SUPPORT_BUDGET:
-        raise ConfigError(
-            f"{suite} needs exact isometry constants at level {formula} = {level}; "
-            f"enumerating comb({cfg.n}, {level}) = {total} supports exceeds the budget "
-            f"{DEFAULT_SUPPORT_BUDGET}"
-        )
-    return level
-
-
-def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
-    """Draw suite instances in order and run the ones that run in kernel blocks.
-
-    Instance t's matrix and target have the bits of :func:`_trial_problem`;
-    they are built from keys derived once for the suite (:func:`_problems`),
-    a batch at a time, as many as the block being filled has free streams.
-    The rows of the batch's running instances are appended to the block's
-    arrays, so one block holds every running instance drawn since the last
-    kernel call.  ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
-    isometry constant at ``level`` (``rip_exact``), its target's empirical
-    energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
-    one sample) and its first sample's norm, the first error of a zero
-    start.  The three target statistics are reduced once per batch, each
-    with the bits of its target's own call.  ``draw`` returns
-    ``(record, lam)``, with ``lam`` the instance's threshold, or None when
-    it does not run.  A running instance's noise is capped at
-    ``cfg.noise_level`` under its own isometry constant, the regime the
-    bounds assume, and its energy bound is the target peak
-    :func:`_run_block` scales the divergence limit by.
-
-    A full block, and the last one, runs once per ``(eta, p, relax)`` of
-    ``runs`` (see :func:`_run_block`), sized by :func:`_block_size` for the
-    longest run; a block with no running instance makes no kernel call.
-    After each block, yields ``(record, out)`` for every instance drawn
-    since the previous block, in order: ``out`` is None for an instance
-    that did not run, else one ``(errors, max_gamma, diverged_step)`` per
-    run, with ``diverged_step`` None when the run did not diverge.
-    """
-    size = _block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
-    keys = _stream_keys(cfg, range(cfg.trials))
-    empty = ((0, cfg.m, cfg.n), (cfg.n_samples, 0, cfg.n))
-    drawn, lams, running, deltas, peaks = [], [], [], [], []
-    phi, targets = (np.empty(shape) for shape in empty)
-    t = 0
-    while t < cfg.trials:
-        # draw into the free streams; keep the rows of the running instances
-        count = min(size - len(lams), cfg.trials - t)
-        batch, samples = _problems(cfg, keys.rows(t, t + count))
-        betas = estimate_beta(samples).tolist()
-        mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
-        e0s = row_norms(samples[0]).tolist()
-        kept = []
-        for j, (beta, mu_dl, e0) in enumerate(zip(betas, mu_dls, e0s)):
-            delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, batch[j]), level).delta
-            record, lam = draw(t, delta, beta, mu_dl, e0)
-            drawn.append((record, None if lam is None else len(lams)))
-            if lam is not None:
-                kept.append(j)
-                lams.append(lam)
-                running.append(t)
-                deltas.append(delta)
-                peaks.append(beta)
-            t += 1
-        phi = np.concatenate([phi, batch[kept]])
-        targets = np.concatenate([targets, samples[:, kept]], axis=1)
-        # the batch is not held through the kernel call
-        del batch, samples
-        if len(lams) == size or t == cfg.trials:
-            results = []
-            if lams:
-                ys, _ = _measurements(cfg, phi, targets, keys.noise[running], deltas, "capped")
-                thresholds = np.reshape(lams, (-1, 1, 1))
-                results = [
-                    _run_block(phi, ys, targets, thresholds, eta, p, cfg.noise_level,
-                               np.array(peaks), relax)
-                    for eta, p, relax in runs
-                ]
-                # nor are the measurements while the suite reads the records
-                del ys
-            for record, j in drawn:
-                yield record, None if j is None else [
-                    (errors[:, j, 0], int(max_gamma[j, 0]), _step_or_none(diverged[j, 0]))
-                    for errors, max_gamma, diverged in results
-                ]
-            drawn, lams, running, deltas, peaks = [], [], [], [], []
-            # fresh arrays, not views that would keep this block alive
-            phi, targets = (np.empty(shape) for shape in empty)
-
-
-def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
-    """Check bound dominance and the support cap on ``cfg.trials`` instances.
-
-    Instances must be small enough for exact isometry constants at level
-    s + 2q.  Noise is forced to the capped mode (the regime the guarantee
-    assumes), with its energy bound taken from ``cfg.noise_level``.  The
-    threshold is raised per instance to the smallest value satisfying the
-    drift/noise margin with 5% headroom, so the preconditions are
-    attainable; the empirical energy and jump bounds of the realized target
-    parameterize the bound.  Every instance with delta < 1 runs, as one
-    column of a kernel block under its own threshold, and records the step
-    at which its trace diverged, if it did.
-    """
-    sigma = cfg.noise_level
-    init_u = np.zeros(cfg.n)
-
-    def draw(t, delta, beta_emp, mudl_emp, e0):
-        c = abs(cfg.eta - 1.0) + delta * cfg.eta
-        lam = cfg.lam
-        if c < 1.0:
-            lam_floor = 1.05 * cfg.eta * ((1.0 + delta) * beta_emp + sigma) / (
-                (1.0 - c) * math.sqrt(cfg.q)
-            )
-            lam = max(lam, lam_floor)
-        report = check_ista_preconditions(delta, cfg.q, beta_emp, sigma, lam, cfg.eta, init_u)
-        record = (t, delta, mudl_emp, lam, report)
-        return record, (lam if delta < 1.0 else None)
-
-    instances = []
-    runs = [(cfg.eta, cfg.P, 1.0)]
-    level = _suite_level(cfg, "check-theorems", "min(s + 2q, n)", min(cfg.s + 2 * cfg.q, cfg.n))
-    for record, out in _run_suite(cfg, level, draw, runs):
-        t, delta, mudl_emp, lam, report = record
-        max_violation = float("nan")
-        support_ok = None
-        max_gamma = -1
-        diverged = None
-        if out is not None:
-            [(errors, max_gamma, diverged)] = out
-            if report.passed:
-                params = IstaBoundParams(
-                    eta=cfg.eta, delta=delta, sigma=sigma, lam=lam, q=cfg.q,
-                    mu=mudl_emp / cfg.dl, dl=cfg.dl, P=cfg.P, e1=float(errors[0]),
-                )
-                bounds = ista_error_bound(np.arange(errors.size), params)
-                max_violation = float(np.max(errors - bounds))
-                support_ok = max_gamma <= cfg.q
-        instances.append(TheoremInstance(
-            t, delta, lam, sigma, report, max_violation, support_ok,
-            max_gamma, diverged,
-        ))
-    return TheoremSuiteResult(tuple(instances))
-
-
-@dataclass(frozen=True)
-class LcaInstance:
-    """One continuous-bound check via Euler traces at two step sizes."""
-
-    index: int
-    delta: float
-    lam: float
-    sigma: float
-    report: PreconditionReport
-    max_violation: float  # coarse step, slack included; nan when skipped
-    fine_max_violation: float  # refined step, same slack; nan when skipped
-    resolved: bool | None  # no violation, or the refined run shrank it 5x
-    diverged_step: int | None = None  # first diverged coarse step, if any
-    fine_diverged_step: int | None = None  # first diverged refined step, if any
-
-
-@dataclass(frozen=True)
-class LcaSuiteResult:
-    instances: tuple
-    slack_factor: float
-    substeps: int
-
-    @property
-    def n_passing(self) -> int:
-        return sum(1 for inst in self.instances if inst.report.passed)
-
-    @property
-    def pass_rate(self) -> float:
-        return self.n_passing / len(self.instances)
-
-    @property
-    def all_resolved(self) -> bool:
-        """True when no passing instance kept a violation past the refined run."""
-        return all(
-            inst.resolved for inst in self.instances if inst.report.passed
-        )
-
-
-def run_lca_suite(
-    cfg: ExperimentConfig, slack_factor: float = 5.0, substeps: int = 10,
-) -> LcaSuiteResult:
-    """Check the continuous tracking bound against Euler traces.
-
-    The unit-step trace is only a surrogate for the continuous trajectory,
-    so each bound gets a discretization allowance of
-    ``slack_factor * delta * mu * tau``.  Every running instance also runs
-    with the step cut by ``substeps`` (its block runs once per step size),
-    and ``fine_max_violation`` records its padded violation there.  An
-    instance that violates the padded bound at the unit step is
-    ``resolved`` when that violation shrank by at least 5x at the refined
-    step, as a genuine discretization artifact must.  Isometry constants
-    are exact at level s + q, and the threshold is raised per instance (5%
-    headroom) to the smallest value satisfying the decay margin, which is
-    solvable only below delta = 1/2.
-    """
-    sigma = cfg.noise_level
-    hold = cfg.P * cfg.tau  # time units each measurement is held
-    init_u = np.zeros(cfg.n)
-
-    def draw(t, delta, beta_emp, mudl_emp, e0):
-        mu_rate = mudl_emp / hold
-        lam = cfg.lam
-        if delta < 0.5:
-            # smallest lam with delta*max{e0, D} + beta + sigma <= lam*sqrt(q),
-            # using e0 = beta (zero start); the D branch needs delta < 1/2
-            e0_branch = delta * beta_emp + beta_emp + sigma
-            d_branch = (
-                delta * (cfg.tau * mu_rate + sigma) + (1.0 - delta) * (beta_emp + sigma)
-            ) / (1.0 - 2.0 * delta)
-            lam = max(lam, 1.05 * max(e0_branch, d_branch) / math.sqrt(cfg.q))
-        params = None
-        if delta < 1.0:
-            params = LcaBoundParams(
-                delta=delta, tau=cfg.tau, sigma=sigma, lam=lam, q=cfg.q,
-                mu=mu_rate, e0=e0,
-            )
-        D = math.inf if params is None else params.D
-        report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u)
-        record = (t, delta, lam, report, params, mu_rate)
-        return record, (lam if report.passed and params is not None else None)
-
-    instances = []
-    level = min(cfg.s + cfg.q, cfg.n)
-    level = _suite_level(cfg, "the continuous-bound suite", "min(s + q, n)", level)
-    # the unit step, then the refined step
-    refinements = (1, substeps)
-    runs = [(1.0, cfg.P * steps, 1.0 / steps) for steps in refinements]
-    for record, out in _run_suite(cfg, level, draw, runs):
-        t, delta, lam, report, params, mu_rate = record
-        max_violation = fine_max = float("nan")
-        resolved = diverged = fine_diverged = None
-        if out is not None:
-            slack = slack_factor * delta * mu_rate * cfg.tau
-            viol = []
-            for steps, (errors, _, _) in zip(refinements, out):
-                times = (cfg.tau / steps) * np.arange(1, errors.size + 1)
-                bounds = lca_error_bound(times, params)
-                viol.append(float(np.max(errors - (bounds + slack))))
-            max_violation, fine_max = viol
-            resolved = max_violation <= BOUND_TOL or fine_max <= max_violation / 5.0
-            (_, _, diverged), (_, _, fine_diverged) = out
-        instances.append(LcaInstance(
-            t, delta, lam, sigma, report, max_violation, fine_max, resolved,
-            diverged, fine_diverged,
-        ))
-    return LcaSuiteResult(tuple(instances), slack_factor, substeps)
-
-
-# ---------------------------------------------------------------------------
-# lemma oracle suite
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaSuiteResult:
-    rip_checks: int
-    rip_violations: int
-    rip_worst_slack: float
-    cap_checks: int
-    cap_premise_held: int
-    cap_violations: int
-    envelope_statuses: tuple
-
-    @property
-    def ok(self) -> bool:
-        expected = ("holds", "holds", "not_applicable")
-        return (
-            self.rip_violations == 0
-            and self.cap_violations == 0
-            and self.envelope_statuses == expected
-        )
-
-
-class _ChoiceReplay:
-    """Sorted picks of ``rng.choice(n, k, replace=False)``, one per size, from Philox's words.
-
-    Each call returns, for every k of ``sizes`` in order, the sorted list of
-    the indices ``rng.choice(n, k, replace=False)`` would return, and leaves
-    the stream where those calls would leave it.  It relies on numpy 2.4:
-
-    * ``Generator.choice`` without ``p``, up to a population of
-      ``_FLOYD_MAX``, runs Floyd's algorithm: for j from n - k to n - 1, one
-      bounded draw in [0, j], taking j when the draw repeats a pick; a j of
-      0 draws 0 and reads no word.  It then shuffles the k picks with one
-      bounded draw in [0, i] for i from k - 1 down to 1; the picks are
-      sorted here, so those draws are read and thrown away.
-    * A bounded draw in [0, j] below 2**32 - 1 is Lemire's on 32-bit words:
-      ``m = w * (j + 1)``, redrawn while ``m mod 2**32 < 2**32 mod (j + 1)``,
-      and the result is ``m >> 32``.  ``Generator.integers(0, j + 1)`` makes
-      the same draw.
-    * Philox's 32-bit word is the low half of its next 64-bit output; the
-      high half is held for the following 32-bit read.  The 64-bit reads of
-      ``random_raw`` and ``standard_normal`` neither use nor drop a held
-      half.
-
-    So the replay holds the pending half itself, starting from the one the
-    generator holds (``has_uint32`` and ``uinteger`` of Philox's ``state``),
-    and every 32-bit read of the stream from then on must go through it.
-    A call reads every word of the picks with one ``random_raw`` call when
-    the word count is even, no half is pending and no word lands in
-    Lemire's zone ``m mod 2**32 < j + 1``, where a redraw can happen;
-    otherwise it draws word by word, exactly.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, sizes):
-        state = rng.bit_generator.state
-        if state["bit_generator"] != "Philox":
-            raise ValueError(f"replays a Philox stream, got {state['bit_generator']}")
-        if not 0 < n <= _FLOYD_MAX or not all(0 < k <= n for k in sizes):
-            raise ValueError(f"replays picks of 1 to n of n <= {_FLOYD_MAX}, got {n}, {sizes}")
-        self._raw = rng.bit_generator.random_raw
-        # the pending words, the next one last
-        self._held = [state["uinteger"]] if state["has_uint32"] else []
-        # per size: the picks it starts from ([0] when k = n, a draw that
-        # reads no word), where its Floyd draws start among a call's draws,
-        # and their j
-        self._plan, self._excl = [], []
-        for k in sizes:
-            floyd = range(max(n - k, 1), n)
-            self._plan.append(([0] if k == n else [], len(self._excl), floyd))
-            # the draws' bounds plus one: Floyd's, then the shuffle's
-            self._excl += (*(j + 1 for j in floyd), *range(k, 1, -1))
-        self._outputs = None if len(self._excl) % 2 else len(self._excl) // 2
-
-    def _word(self) -> int:
-        if self._held:
-            return self._held.pop()
-        out = int(self._raw())
-        self._held.append(out >> 32)
-        return out & _MASK32
-
-    def bounded(self, excl: int) -> int:
-        """One bounded draw in [0, excl), as ``rng.integers(0, excl)`` makes it, for excl < 2**32."""
-        m = self._word() * excl
-        if m & _MASK32 < excl:
-            threshold = (1 << 32) % excl
-            while m & _MASK32 < threshold:
-                m = self._word() * excl
-        return m >> 32
-
-    def __call__(self) -> list:
-        if not self._held and self._outputs is not None:
-            words = []
-            for out in self._raw(self._outputs).tolist():
-                words += (out & _MASK32, out >> 32)
-            values = []
-            for word, excl in zip(words, self._excl):
-                m = word * excl
-                if m & _MASK32 < excl:  # Lemire's zone: the word may be redrawn
-                    break
-                values.append(m >> 32)
-            else:
-                return self._picks(values)
-            self._held = words[::-1]
-        return self._picks([self.bounded(excl) for excl in self._excl])
-
-    def _picks(self, values) -> list:
-        picks = []
-        for first, at, floyd in self._plan:
-            chosen = first.copy()
-            for j, value in zip(floyd, values[at:]):
-                chosen.append(j if value in chosen else value)
-            chosen.sort()
-            picks.append(chosen)
-        return picks
-
-
-def run_lemma_suite(seed: int) -> LemmaSuiteResult:
-    """Randomized near-isometry checks, the support-cap grid, and envelopes.
-
-    Each of ``_LEMMA_MATRICES`` Gaussian ``_LEMMA_M x _LEMMA_N`` matrices
-    gets its exact isometry constant at level ``_LEMMA_Q + _LEMMA_S`` and
-    ``_LEMMA_DRAWS`` draws from its own stream: two index sets, of sizes
-    ``_LEMMA_Q`` and ``_LEMMA_S``, picked without replacement and sorted;
-    then one normal call, split into x's entries on their union and the
-    measurement y.  A normal call draws its values one after another, so
-    that call gives the values of one call for x and one for y.  The picks
-    are those of two ``rng.choice(n, k, replace=False)`` calls, read from
-    the stream's words by :class:`_ChoiceReplay`, so every stream is fixed
-    by the seed alone.
-    The isometry oracle checks the draws ``_LEMMA_BLOCK`` rows per call,
-    and a violation beyond ``_LEMMA_TOL`` counts as a failure.  The
-    support-cap grid runs one call per (threshold, budget) cell.
-    """
-    rip_checks = 0
-    rip_violations = 0
-    worst = math.inf
-    for idx in range(_LEMMA_MATRICES):
-        phi = gen_gaussian_matrix(_LEMMA_M, _LEMMA_N, derive_seed(seed, idx))
-        delta = rip_exact(phi, _LEMMA_Q + _LEMMA_S).delta
-        rng = make_rng(seed, idx, 1)
-        choices = _ChoiceReplay(rng, _LEMMA_N, (_LEMMA_Q, _LEMMA_S))
-        for start in range(0, _LEMMA_DRAWS, _LEMMA_BLOCK):
-            rows = min(_LEMMA_BLOCK, _LEMMA_DRAWS - start)
-            gamma1 = np.empty((rows, _LEMMA_Q), dtype=np.intp)
-            gamma2 = np.empty((rows, _LEMMA_S), dtype=np.intp)
-            x = np.zeros((rows, _LEMMA_N))
-            y = np.empty((rows, _LEMMA_M))
-            for r in range(rows):
-                first, second = choices()
-                gamma1[r] = first
-                gamma2[r] = second
-                # ascending, so each draw lands on the index it always has
-                union = sorted({*first, *second})
-                z = rng.standard_normal(len(union) + _LEMMA_M)
-                x[r, union] = z[: len(union)]
-                y[r] = z[len(union) :]
-            suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
-            slack = np.stack([check.slack for check in suite.checks])
-            rip_checks += slack.size
-            worst = min(worst, float(slack.min()))
-            rip_violations += int(np.count_nonzero(slack < -_LEMMA_TOL))
-
-    cap_checks = 0
-    cap_premise = 0
-    cap_violations = 0
-    axis = np.linspace(-3.0, 3.0, 21)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    for lam in (0.5, 1.0, 2.0):
-        for q in (1, 2, 3):
-            res = support_cap_check(grid, lam, q)
-            cap_checks += res.premise_holds.size
-            cap_premise += int(np.count_nonzero(res.premise_holds))
-            cap_violations += int(np.count_nonzero(res.premise_holds & ~res.conclusion_holds))
-
-    statuses = []
-    steps = 2000
-    dt = 1.0 / 1000.0  # tau / 1000 with tau = 1
-    tgrid = dt * np.arange(steps)
-    # constant trajectory sitting exactly on the envelope's fixed point
-    const = np.ones((steps, 4)) * (1.0 / 2.0)  # norm = tau*mu with mu = 1
-    statuses.append(target_energy_envelope_check(const, 1.0, 1.0, dt).status)
-    # decaying trajectory with rate bound met strictly
-    x0 = np.array([3.0, 0.0, 0.0, 0.0])
-    decay = np.exp(-tgrid)[:, None] * x0[None, :]
-    statuses.append(target_energy_envelope_check(decay, 1.0, 2.0 * 3.0, dt).status)
-    # growing trajectory whose rate exceeds the premise: vacuous, not violated
-    grow = (1.0 + 10.0 * tgrid)[:, None] * x0[None, :]
-    statuses.append(target_energy_envelope_check(grow, 1.0, 1.0, dt).status)
-
-    return LemmaSuiteResult(
-        rip_checks, rip_violations, worst, cap_checks, cap_premise, cap_violations, tuple(statuses)
-    )
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

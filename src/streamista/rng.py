@@ -205,15 +205,16 @@ def keyed_generators(keys):
     """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
+    # plain lists and ints, which the state setter reads element by element
+    # faster than array entries
     reset = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    # plain ints, which the state setter takes faster than array rows
     for key in np.asarray(keys).tolist():
         reset["state"]["key"] = key
         bitgen.state = reset

@@ -16,9 +16,6 @@ from streamista.harness import (
     ExperimentConfig,
     estimate_steady_state,
     fit_steady_state,
-    run_lca_suite,
-    run_lemma_suite,
-    run_theorem_suite,
     run_trials,
     sweep,
     sweep_lambda_s,
@@ -26,6 +23,7 @@ from streamista.harness import (
 from streamista.measurement import gen_gaussian_matrix, gen_noise
 from streamista.signals import GenConfig, assemble_target
 from streamista.solver import SolverConfig, lca_simulate, run_streaming
+from streamista.suites import run_lca_suite, run_lemma_suite, run_theorem_suite
 from streamista.theory import support_cap_check
 
 DESK = ExperimentConfig()  # 64x128, S=8, 50 trials, 40 measurements

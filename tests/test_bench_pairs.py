@@ -24,3 +24,12 @@ def test_directions_come_from_the_benchmark_spec():
     directions = bench_pairs.better_directions()
     assert directions["wall_s"] == "lower"
     assert directions["ok_frac"] == "higher"
+
+
+def test_pair_line_prints_every_metric_of_both_runs_in_run_order():
+    runs = {
+        "parent": [{"wall_s": 9.0, "ok_frac": 0.0}, {"wall_s": 0.4831, "ok_frac": 1.0}],
+        "change": [{"wall_s": 9.0, "ok_frac": 0.0}, {"wall_s": 0.46, "ok_frac": 1.0}],
+    }
+    line = bench_pairs.pair_line(1, ("change", "parent"), runs, ("wall_s", "ok_frac"))
+    assert line == "pair 2: change wall_s 0.46 ok_frac 1; parent wall_s 0.4831 ok_frac 1"

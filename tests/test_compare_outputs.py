@@ -4,11 +4,9 @@ import json
 from pathlib import Path
 
 from streamista.configio import parse_config
-from streamista.harness import (
-    ExperimentConfig, fit_steady_state, run_lca_suite, run_lemma_suite, run_theorem_suite,
-    write_fit_csv,
-)
+from streamista.harness import ExperimentConfig, fit_steady_state, write_fit_csv
 from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
+from streamista.suites import run_lca_suite, run_lemma_suite, run_theorem_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"

@@ -1,16 +1,19 @@
 from contextlib import redirect_stderr, redirect_stdout
 import io
+import json
 import math
 import os
 from pathlib import Path
 import re
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from streamista import harness, kernels
+from streamista import harness, kernels, suites
 from streamista.cli import cli_main
 from streamista.configio import KEY_MAP, ConfigError, parse_config, parse_config_text
 from streamista.harness import ExperimentConfig
@@ -266,7 +269,7 @@ def test_cli_invalid_config_exits_one_before_trials(
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran for an invalid config")
 
-    for name in ("harness._trial_results", "harness._run_suite", "kernels.stream"):
+    for name in ("harness._trial_results", "suites._run_suite", "kernels.stream"):
         monkeypatch.setattr(f"streamista.{name}", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
@@ -293,7 +296,7 @@ def test_cli_thread_count_not_an_integer_exits_one_before_trials(
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran for an invalid thread count")
 
-    for name in ("harness._trial_results", "harness._run_suite", "kernels.stream"):
+    for name in ("harness._trial_results", "suites._run_suite", "kernels.stream"):
         monkeypatch.setattr(f"streamista.{name}", no_trials)
     monkeypatch.setenv("STREAM_ISTA_THREADS", "abc")
     path = tmp_path / "small.cfg"
@@ -396,6 +399,64 @@ def test_cli_lemma_suite_small(tmp_path, capsys):
     assert "lemma suite passed" in capsys.readouterr().out
 
 
+# runs each argv list (argv[1] is JSON) in turn, then prints which of the
+# watched modules are loaded, one JSON line per command
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+from streamista.cli import cli_main
+watched = ("streamista.suites", "concurrent.futures", "streamista.theory")
+print(json.dumps(["import", [m for m in watched if m in sys.modules]]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    print(json.dumps([argv[0], rc, [m for m in watched if m in sys.modules]]))
+"""
+
+
+def test_cli_cold_start_loads_the_suites_and_pool_only_where_they_run(tmp_path):
+    # each interpreter is fresh, so every module it reports was loaded by the
+    # commands it ran; the tracer reads streamista.theory from sys.modules
+    env = {k: v for k, v in os.environ.items() if k != "STREAM_ISTA_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(CONFIGS.parent / "src"), env.get("PYTHONPATH", "")])
+    steady = tmp_path / "in" / "steady.csv"
+    steady.parent.mkdir()
+    steady.write_text("P,steady\n1,0.5\n2,0.4\n5,0.3\n")
+    desk = ["--config", str(CONFIGS / "desk.cfg"), "--trials", "1", "--out", str(tmp_path)]
+    first = [
+        ["run"] + desk,
+        ["sweep-p", "--values", "1,2"] + desk,
+        ["sweep-lambda-s", "--lambda-values", "0.1", "--s-values", "4"] + desk,
+        ["fit-steady", "--input", str(steady), "--out", str(tmp_path)],
+        ["check-theorems", "--config", str(CONFIGS / "theorem.cfg"), "--trials", "2",
+         "--out", str(tmp_path)],
+    ]
+    second = [["lemma-suite", "--out", str(tmp_path)]]
+
+    def loaded(commands):
+        proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines()]
+
+    theory = "streamista.theory"
+    assert loaded(first) == [
+        ["import", [theory]],
+        ["run", 0, [theory]],
+        ["sweep-p", 0, [theory]],
+        ["sweep-lambda-s", 0, [theory]],
+        ["fit-steady", 0, [theory]],
+        ["check-theorems", 0, ["streamista.suites", theory]],
+    ]
+    assert loaded(second) == [["import", [theory]], ["lemma-suite", 0, ["streamista.suites", theory]]]
+    shim = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from streamista.harness import run_lca_suite\n"
+         "assert run_lca_suite is sys.modules['streamista.suites'].run_lca_suite"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert shim.returncode == 0, shim.stderr
+
+
 # the fuzz's tiny base config, every key at a typical value; both of its
 # theorem-suite instances pass their preconditions, so check-theorems runs
 FUZZ_BASE = {
@@ -462,7 +523,7 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
     # finite values
     calls = []
     patches = pytest.MonkeyPatch()
-    for module, name in ((harness, "_trial_results"), (harness, "_run_suite"),
+    for module, name in ((harness, "_trial_results"), (suites, "_run_suite"),
                          (kernels, "stream")):
         def counted(*args, _original=getattr(module, name), **kwargs):
             calls.append(1)

@@ -19,7 +19,6 @@ from streamista.harness import (
     _block_size,
     _run_block,
     _run_cells,
-    _run_suite,
     _stream_keys,
     _trial_problem,
     _trial_results,
@@ -29,9 +28,6 @@ from streamista.harness import (
     lambda_s_cells,
     QRatioGrid,
     read_steady_csv,
-    run_lca_suite,
-    run_lemma_suite,
-    run_theorem_suite,
     run_trials,
     sweep,
     sweep_cells,
@@ -43,11 +39,12 @@ from streamista.harness import (
     write_qratio_csv,
     write_steady_csv,
 )
-from streamista import harness, kernels, measurement, rng, signals
+from streamista import harness, kernels, measurement, rng, signals, suites
 from streamista.configio import parse_config
 from streamista.measurement import gen_gaussian_matrix, gen_noise, measure
 from streamista.rng import derive_seed
 from streamista.signals import assemble_target
+from streamista.suites import _run_suite, run_lca_suite, run_lemma_suite, run_theorem_suite
 from streamista.theory import check_ista_preconditions
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -273,8 +270,8 @@ def test_lca_suite_small_run_resolves():
 
 
 def test_lemma_suite_small_run_is_clean(monkeypatch):
-    monkeypatch.setattr(harness, "_LEMMA_MATRICES", 2)
-    monkeypatch.setattr(harness, "_LEMMA_DRAWS", 60)
+    monkeypatch.setattr(suites, "_LEMMA_MATRICES", 2)
+    monkeypatch.setattr(suites, "_LEMMA_DRAWS", 60)
     suite = run_lemma_suite(0)
     assert suite.rip_checks == 600
     assert suite.rip_violations == 0
@@ -303,7 +300,7 @@ def test_choice_replay_matches_generator_choice(n):
     for k in range(1, min(n, 7) + 1):
         for seed in range(5):
             numpy_rng, replay_rng = _philox_pair(seed)
-            replay = harness._ChoiceReplay(replay_rng, n, (k,))
+            replay = suites._ChoiceReplay(replay_rng, n, (k,))
             for _ in range(200):
                 assert replay() == [sorted(numpy_rng.choice(n, k, replace=False).tolist())]
                 assert replay_rng.standard_normal() == numpy_rng.standard_normal()
@@ -313,7 +310,7 @@ def test_choice_replay_starts_from_the_half_the_generator_holds():
     numpy_rng, replay_rng = _philox_pair(4)
     for rng_ in (numpy_rng, replay_rng):
         rng_.integers(0, 5)  # one word: the high half of the output stays held
-    replay = harness._ChoiceReplay(replay_rng, 16, (2, 2))
+    replay = suites._ChoiceReplay(replay_rng, 16, (2, 2))
     for _ in range(50):
         assert replay() == [sorted(numpy_rng.choice(16, 2, replace=False).tolist())
                             for _ in range(2)]
@@ -327,7 +324,7 @@ def test_choice_replay_falls_back_to_word_by_word_draws_in_lemires_zone(seed, ca
     numpy_rng, replay_rng = _philox_pair(seed)
     for rng_ in (numpy_rng, replay_rng):
         rng_.bit_generator.random_raw(3 * call)  # the words of the earlier calls
-    replay = harness._ChoiceReplay(replay_rng, 10000, (2, 2))
+    replay = suites._ChoiceReplay(replay_rng, 10000, (2, 2))
     bounded = replay.bounded
     exact = []
     replay.bounded = lambda excl: exact.append(excl) or bounded(excl)
@@ -348,7 +345,7 @@ def test_choice_replay_bounded_draw_matches_integers(hi):
     # at 3 * 2**30 - 1 a quarter of the words land on the threshold 2**30
     # itself, and are kept
     numpy_rng, replay_rng = _philox_pair(2)
-    replay = harness._ChoiceReplay(replay_rng, 1, (1,))
+    replay = suites._ChoiceReplay(replay_rng, 1, (1,))
     for _ in range(300):
         assert replay.bounded(hi + 1) == int(numpy_rng.integers(0, hi + 1))
         assert replay_rng.standard_normal() == numpy_rng.standard_normal()
@@ -367,7 +364,7 @@ def test_choice_replay_redraws_a_word_one_below_the_threshold():
     word, excl = first_word(seed), excl_for(first_word(seed))
     assert word * excl % 2**32 == 2**32 % excl - 1
     numpy_rng, replay_rng = _philox_pair(seed)
-    replay = harness._ChoiceReplay(replay_rng, 1, (1,))
+    replay = suites._ChoiceReplay(replay_rng, 1, (1,))
     for _ in range(20):
         assert replay.bounded(excl) == int(numpy_rng.integers(0, excl))
         assert replay_rng.standard_normal() == numpy_rng.standard_normal()
@@ -376,9 +373,9 @@ def test_choice_replay_redraws_a_word_one_below_the_threshold():
 @pytest.mark.parametrize("n, sizes", [(10001, (2,)), (16, (17,)), (16, (0,)), (0, (1,))])
 def test_choice_replay_rejects_what_choice_draws_another_way(n, sizes):
     with pytest.raises(ValueError, match="n <= 10000"):
-        harness._ChoiceReplay(_philox_pair(0)[0], n, sizes)
+        suites._ChoiceReplay(_philox_pair(0)[0], n, sizes)
     with pytest.raises(ValueError, match="Philox"):
-        harness._ChoiceReplay(np.random.default_rng(0), 16, (2,))
+        suites._ChoiceReplay(np.random.default_rng(0), 16, (2,))
 
 
 # instance records of the theorem and LCA suites, recorded before the
@@ -497,9 +494,10 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "stream", spy)
-    drawn = []
+    drawn, drawn_before = [], []
     for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
         drawn.append(t)
+        drawn_before.append(len(passed))
         assert (out is not None) == (t in runs)
         if out is not None:
             # its own stream of its own kernel call, under its own threshold
@@ -516,6 +514,9 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
             assert isinstance(max_gamma, int) and diverged is None
     assert drawn == list(range(cfg.trials))
     assert [len(phis) for phis, _, _ in calls] == [size]
+    # a block's instances are yielded once it is full, here at instance 5,
+    # and the rest once the last one is drawn
+    assert drawn_before == [6] * 6 + [cfg.trials] * (cfg.trials - 6)
     # each instance gets the floats of its own matrix and target, whichever
     # block and stream it was drawn into
     for t in range(cfg.trials):
@@ -1028,9 +1029,10 @@ def test_desk_run_calls_no_scalar_rng(monkeypatch):
     # the harness builds a run's inputs from block keys: no scalar derivation,
     # generator, matrix or target call, in any module that holds the names
     calls = []
-    modules = [harness, rng, measurement, signals]
-    for name in ("make_rng", "derive_seed", "gen_gaussian_matrix", "assemble_target"):
-        original = getattr(harness, name)
+    modules = [harness, suites, rng, measurement, signals]
+    for module, name in ((rng, "make_rng"), (rng, "derive_seed"),
+                         (measurement, "gen_gaussian_matrix"), (signals, "assemble_target")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
@@ -1045,7 +1047,7 @@ def test_desk_run_calls_no_scalar_rng(monkeypatch):
     assert calls == []
     # the counters do count: the one-trial build and the lemma suite call them
     _trial_problem(cfg, 0)
-    monkeypatch.setattr(harness, "_LEMMA_MATRICES", 1)
-    monkeypatch.setattr(harness, "_LEMMA_DRAWS", 1)
+    monkeypatch.setattr(suites, "_LEMMA_MATRICES", 1)
+    monkeypatch.setattr(suites, "_LEMMA_DRAWS", 1)
     run_lemma_suite(0)
     assert set(calls) == {"assemble_target", "derive_seed", "gen_gaussian_matrix", "make_rng"}

@@ -93,6 +93,22 @@ def test_philox_keys_of_streams_match_seed_sequence(values, stream):
         assert drawn[0] == drawn[1]
 
 
+def test_keyed_reset_clears_a_half_used_stream():
+    # the first generator leaves a held 32-bit half and a partly read output
+    # buffer; the reset for the next key must drop both
+    seeds = (11, 2**40 + 3)
+    gens = keyed_generators(philox_keys(seeds))
+    first = next(gens)
+    first.integers(0, 7)
+    first.bit_generator.random_raw(1)
+    state = first.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+    second, fresh = next(gens), make_rng(seeds[1])
+    assert second.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+    drawn = [g.choice(9, 3, replace=False).tolist() for g in (second, fresh)]
+    assert drawn[0] == drawn[1]
+
+
 def test_philox_keys_reject_stream_indices_out_of_range():
     with pytest.raises(ValueError, match="stream index"):
         philox_keys([0], 2**64)
