@@ -65,11 +65,6 @@ _LEMMA_Q = 2
 _LEMMA_S = 2
 _LEMMA_TOL = 1e-10
 
-# Generator.choice(n, k, replace=False) runs Floyd's algorithm up to this
-# population and shuffles a tail above it
-_FLOYD_MAX = 10_000
-_MASK32 = 0xFFFFFFFF
-
 
 # ---------------------------------------------------------------------------
 # theorem-mode experiment: small instances with exact isometry constants
@@ -407,116 +402,21 @@ class LemmaSuiteResult:
         )
 
 
-class _ChoiceReplay:
-    """Sorted picks of ``rng.choice(n, k, replace=False)``, one per size, from Philox's words.
-
-    Each call returns, for every k of ``sizes`` in order, the sorted list of
-    the indices ``rng.choice(n, k, replace=False)`` would return, and leaves
-    the stream where those calls would leave it.  It relies on numpy 2.4:
-
-    * ``Generator.choice`` without ``p``, up to a population of
-      ``_FLOYD_MAX``, runs Floyd's algorithm: for j from n - k to n - 1, one
-      bounded draw in [0, j], taking j when the draw repeats a pick; a j of
-      0 draws 0 and reads no word.  It then shuffles the k picks with one
-      bounded draw in [0, i] for i from k - 1 down to 1; the picks are
-      sorted here, so those draws are read and thrown away.
-    * A bounded draw in [0, j] below 2**32 - 1 is Lemire's on 32-bit words:
-      ``m = w * (j + 1)``, redrawn while ``m mod 2**32 < 2**32 mod (j + 1)``,
-      and the result is ``m >> 32``.  ``Generator.integers(0, j + 1)`` makes
-      the same draw.
-    * Philox's 32-bit word is the low half of its next 64-bit output; the
-      high half is held for the following 32-bit read.  The 64-bit reads of
-      ``random_raw`` and ``standard_normal`` neither use nor drop a held
-      half.
-
-    So the replay holds the pending half itself, starting from the one the
-    generator holds (``has_uint32`` and ``uinteger`` of Philox's ``state``),
-    and every 32-bit read of the stream from then on must go through it.
-    A call reads every word of the picks with one ``random_raw`` call when
-    the word count is even, no half is pending and no word lands in
-    Lemire's zone ``m mod 2**32 < j + 1``, where a redraw can happen;
-    otherwise it draws word by word, exactly.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, sizes):
-        state = rng.bit_generator.state
-        if state["bit_generator"] != "Philox":
-            raise ValueError(f"replays a Philox stream, got {state['bit_generator']}")
-        if not 0 < n <= _FLOYD_MAX or not all(0 < k <= n for k in sizes):
-            raise ValueError(f"replays picks of 1 to n of n <= {_FLOYD_MAX}, got {n}, {sizes}")
-        self._raw = rng.bit_generator.random_raw
-        # the pending words, the next one last
-        self._held = [state["uinteger"]] if state["has_uint32"] else []
-        # per size: the picks it starts from ([0] when k = n, a draw that
-        # reads no word), where its Floyd draws start among a call's draws,
-        # and their j
-        self._plan, self._excl = [], []
-        for k in sizes:
-            floyd = range(max(n - k, 1), n)
-            self._plan.append(([0] if k == n else [], len(self._excl), floyd))
-            # the draws' bounds plus one: Floyd's, then the shuffle's
-            self._excl += (*(j + 1 for j in floyd), *range(k, 1, -1))
-        self._outputs = None if len(self._excl) % 2 else len(self._excl) // 2
-
-    def _word(self) -> int:
-        if self._held:
-            return self._held.pop()
-        out = int(self._raw())
-        self._held.append(out >> 32)
-        return out & _MASK32
-
-    def bounded(self, excl: int) -> int:
-        """One bounded draw in [0, excl), as ``rng.integers(0, excl)`` makes it, for excl < 2**32."""
-        m = self._word() * excl
-        if m & _MASK32 < excl:
-            threshold = (1 << 32) % excl
-            while m & _MASK32 < threshold:
-                m = self._word() * excl
-        return m >> 32
-
-    def __call__(self) -> list:
-        if not self._held and self._outputs is not None:
-            words = []
-            for out in self._raw(self._outputs).tolist():
-                words += (out & _MASK32, out >> 32)
-            values = []
-            for word, excl in zip(words, self._excl):
-                m = word * excl
-                if m & _MASK32 < excl:  # Lemire's zone: the word may be redrawn
-                    break
-                values.append(m >> 32)
-            else:
-                return self._picks(values)
-            self._held = words[::-1]
-        return self._picks([self.bounded(excl) for excl in self._excl])
-
-    def _picks(self, values) -> list:
-        picks = []
-        for first, at, floyd in self._plan:
-            chosen = first.copy()
-            for j, value in zip(floyd, values[at:]):
-                chosen.append(j if value in chosen else value)
-            chosen.sort()
-            picks.append(chosen)
-        return picks
-
-
 def run_lemma_suite(seed: int) -> LemmaSuiteResult:
     """Randomized near-isometry checks, the support-cap grid, and envelopes.
 
     Each of ``_LEMMA_MATRICES`` Gaussian ``_LEMMA_M x _LEMMA_N`` matrices
     gets its exact isometry constant at level ``_LEMMA_Q + _LEMMA_S`` and
-    ``_LEMMA_DRAWS`` draws from its own stream: two index sets, of sizes
-    ``_LEMMA_Q`` and ``_LEMMA_S``, picked without replacement and sorted;
-    then one normal call, split into x's entries on their union and the
-    measurement y.  A normal call draws its values one after another, so
-    that call gives the values of one call for x and one for y.  The picks
-    are those of two ``rng.choice(n, k, replace=False)`` calls, read from
-    the stream's words by :class:`_ChoiceReplay`, so every stream is fixed
-    by the seed alone.
-    The isometry oracle checks the draws ``_LEMMA_BLOCK`` rows per call,
-    and a violation beyond ``_LEMMA_TOL`` counts as a failure.  The
-    support-cap grid runs one call per (threshold, budget) cell.
+    ``_LEMMA_DRAWS`` draws from its own stream, ``_LEMMA_BLOCK`` at a time.
+    A draw is two independent index sets, of sizes ``_LEMMA_Q`` and
+    ``_LEMMA_S``, uniform without replacement and sorted; x, i.i.d.
+    normal on their union and zero elsewhere; and y, i.i.d. normal.  A
+    block takes them from three calls on the stream: one ``permuted`` of
+    two rows of ``arange(_LEMMA_N)`` per draw, whose first entries are the
+    sets, one normal call for x and one for y.  The isometry oracle checks
+    each block in one call, and a violation beyond ``_LEMMA_TOL`` counts as
+    a failure.  The support-cap grid runs one call per (threshold, budget)
+    cell.
     """
     rip_checks = 0
     rip_violations = 0
@@ -525,22 +425,16 @@ def run_lemma_suite(seed: int) -> LemmaSuiteResult:
         phi = gen_gaussian_matrix(_LEMMA_M, _LEMMA_N, derive_seed(seed, idx))
         delta = rip_exact(phi, _LEMMA_Q + _LEMMA_S).delta
         rng = make_rng(seed, idx, 1)
-        choices = _ChoiceReplay(rng, _LEMMA_N, (_LEMMA_Q, _LEMMA_S))
         for start in range(0, _LEMMA_DRAWS, _LEMMA_BLOCK):
             rows = min(_LEMMA_BLOCK, _LEMMA_DRAWS - start)
-            gamma1 = np.empty((rows, _LEMMA_Q), dtype=np.intp)
-            gamma2 = np.empty((rows, _LEMMA_S), dtype=np.intp)
-            x = np.zeros((rows, _LEMMA_N))
-            y = np.empty((rows, _LEMMA_M))
-            for r in range(rows):
-                first, second = choices()
-                gamma1[r] = first
-                gamma2[r] = second
-                # ascending, so each draw lands on the index it always has
-                union = sorted({*first, *second})
-                z = rng.standard_normal(len(union) + _LEMMA_M)
-                x[r, union] = z[: len(union)]
-                y[r] = z[len(union) :]
+            order = rng.permuted(np.broadcast_to(np.arange(_LEMMA_N), (rows, 2, _LEMMA_N)), axis=-1)
+            gamma1 = np.sort(order[:, 0, :_LEMMA_Q], axis=-1)
+            gamma2 = np.sort(order[:, 1, :_LEMMA_S], axis=-1)
+            union = np.zeros((rows, _LEMMA_N), dtype=bool)
+            np.put_along_axis(union, gamma1, True, axis=-1)
+            np.put_along_axis(union, gamma2, True, axis=-1)
+            x = np.where(union, rng.standard_normal((rows, _LEMMA_N)), 0.0)
+            y = rng.standard_normal((rows, _LEMMA_M))
             suite = rip_inequality_suite(phi, gamma1, gamma2, x, y, delta)
             slack = np.stack([check.slack for check in suite.checks])
             rip_checks += slack.size

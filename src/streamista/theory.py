@@ -15,6 +15,12 @@ give the per-iteration guarantee (i = l mod P)
     error[l] <= c**l * (error[0] - W) + c**(i+1) / (1 - c**P) * mu * dl + V
 
 whose pre-measurement subsequence settles at V + c**P/(1 - c**P) * mu * dl.
+It is evaluated in the equal form
+
+    c**l * error[0] + (1 - c**l) * V + (c**(i+1) - c**(l+1)) / (1 - c**P) * mu * dl
+
+which has no negative term: it is error[0] itself at l = 0, and no offset,
+however large, cancels error[0].
 The continuous-time analogue contracts at rate (1 - delta)/tau toward
 
     D = (1 - delta)^-1 * (tau * mu + sigma + lam * sqrt(q)).
@@ -123,8 +129,10 @@ def ista_error_bound(l, params: IstaBoundParams):
         raise ValueError(f"iteration index must be nonnegative, got {np.min(l)}")
     c, P = params.c, params.P
     i = l % P
-    drift = c ** (i + 1) / (1.0 - c**P) * params.mu * params.dl
-    return c**l * (params.e1 - params.W) + drift + params.V
+    # the form with no negative term (see the module docstring)
+    decay = c**l
+    drift = (c ** (i + 1) - c ** (l + 1)) / (1.0 - c**P) * params.mu * params.dl
+    return decay * params.e1 + (1.0 - decay) * params.V + drift
 
 
 def ista_steady_state(params: IstaBoundParams) -> float:
@@ -179,12 +187,6 @@ class PreconditionReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def check_ista_preconditions(

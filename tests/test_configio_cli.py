@@ -516,7 +516,7 @@ def fuzz_configs(draw):
 @example(text=fuzz_text({}), command="run")
 @example(text=fuzz_text({}), command="check-theorems")
 @example(text=fuzz_text({"eta": "1.5"}), command="run")  # diverges
-@example(text=fuzz_text({"noise_level": "1e300"}), command="check-theorems")  # a bound failure
+@example(text=fuzz_text({"noise_level": "1e300"}), command="check-theorems")  # offsets near 1e301
 def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, command):
     # north star 3 as a property: a config error exits 1 before any trial, a
     # runtime failure exits 2 and names its cause, and exit 0 writes only
@@ -562,3 +562,26 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
                     except ValueError:
                         continue
                     assert math.isfinite(value), (path.name, row)
+
+
+# configs whose bound offsets dwarf the first error: the bound kept it only
+# while it was evaluated without cancellation
+BOUND_CANCELLATION_CASES = [
+    pytest.param((CONFIGS / "theorem.cfg").read_text() + "noise_level = 1e300\ntrials = 6\n",
+                 id="theorem_cfg_noise_1e300"),
+    *(pytest.param(fuzz_text({"noise_mode": mode, key: value}), id=f"fuzz_{mode}_{key}_{value}")
+      for mode in ("capped", "gaussian_scaled")
+      for key, value in (("noise_level", "1e154"), ("noise_level", "1e300"),
+                         ("beta", "1e154"), ("lambda", "1e300"))),
+]
+
+
+@pytest.mark.parametrize("text", BOUND_CANCELLATION_CASES)
+def test_cli_check_theorems_bound_survives_huge_offsets(tmp_path, capsys, text):
+    (tmp_path / "huge.cfg").write_text(text)
+    rc = cli_main(["check-theorems", "--config", str(tmp_path / "huge.cfg"),
+                   "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "VIOLATED" not in out
+    assert "-> dominated" in out

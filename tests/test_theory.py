@@ -24,6 +24,11 @@ from streamista.theory import (
 )
 
 
+def named(report):
+    """A report's checks by name."""
+    return {check.name: check for check in report.checks}
+
+
 def test_contraction_factor_values():
     assert contraction_factor(1.0, 0.3) == 0.3
     assert contraction_factor(0.5, 0.2) == 0.6
@@ -70,6 +75,19 @@ def test_error_bound_starts_at_initial_error():
     params = IstaBoundParams(eta=1.0, delta=0.3, sigma=0.1, lam=0.2, q=2,
                              P=1, mu=0.5, dl=1.0, e1=3.0)
     assert ista_error_bound(0, params) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_error_bound_keeps_the_first_error_under_huge_offsets():
+    # lam near 1e300 puts V near 1e301, which cancelled e1 in the form
+    # c**l * (e1 - W) + drift + V
+    params = IstaBoundParams(eta=1.0, delta=0.9, sigma=1e299, lam=1e300, q=1,
+                             P=5, mu=1e299, dl=1.0, e1=0.7)
+    assert 1e300 < params.V < 1e302
+    assert ista_error_bound(0, params) == params.e1
+    steps = np.arange(51)
+    bounds = ista_error_bound(steps, params)
+    floor = params.c**steps * params.e1
+    assert np.all(bounds >= floor) and np.all(floor >= 0.0)
 
 
 def test_error_bound_rejects_negative_iteration():
@@ -163,15 +181,15 @@ def test_discrete_precondition_report_passing_case():
     report = check_ista_preconditions(delta=0.0, q=4, beta=1.0, sigma=0.0,
                                       lam=1.0, eta=1.0, init_u=np.zeros(8))
     assert report.passed
-    margin = report["drift_noise_margin"]
+    margin = named(report)["drift_noise_margin"]
     assert margin.lhs == 1.0 and margin.rhs == 2.0
-    assert report["initial_energy_within_threshold"].lhs == 0.0
+    assert named(report)["initial_energy_within_threshold"].lhs == 0.0
 
 
 def test_discrete_precondition_report_failing_case():
     report = check_ista_preconditions(delta=0.5, q=1, beta=10.0, sigma=0.0,
                                       lam=0.1, eta=1.0, init_u=np.zeros(8))
-    margin = report["drift_noise_margin"]
+    margin = named(report)["drift_noise_margin"]
     assert not margin.passed
     assert margin.lhs == pytest.approx(15.0)
     assert margin.slack == pytest.approx(-14.95)
@@ -181,16 +199,14 @@ def test_discrete_precondition_report_failing_case():
 def test_discrete_precondition_step_bound_row():
     report = check_ista_preconditions(delta=0.5, q=1, beta=0.1, sigma=0.0,
                                       lam=1.0, eta=1.5, init_u=np.zeros(4))
-    row = report["eta_step_bound"]
+    row = named(report)["eta_step_bound"]
     assert not row.passed  # 1.5 >= 2/1.5
-    with pytest.raises(KeyError):
-        report["no_such_condition"]
 
 
 def test_condition_line_format():
     report = check_ista_preconditions(delta=0.0, q=4, beta=1.0, sigma=0.0,
                                       lam=1.0, eta=1.0, init_u=np.zeros(8))
-    line = report["drift_noise_margin"].line()
+    line = named(report)["drift_noise_margin"].line()
     assert line == "drift_noise_margin,1.0,2.0,1"
 
 
@@ -198,17 +214,17 @@ def test_continuous_precondition_report():
     report = check_lca_preconditions(delta=0.1, q=1, beta=0.5, sigma=0.0,
                                      lam=1.0, e0=1.0, D=2.0, init_u=np.zeros(8))
     assert report.passed
-    decay = report["decay_margin"]
+    decay = named(report)["decay_margin"]
     assert decay.lhs == pytest.approx(0.7)
     halved = check_lca_preconditions(delta=0.1, q=1, beta=0.5, sigma=0.0,
                                      lam=0.5, e0=1.0, D=2.0, init_u=np.zeros(8))
-    assert not halved["decay_margin"].passed
+    assert not named(halved)["decay_margin"].passed
 
 
 def test_continuous_precondition_zero_state_reduces_to_energy_row():
     report = check_lca_preconditions(delta=0.0, q=4, beta=1.0, sigma=0.5,
                                      lam=1.0, e0=3.0, D=1.0, init_u=np.zeros(8))
-    decay = report["decay_margin"]
+    decay = named(report)["decay_margin"]
     assert decay.lhs == 1.5  # beta + sigma once delta = 0
     assert decay.rhs == 2.0
 
@@ -220,10 +236,10 @@ def test_rip_inequalities_trivial_for_identity():
     report = rip_inequality_suite(phi, np.array([1]), np.array([4]), x,
                                   np.full(8, 0.25), 0.0)
     assert report.passed
-    iso = report["isometry_lower"]
+    iso = named(report)["isometry_lower"]
     assert iso.lhs == pytest.approx(iso.rhs, abs=1e-15)
-    assert report["cross_coherence"].lhs <= 1e-15
-    assert report["gram_deviation"].lhs <= 1e-15
+    assert named(report)["cross_coherence"].lhs <= 1e-15
+    assert named(report)["gram_deviation"].lhs <= 1e-15
 
 
 def test_rip_inequalities_tight_at_the_witness():
@@ -233,7 +249,7 @@ def test_rip_inequalities_tight_at_the_witness():
     x[supp] = coeffs
     report = rip_inequality_suite(phi, supp[:2], supp[2:], x, np.zeros(8), est.delta)
     assert report.passed
-    slack = min(report["isometry_lower"].slack, report["isometry_upper"].slack)
+    slack = min(named(report)["isometry_lower"].slack, named(report)["isometry_upper"].slack)
     assert abs(slack) <= 1e-10
 
 
