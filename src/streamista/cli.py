@@ -43,11 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sp):
+def _add_common(sp, trials: bool = True):
+    """The flags every subcommand takes; ``--trials`` only where trials run."""
     sp.add_argument("--config", metavar="PATH", help="experiment config file")
     sp.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     sp.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    sp.add_argument("--trials", type=int, metavar="N", help="override the trial count")
+    if trials:
+        sp.add_argument("--trials", type=int, metavar="N", help="override the trial count")
 
 
 def build_parser() -> _Parser:
@@ -72,7 +74,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--level", type=float, default=4.0, help="ratio level for the C fit")
 
     sp = sub.add_parser("fit-steady", help="fit the steady-state law to steady.csv")
-    _add_common(sp)
+    _add_common(sp, trials=False)
     sp.add_argument("--input", metavar="PATH", required=True, help="steady.csv to fit")
     sp.add_argument("--mu", type=float, help="drift rate used in the law (default: config)")
     sp.add_argument("--dl", type=float, help="iteration length used in the law (default: config)")
@@ -81,7 +83,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
 
     sp = sub.add_parser("lemma-suite", help="randomized lemma oracle suite")
-    _add_common(sp)
+    _add_common(sp, trials=False)
 
     return parser
 
@@ -90,7 +92,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials=args.trials)
     return cfg
 
@@ -190,8 +192,8 @@ def _cmd_check_theorems(args) -> int:
     from .suites import run_theorem_suite
 
     cfg = _load_config(args)
-    suite = run_theorem_suite(cfg)
     out = _outdir(args)
+    suite = run_theorem_suite(cfg)
     write_preconditions_csv(
         os.path.join(out, "preconditions.csv"),
         [(f"instance{inst.index:03d}", inst.report) for inst in suite.instances],

@@ -4,16 +4,16 @@ A trial draws a fresh measurement matrix, synthetic target, and noise stream
 from seeds derived off the master seed and trial index, runs the streaming
 solver from a zero initial state, and keeps the pre-measurement error
 sequence.  The Philox keys of every stream of a group of trials are derived
-once, ``_KEY_ROWS`` rows per hash call (:func:`_stream_keys`).  A kernel
-block is three arrays, the matrices, target samples and noisy measurement
-rows of its trials, built from their keys (:func:`_problems`,
-:func:`_measurements`) with the bits of ``gen_gaussian_matrix``,
-``assemble_target`` and one ``measure`` and ``gen_noise`` call per
-sample.  Curves average the error sequence over trials.  Sweeps share
-per-trial inputs across axis values, so comparisons are paired: cells that
-agree on every field the inputs depend on build each trial's matrix,
-target and noise once, and the cells of such a group that differ only in
-the threshold run as the columns of one kernel call.
+once into one array, a row per trial, ``_KEY_ROWS`` noise rows per hash
+call (:func:`_stream_keys`).  A kernel block is three arrays, the
+matrices, target samples and noisy measurement rows of its trials, built
+from their key rows (:func:`_problems`, :func:`_measurements`) with the
+bits of ``gen_gaussian_matrix``, ``assemble_target`` and one ``measure``
+and ``gen_noise`` call per sample.  Curves average the error sequence over
+trials.  Sweeps share per-trial inputs across axis values, so comparisons
+are paired: cells that agree on every field the inputs depend on build
+each trial's matrix, target and noise once, and the cells of such a group
+that differ only in the threshold run as the columns of one kernel call.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until what a kernel call holds
@@ -52,7 +52,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 import math
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -255,60 +254,46 @@ def _trial_problem(cfg: ExperimentConfig, trial: int):
     return phi, target
 
 
-class _StreamKeys(NamedTuple):
-    """Philox keys of every input stream of a run of trials, row i for its trial i."""
+def _stream_keys(cfg: ExperimentConfig, trials) -> np.ndarray:
+    """The Philox keys of every trial of ``trials``: ``(T, 3 + n_samples, 2)`` uint64.
 
-    matrix: np.ndarray  # (T, 2)
-    target: np.ndarray  # (T, 2, 2): see signals.target_keys
-    noise: np.ndarray  # (T, n_samples, 2): one per measurement
-
-    def rows(self, start: int, stop: int) -> "_StreamKeys":
-        return _StreamKeys(*(keys[start:stop] for keys in self))
-
-
-def _stream_keys(cfg: ExperimentConfig, trials) -> _StreamKeys:
-    """The keys every trial of ``trials`` draws its matrix, target and noise from.
-
-    A trial's key is the one its scalar path starts from:
-    ``make_rng(derive_seed(cfg.seed, trial, _MATRIX_STREAM))`` for the
-    matrix, ``signals.target_keys`` of ``derive_seed(cfg.seed, trial,
-    _TARGET_STREAM)`` for the target, and
-    ``make_rng(derive_seed(cfg.seed, trial, _NOISE_STREAM, k))`` for the
-    noise of sample k.  The hash runs on at most ``_KEY_ROWS`` noise rows
-    per call.
+    Row t holds trial t's keys, each the one its scalar path starts from:
+    its matrix's, ``make_rng(derive_seed(cfg.seed, trial, _MATRIX_STREAM))``;
+    its target's amplitude and support keys, ``signals.target_keys`` of
+    ``derive_seed(cfg.seed, trial, _TARGET_STREAM)``; then one noise key
+    per sample k, ``make_rng(derive_seed(cfg.seed, trial, _NOISE_STREAM,
+    k))``.  A block takes its trials' rows; only this function,
+    :func:`_problems` and :func:`_measurements` read the layout.  The hash
+    runs on at most ``_KEY_ROWS`` noise rows per call.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     count, n_meas = len(trials), cfg.n_samples
-    keys = _StreamKeys(
-        np.empty((count, 2), dtype=np.uint64),
-        np.empty((count, 2, 2), dtype=np.uint64),
-        np.empty((count, n_meas, 2), dtype=np.uint64),
-    )
+    keys = np.empty((count, 3 + n_meas, 2), dtype=np.uint64)
     per_call = max(1, _KEY_ROWS // n_meas)
     for start in range(0, count, per_call):
         chunk = trials[start : start + per_call]
-        rows = slice(start, start + len(chunk))
+        rows = keys[start : start + len(chunk)]
         streams = np.empty((len(chunk), 2, 2), dtype=np.uint64)
         streams[..., 0] = chunk[:, None]
         streams[..., 1] = (_MATRIX_STREAM, _TARGET_STREAM)
         seeds = derive_seeds(cfg.seed, streams.reshape(-1, 2)).reshape(-1, 2)
-        keys.matrix[rows] = philox_keys(seeds[:, 0])
-        keys.target[rows] = target_keys(seeds[:, 1])
+        rows[:, 0] = philox_keys(seeds[:, 0])
+        rows[:, 1:3] = target_keys(seeds[:, 1])
         streams = np.empty((len(chunk), n_meas, 3), dtype=np.uint64)
         streams[..., 0] = chunk[:, None]
         streams[..., 1] = _NOISE_STREAM
         streams[..., 2] = np.arange(n_meas)
         seeds = derive_seeds(cfg.seed, streams.reshape(-1, 3))
-        keys.noise[rows] = philox_keys(seeds).reshape(len(chunk), n_meas, 2)
+        rows[:, 3:] = philox_keys(seeds).reshape(len(chunk), n_meas, 2)
     return keys
 
 
-def _measurements(cfg: ExperimentConfig, phi, targets, noise_keys, delta, noise_mode: str):
+def _measurements(cfg: ExperimentConfig, phi, targets, keys, delta, noise_mode: str):
     """``(ys, sigma)``: the noisy measurement rows ``(n_samples, T, m)`` of T streams.
 
-    Stream j has matrix ``phi[j]`` and target samples ``targets[:, j]``
-    (:func:`_problems`); its sample k takes its noise from Philox key
-    ``noise_keys[j, k]`` (see :func:`_stream_keys`).  ``sigma`` is each
+    Stream j has matrix ``phi[j]``, target samples ``targets[:, j]``
+    (:func:`_problems`) and key row ``keys[j]`` (:func:`_stream_keys`),
+    whose noise keys give its samples' noise.  ``sigma`` is each
     stream's noise scale as an array: under ``gaussian_scaled``,
     ``cfg.noise_level`` times the norm of its first clean row over sqrt(m),
     the per-entry std relative to that measurement's energy; under the
@@ -324,7 +309,7 @@ def _measurements(cfg: ExperimentConfig, phi, targets, noise_keys, delta, noise_
     is one :func:`noise_rows` call, so each row has the bits of
     ``measure(phi, sample, gen_noise(...))``.
     """
-    count, n_meas, level = len(noise_keys), cfg.n_samples, cfg.noise_level
+    count, n_meas, level = len(keys), cfg.n_samples, cfg.noise_level
     ys = np.matmul(phi, targets[..., None])[..., 0]
     if noise_mode == "gaussian_scaled":
         norms = row_norms(ys[0])
@@ -339,7 +324,7 @@ def _measurements(cfg: ExperimentConfig, phi, targets, noise_keys, delta, noise_
         noise = noise_rows(
             cfg.m, np.tile(np.where(finite, sigma, 0.0), n_meas),
             np.tile(np.broadcast_to(delta, count), n_meas),
-            noise_mode, np.swapaxes(noise_keys, 0, 1).reshape(-1, 2),
+            noise_mode, np.swapaxes(keys[:, 3:], 0, 1).reshape(-1, 2),
         ).reshape(n_meas, count, cfg.m)
     finite &= np.isfinite(noise).all(axis=(0, 2))
     ys += noise
@@ -351,12 +336,12 @@ def _measurements(cfg: ExperimentConfig, phi, targets, noise_keys, delta, noise_
 def _problems(cfg: ExperimentConfig, keys):
     """``(phi, targets)``: matrices ``(T, m, n)`` and target samples ``(n_samples, T, n)``.
 
-    ``keys`` is :func:`_stream_keys` of the T trials; each trial gets the
-    bits of :func:`_trial_problem`.
+    ``keys`` holds the T trials' rows of :func:`_stream_keys`; each trial
+    gets the bits of :func:`_trial_problem`.
     """
-    phi = gaussian_matrices(cfg.m, cfg.n, keys.matrix)
+    phi = gaussian_matrices(cfg.m, cfg.n, keys[:, 0])
     # the keys stand in for the target seed, which gen_config's seed would be
-    return phi, assemble_targets(cfg.gen_config(0), keys.target)[0]
+    return phi, assemble_targets(cfg.gen_config(0), keys[:, 1:3])[0]
 
 
 def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None) -> int:
@@ -377,30 +362,29 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     return max(1, _BLOCK_BYTES // (inputs + width * column))
 
 
-def _run_block(
-    phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, peaks, relax: float = 1.0,
-):
+def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0):
     """Run a block of T streams from zero under thresholds ``lam`` ``(T, 1, L)``.
 
     The block is the three arrays of :func:`.kernels.stream`.  T is at
     least one: a suite block with no running instance makes no call
-    (:func:`_run_suite`).  Returns the error record ``(steps, T, L)``,
+    (:func:`.suites._run_suite`).  Returns the error record ``(steps, T, L)``,
     the largest active set per (trial, column), reduced from the kernel's
     active masks, and the first diverged step per (trial, column), or -1.
     A step diverged when its error is non-finite or above
     ``_DIVERGENCE_FACTOR`` times its trial's largest target sample norm
-    plus ``sigma``, one noise scale per trial or one for all; the caller
-    passes those norms as ``peaks`` (``estimate_beta`` of the trials'
-    targets), computed once for every run of the block.  That limit is
-    clipped to the largest float, so an error that overflows diverges at
-    every scale.  Numpy's overflow warnings are silenced, because the step
-    names the divergence.
+    (``estimate_beta`` of its stream of ``targets``) plus ``sigma``, one
+    noise scale per trial or one for all.  That limit is clipped to the
+    largest float, so an error that overflows diverges at every scale.
+    Numpy's overflow warnings are silenced, because the step names the
+    divergence.
     """
     count, _, width = lam.shape
     u0 = np.zeros((count, phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
+        # before the kernel call, so its records never coexist with the norms' temporaries
+        scale = estimate_beta(targets) + sigma
+        limit = np.minimum(_DIVERGENCE_FACTOR * scale, np.finfo(float).max)
         errors, active = kernels.stream(phi, ys, targets, lam, eta, p, u0, relax)[:2]
-        limit = np.minimum(_DIVERGENCE_FACTOR * (peaks + sigma), np.finfo(float).max)
         bad = ~(errors <= limit[:, None])
     # a count never exceeds n, so the narrowest type holding n sums exactly
     max_gamma = np.add.reduce(
@@ -420,7 +404,7 @@ def _batches(cells) -> dict:
 def _trial_results(cells, keys) -> list:
     """Per cell, ``(errors, max_gamma_size, diverged_step, sigma)`` of a block of trials.
 
-    ``keys`` is :func:`_stream_keys` of the trials, one row each.  The
+    ``keys`` holds the trials' rows of :func:`_stream_keys`.  The
     errors are ``(T, n_samples)`` and C-ordered, a copy that pins none of
     the kernel's records; the largest active set, the first diverged step
     (-1 for none) and the realized noise scale are ``(T,)``.  The cells
@@ -430,15 +414,12 @@ def _trial_results(cells, keys) -> list:
     or hold length run the block in a call of their own.
     """
     cfg = cells[0]
-    count = len(keys.matrix)
     phi, targets = _problems(cfg, keys)
-    ys, sigma = _measurements(cfg, phi, targets, keys.noise, cfg.noise_delta, cfg.noise_mode)
-    with np.errstate(over="ignore", invalid="ignore"):
-        peaks = estimate_beta(targets)
+    ys, sigma = _measurements(cfg, phi, targets, keys, cfg.noise_delta, cfg.noise_mode)
     out = [None] * len(cells)
     for (eta, P), idxs in _batches(cells).items():
-        lam = np.broadcast_to([cells[i].lam for i in idxs], (count, 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(phi, ys, targets, lam, eta, P, sigma, peaks)
+        lam = np.broadcast_to([cells[i].lam for i in idxs], (len(keys), 1, len(idxs)))
+        errors, max_gamma, diverged = _run_block(phi, ys, targets, lam, eta, P, sigma)
         # (columns, T, n_samples), so each cell's errors are contiguous rows
         premeasurement = np.ascontiguousarray(errors[P - 1 :: P].transpose(2, 1, 0))
         for c, i in enumerate(idxs):
@@ -496,7 +477,7 @@ def _run_cells(cells) -> list:
             trials, size = group[0].trials, _block_size(group[0], width, steps)
             keys = _stream_keys(group[0], range(trials))
             parts = list(mapper(
-                lambda t: _trial_results(group, keys.rows(t, t + size)), range(0, trials, size)
+                lambda t: _trial_results(group, keys[t : t + size]), range(0, trials, size)
             ))
             for j, i in enumerate(idxs):
                 errors, max_gamma, diverged, sigma = (

@@ -10,15 +10,16 @@ run, so ``run`` and the sweeps never load it.
 One driver, :func:`_run_suite`, draws the instances of the theorem and
 continuous-bound suites, hands each suite's rule the plain numbers of each
 instance (its isometry constant and its target's statistics, reduced once
-per block), and stacks the rows of the running ones into kernel blocks,
-one threshold per instance, running each block once per step size the
-suite asks for; each suite keeps only its threshold rule and its verdict.
-The driver builds, measures and runs its blocks with the harness's helpers,
-called through the module (``harness._problems``, ``harness._block_size``,
-``harness._stream_keys``, ``harness._measurements``,
-``harness._run_block``), so a patch of a harness helper reaches the suites
-too.  A block's run records the step at which each instance diverged as
-data; it raises nothing.
+per batch), and copies the rows of the running ones into the slots of one
+kernel block, one threshold per instance, running each block once per
+step size the suite asks for; each suite keeps only its threshold rule and
+its verdict.  The driver derives its keys, sizes its block, and builds,
+measures and runs it with the harness's helpers, called through the module
+(``harness._stream_keys``, ``harness._block_size``, ``harness._problems``,
+``harness._measurements``, ``harness._run_block``), so a patch of a
+harness helper reaches the suites too.  It hands them its instances' key
+rows and reads no key itself.  A block's run records the step at which
+each instance diverged as data; it raises nothing.
 """
 
 from dataclasses import dataclass
@@ -128,20 +129,16 @@ def _suite_level(cfg: ExperimentConfig, suite: str, formula: str, level: int) ->
     return level
 
 
-def _step_or_none(step) -> int | None:
-    return None if step < 0 else int(step)
-
-
 def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     """Draw suite instances in order and run the ones that run in kernel blocks.
 
     Instance t's matrix and target have the bits of
-    :func:`.harness._trial_problem`; they are built from keys derived once
-    for the suite (:func:`.harness._problems`), a batch at a time, as many
-    as the block being filled has free streams.
-    The rows of the batch's running instances are appended to the block's
-    arrays, so one block holds every running instance drawn since the last
-    kernel call.  ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
+    :func:`.harness._trial_problem`; they are built from its row of keys
+    derived once for the suite (:func:`.harness._problems`), a batch at a
+    time, as many as the block has free slots.  The block is two arrays
+    allocated once, ``(size, m, n)`` matrices and ``(n_samples, size, n)``
+    target samples; each running instance's rows fill its next slot.
+    ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
     isometry constant at ``level`` (``rip_exact``), its target's empirical
     energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
     one sample) and its first sample's norm, the first error of a zero
@@ -150,69 +147,65 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     ``(record, lam)``, with ``lam`` the instance's threshold, or None when
     it does not run.  A running instance's noise is capped at
     ``cfg.noise_level`` under its own isometry constant, the regime the
-    bounds assume, and its energy bound is the target peak
-    :func:`.harness._run_block` scales the divergence limit by.
+    bounds assume.
 
-    A full block, and the last one, runs once per ``(eta, p, relax)`` of
-    ``runs`` (see :func:`.harness._run_block`), sized by
-    :func:`.harness._block_size` for the longest run; a block with no
-    running instance makes no kernel call.
-    After each block, yields ``(record, out)`` for every instance drawn
-    since the previous block, in order: ``out`` is None for an instance
-    that did not run, else one ``(errors, max_gamma, diverged_step)`` per
-    run, with ``diverged_step`` None when the run did not diverge.
+    A full block, and the last one, runs on its filled slots once per
+    ``(eta, p, relax)`` of ``runs`` (see :func:`.harness._run_block`),
+    under the noise scales :func:`.harness._measurements` returns, sized
+    by :func:`.harness._block_size` for the longest run; a block with no
+    running instance makes no kernel call.  After each block, yields
+    ``(record, out)`` for every instance drawn since the previous block, in
+    order: ``out`` is None for an instance that did not run, else one
+    ``(errors, max_gamma, diverged_step)`` per run, with ``diverged_step``
+    None when the run did not diverge.
     """
     size = harness._block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = harness._stream_keys(cfg, range(cfg.trials))
-    empty = ((0, cfg.m, cfg.n), (cfg.n_samples, 0, cfg.n))
-    drawn, lams, running, deltas, peaks = [], [], [], [], []
-    phi, targets = (np.empty(shape) for shape in empty)
+    phi = np.empty((size, cfg.m, cfg.n))
+    targets = np.empty((cfg.n_samples, size, cfg.n))
+    # (record, slot or None) of each instance drawn since the last block,
+    # and (t, delta, lam) of each running one, in slot order
+    drawn, running = [], []
     t = 0
     while t < cfg.trials:
-        # draw into the free streams; keep the rows of the running instances
-        count = min(size - len(lams), cfg.trials - t)
-        batch, samples = harness._problems(cfg, keys.rows(t, t + count))
+        count = min(size - len(running), cfg.trials - t)
+        batch, samples = harness._problems(cfg, keys[t : t + count])
         betas = estimate_beta(samples).tolist()
         mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
         e0s = row_norms(samples[0]).tolist()
-        kept = []
         for j, (beta, mu_dl, e0) in enumerate(zip(betas, mu_dls, e0s)):
             delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, batch[j]), level).delta
             record, lam = draw(t, delta, beta, mu_dl, e0)
-            drawn.append((record, None if lam is None else len(lams)))
+            drawn.append((record, None if lam is None else len(running)))
             if lam is not None:
-                kept.append(j)
-                lams.append(lam)
-                running.append(t)
-                deltas.append(delta)
-                peaks.append(beta)
+                phi[len(running)] = batch[j]
+                targets[:, len(running)] = samples[:, j]
+                running.append((t, delta, lam))
             t += 1
-        phi = np.concatenate([phi, batch[kept]])
-        targets = np.concatenate([targets, samples[:, kept]], axis=1)
         # the batch is not held through the kernel call
         del batch, samples
-        if len(lams) == size or t == cfg.trials:
+        if len(running) == size or t == cfg.trials:
             results = []
-            if lams:
-                ys, _ = harness._measurements(
-                    cfg, phi, targets, keys.noise[running], deltas, "capped"
+            if running:
+                rows, deltas, lams = zip(*running)
+                k = len(rows)
+                ys, sigma = harness._measurements(
+                    cfg, phi[:k], targets[:, :k], keys[list(rows)], deltas, "capped"
                 )
-                thresholds = np.reshape(lams, (-1, 1, 1))
-                results = [
-                    harness._run_block(phi, ys, targets, thresholds, eta, p,
-                                       cfg.noise_level, np.array(peaks), relax)
-                    for eta, p, relax in runs
-                ]
+                for eta, p, relax in runs:
+                    errors, max_gamma, diverged = harness._run_block(
+                        phi[:k], ys, targets[:, :k], np.reshape(lams, (-1, 1, 1)),
+                        eta, p, sigma, relax,
+                    )
+                    steps = [None if step < 0 else step for step in diverged[:, 0].tolist()]
+                    results.append((errors[..., 0], max_gamma[:, 0].tolist(), steps))
                 # nor are the measurements while the suite reads the records
                 del ys
             for record, j in drawn:
                 yield record, None if j is None else [
-                    (errors[:, j, 0], int(max_gamma[j, 0]), _step_or_none(diverged[j, 0]))
-                    for errors, max_gamma, diverged in results
+                    (errors[:, j], max_gamma[j], steps[j]) for errors, max_gamma, steps in results
                 ]
-            drawn, lams, running, deltas, peaks = [], [], [], [], []
-            # fresh arrays, not views that would keep this block alive
-            phi, targets = (np.empty(shape) for shape in empty)
+            drawn, running = [], []
 
 
 def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:

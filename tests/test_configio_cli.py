@@ -399,6 +399,37 @@ def test_cli_lemma_suite_small(tmp_path, capsys):
     assert "lemma suite passed" in capsys.readouterr().out
 
 
+def test_cli_check_theorems_rejects_an_out_file_before_the_suite(tmp_path, monkeypatch, capsys):
+    # every command creates --out before its first trial, so an --out that
+    # names a file fails at once
+    calls = []
+    stream = kernels.stream
+    # counted, not raised: the CLI maps any exception to exit 2
+    monkeypatch.setattr(
+        kernels, "stream", lambda *args, **kwargs: calls.append(1) or stream(*args, **kwargs)
+    )
+    out = tmp_path / "file"
+    out.write_text("")
+    rc = cli_main(["check-theorems", "--config", str(CONFIGS / "theorem.cfg"), "--trials", "2",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["lemma-suite", "fit-steady"])
+def test_cli_trials_is_a_usage_error_where_no_trial_runs(tmp_path, capsys, command):
+    steady = tmp_path / "steady.csv"
+    steady.write_text("P,steady\n1,0.5\n2,0.4\n5,0.3\n")
+    argv = [command, "--seed", "0", "--out", str(tmp_path / "out")]
+    if command == "fit-steady":
+        argv += ["--input", str(steady)]
+    for trials in ("3", "0"):
+        assert cli_main(argv + ["--trials", trials]) == 1
+        assert "usage error" in capsys.readouterr().err
+    assert cli_main(argv) == 0
+
+
 # runs each argv list (argv[1] is JSON) in turn, then prints which of the
 # watched modules are loaded, one JSON line per command
 COLD_START_SCRIPT = """

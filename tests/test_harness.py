@@ -420,19 +420,49 @@ def spy_streams(monkeypatch):
     return calls
 
 
-def test_run_suite_maps_instances_to_their_runs(monkeypatch):
+def expected_blocks(trials, size, running):
+    """The kernel blocks of a suite driver and the instance closing each yield.
+
+    A block runs once it holds ``size`` running instances, or once the
+    last instance is drawn; ``closes[t]`` is the last instance drawn
+    before instance t is yielded.
+    """
+    blocks = [running[i : i + size] for i in range(0, len(running), size)]
+    ends = [block[-1] for block in blocks if len(block) == size] + [trials - 1]
+    closes = [min(end for end in ends if end >= t) for t in range(trials)]
+    return blocks, closes
+
+
+# (block size, running instances) of 20 suite instances
+RUN_SUITE_CASES = [
     # distinct thresholds, skipped instances, and a last block in which no
     # instance runs
+    (4, [t for t in range(20) if t % 3 != 1][:4]),
+    (3, [1, 4, 6, 7, 9, 10]),
+    (1, [t for t in range(20) if t % 3 != 1]),
+    (25, list(range(0, 20, 2))),
+    # a partial last block after full ones, whose slots it must not reuse
+    (6, list(range(20))),
+    (4, []),
+]
+
+
+def test_run_suite_maps_instances_to_their_runs(monkeypatch):
+    for size, running in RUN_SUITE_CASES:
+        with monkeypatch.context() as patches:
+            check_run_suite_mapping(patches, size, running)
+
+
+def check_run_suite_mapping(monkeypatch, size, running):
     # a fixed block size, so the block bound does not decide the call count
-    cfg, size = replace(LCA_CFG, trials=20), 4
+    cfg = replace(LCA_CFG, trials=20)
     monkeypatch.setattr(harness, "_block_size", lambda *args, **kwargs: size)
-    runs = [t for t in range(cfg.trials) if t % 3 != 1][:size]
     level = cfg.s + cfg.q
     passed = {}
 
     def draw(t, delta, beta, mu_dl, e0):
         passed[t] = (delta, beta, mu_dl, e0)
-        return t, (0.5 + t if t in runs else None)
+        return t, (0.5 + t if t in running else None)
 
     calls = []
     stream = kernels.stream
@@ -443,33 +473,34 @@ def test_run_suite_maps_instances_to_their_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "stream", spy)
+    problems = [_trial_problem(cfg, t) for t in range(cfg.trials)]
+    matrices = [phi.entries.tobytes() for phi, _ in problems]
     drawn, drawn_before = [], []
     for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
         drawn.append(t)
         drawn_before.append(len(passed))
-        assert (out is not None) == (t in runs)
+        assert (out is not None) == (t in running)
         if out is not None:
             # its own stream of its own kernel call, under its own threshold
             [(errors, max_gamma, diverged)] = out
-            phi = _trial_problem(cfg, t)[0].entries
             [(lam, streamed)] = [
                 (lams[j], errs[:, j])
                 for phis, lams, errs in calls
                 for j in range(len(phis))
-                if np.array_equal(phis[j], phi)
+                if phis[j].tobytes() == matrices[t]
             ]
             assert lam == 0.5 + t
             assert np.array_equal(errors, streamed)
             assert isinstance(max_gamma, int) and diverged is None
     assert drawn == list(range(cfg.trials))
-    assert [len(phis) for phis, _, _ in calls] == [size]
-    # a block's instances are yielded once it is full, here at instance 5,
-    # and the rest once the last one is drawn
-    assert drawn_before == [6] * 6 + [cfg.trials] * (cfg.trials - 6)
+    # every call streams the running instances of one block, in order, and
+    # each instance is yielded after the call of the block it was drawn into
+    blocks, closes = expected_blocks(cfg.trials, size, running)
+    assert [[matrices.index(phi.tobytes()) for phi in phis] for phis, _, _ in calls] == blocks
+    assert drawn_before == [close + 1 for close in closes]
     # each instance gets the floats of its own matrix and target, whichever
     # block and stream it was drawn into
-    for t in range(cfg.trials):
-        phi, target = _trial_problem(cfg, t)
+    for t, (phi, target) in enumerate(problems):
         expected = (
             measurement.rip_exact(phi, level).delta,
             signals.estimate_beta(target.samples),
@@ -632,9 +663,7 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
     targets[..., 1] = peak
     ys = targets.copy()
     ys[..., 0] = heights.T
-    errors, _, diverged = _run_block(
-        phi, ys, targets, np.full((2, 1, 1), lam), 1.0, 1, sigma, signals.estimate_beta(targets)
-    )
+    errors, _, diverged = _run_block(phi, ys, targets, np.full((2, 1, 1), lam), 1.0, 1, sigma)
     ratios = errors[..., 0] / (peak + sigma)
     assert np.all(ratios[:, 0] > 1.0) and np.all(ratios[:, 0] < 100.0)
     assert ratios[2, 1] > 100.0 and np.all(np.delete(ratios[:, 1], 2) < 100.0)
