@@ -8,6 +8,9 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
 * ``run``, ``sweep-p``, ``sweep-mu`` and ``sweep-lambda-s`` on desk.cfg,
   the last on the criterion-8 grid config (desk.cfg at 10 measurements and
   P = 5), plus ``check-theorems`` on theorem.cfg and ``lemma-suite``;
+* ``run`` on desk.cfg with ``noise_mode = capped``, at the trial count of
+  ``run``: its trials converge to nonzero errors, so ``curve.csv`` reads
+  the capped noise bits, which no suite's output does;
 * runs that diverge and exit 2: desk.cfg with ``eta = 0.6``; ``run`` on
   theorem.cfg; desk.cfg at capped noise 1e307, where the errors overflow; desk.cfg at noise level 1e308, where the noise scale
   overflows; and desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level
@@ -37,11 +40,6 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   n = 20, level 10): a Python call that prints each constant, witness
   support and coefficients at full precision, the matrices drawn from the
   input seed.
-
-The Python calls import the suites from ``streamista.harness``, which
-loads them from ``streamista.suites`` on first use where that module
-exists, so one script runs on trees from before and after the suites
-moved there.
 
 Trial counts and sweep values are the benchmark's quick sizes
 (``perfbench/workloads.py``), or its full sizes with ``--full``.  Every run
@@ -79,7 +77,8 @@ CONFIG_ERROR_CASES = (
 # argv[1] is the config's fields as JSON
 LCA_SCRIPT = """
 import json, sys
-from streamista.harness import ExperimentConfig, run_lca_suite
+from streamista.harness import ExperimentConfig
+from streamista.suites import run_lca_suite
 cfg = ExperimentConfig(**json.loads(sys.argv[1]))
 print(repr(run_lca_suite(cfg, slack_factor=5.0, substeps=10).instances))
 """
@@ -88,7 +87,7 @@ print(repr(run_lca_suite(cfg, slack_factor=5.0, substeps=10).instances))
 THEOREM_SCRIPT = """
 import dataclasses, sys
 from streamista.configio import parse_config
-from streamista.harness import run_theorem_suite
+from streamista.suites import run_theorem_suite
 cfg = parse_config(sys.argv[1])
 cfg = dataclasses.replace(cfg, trials=int(sys.argv[2]), seed=int(sys.argv[3]))
 print(repr(run_theorem_suite(cfg).instances))
@@ -97,7 +96,7 @@ print(repr(run_theorem_suite(cfg).instances))
 # argv[1] is the seed
 LEMMA_SCRIPT = """
 import sys
-from streamista.harness import run_lemma_suite
+from streamista.suites import run_lemma_suite
 print(repr(run_lemma_suite(int(sys.argv[1]))))
 """
 
@@ -169,6 +168,8 @@ def cases(seed: int, size: dict) -> dict:
         "check-theorems": ("theorem.cfg", "", [
             "check-theorems", "--trials", str(size["theorem_trials"])]),
         "lemma-suite": ("desk.cfg", "", ["lemma-suite"]),
+        "run-desk-capped": (
+            "desk.cfg", "\nnoise_mode = capped\n", ["run", "--trials", str(size["desk_trials"])]),
         "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
         "run-capped-noise-1e307": (

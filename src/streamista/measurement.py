@@ -43,8 +43,6 @@ _ROUNDING = 1e-9
 
 NOISE_MODES = ("gaussian_scaled", "capped")
 
-_TINY = np.finfo(np.float64).tiny
-
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The norm of each row of ``rows`` ``(T, k)``, with the bits of ``np.linalg.norm(row)``.
@@ -149,10 +147,10 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
 
     ``gaussian_scaled`` draws i.i.d. entries with standard deviation ``sigma``
     (the simulation regime, where the energy bound holds only in high
-    probability).  ``capped`` rescales any draw whose norm exceeds
-    ``(1 + delta)**-0.5 * sigma`` down onto that cap, so the bound holds
-    surely (the regime the tracking bounds assume).  This is the one-row
-    case of :func:`noise_rows`.
+    probability).  ``capped`` scales the standard normal draw by
+    ``min(sigma, cap / ||draw||)``, ``cap = (1 + delta)**-0.5 * sigma``, so
+    the bound holds surely (the regime the tracking bounds assume).  This is
+    the one-row case of :func:`noise_rows`.
     """
     return noise_rows(m, sigma, delta, mode, philox_keys([seed]))[0]
 
@@ -160,14 +158,15 @@ def gen_noise(m: int, sigma: float, delta: float, mode: str, seed: int) -> np.nd
 def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     """Noise vectors ``(rows, m)``: row i is drawn from Philox key ``keys[i]``.
 
-    ``sigma`` and ``delta`` are scalars or one value per row.  Every row is
-    drawn, scaled and capped with the bits of its one-row call: the scaling
-    and the cap are elementwise, and a row's norm is :func:`row_norms`.
-    Where that product overflows or leaves the normal range, the
-    capped row is rescaled from the norm of its unscaled draw, so every
-    capped row's norm stays within rounding of the smaller of its drawn
-    norm and the cap; numpy's overflow warnings are silenced there, since
-    that fallback handles them.  Uncapped rows keep numpy's warnings.
+    ``sigma`` and ``delta`` are scalars or one value per row.  Each row is
+    its standard normal draw times one scale: ``sigma``, or under
+    ``capped``, ``cap / ||draw||`` where ``sigma * ||draw|| > cap``, with
+    ``cap = sigma / sqrt(1 + delta)`` and ``||draw||`` the :func:`row_norms`
+    of the unscaled draw.  So every row has the bits of its one-row call,
+    and every capped row's norm stays within rounding of the smaller of
+    ``sigma * ||draw||`` and the cap, at every level.  Numpy's overflow
+    warnings are silenced for ``sigma * ||draw||`` only; the scaling keeps
+    them.
     """
     if m < 1:
         raise ValueError(f"noise length must be positive, got {m}")
@@ -183,25 +182,14 @@ def noise_rows(m: int, sigma, delta, mode: str, keys) -> np.ndarray:
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
     eps = standard_normals(keys, np.empty(rows + (m,)))
-    if mode != "capped":
-        eps *= sigma[:, None]
-        return eps
-    with np.errstate(over="ignore"):
-        eps *= sigma[:, None]
+    scale = sigma
+    if mode == "capped":
         cap = sigma / np.sqrt(1.0 + delta)
         nrm = row_norms(eps)
-        # the squares of a row overflow from a level of about 1e154 on, and
-        # below about 1e-154 they fall under the normal range and lose bits
-        lost = (sigma > 0) & ~((nrm >= math.sqrt(m * _TINY)) & np.isfinite(nrm))
-        over = (nrm > cap) & ~lost
-        eps[over] *= (cap[over] / nrm[over])[:, None]
-        if lost.any():
-            # such a row is rescaled from the norm of its unscaled draw
-            raw = standard_normals(keys[lost], np.empty((lost.sum(), m)))
-            raw_nrm = row_norms(raw)
-            scale = sigma[lost]
-            scale = np.where(scale * raw_nrm > cap[lost], cap[lost] / raw_nrm, scale)
-            eps[lost] = raw * scale[:, None]
+        with np.errstate(over="ignore"):
+            over = sigma * nrm > cap
+        scale = np.divide(cap, nrm, out=sigma.copy(), where=over)
+    eps *= scale[:, None]
     return eps
 
 

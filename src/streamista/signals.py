@@ -193,7 +193,9 @@ def estimate_mu_dl(samples: np.ndarray):
     """
     if samples.shape[0] < 2:
         raise ValueError("need at least two samples to estimate a jump bound")
-    return np.linalg.norm(np.diff(samples, axis=0), axis=-1).max(axis=0)
+    jumps = np.diff(samples, axis=0)
+    np.square(jumps, out=jumps)
+    return np.sqrt(np.add.reduce(jumps, axis=-1).max(axis=0))
 
 
 def estimate_beta(samples: np.ndarray):

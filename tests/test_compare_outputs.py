@@ -92,3 +92,15 @@ def test_config_error_cases_exit_one_and_write_nothing(tmp_path):
         assert found["exit"] == 1, name
         assert found["stderr"].decode().startswith("config error:"), name
         assert found["files"] == {}, name
+
+
+def test_capped_desk_case_runs_desk_cfg_with_capped_noise(tmp_path):
+    # the one case whose written curve reads the capped noise bits
+    size = compare_outputs.SIZES["quick"]
+    config, extra, argv = compare_outputs.cases(3, size)["run-desk-capped"]
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / config).write_text((ROOT / "configs" / config).read_text() + extra)
+    cfg = parse_config(work / config)
+    assert (cfg.noise_mode, cfg.noise_level) == ("capped", 0.3)
+    assert argv[argv.index("--trials") + 1] == str(size["desk_trials"])

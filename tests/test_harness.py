@@ -718,13 +718,14 @@ def test_records_do_not_depend_on_the_block_partition():
 
 
 # sha256 of the measurement rows block.ys of every kernel block, in call
-# order, recorded when each noise vector still had its own generator and
-# each measurement its own gemv
+# order; the desk entries recorded when each noise vector still had its own
+# generator and each measurement its own gemv, the theorem entries when
+# every capped row became its draw times cap / ||draw||
 MEASUREMENT_PIN = {
     ("desk", 0): "20f0222f3c24f59f99b28212418160aad9fa3811c6293e90898c1a90e1e9f7be",
     ("desk", 5): "5cc0c9970f202561f6d0deef593e9a6e9ba248f19fcbb042405e15f34a55a8e4",
-    ("theorem", 0): "3f256b8842245aad18477c0275c53fc1d14d17ea3b7ba320e1d60e547b600cbe",
-    ("theorem", 5): "15d482d20700b9981631b5091bfb7aad8d104bb40e3b04760e41a83f04714aca",
+    ("theorem", 0): "53d319e3d40528f7c05bb908e1d9769f75bea607c81fb3bd9cc950b3dbdbaab3",
+    ("theorem", 5): "62c1a54a0cf95941d4255c84a8a82706676a87d956fa815a4dc72434baab708e",
 }
 
 
@@ -752,12 +753,13 @@ def test_measurement_streams_pin(monkeypatch, name, seed):
 
 # sha256 of every streamed trial's measurement rows (n_samples, m), trial
 # after trial in trial order, which no block partition changes; recorded at
-# 512 KiB blocks of inputs (2 desk trials, 14 theorem instances)
+# 512 KiB blocks of inputs (2 desk trials, 14 theorem instances), the
+# theorem entries at the one capped-noise rule
 TRIAL_MEASUREMENT_PIN = {
     ("desk", 0): "6c6356d0dc2e5095b17a8185edd41d6cdb25e38a1898e778e5ff918ad021e05e",
     ("desk", 5): "0884918c3ed172f302b3e9f8bbfcdc97b92f33c27c3ebff74d150b448df14fa0",
-    ("theorem", 0): "1113f3e4a2f0556c376df99b65fc4f9072df550e96584c4e76e101a61431be61",
-    ("theorem", 5): "2b4fc810b26d03b39d121202f5394df1b00dc70ea517dbf070c668fbcd02dd9b",
+    ("theorem", 0): "b0e46725dfed2f88c0de17c98982fb398681a724a7e4f414a1bf6064acbe3ebb",
+    ("theorem", 5): "4e269b67ae410090262c95dd73f4e6b25f6d08259658eea08219b6e59f39a422",
 }
 
 

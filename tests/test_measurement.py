@@ -281,23 +281,19 @@ def test_noise_rows_validate_every_row():
 
 
 def scalar_noise(m, sigma, delta, mode, seed):
-    """Reference: one generator per vector, capped through ``np.linalg.norm``.
+    """Reference: one generator per vector, times one scale.
 
-    Where the squares of the scaled draw leave the normal range, the cap
-    is applied through the norm of the unscaled draw.
+    A capped draw whose scaled norm exceeds the cap is scaled by the cap
+    over ``np.linalg.norm`` of the unscaled draw.
     """
     draw = make_rng(seed).standard_normal(m)
-    eps = sigma * draw
+    scale = sigma
     if mode == "capped":
         cap = sigma / math.sqrt(1.0 + delta)
-        nrm = float(np.linalg.norm(eps))
-        if sigma > 0 and not math.sqrt(m * np.finfo(float).tiny) <= nrm < math.inf:
-            raw_nrm = float(np.linalg.norm(draw))
-            if sigma * raw_nrm > cap:
-                eps = draw * (cap / raw_nrm)
-        elif nrm > cap:
-            eps *= cap / nrm
-    return eps
+        nrm = float(np.linalg.norm(draw))
+        if sigma * nrm > cap:
+            scale = cap / nrm
+    return draw * scale
 
 
 noise_args = st.lists(
@@ -375,6 +371,21 @@ def test_capped_rows_keep_the_cap_at_every_level(m, rows):
             assert norm == pytest.approx(cap, rel=1e-12, abs=1e-320)
         elif drawn < cap - slack:
             assert row.tobytes() == (sig * draw).tobytes()
+
+
+def test_capped_rows_draw_each_key_once(monkeypatch):
+    # at every level, one draw of every key serves both the norm and the row
+    calls = []
+
+    def spy(keys, out):
+        calls.append(np.array(keys))
+        return standard_normals(keys, out)
+
+    monkeypatch.setattr(measurement, "standard_normals", spy)
+    keys = philox_keys([7, 8, 9])
+    noise_rows(64, [1e300, 1e-170, 1.0], 0.5, "capped", keys)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], keys)
 
 
 def test_gaussian_matrices_check_unit_columns(monkeypatch):
