@@ -11,10 +11,13 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
 * ``run`` on desk.cfg with ``noise_mode = capped``, at the trial count of
   ``run``: its trials converge to nonzero errors, so ``curve.csv`` reads
   the capped noise bits, which no suite's output does;
-* runs that diverge and exit 2: desk.cfg with ``eta = 0.6``; ``run`` on
-  theorem.cfg; desk.cfg at capped noise 1e307, where the errors overflow; desk.cfg at noise level 1e308, where the noise scale
-  overflows; and desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level
-  1.5e308, where every scale is finite but some noise entries overflow;
+* runs that diverge and exit 2: desk.cfg with ``eta = 0.6``, in ``run``
+  and in ``sweep-p`` over P = 2, 5, 10, whose divergence begins mid-hold,
+  at a step whose error ``run`` and the sweeps do not keep; ``run`` on
+  theorem.cfg; desk.cfg at capped noise 1e307, where the errors overflow;
+  desk.cfg at noise level 1e308, where the noise scale overflows; and
+  desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level 1.5e308, where
+  every scale is finite but some noise entries overflow;
 * six config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
   a repeated P, ``check-theorems`` over its support budget, a NaN ratio
   level, a ``beta`` whose square is subnormal, a ``STREAM_ISTA_THREADS``
@@ -171,6 +174,8 @@ def cases(seed: int, size: dict) -> dict:
         "run-desk-capped": (
             "desk.cfg", "\nnoise_mode = capped\n", ["run", "--trials", str(size["desk_trials"])]),
         "run-desk-eta-0.6": ("desk.cfg", "\neta = 0.6\n", ["run", "--trials", "5"]),
+        "sweep-p-eta-0.6": (
+            "desk.cfg", "\neta = 0.6\n", ["sweep-p", "--trials", "5", "--values", "2,5,10"]),
         "run-theorem": ("theorem.cfg", "", ["run", "--trials", "20"]),
         "run-capped-noise-1e307": (
             "desk.cfg", "\nnoise_mode = capped\nnoise_level = 1e307\n", ["run", "--trials", "3"]),

@@ -116,6 +116,14 @@ _BLOCK_BYTES = 1024 * 1024
 # multiple of its largest target sample norm plus its noise scale
 _DIVERGENCE_FACTOR = 100.0
 
+# the divergence screen of a hold-end kernel call (_skipped_error_bound):
+# the relative and the absolute slack of its bound, which cover the rounding
+# and the underflow of a computed norm of up to 1e9 entries, and the largest
+# bound it passes, so that no square of a norm it bounds overflows
+_SCREEN_ROUNDING = 2.0**-20
+_SCREEN_FLOOR = 2.0**-500
+_SCREEN_CEILING = 2.0**500
+
 
 class ConfigError(ValueError):
     """A configuration the harness rejects before its first trial."""
@@ -353,7 +361,9 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     per column the iterate buffers (the zero start, ``u``, ``a``, ``mag``,
     ``g``, both threshold arrays and ``diff``: eight of length n, plus the
     residual of length m), the active record, a byte per entry and step,
-    and the error and active-set-size records.
+    and the error and active-set-size records.  It counts an error row per
+    step even for hold-end calls, which keep one per hold, so their block
+    partition is unchanged: larger blocks were no faster (``_BLOCK_BYTES``).
     """
     if steps is None:
         steps = cfg.n_samples * cfg.P
@@ -362,7 +372,21 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     return max(1, _BLOCK_BYTES // (inputs + width * column))
 
 
-def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0):
+def _skipped_error_bound(peak, beta):
+    """A bound, per (trial, column), on every error a hold-end kernel call skipped.
+
+    ``peak`` ``(T, n, L)`` is the call's largest ``|u|`` over its skipped
+    steps and ``beta`` ``(T,)`` each trial's largest target sample norm.
+    Soft thresholding gives ``|a| <= |u|`` entrywise, so a skipped step's
+    ``||a - x||`` is at most ``sqrt(n) max(peak) + beta``, widened here by
+    the rounding of the computed norm.  A NaN ``peak`` gives a NaN bound.
+    """
+    bound = math.sqrt(peak.shape[1]) * peak.max(axis=1) + beta[:, None]
+    return bound * (1.0 + _SCREEN_ROUNDING) + _SCREEN_FLOOR
+
+
+def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0,
+               hold_ends: bool = False):
     """Run a block of T streams from zero under thresholds ``lam`` ``(T, 1, L)``.
 
     The block is the three arrays of :func:`.kernels.stream`.  T is at
@@ -377,20 +401,45 @@ def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, rel
     largest float, so an error that overflows diverges at every scale.
     Numpy's overflow warnings are silenced, because the step names the
     divergence.
+
+    With ``hold_ends`` the kernel computes and returns only each hold's
+    last error, ``(n_meas, T, L)``.  A (trial, column) whose
+    :func:`_skipped_error_bound` is within its limit and ``_SCREEN_CEILING``
+    cannot have diverged at a skipped step.  If any could, the block reruns
+    with every step's error and returns that run's hold-end rows, so a
+    loose screen costs time, never a verdict.
     """
     count, _, width = lam.shape
     u0 = np.zeros((count, phi.shape[2], width))
     with np.errstate(over="ignore", invalid="ignore"):
         # before the kernel call, so its records never coexist with the norms' temporaries
-        scale = estimate_beta(targets) + sigma
-        limit = np.minimum(_DIVERGENCE_FACTOR * scale, np.finfo(float).max)
-        errors, active = kernels.stream(phi, ys, targets, lam, eta, p, u0, relax)[:2]
+        beta = estimate_beta(targets)
+        limit = np.minimum(_DIVERGENCE_FACTOR * (beta + sigma), np.finfo(float).max)
+        screened = False
+        if hold_ends:
+            peak = np.zeros_like(u0)
+            errors, active = kernels.stream(
+                phi, ys, targets, lam, eta, p, u0, relax, peak=peak
+            )[:2]
+            ceiling = np.minimum(limit, _SCREEN_CEILING)[:, None]
+            screened = bool(np.all(_skipped_error_bound(peak, beta) <= ceiling))
+            if not screened:
+                # freed before the rerun allocates its records
+                del errors, active
+        if not screened:
+            errors, active = kernels.stream(phi, ys, targets, lam, eta, p, u0, relax)[:2]
         bad = ~(errors <= limit[:, None])
+    first = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    if screened:
+        # hold-end row k is step k * p + p - 1
+        first = np.where(first >= 0, first * p + p - 1, -1)
+    elif hold_ends:
+        errors = errors[p - 1 :: p]
     # a count never exceeds n, so the narrowest type holding n sums exactly
     max_gamma = np.add.reduce(
         active.view(np.uint8), axis=2, dtype=np.min_scalar_type(phi.shape[2])
     ).max(axis=0)
-    return errors, max_gamma, np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    return errors, max_gamma, first
 
 
 def _batches(cells) -> dict:
@@ -404,8 +453,9 @@ def _batches(cells) -> dict:
 def _trial_results(cells, keys) -> list:
     """Per cell, ``(errors, max_gamma_size, diverged_step, sigma)`` of a block of trials.
 
-    ``keys`` holds the trials' rows of :func:`_stream_keys`.  The
-    errors are ``(T, n_samples)`` and C-ordered, a copy that pins none of
+    ``keys`` holds the trials' rows of :func:`_stream_keys`.  The errors
+    are the pre-measurement errors, the only ones the kernel computes at
+    P > 1, ``(T, n_samples)`` and C-ordered, a copy that pins none of
     the kernel's records; the largest active set, the first diverged step
     (-1 for none) and the realized noise scale are ``(T,)``.  The cells
     share the trials' inputs: each trial's matrix, target and noise stream
@@ -419,9 +469,12 @@ def _trial_results(cells, keys) -> list:
     out = [None] * len(cells)
     for (eta, P), idxs in _batches(cells).items():
         lam = np.broadcast_to([cells[i].lam for i in idxs], (len(keys), 1, len(idxs)))
-        errors, max_gamma, diverged = _run_block(phi, ys, targets, lam, eta, P, sigma)
+        # at P = 1 every step ends a hold
+        errors, max_gamma, diverged = _run_block(
+            phi, ys, targets, lam, eta, P, sigma, hold_ends=P > 1
+        )
         # (columns, T, n_samples), so each cell's errors are contiguous rows
-        premeasurement = np.ascontiguousarray(errors[P - 1 :: P].transpose(2, 1, 0))
+        premeasurement = np.ascontiguousarray(errors.transpose(2, 1, 0))
         for c, i in enumerate(idxs):
             out[i] = (premeasurement[c], max_gamma[:, c], diverged[:, c], sigma)
     return out

@@ -19,7 +19,10 @@ reaches the loop as ``kernels.stream``.  The kernel returns the errors and
 the active masks of every iterate and leaves their reading to its callers:
 ``harness._run_block`` takes the largest active set, and
 ``solver.run_streaming`` the set sizes, the final active set and the
-switch rule, which also needs the target's support schedule.
+switch rule, which also needs the target's support schedule.  Given a
+``peak`` buffer, the kernel computes only each hold's last error, the one
+``run`` and the sweeps keep, and folds every other step's ``|u|`` into
+``peak``, from which ``harness._run_block`` screens those steps.
 
 Each trial of a block gets the same bits as its one-trial call, and a block
 of one column the same bits as a one-vector run, because every product is
@@ -33,7 +36,9 @@ a per-trial BLAS call of the same shape:
   norm; ``einsum`` and dot products over strided rows sum in another order.
 
 A step makes about thirteen numpy calls, each writing into a buffer
-allocated once per call, and keeps the bits of the textbook step:
+allocated once per call, three of them for the error norm; a step whose
+error is skipped makes one ``np.maximum`` into ``peak`` in their place.
+Either way the kernel keeps the bits of the textbook step:
 
 * the shrinkage is ``u - min(max(u, -lam), lam)``, which equals
   ``where(|u| <= lam, 0, u - lam * sign(u))`` bit for bit for a finite
@@ -69,8 +74,8 @@ def _shrink(u, lam, neg_lam, a, mag, active) -> None:
     np.greater(mag, lam, out=active)
 
 
-def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-    """Per-step errors, the active masks of every iterate, and the final u, a.
+def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0, peak=None):
+    """Errors, the active masks of every iterate, and the final u, a.
 
     The T streams' matrices stack as ``phi`` ``(T, m, n)``, C-contiguous,
     so each trial's product is the BLAS call of its one-trial run; the
@@ -83,11 +88,17 @@ def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0):
     step l: ``(n_meas * p, T, L)``.  Mask row 0 holds ``|u| > lam`` of
     ``u0`` and row l + 1 that of the iterate produced at step l:
     ``(n_meas * p + 1, T, n, L)``.
+
+    ``peak``, a ``u0``-shaped array of zeros, selects hold ends: error row k
+    is then row ``k * p + p - 1`` of the default record, bit for bit,
+    ``(n_meas, T, L)``, and ``peak`` ends as the elementwise largest
+    ``|u|`` over every other step, NaN where one of them is NaN.
     """
     n_meas, count = ys.shape[:2]
     steps = n_meas * p
     width = u0.shape[2]
-    errors = np.empty((steps, count, width))
+    hold_ends = peak is not None
+    errors = np.empty((n_meas if hold_ends else steps, count, width))
     active = np.empty((steps + 1,) + u0.shape, dtype=np.bool_)
     # contiguous, so each trial's product is the BLAS call of its one-trial run
     adjoint = np.ascontiguousarray(phi.transpose(0, 2, 1))
@@ -127,7 +138,11 @@ def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0):
                 np.add(u, a, out=u)
             l = k * p + i
             _shrink(u, lam_full, neg_lam, a, mag, active[l + 1])
+            if hold_ends and i < p - 1:
+                # mag is |u|, left by the shrinkage
+                np.maximum(peak, mag, out=peak)
+                continue
             np.subtract(a, tgt, out=diff_cols)
             np.matmul(diff[..., None, :], diff[..., :, None], out=sq_norms)
-            np.sqrt(sq_norms[..., 0, 0], out=errors[l])
+            np.sqrt(sq_norms[..., 0, 0], out=errors[k if hold_ends else l])
     return errors, active, u, a

@@ -22,7 +22,7 @@ is ``np.add.reduce`` over the row axis, which is what
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 import math
 
 import numpy as np
@@ -211,10 +211,11 @@ def _support_batches(n: int, s: int):
         return
     it = combinations(range(n), s)
     while True:
-        chunk = list(islice(it, _BATCH))
-        if not chunk:
+        # flat indices straight into the array, no tuple list in between
+        batch = np.fromiter(chain.from_iterable(islice(it, _BATCH)), dtype=np.intp)
+        if not batch.size:
             return
-        yield np.asarray(chunk, dtype=np.intp)
+        yield batch.reshape(-1, s)
 
 
 def _batch_extremes(gram: np.ndarray, supports: np.ndarray):

@@ -543,10 +543,14 @@ def fuzz_configs(draw):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(text=fuzz_configs(), command=st.sampled_from(["run", "check-theorems"]))
+# sweep-p runs its P > 1 cells on the kernel's hold-end path
+@given(text=fuzz_configs(),
+       command=st.sampled_from(["run", "check-theorems", "sweep-p --values 2,5"]))
 @example(text=fuzz_text({}), command="run")
 @example(text=fuzz_text({}), command="check-theorems")
+@example(text=fuzz_text({}), command="sweep-p --values 2,5")
 @example(text=fuzz_text({"eta": "1.5"}), command="run")  # diverges
+@example(text=fuzz_text({"eta": "1.5"}), command="sweep-p --values 2,5")  # diverges
 @example(text=fuzz_text({"noise_level": "1e300"}), command="check-theorems")  # offsets near 1e301
 def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, command):
     # north star 3 as a property: a config error exits 1 before any trial, a
@@ -571,7 +575,7 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
     err = io.StringIO()
     try:
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
-            rc = cli_main([command, "--config", str(work / "fuzz.cfg"),
+            rc = cli_main([*command.split(), "--config", str(work / "fuzz.cfg"),
                            "--out", str(work / "out")])
     finally:
         patches.undo()

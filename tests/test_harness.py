@@ -670,6 +670,67 @@ def test_divergence_factor_flags_errors_above_one_hundred_scales():
     assert diverged[:, 0].tolist() == [-1, 2]
 
 
+def small_block(cfg):
+    """``(phi, ys, targets, sigma)``: the kernel block of all of ``cfg``'s trials."""
+    keys = _stream_keys(cfg, range(cfg.trials))
+    phi, targets = harness._problems(cfg, keys)
+    ys, sigma = harness._measurements(cfg, phi, targets, keys, cfg.noise_delta, cfg.noise_mode)
+    return phi, ys, targets, sigma
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    trials=st.integers(min_value=1, max_value=3),
+    n_samples=st.integers(min_value=1, max_value=5),
+    P=st.integers(min_value=1, max_value=10),
+    lams=st.lists(st.floats(min_value=0.01, max_value=0.5), min_size=1, max_size=4),
+    eta=st.floats(min_value=0.1, max_value=2.5),
+)
+# trial 0 diverges at step 5 and trial 1 at step 10, both mid-hold
+@example(seed=0, trials=2, n_samples=4, P=5, lams=[0.1], eta=1.0)
+def test_hold_end_records_match_every_step_rows(seed, trials, n_samples, P, lams, eta):
+    # from stable steps to diverging ones: the hold-end run's records are
+    # the every-step run's rows P - 1 :: P, and a divergence that begins
+    # mid-hold keeps its step
+    cfg = replace(SMALL, m=8, n=12, n_samples=n_samples, trials=trials, seed=seed)
+    phi, ys, targets, sigma = small_block(cfg)
+    lam = np.broadcast_to(lams, (trials, 1, len(lams)))
+    errors, max_gamma, diverged = _run_block(phi, ys, targets, lam, eta, P, sigma)
+    ends, ends_gamma, ends_diverged = _run_block(
+        phi, ys, targets, lam, eta, P, sigma, hold_ends=True
+    )
+    assert ends.shape == (n_samples, trials, len(lams))
+    assert ends.tobytes() == np.ascontiguousarray(errors[P - 1 :: P]).tobytes()
+    assert ends_gamma.tolist() == max_gamma.tolist()
+    assert ends_diverged.tolist() == diverged.tolist()
+
+
+def test_a_flagged_screen_reruns_the_block_on_every_step(monkeypatch):
+    # a stable block passes the screen in one hold-end call; with a bound
+    # that flags it, the block reruns and reports the same records
+    phi, ys, targets, sigma = small_block(replace(SMALL, trials=3))
+    lam = np.broadcast_to([0.05, 0.2], (3, 1, 2))
+    calls = []
+    stream = kernels.stream
+
+    def spy(*args, **kwargs):
+        calls.append("hold ends" if kwargs.get("peak") is not None else "every step")
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "stream", spy)
+    screened = _run_block(phi, ys, targets, lam, 0.3, 5, sigma, hold_ends=True)
+    assert calls == ["hold ends"]
+    assert screened[2].tolist() == [[-1, -1]] * 3
+    monkeypatch.setattr(harness, "_skipped_error_bound",
+                        lambda peak, beta: np.full((3, 2), np.inf))
+    rerun = _run_block(phi, ys, targets, lam, 0.3, 5, sigma, hold_ends=True)
+    assert calls == ["hold ends", "hold ends", "every step"]
+    assert rerun[0].shape == screened[0].shape
+    for got, expected in zip(rerun, screened):
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_noise_scale_diverges_at_the_first_step():
     # desk.cfg's clean first rows have norms on both sides of 1.8, so at
@@ -969,9 +1030,9 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     # chunks and blocks that need not align), against the one-trial functions
     blocks, schedules = [], []
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
+    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0, peak=None):
         blocks.append([a.copy() for a in (phi, targets, ys)])
-        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+        return stream(phi, ys, targets, lam, eta, p, u0, relax, peak=peak)
 
     def spy_targets(*args, **kwargs):
         samples, schedule = assemble_targets(*args, **kwargs)
