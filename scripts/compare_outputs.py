@@ -50,13 +50,18 @@ starts in its own directory holding copies of the configs and writes to a
 relative ``out`` directory, so the two trees see the same paths.  The
 script compares each run's exit code, stdout, stderr and the bytes of every
 file it wrote, prints each difference, and exits 1 if there is any, else 0.
+Where a differing stdout, stderr or file differs only in tokens that parse
+as floats on both sides, its line also counts those tokens and gives their
+largest relative difference; it is still a difference.
 """
 
 import argparse
 from concurrent.futures import ThreadPoolExecutor
 import json
+import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import tempfile
@@ -222,17 +227,47 @@ def run_case(tree: Path, work: Path, config: str | None, extra: str, argv: list)
     return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
 
 
+# a decimal float, a Python float repr included, or nan / inf
+FLOAT = re.compile(rb"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf))")
+
+
+def float_differences(a: bytes, b: bytes) -> str:
+    """``"; floats only: ..."`` when ``a`` and ``b`` differ only in float tokens, else ``""``.
+
+    The texts split around their float tokens; if the text between the
+    tokens is the same on both sides, the note counts the tokens that
+    differ and gives their largest relative difference, ``|x - y| / max(|x|, |y|)``
+    (inf where either side is not finite).
+    """
+    parts_a, parts_b = FLOAT.split(a), FLOAT.split(b)
+    # split puts the text between the tokens at even places, the tokens at odd
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return ""
+    pairs = [(float(x), float(y)) for x, y in zip(parts_a[1::2], parts_b[1::2]) if x != y]
+    if not pairs:
+        return ""
+    worst = max(
+        abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+        for x, y in pairs
+    )
+    return (f"; floats only: {len(pairs)} of {len(parts_a) // 2} float tokens differ, "
+            f"largest relative difference {worst:.3g}")
+
+
 def differences(name: str, parent: dict, change: dict) -> list:
     found = []
-    for key in ("exit", "stdout", "stderr"):
+    if parent["exit"] != change["exit"]:
+        found.append(f"{name}: exit differs: {parent['exit']!r} != {change['exit']!r}")
+    for key in ("stdout", "stderr"):
         if parent[key] != change[key]:
-            found.append(f"{name}: {key} differs: {parent[key]!r} != {change[key]!r}")
+            found.append(f"{name}: {key} differs: {parent[key]!r} != {change[key]!r}"
+                         + float_differences(parent[key], change[key]))
     for file in sorted(parent["files"].keys() | change["files"].keys()):
         a, b = parent["files"].get(file), change["files"].get(file)
         if a is None or b is None:
             found.append(f"{name}: {file} written by only one tree")
         elif a != b:
-            found.append(f"{name}: {file} differs")
+            found.append(f"{name}: {file} differs" + float_differences(a, b))
     return found
 
 

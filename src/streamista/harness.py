@@ -632,6 +632,7 @@ def fit_steady_state(p_values, steady_values, mu: float, dl: float) -> SteadySta
         g = powers / (1.0 - powers) * (mu * dl)
         v = np.clip((y[None, :] - g).mean(axis=1), 0.0, None)
         resid = y[None, :] - g - v[:, None]
+        # a sum of squares, not a norm; a vecdot would change its bits and r2's
         sse = np.einsum("ij,ij->i", resid, resid)
         best = int(np.argmin(sse))
         sst = float(np.sum((y - y.mean()) ** 2))

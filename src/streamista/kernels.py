@@ -31,13 +31,15 @@ a per-trial BLAS call of the same shape:
 * the kernel copies the stacked transpose into a contiguous ``(T, n, m)``
   array once per call, never a ``swapaxes`` view, which BLAS would read
   with other strides;
-* an error norm is a stacked ``(1 x n)(n x 1)`` matmul on a contiguous
-  row of a ``(T, L, n)`` buffer, which is the dot product of the one-vector
-  norm; ``einsum`` and dot products over strided rows sum in another order.
+* an error norm is ``np.vecdot`` on a contiguous row of a ``(T, L, n)``
+  buffer, the dot product of ``measurement.row_norms``; a ``vecdot`` over
+  the strided rows of the ``(T, n, L)`` iterate sums in another order.
 
 A step makes about thirteen numpy calls, each writing into a buffer
-allocated once per call, three of them for the error norm; a step whose
-error is skipped makes one ``np.maximum`` into ``peak`` in their place.
+allocated once per call, three of them for the error norm (the
+difference, then its ``vecdot`` and square root in place in the error
+record); a step whose error is skipped makes one ``np.maximum`` into
+``peak`` in their place.
 Either way the kernel keeps the bits of the textbook step:
 
 * the shrinkage is ``u - min(max(u, -lam), lam)``, which equals
@@ -109,11 +111,9 @@ def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0, peak=None):
     # broadcast each measurement and target sample across the columns
     ys = ys[..., None]
     targets = targets[..., None]
-    # a - target, written column by column into contiguous rows, and each
-    # row's squared norm as a stacked (1 x n)(n x 1) product
+    # a - target, written column by column into contiguous rows
     diff = np.empty((count, width, u0.shape[1]))
     diff_cols = diff.transpose(0, 2, 1)
-    sq_norms = np.empty((count, width, 1, 1))
     u = u0.copy()
     a = np.empty_like(u)
     mag = np.empty_like(u)
@@ -142,7 +142,8 @@ def stream(phi, ys, targets, lam, eta, p, u0, relax=1.0, peak=None):
                 # mag is |u|, left by the shrinkage
                 np.maximum(peak, mag, out=peak)
                 continue
+            row = errors[k if hold_ends else l]
             np.subtract(a, tgt, out=diff_cols)
-            np.matmul(diff[..., None, :], diff[..., :, None], out=sq_norms)
-            np.sqrt(sq_norms[..., 0, 0], out=errors[k if hold_ends else l])
+            np.vecdot(diff, diff, out=row)
+            np.sqrt(row, out=row)
     return errors, active, u, a

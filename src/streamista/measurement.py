@@ -14,10 +14,11 @@ keys (:mod:`.rng`): :func:`gaussian_matrices` and :func:`noise_rows`.
 :func:`gen_gaussian_matrix` and :func:`gen_noise` are their one-row cases,
 drawn from the key :func:`.rng.philox_keys` makes of the seed, so every
 block row has the bits of its one-seed call.  A block keeps those bits
-because each of its reductions sums in the one-seed order: a column norm
-is ``np.add.reduce`` over the row axis, which is what
-``np.linalg.norm(axis=0)`` computes, and a row norm is
-:func:`row_norms`, the dot product ``np.linalg.norm`` takes of a vector.
+because each of its reductions sums in the one-seed order.  Every vector
+norm of the package is :func:`row_norms`, the dot product numpy's
+``linalg`` ``norm`` takes of one vector, with one exception: a matrix's
+column norms are ``np.add.reduce`` over the row axis, the order that
+``norm(axis=0)`` sums in, which the matrices' pinned bits fix.
 """
 
 from dataclasses import dataclass
@@ -45,12 +46,14 @@ NOISE_MODES = ("gaussian_scaled", "capped")
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """The norm of each row of ``rows`` ``(T, k)``, with the bits of ``np.linalg.norm(row)``.
+    """The norm of each row of ``rows`` ``(..., k)``, over any leading shape.
 
-    Each is a stacked ``(1 x k)(k x 1)`` product, the dot product
-    ``np.linalg.norm`` takes of a vector.
+    Each is ``np.vecdot`` of a row with itself, the BLAS dot product that
+    numpy's ``linalg`` ``norm`` takes of one vector, so a row whose entries
+    are contiguous gets the bits of ``norm(row)``; a strided row may sum in
+    another order.
     """
-    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 class SupportBudgetError(ValueError):
@@ -72,7 +75,7 @@ class MeasurementMatrix:
             raise ValueError(
                 f"entries shape {ent.shape} does not match ({self.rows}, {self.cols})"
             )
-        norms = np.linalg.norm(ent, axis=0)
+        norms = row_norms(ent.T)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"columns must have unit norm (worst deviation {worst:.3e})")

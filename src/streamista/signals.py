@@ -18,15 +18,16 @@ target of a block has its bits:
 
 * an amplitude stream is one ``(n_samples, s)`` draw, which equals the
   draws of ``s`` one sample at a time; the first row's norm is
-  ``measurement.row_norms``, the dot product ``np.linalg.norm`` takes; and
-  the recursion runs over samples, each step across the whole block;
+  ``measurement.row_norms``, the dot product numpy's vector norm takes;
+  and the recursion runs over samples, each step across the whole block;
 * a support plan draws its ``choice`` and ``uniform`` from one generator
   per target, reset to the target's key;
 * the envelopes, the routing and the schedule sort are elementwise or per
   row.
 
 The energy and jump estimators reduce one target's samples or a whole
-block's over the sample axis.
+block's over the sample axis, each norm a ``measurement.row_norms`` entry,
+so a stream of a block gets the bits of its own call.
 """
 
 from dataclasses import dataclass
@@ -193,12 +194,10 @@ def estimate_mu_dl(samples: np.ndarray):
     """
     if samples.shape[0] < 2:
         raise ValueError("need at least two samples to estimate a jump bound")
-    jumps = np.diff(samples, axis=0)
-    np.square(jumps, out=jumps)
-    return np.sqrt(np.add.reduce(jumps, axis=-1).max(axis=0))
+    return row_norms(np.diff(samples, axis=0)).max(axis=0)
 
 
 def estimate_beta(samples: np.ndarray):
     """Tightest bound on sample energy: max ||x[l]||, over the sample axis as
     :func:`estimate_mu_dl` reduces."""
-    return np.linalg.norm(samples, axis=-1).max(axis=0)
+    return row_norms(samples).max(axis=0)

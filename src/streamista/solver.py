@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .measurement import MeasurementMatrix
+from .measurement import MeasurementMatrix, row_norms
 from .signals import DynamicTarget
 
 
@@ -102,10 +102,7 @@ def top_q_energy(u: np.ndarray, q: int):
     n = u.shape[-1]
     if not 1 <= q <= n:
         raise ValueError(f"q must lie in [1, {n}], got {q}")
-    part = np.partition(np.abs(u), n - q, axis=-1)[..., n - q :]
-    # stacked (1 x q)(q x 1) products take the same dot as a single vector,
-    # so a row of a block gets the bits of the one-vector call
-    energy = np.sqrt(np.matmul(part[..., None, :], part[..., :, None])[..., 0, 0])
+    energy = row_norms(np.partition(np.abs(u), n - q, axis=-1)[..., n - q :])
     return float(energy) if u.ndim == 1 else energy
 
 

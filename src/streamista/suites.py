@@ -37,7 +37,7 @@ from .measurement import (
     row_norms,
 )
 from .rng import derive_seed, make_rng
-from .signals import estimate_beta, estimate_mu_dl
+from .signals import estimate_mu_dl
 from .theory import (
     BOUND_TOL,
     IstaBoundParams,
@@ -143,7 +143,8 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
     one sample) and its first sample's norm, the first error of a zero
     start.  The three target statistics are reduced once per batch, each
-    with the bits of its target's own call.  ``draw`` returns
+    with the bits of its target's own call; the energy bound and the first
+    norm read one ``row_norms`` of the batch's samples.  ``draw`` returns
     ``(record, lam)``, with ``lam`` the instance's threshold, or None when
     it does not run.  A running instance's noise is capped at
     ``cfg.noise_level`` under its own isometry constant, the regime the
@@ -170,9 +171,10 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     while t < cfg.trials:
         count = min(size - len(running), cfg.trials - t)
         batch, samples = harness._problems(cfg, keys[t : t + count])
-        betas = estimate_beta(samples).tolist()
+        # estimate_beta's max over the samples, and the first sample's norm
+        norms = row_norms(samples)
+        betas, e0s = norms.max(axis=0).tolist(), norms[0].tolist()
         mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
-        e0s = row_norms(samples[0]).tolist()
         for j, (beta, mu_dl, e0) in enumerate(zip(betas, mu_dls, e0s)):
             delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, batch[j]), level).delta
             record, lam = draw(t, delta, beta, mu_dl, e0)

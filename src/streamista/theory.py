@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .measurement import MeasurementMatrix
+from .measurement import MeasurementMatrix, row_norms
 from .solver import active_set, top_q_energy, top_q_indices
 
 BOUND_TOL = 1e-9
@@ -255,10 +255,6 @@ def _row_masks(index_rows: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
-
-
 def rip_inequality_suite(
     phi: MeasurementMatrix,
     gamma1: np.ndarray,
@@ -311,9 +307,9 @@ def rip_inequality_suite(
         )
 
     ent = phi.entries
-    xn = _row_norms(x)
+    xn = row_norms(x)
     phix = x @ ent.T
-    phix2 = np.einsum("ij,ij->i", phix, phix)
+    phix2 = np.vecdot(phix, phix)
     # Phi^T Phi v as (v Phi^T) Phi, one row per draw
     cross = np.where(g1, (np.where(g2 & ~g1, x, 0.0) @ ent.T) @ ent, 0.0)
     gram_dev = np.where(g1, x - phix @ ent, 0.0)
@@ -322,9 +318,9 @@ def rip_inequality_suite(
     values = (
         ("isometry_lower", (1.0 - delta) * xn**2, phix2),
         ("isometry_upper", phix2, (1.0 + delta) * xn**2),
-        ("cross_coherence", _row_norms(cross), delta * xn),
-        ("gram_deviation", _row_norms(gram_dev), delta * xn),
-        ("adjoint_bound", _row_norms(adj), math.sqrt(1.0 + delta) * _row_norms(y)),
+        ("cross_coherence", row_norms(cross), delta * xn),
+        ("gram_deviation", row_norms(gram_dev), delta * xn),
+        ("adjoint_bound", row_norms(adj), math.sqrt(1.0 + delta) * row_norms(y)),
     )
     if single:
         values = tuple((name, float(lhs[0]), float(rhs[0])) for name, lhs, rhs in values)
@@ -401,8 +397,8 @@ def target_energy_envelope_check(
         raise ValueError("trajectory must be 2-d with at least two samples")
     if tau <= 0 or dt <= 0:
         raise ValueError(f"tau and dt must be positive, got tau={tau}, dt={dt}")
-    norms = np.linalg.norm(x, axis=1)
-    fd = np.linalg.norm(np.diff(x, axis=0), axis=1) / dt
+    norms = row_norms(x)
+    fd = row_norms(np.diff(x, axis=0)) / dt
     premise_vals = fd + norms[:-1] / tau
     premise_excess = float(np.max(premise_vals - mu * (1.0 + tol)))
     if premise_excess > 0:

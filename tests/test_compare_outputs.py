@@ -104,3 +104,28 @@ def test_capped_desk_case_runs_desk_cfg_with_capped_noise(tmp_path):
     cfg = parse_config(work / config)
     assert (cfg.noise_mode, cfg.noise_level) == ("capped", 0.3)
     assert argv[argv.index("--trials") + 1] == str(size["desk_trials"])
+
+
+def test_float_only_differences_are_sized_and_still_count():
+    # a difference only in floats gets its count and largest relative size,
+    # but it is a difference all the same
+    parent = {"exit": 0, "stdout": b"worst 0.011586663994858937 of 3\n", "stderr": b"",
+              "files": {"fit.csv": b"c,V\n0.5,1e-3\n", "curve.csv": b"step,mean\n1,0.25\n"}}
+    change = {"exit": 0, "stdout": b"worst 0.011586663994858939 of 3\n", "stderr": b"",
+              "files": {"fit.csv": b"c,V\n0.5,2e-3\n", "curve.csv": b"step,mean\n1,nan\n"}}
+    found = compare_outputs.differences("seed 0 case", parent, change)
+    assert found == [
+        "seed 0 case: stdout differs: b'worst 0.011586663994858937 of 3\\n' != "
+        "b'worst 0.011586663994858939 of 3\\n'; floats only: 1 of 2 float tokens differ, "
+        "largest relative difference 1.5e-16",
+        "seed 0 case: curve.csv differs; floats only: 1 of 2 float tokens differ, "
+        "largest relative difference inf",
+        "seed 0 case: fit.csv differs; floats only: 1 of 2 float tokens differ, "
+        "largest relative difference 0.5",
+    ]
+    # any other change is reported as before, without a note
+    change["stderr"] = b"warning\n"
+    change["files"]["fit.csv"] = b"c,V,r2\n0.5,1e-3\n"
+    found = compare_outputs.differences("seed 0 case", parent, change)
+    assert found[1] == "seed 0 case: stderr differs: b'' != b'warning\\n'"
+    assert found[3] == "seed 0 case: fit.csv differs"

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from functools import partial
 import hashlib
+import inspect
 import math
 from pathlib import Path
 import pickle
@@ -51,6 +52,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL = ExperimentConfig(m=16, n=24, s=2, n_pairs=1, n_samples=8, beta=2.0,
                          mu=0.4, lam=0.1, eta=0.3, P=2, trials=6, q=8, seed=1)
+
+# the kernel's own signature, taken before any test replaces kernels.stream
+_STREAM_SIGNATURE = inspect.signature(kernels.stream)
+
+
+def stream_arguments(*args, **kwargs):
+    """A ``kernels.stream`` call's arguments by name, defaults included.
+
+    A spy takes ``*args, **kwargs`` and forwards them unchanged, so it keeps
+    working when the kernel gains a keyword.
+    """
+    bound = _STREAM_SIGNATURE.bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def model_curve(c, V, mu, dl, p_values):
@@ -411,10 +426,11 @@ def spy_streams(monkeypatch):
     calls = []
     stream = kernels.stream
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-        count, _, width = u0.shape
-        calls.append((phi.copy(), np.broadcast_to(lam, (count, 1, width)).copy()))
-        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+    def spy(*args, **kwargs):
+        arg = stream_arguments(*args, **kwargs)
+        count, _, width = arg["u0"].shape
+        calls.append((arg["phi"].copy(), np.broadcast_to(arg["lam"], (count, 1, width)).copy()))
+        return stream(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "stream", spy)
     return calls
@@ -467,9 +483,10 @@ def check_run_suite_mapping(monkeypatch, size, running):
     calls = []
     stream = kernels.stream
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-        out = stream(phi, ys, targets, lam, eta, p, u0, relax)
-        calls.append((phi.copy(), lam[:, 0, 0].copy(), out[0][..., 0]))
+    def spy(*args, **kwargs):
+        arg = stream_arguments(*args, **kwargs)
+        out = stream(*args, **kwargs)
+        calls.append((arg["phi"].copy(), arg["lam"][:, 0, 0].copy(), out[0][..., 0]))
         return out
 
     monkeypatch.setattr(kernels, "stream", spy)
@@ -611,9 +628,10 @@ def test_suite_kernel_calls_pin(monkeypatch, name):
     calls = []
     stream = kernels.stream
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-        calls.append((phi.copy(), relax))
-        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+    def spy(*args, **kwargs):
+        arg = stream_arguments(*args, **kwargs)
+        calls.append((arg["phi"].copy(), arg["relax"]))
+        return stream(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "stream", spy)
     suite(cfg)
@@ -797,9 +815,9 @@ def test_measurement_streams_pin(monkeypatch, name, seed):
     streams = []
     stream = kernels.stream
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-        streams.append(ys.tobytes())
-        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+    def spy(*args, **kwargs):
+        streams.append(stream_arguments(*args, **kwargs)["ys"].tobytes())
+        return stream(*args, **kwargs)
 
     def recorded_partition(cfg, width=1, steps=None):
         # the block size the hashes were recorded at: inputs only, 512 KiB
@@ -829,9 +847,9 @@ def test_trial_measurement_rows_pin(monkeypatch, name, seed):
     blocks = []
     stream = kernels.stream
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0):
-        blocks.append(ys.copy())
-        return stream(phi, ys, targets, lam, eta, p, u0, relax)
+    def spy(*args, **kwargs):
+        blocks.append(stream_arguments(*args, **kwargs)["ys"].copy())
+        return stream(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "stream", spy)
     cfg = replace(parse_config(CONFIGS / f"{name}.cfg"), seed=seed)
@@ -1030,9 +1048,10 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     # chunks and blocks that need not align), against the one-trial functions
     blocks, schedules = [], []
 
-    def spy(phi, ys, targets, lam, eta, p, u0, relax=1.0, peak=None):
-        blocks.append([a.copy() for a in (phi, targets, ys)])
-        return stream(phi, ys, targets, lam, eta, p, u0, relax, peak=peak)
+    def spy(*args, **kwargs):
+        arg = stream_arguments(*args, **kwargs)
+        blocks.append([arg[name].copy() for name in ("phi", "targets", "ys")])
+        return stream(*args, **kwargs)
 
     def spy_targets(*args, **kwargs):
         samples, schedule = assemble_targets(*args, **kwargs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from streamista.measurement import gen_gaussian_matrix
+from streamista.measurement import gen_gaussian_matrix, row_norms
 from streamista.signals import (
     GenConfig,
     _amplitude_rows,
@@ -173,6 +173,58 @@ def test_estimate_mu_dl_needs_two_samples():
 
 def test_estimate_beta_is_max_row_norm():
     assert estimate_beta(np.array([[0.0, 1.0], [3.0, 4.0]])) == 5.0
+
+
+# entries a row norm must carry through: signed zeros, subnormals, values
+# whose squares underflow or overflow, infinities and NaN
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e300, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def norm_blocks(draw):
+    """Rows ``(..., k)``, 1-3 leading axes and k in [1, 300]: normals at one scale
+    from 1e-310 to 1e300, with up to eight entries replaced by special values."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    shape.append(draw(st.integers(1, 300)))
+    scale = draw(st.sampled_from([1e-310, 1e-300, 1e-160, 1.0, 1e150, 1e300]))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    rows *= scale
+    flat = rows.reshape(-1)
+    spots = st.tuples(st.integers(0, flat.size - 1), st.sampled_from(SPECIAL_ENTRIES))
+    for index, value in draw(st.lists(spots, max_size=8)):
+        flat[index] = value
+    return rows
+
+
+def norm_bits(values):
+    """The bits of ``values``, every NaN as the one canonical NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+def one_vector_max(rows):
+    """Per stream of ``rows`` ``(n_samples, ..., k)``, np.max of its rows' one-vector norms."""
+    streams = np.ndindex(rows.shape[1:-1])
+    return np.array([
+        np.max([np.linalg.norm(row) for row in rows[(slice(None),) + idx]]) for idx in streams
+    ]).reshape(rows.shape[1:-1])
+
+
+@settings(deadline=None)
+@given(norm_blocks())
+def test_row_norms_and_estimators_take_the_one_vector_norm(rows):
+    # every row norm of the package is the dot product of np.linalg.norm(row),
+    # over any leading shape, so a block's stream gets the bits of its own call
+    with np.errstate(all="ignore"):
+        norms = row_norms(rows)
+        assert norms.shape == rows.shape[:-1]
+        expected = [np.linalg.norm(rows[idx]) for idx in np.ndindex(rows.shape[:-1])]
+        assert norm_bits(norms).ravel().tolist() == norm_bits(expected).tolist()
+        assert norm_bits(estimate_beta(rows)).tolist() == norm_bits(one_vector_max(rows)).tolist()
+        if rows.shape[0] > 1:
+            jumps = rows[1:] - rows[:-1]
+            assert (norm_bits(estimate_mu_dl(rows)).tolist()
+                    == norm_bits(one_vector_max(jumps)).tolist())
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
