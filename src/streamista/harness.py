@@ -362,8 +362,9 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     ``g``, both threshold arrays and ``diff``: eight of length n, plus the
     residual of length m), the active record, a byte per entry and step,
     and the error and active-set-size records.  It counts an error row per
-    step even for hold-end calls, which keep one per hold, so their block
-    partition is unchanged: larger blocks were no faster (``_BLOCK_BYTES``).
+    step even for hold-end calls, which keep one per hold, and not the
+    ``peak`` buffer those calls allocate, so their block partition is
+    unchanged: larger blocks were no faster (``_BLOCK_BYTES``).
     """
     if steps is None:
         steps = cfg.n_samples * cfg.P
@@ -390,7 +391,7 @@ def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, rel
     """Run a block of T streams from zero under thresholds ``lam`` ``(T, 1, L)``.
 
     The block is the three arrays of :func:`.kernels.stream`.  T is at
-    least one: a suite block with no running instance makes no call
+    least one: a suite runs only blocks of its running instances
     (:func:`.suites._run_suite`).  Returns the error record ``(steps, T, L)``,
     the largest active set per (trial, column), reduced from the kernel's
     active masks, and the first diverged step per (trial, column), or -1.

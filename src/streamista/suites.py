@@ -7,14 +7,16 @@ runs the near-isometry, support-cap and energy-envelope oracles on seeded
 draws.  ``check-theorems`` and ``lemma-suite`` import this module when they
 run, so ``run`` and the sweeps never load it.
 
-One driver, :func:`_run_suite`, draws the instances of the theorem and
-continuous-bound suites, hands each suite's rule the plain numbers of each
-instance (its isometry constant and its target's statistics, reduced once
-per batch), and copies the rows of the running ones into the slots of one
-kernel block, one threshold per instance, running each block once per
-step size the suite asks for; each suite keeps only its threshold rule and
-its verdict.  The driver derives its keys, sizes its block, and builds,
-measures and runs it with the harness's helpers, called through the module
+One driver, :func:`_run_suite`, runs the theorem and continuous-bound
+suites in two phases.  It selects: it builds the instances a batch at a
+time, hands each suite's rule the plain numbers of each instance (its
+isometry constant and its target's statistics, reduced once per batch),
+and keeps every record and the threshold of each instance that runs.  Then
+it runs: it rebuilds each kernel block of running instances from their key
+rows, one threshold per instance, and runs it once per step size the suite
+asks for; each suite keeps only its threshold rule and its verdict.  The
+driver derives its keys, sizes its blocks, and builds, measures and runs
+them with the harness's helpers, called through the module
 (``harness._stream_keys``, ``harness._block_size``, ``harness._problems``,
 ``harness._measurements``, ``harness._run_block``), so a patch of a
 harness helper reaches the suites too.  It hands them its instances' key
@@ -130,84 +132,79 @@ def _suite_level(cfg: ExperimentConfig, suite: str, formula: str, level: int) ->
 
 
 def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
-    """Draw suite instances in order and run the ones that run in kernel blocks.
+    """Select the suite's instances in order, then run the ones that run in kernel blocks.
 
-    Instance t's matrix and target have the bits of
-    :func:`.harness._trial_problem`; they are built from its row of keys
-    derived once for the suite (:func:`.harness._problems`), a batch at a
-    time, as many as the block has free slots.  The block is two arrays
-    allocated once, ``(size, m, n)`` matrices and ``(n_samples, size, n)``
-    target samples; each running instance's rows fill its next slot.
-    ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
-    isometry constant at ``level`` (``rip_exact``), its target's empirical
-    energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
-    one sample) and its first sample's norm, the first error of a zero
-    start.  The three target statistics are reduced once per batch, each
-    with the bits of its target's own call; the energy bound and the first
-    norm read one ``row_norms`` of the batch's samples.  ``draw`` returns
-    ``(record, lam)``, with ``lam`` the instance's threshold, or None when
-    it does not run.  A running instance's noise is capped at
-    ``cfg.noise_level`` under its own isometry constant, the regime the
-    bounds assume.
+    Both phases build instances from their rows of the keys derived once
+    for the suite, with :func:`.harness._problems`, so instance t's matrix
+    and target have the bits of :func:`.harness._trial_problem` in any
+    block.  The selection builds batches of ``size`` consecutive instances,
+    one at a time, with ``size`` from :func:`.harness._block_size` for the
+    longest run.  ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the
+    instance's exact isometry constant at ``level`` (``rip_exact``), its
+    target's empirical energy and jump bounds (``estimate_beta``;
+    ``estimate_mu_dl``, 0.0 at one sample) and its first sample's norm, the
+    first error of a zero start.  The three target statistics are reduced
+    once per batch, each with the bits of its target's own call; the
+    energy bound and the first norm read one ``row_norms`` of the batch's
+    samples.  ``draw`` returns ``(record, lam)``, with ``lam`` the
+    instance's threshold, or None when it does not run.
 
-    A full block, and the last one, runs on its filled slots once per
-    ``(eta, p, relax)`` of ``runs`` (see :func:`.harness._run_block`),
-    under the noise scales :func:`.harness._measurements` returns, sized
-    by :func:`.harness._block_size` for the longest run; a block with no
-    running instance makes no kernel call.  After each block, yields
-    ``(record, out)`` for every instance drawn since the previous block, in
-    order: ``out`` is None for an instance that did not run, else one
-    ``(errors, max_gamma, diverged_step)`` per run, with ``diverged_step``
-    None when the run did not diverge.
+    The run takes the running instances in blocks of ``size`` consecutive
+    ones, rebuilds each block from its key rows, and runs it once per
+    ``(eta, p, relax)`` of ``runs`` (see :func:`.harness._run_block`) under
+    the noise scales :func:`.harness._measurements` returns.  A running
+    instance's noise is capped at ``cfg.noise_level`` under its own
+    isometry constant, the regime the bounds assume.  Every ``draw`` comes
+    before the first kernel call, and no batch or block is held while the
+    next is built.  After each block's calls, yields ``(record, out)`` for
+    every instance up to the block's last running one, in order, and after
+    the last block the rest: ``out`` is None for an instance that did not
+    run, else one ``(errors, max_gamma, diverged_step)`` per run, with
+    ``diverged_step`` None when the run did not diverge.
     """
     size = harness._block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = harness._stream_keys(cfg, range(cfg.trials))
-    phi = np.empty((size, cfg.m, cfg.n))
-    targets = np.empty((cfg.n_samples, size, cfg.n))
-    # (record, slot or None) of each instance drawn since the last block,
-    # and (t, delta, lam) of each running one, in slot order
-    drawn, running = [], []
-    t = 0
-    while t < cfg.trials:
-        count = min(size - len(running), cfg.trials - t)
-        batch, samples = harness._problems(cfg, keys[t : t + count])
+    # every instance's record, and (t, delta, lam) of each running one
+    records, running = [], []
+    for start in range(0, cfg.trials, size):
+        batch, samples = harness._problems(cfg, keys[start : start + size])
         # estimate_beta's max over the samples, and the first sample's norm
         norms = row_norms(samples)
         betas, e0s = norms.max(axis=0).tolist(), norms[0].tolist()
-        mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * count
+        mu_dls = estimate_mu_dl(samples).tolist() if cfg.n_samples > 1 else [0.0] * len(batch)
         for j, (beta, mu_dl, e0) in enumerate(zip(betas, mu_dls, e0s)):
             delta = rip_exact(MeasurementMatrix(cfg.m, cfg.n, batch[j]), level).delta
-            record, lam = draw(t, delta, beta, mu_dl, e0)
-            drawn.append((record, None if lam is None else len(running)))
+            record, lam = draw(start + j, delta, beta, mu_dl, e0)
+            records.append(record)
             if lam is not None:
-                phi[len(running)] = batch[j]
-                targets[:, len(running)] = samples[:, j]
-                running.append((t, delta, lam))
-            t += 1
-        # the batch is not held through the kernel call
+                running.append((start + j, delta, lam))
+        # a batch is not held while the next is built
         del batch, samples
-        if len(running) == size or t == cfg.trials:
-            results = []
-            if running:
-                rows, deltas, lams = zip(*running)
-                k = len(rows)
-                ys, sigma = harness._measurements(
-                    cfg, phi[:k], targets[:, :k], keys[list(rows)], deltas, "capped"
-                )
-                for eta, p, relax in runs:
-                    errors, max_gamma, diverged = harness._run_block(
-                        phi[:k], ys, targets[:, :k], np.reshape(lams, (-1, 1, 1)),
-                        eta, p, sigma, relax,
-                    )
-                    steps = [None if step < 0 else step for step in diverged[:, 0].tolist()]
-                    results.append((errors[..., 0], max_gamma[:, 0].tolist(), steps))
-                # nor are the measurements while the suite reads the records
-                del ys
-            for record, j in drawn:
-                yield record, None if j is None else [
-                    (errors[:, j], max_gamma[j], steps[j]) for errors, max_gamma, steps in results
-                ]
-            drawn, running = [], []
+    # the instances yielded so far
+    done = 0
+    for start in range(0, len(running), size):
+        rows, deltas, lams = zip(*running[start : start + size])
+        block_keys = keys[list(rows)]
+        phi, targets = harness._problems(cfg, block_keys)
+        ys, sigma = harness._measurements(cfg, phi, targets, block_keys, deltas, "capped")
+        results = []
+        for eta, p, relax in runs:
+            errors, max_gamma, diverged = harness._run_block(
+                phi, ys, targets, np.reshape(lams, (-1, 1, 1)), eta, p, sigma, relax,
+            )
+            steps = [None if step < 0 else step for step in diverged[:, 0].tolist()]
+            results.append((errors[..., 0], max_gamma[:, 0].tolist(), steps))
+        # a block is not held while the suite reads its records or the next is built
+        del phi, targets, ys
+        outs = {
+            t: [(errors[:, j], max_gamma[j], steps[j]) for errors, max_gamma, steps in results]
+            for j, t in enumerate(rows)
+        }
+        for t in range(done, rows[-1] + 1):
+            yield records[t], outs.get(t)
+        done = rows[-1] + 1
+    for record in records[done:]:
+        yield record, None
 
 
 def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 import pickle
 from unittest.mock import patch
+import weakref
 
 import hypothesis.strategies as st
 import numpy as np
@@ -53,17 +54,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL = ExperimentConfig(m=16, n=24, s=2, n_pairs=1, n_samples=8, beta=2.0,
                          mu=0.4, lam=0.1, eta=0.3, P=2, trials=6, q=8, seed=1)
 
-# the kernel's own signature, taken before any test replaces kernels.stream
-_STREAM_SIGNATURE = inspect.signature(kernels.stream)
+def call_arguments(function, *args, **kwargs):
+    """The arguments of a call of ``function`` by name, defaults included.
 
-
-def stream_arguments(*args, **kwargs):
-    """A ``kernels.stream`` call's arguments by name, defaults included.
-
-    A spy takes ``*args, **kwargs`` and forwards them unchanged, so it keeps
-    working when the kernel gains a keyword.
+    A spy takes ``*args, **kwargs``, forwards them unchanged to the
+    ``function`` it replaced, and reads them here, so it keeps working when
+    that function gains a keyword.
     """
-    bound = _STREAM_SIGNATURE.bind(*args, **kwargs)
+    bound = inspect.signature(function).bind(*args, **kwargs)
     bound.apply_defaults()
     return bound.arguments
 
@@ -313,9 +311,10 @@ def test_lemma_draws_keep_their_distribution(monkeypatch, seed):
     draws = []
     oracle = suites.rip_inequality_suite
 
-    def spy(phi, gamma1, gamma2, x, y, delta):
-        draws.append((gamma1.copy(), gamma2.copy(), x.copy()))
-        return oracle(phi, gamma1, gamma2, x, y, delta)
+    def spy(*args, **kwargs):
+        arg = call_arguments(oracle, *args, **kwargs)
+        draws.append((arg["gamma1"].copy(), arg["gamma2"].copy(), arg["x"].copy()))
+        return oracle(*args, **kwargs)
 
     monkeypatch.setattr(suites, "rip_inequality_suite", spy)
     run_lemma_suite(seed)
@@ -427,7 +426,7 @@ def spy_streams(monkeypatch):
     stream = kernels.stream
 
     def spy(*args, **kwargs):
-        arg = stream_arguments(*args, **kwargs)
+        arg = call_arguments(stream, *args, **kwargs)
         count, _, width = arg["u0"].shape
         calls.append((arg["phi"].copy(), np.broadcast_to(arg["lam"], (count, 1, width)).copy()))
         return stream(*args, **kwargs)
@@ -437,16 +436,19 @@ def spy_streams(monkeypatch):
 
 
 def expected_blocks(trials, size, running):
-    """The kernel blocks of a suite driver and the instance closing each yield.
+    """The kernel blocks of a suite driver and the blocks run before each yield.
 
-    A block runs once it holds ``size`` running instances, or once the
-    last instance is drawn; ``closes[t]`` is the last instance drawn
-    before instance t is yielded.
+    The running instances run in blocks of ``size`` consecutive ones.  The
+    block that closes instance t is the first whose last running instance
+    is t or later, else the last block; ``closed[t]`` counts the blocks up
+    to and including it.
     """
     blocks = [running[i : i + size] for i in range(0, len(running), size)]
-    ends = [block[-1] for block in blocks if len(block) == size] + [trials - 1]
-    closes = [min(end for end in ends if end >= t) for t in range(trials)]
-    return blocks, closes
+    closed = [
+        next((b + 1 for b, block in enumerate(blocks) if block[-1] >= t), len(blocks))
+        for t in range(trials)
+    ]
+    return blocks, closed
 
 
 # (block size, running instances) of 20 suite instances
@@ -457,7 +459,7 @@ RUN_SUITE_CASES = [
     (3, [1, 4, 6, 7, 9, 10]),
     (1, [t for t in range(20) if t % 3 != 1]),
     (25, list(range(0, 20, 2))),
-    # a partial last block after full ones, whose slots it must not reuse
+    # a partial last block after full ones, with instances yielded after it
     (6, list(range(20))),
     (4, []),
 ]
@@ -475,16 +477,19 @@ def check_run_suite_mapping(monkeypatch, size, running):
     monkeypatch.setattr(harness, "_block_size", lambda *args, **kwargs: size)
     level = cfg.s + cfg.q
     passed = {}
+    calls = []
+    # the kernel calls made before each draw
+    calls_at_draw = []
 
     def draw(t, delta, beta, mu_dl, e0):
         passed[t] = (delta, beta, mu_dl, e0)
+        calls_at_draw.append(len(calls))
         return t, (0.5 + t if t in running else None)
 
-    calls = []
     stream = kernels.stream
 
     def spy(*args, **kwargs):
-        arg = stream_arguments(*args, **kwargs)
+        arg = call_arguments(stream, *args, **kwargs)
         out = stream(*args, **kwargs)
         calls.append((arg["phi"].copy(), arg["lam"][:, 0, 0].copy(), out[0][..., 0]))
         return out
@@ -492,10 +497,11 @@ def check_run_suite_mapping(monkeypatch, size, running):
     monkeypatch.setattr(kernels, "stream", spy)
     problems = [_trial_problem(cfg, t) for t in range(cfg.trials)]
     matrices = [phi.entries.tobytes() for phi, _ in problems]
-    drawn, drawn_before = [], []
+    # the kernel calls made before each yield
+    drawn, calls_at_yield = [], []
     for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
         drawn.append(t)
-        drawn_before.append(len(passed))
+        calls_at_yield.append(len(calls))
         assert (out is not None) == (t in running)
         if out is not None:
             # its own stream of its own kernel call, under its own threshold
@@ -510,11 +516,13 @@ def check_run_suite_mapping(monkeypatch, size, running):
             assert np.array_equal(errors, streamed)
             assert isinstance(max_gamma, int) and diverged is None
     assert drawn == list(range(cfg.trials))
-    # every call streams the running instances of one block, in order, and
-    # each instance is yielded after the call of the block it was drawn into
-    blocks, closes = expected_blocks(cfg.trials, size, running)
+    # every call streams the running instances of one block, in order; every
+    # draw comes before the first call; and each instance is yielded after
+    # the call of the block that closes it and before the next block's call
+    blocks, closed = expected_blocks(cfg.trials, size, running)
     assert [[matrices.index(phi.tobytes()) for phi in phis] for phis, _, _ in calls] == blocks
-    assert drawn_before == [close + 1 for close in closes]
+    assert calls_at_draw == [0] * cfg.trials
+    assert calls_at_yield == closed
     # each instance gets the floats of its own matrix and target, whichever
     # block and stream it was drawn into
     for t, (phi, target) in enumerate(problems):
@@ -629,7 +637,7 @@ def test_suite_kernel_calls_pin(monkeypatch, name):
     stream = kernels.stream
 
     def spy(*args, **kwargs):
-        arg = stream_arguments(*args, **kwargs)
+        arg = call_arguments(stream, *args, **kwargs)
         calls.append((arg["phi"].copy(), arg["relax"]))
         return stream(*args, **kwargs)
 
@@ -638,6 +646,49 @@ def test_suite_kernel_calls_pin(monkeypatch, name):
     matrices = [_trial_problem(cfg, t)[0].entries.tobytes() for t in range(cfg.trials)]
     found = [([matrices.index(phi.tobytes()) for phi in phis], relax) for phis, relax in calls]
     assert found == KERNEL_CALLS_PIN[name]
+
+
+# theorem.cfg at 30 instances and the criterion-7 config at 12, seed 3,
+# each with its suite, so that every tried block size splits both the
+# selection and the run into several blocks
+PARTITION_SUITES = {
+    "theorem": (run_theorem_suite,
+                replace(parse_config(CONFIGS / "theorem.cfg"), trials=30, seed=3)),
+    "lca": (partial(run_lca_suite, slack_factor=5.0, substeps=10),
+            replace(CRITERION_7_CFG, trials=12, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(PARTITION_SUITES))
+def test_suite_records_do_not_depend_on_the_block_partition(monkeypatch, name):
+    suite, cfg = PARTITION_SUITES[name]
+    expected = [repr(inst) for inst in suite(cfg).instances]
+    assert len(expected) == cfg.trials
+    for size in (1, 2, 4, 7):
+        monkeypatch.setattr(harness, "_block_size", lambda *args, size=size, **kwargs: size)
+        assert [repr(inst) for inst in suite(cfg).instances] == expected, size
+
+
+@pytest.mark.parametrize("name", list(PARTITION_SUITES))
+def test_suite_driver_holds_one_block_at_a_time(monkeypatch, name):
+    # no array a harness._problems call returned, a selection batch or a run
+    # block, is still alive when the next call starts; at the full theorem.cfg
+    # and 20 criterion-7 instances, both phases take several blocks
+    suite, cfg = PARTITION_SUITES[name]
+    cfg = replace(cfg, trials=100 if name == "theorem" else 20)
+    problems = harness._problems
+    built, alive = [], []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        out = problems(*args, **kwargs)
+        built.extend(weakref.ref(array) for array in out)
+        return out
+
+    monkeypatch.setattr(harness, "_problems", spy)
+    suite(cfg)
+    assert len(alive) >= 7
+    assert alive == [0] * len(alive)
 
 
 @settings(deadline=None, max_examples=30)
@@ -816,7 +867,7 @@ def test_measurement_streams_pin(monkeypatch, name, seed):
     stream = kernels.stream
 
     def spy(*args, **kwargs):
-        streams.append(stream_arguments(*args, **kwargs)["ys"].tobytes())
+        streams.append(call_arguments(stream, *args, **kwargs)["ys"].tobytes())
         return stream(*args, **kwargs)
 
     def recorded_partition(cfg, width=1, steps=None):
@@ -848,7 +899,7 @@ def test_trial_measurement_rows_pin(monkeypatch, name, seed):
     stream = kernels.stream
 
     def spy(*args, **kwargs):
-        blocks.append(stream_arguments(*args, **kwargs)["ys"].copy())
+        blocks.append(call_arguments(stream, *args, **kwargs)["ys"].copy())
         return stream(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "stream", spy)
@@ -1049,7 +1100,7 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     blocks, schedules = [], []
 
     def spy(*args, **kwargs):
-        arg = stream_arguments(*args, **kwargs)
+        arg = call_arguments(stream, *args, **kwargs)
         blocks.append([arg[name].copy() for name in ("phi", "targets", "ys")])
         return stream(*args, **kwargs)
 
