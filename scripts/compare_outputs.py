@@ -18,15 +18,19 @@ default) the script runs, on each tree with ``PYTHONPATH=<tree>/src``:
   desk.cfg at noise level 1e308, where the noise scale overflows; and
   desk.cfg shrunk to m = 4, n = 8, s = 1 at noise level 1.5e308, where
   every scale is finite but some noise entries overflow;
-* six config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
+* ``sweep-lambda-s`` on the criterion-8 grid at ratio level 1e6, which the
+  ratios of no s bracket, so it exits 2 after its trials;
+* seven config errors that exit 1 before any trial (``CONFIG_ERROR_CASES``):
   a repeated P, ``check-theorems`` over its support budget, a NaN ratio
-  level, a ``beta`` whose square is subnormal, a ``STREAM_ISTA_THREADS``
-  that is not an integer (a Python call that sets it and runs ``run``), and
-  ``fit-steady`` on a ``steady.csv`` holding a NaN steady value;
+  level, the criterion-8 grid cut to its first lambda, a ``beta`` whose
+  square is subnormal, a ``STREAM_ISTA_THREADS`` that is not an integer (a
+  Python call that sets it and runs ``run``), and ``fit-steady`` on a
+  ``steady.csv`` holding a NaN steady value;
 * ``fit-steady`` on a fixed valid three-row ``steady.csv``.  Both
   ``fit-steady`` cases are Python calls that write the file and run the
-  CLI.  The NaN case differs from a tree older than its check, which
-  exited 0 and wrote a ``fit.csv`` of NaN;
+  CLI.  The NaN fit, the one-lambda grid and the level-1e6 grid differ
+  from a tree older than their checks, which exited 0 and wrote a fit of
+  NaN, or of grid points that never reached the level;
 * ``run_lemma_suite`` at the input seed: a Python call that prints the
   ``repr`` of its result, the worst slack at full precision, where
   ``lemma-suite`` rounds it;
@@ -79,7 +83,8 @@ CRITERION_7_TRIALS = 20
 # the cases that exit 1 with a config error
 CONFIG_ERROR_CASES = (
     "sweep-p-repeated", "check-theorems-over-budget", "sweep-lambda-s-level-nan",
-    "run-beta-square-subnormal", "run-threads-not-integer", "fit-steady-nan",
+    "sweep-lambda-s-one-lambda", "run-beta-square-subnormal", "run-threads-not-integer",
+    "fit-steady-nan",
 )
 
 # argv[1] is the config's fields as JSON
@@ -159,10 +164,13 @@ def cases(seed: int, size: dict) -> dict:
     """
     common = ["--seed", str(seed)]
     grid = f"\nn_samples = {GRID_SAMPLES}\np = 5\n"
-    grid_argv = [
-        "sweep-lambda-s", "--trials", str(size["grid_trials"]),
-        "--lambda-values", ",".join(map(repr, size["grid_lambdas"])),
-        "--s-values", ",".join(map(str, GRID_S))]
+    lams = size["grid_lambdas"]
+
+    def grid_argv(values, level):
+        return ["sweep-lambda-s", "--trials", str(size["grid_trials"]),
+                "--lambda-values", ",".join(map(repr, values)),
+                "--s-values", ",".join(map(str, GRID_S)), "--level", level]
+
     lca = dict(LCA_CONFIG, trials=CRITERION_7_TRIALS, seed=seed)
     cli = {
         "run": ("desk.cfg", "", ["run", "--trials", str(size["desk_trials"])]),
@@ -172,7 +180,7 @@ def cases(seed: int, size: dict) -> dict:
         "sweep-mu": ("desk.cfg", "", [
             "sweep-mu", "--trials", str(size["sweep_p_trials"]),
             "--values", ",".join(map(str, SWEEP_MU))]),
-        "sweep-lambda-s": ("desk.cfg", grid, grid_argv + ["--level", "4"]),
+        "sweep-lambda-s": ("desk.cfg", grid, grid_argv(lams, "4")),
         "check-theorems": ("theorem.cfg", "", [
             "check-theorems", "--trials", str(size["theorem_trials"])]),
         "lemma-suite": ("desk.cfg", "", ["lemma-suite"]),
@@ -190,9 +198,11 @@ def cases(seed: int, size: dict) -> dict:
             "\nm = 4\nn = 8\ns = 1\nn_pairs = 0\nn_samples = 8\nbeta = 1.0\nmu = 0.1\n"
             "noise_level = 1.5e308\n",
             ["run", "--trials", "20"]),
+        "sweep-lambda-s-level-1e6": ("desk.cfg", grid, grid_argv(lams, "1e6")),
         "sweep-p-repeated": ("desk.cfg", "", ["sweep-p", "--values", "1,1"]),
         "check-theorems-over-budget": ("theorem.cfg", "\nn = 40\nq = 8\n", ["check-theorems"]),
-        "sweep-lambda-s-level-nan": ("desk.cfg", grid, grid_argv + ["--level", "nan"]),
+        "sweep-lambda-s-level-nan": ("desk.cfg", grid, grid_argv(lams, "nan")),
+        "sweep-lambda-s-one-lambda": ("desk.cfg", grid, grid_argv(lams[:1], "4")),
         "run-beta-square-subnormal": (
             "desk.cfg", "\nbeta = 1e-160\nmu = 5e-161\n", ["run", "--trials", "3"]),
     }

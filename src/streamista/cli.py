@@ -3,7 +3,8 @@
 Subcommands: run, sweep-p, sweep-mu, sweep-lambda-s, fit-steady,
 check-theorems, lemma-suite.  Exit codes: 0 success, 1 configuration error
 (bad flags, unreadable or invalid config), 2 runtime failure, including a
-run or sweep whose trials diverged numerically (no CSV is written then).
+run or sweep whose trials diverged numerically and a lambda-s grid whose
+ratios do not bracket the fit's level (no CSV is written then).
 
 Each value comes from its flag, then the config file, then a built-in
 default; the harness raises ConfigError, exit 1, for any config it rejects.

@@ -9,11 +9,13 @@ call (:func:`_stream_keys`).  A kernel block is three arrays, the
 matrices, target samples and noisy measurement rows of its trials, built
 from their key rows (:func:`_problems`, :func:`_measurements`) with the
 bits of ``gen_gaussian_matrix``, ``assemble_target`` and one ``measure``
-and ``gen_noise`` call per sample.  Curves average the error sequence over
-trials.  Sweeps share per-trial inputs across axis values, so comparisons
-are paired: cells that agree on every field the inputs depend on build
-each trial's matrix, target and noise once, and the cells of such a group
-that differ only in the threshold run as the columns of one kernel call.
+and ``gen_noise`` call per sample.  One function, :func:`_block_runs`,
+builds, measures and runs every block, and the arrays never leave it.
+Curves average the error sequence over trials.  Sweeps share per-trial
+inputs across axis values, so comparisons are paired: cells that agree on
+every field the inputs depend on build each trial's matrix, target and
+noise once, and the cells of such a group that differ only in the
+threshold run as the columns of one kernel call.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until what a kernel call holds
@@ -29,15 +31,17 @@ worker (:func:`worker_count`), so a serial run never loads
 ``concurrent.futures``.
 
 The theorem, continuous-bound and lemma suites live in :mod:`.suites`,
-which builds and runs its blocks with these helpers and records a
+which runs its blocks through :func:`_block_runs` too and records a
 divergence as data.  ``run`` and the sweeps do not load it;
 ``run_theorem_suite``, ``run_lca_suite`` and ``run_lemma_suite`` stay
 importable from here and load it on first use.
 
 Every check made before the first trial raises :class:`ConfigError`: the
 fields of :class:`ExperimentConfig` (``GenConfig``'s and ``SolverConfig``'s
-checks included, so ``replace`` raises it too), the sweep and grid values,
-the ratio level and each suite's support budget.
+checks included, so ``replace`` raises it too), the sweep and grid values
+(a lambda-s grid needs two lambdas), the ratio level and each suite's
+support budget.  A lambda-s grid whose ratios do not bracket the level is
+a runtime failure, raised after its trials and before any output.
 
 The tail mean of a curve estimates its steady state; ``fit_steady_state``
 fits the predicted steady-state law
@@ -361,10 +365,14 @@ def _block_size(cfg: ExperimentConfig, width: int = 1, steps: int | None = None)
     per column the iterate buffers (the zero start, ``u``, ``a``, ``mag``,
     ``g``, both threshold arrays and ``diff``: eight of length n, plus the
     residual of length m), the active record, a byte per entry and step,
-    and the error and active-set-size records.  It counts an error row per
-    step even for hold-end calls, which keep one per hold, and not the
-    ``peak`` buffer those calls allocate, so their block partition is
-    unchanged: larger blocks were no faster (``_BLOCK_BYTES``).
+    and 16 bytes per step.  Those 16 bytes once held an error and an
+    active-set size; the kernel keeps no set-size record since it returns
+    masks, so they over-count what a step now adds, the error record and
+    :func:`_run_block`'s narrow mask sum.  The formula stays as it is, so
+    the block partitions, and the kernel calls the suites' tests pin, do
+    not move.  For the same reason it counts an error row per step even for
+    hold-end calls, which keep one per hold, and not the ``peak`` buffer
+    those calls allocate: larger blocks were no faster (``_BLOCK_BYTES``).
     """
     if steps is None:
         steps = cfg.n_samples * cfg.P
@@ -443,6 +451,25 @@ def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, rel
     return errors, max_gamma, first
 
 
+def _block_runs(cfg: ExperimentConfig, keys, delta, noise_mode: str, runs):
+    """``(records, sigma)``: the block of ``keys`` built, measured and run once per run.
+
+    ``keys`` holds the block's rows of :func:`_stream_keys`.  The block is
+    built by :func:`_problems` and measured by :func:`_measurements` under
+    ``delta`` and ``noise_mode``; ``sigma`` is its noise scales.  Each
+    ``(lam, eta, p, relax, hold_ends)`` of ``runs`` is one
+    :func:`_run_block` call on it, whose ``(errors, max_gamma, diverged)``
+    is its record, in order.  This is the one place where key rows become
+    a measured block, for :func:`_trial_results` and
+    :func:`.suites._run_suite` alike, and the block's three arrays never
+    leave it, so none is held once it returns.
+    """
+    phi, targets = _problems(cfg, keys)
+    ys, sigma = _measurements(cfg, phi, targets, keys, delta, noise_mode)
+    return [_run_block(phi, ys, targets, lam, eta, p, sigma, relax, hold_ends)
+            for lam, eta, p, relax, hold_ends in runs], sigma
+
+
 def _batches(cells) -> dict:
     """``{(eta, P): [cell index, ...]}``: the cells that run as the columns of one kernel call."""
     batches = {}
@@ -460,20 +487,18 @@ def _trial_results(cells, keys) -> list:
     the kernel's records; the largest active set, the first diverged step
     (-1 for none) and the realized noise scale are ``(T,)``.  The cells
     share the trials' inputs: each trial's matrix, target and noise stream
-    are built once, into one kernel block.  Cells that differ only in
+    are built once, into one kernel block that :func:`_block_runs` runs
+    once per ``(eta, P)`` of :func:`_batches`.  Cells that differ only in
     ``lam`` run as the columns of one kernel call; cells with another step
     or hold length run the block in a call of their own.
     """
-    cfg = cells[0]
-    phi, targets = _problems(cfg, keys)
-    ys, sigma = _measurements(cfg, phi, targets, keys, cfg.noise_delta, cfg.noise_mode)
+    cfg, batches = cells[0], _batches(cells)
+    # at P = 1 every step ends a hold
+    runs = [(np.broadcast_to([cells[i].lam for i in idxs], (len(keys), 1, len(idxs))),
+             eta, P, 1.0, P > 1) for (eta, P), idxs in batches.items()]
+    records, sigma = _block_runs(cfg, keys, cfg.noise_delta, cfg.noise_mode, runs)
     out = [None] * len(cells)
-    for (eta, P), idxs in _batches(cells).items():
-        lam = np.broadcast_to([cells[i].lam for i in idxs], (len(keys), 1, len(idxs)))
-        # at P = 1 every step ends a hold
-        errors, max_gamma, diverged = _run_block(
-            phi, ys, targets, lam, eta, P, sigma, hold_ends=P > 1
-        )
+    for idxs, (errors, max_gamma, diverged) in zip(batches.values(), records):
         # (columns, T, n_samples), so each cell's errors are contiguous rows
         premeasurement = np.ascontiguousarray(errors.transpose(2, 1, 0))
         for c, i in enumerate(idxs):
@@ -667,8 +692,9 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values, s_values):
 
     The pair count scales with s to keep the moving fraction of the support
     fixed.  An invalid cell raises ConfigError, and so does an empty list, a
-    repeated lambda or s value, which would repeat rows of the grid, or an s
-    that is not a whole number.
+    repeated lambda or s value, which would repeat rows of the grid, an s
+    that is not a whole number, or a single lambda, whose one ratio per s
+    brackets no level but its own (:func:`fit_lambda_level`).
     """
     lams = tuple(lambda_values)
     svals = tuple(_integers("s", s_values))
@@ -681,6 +707,9 @@ def lambda_s_cells(cfg: ExperimentConfig, lambda_values, s_values):
                 sweep_axis="none")
         for lam, s in product(lams, svals)
     ]
+    # after the cells, so that an invalid value is named before the count
+    if len(lams) < 2:
+        raise ConfigError(f"sweep_lambda_s needs at least two lambda values, got {len(lams)}")
     return lams, svals, cells
 
 
@@ -691,21 +720,36 @@ def sweep_lambda_s(cfg: ExperimentConfig, lambda_values, s_values, ratio_level: 
     thresholds of each s share its per-trial inputs and run as the columns
     of one kernel call.  A cell's ratio is the mean over its trials of the
     largest active set over s.  A ratio level that is not finite raises
-    ConfigError before any trial: no grid point is nearest to it.
+    ConfigError before any trial: no grid point is nearest to it.  A finite
+    level that the ratios of some s do not bracket raises RuntimeError
+    after the trials (:func:`fit_lambda_level`).
     """
-    lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
     if not math.isfinite(ratio_level):
         raise ConfigError(f"ratio level must be finite, got {ratio_level}")
+    lams, svals, cells = lambda_s_cells(cfg, lambda_values, s_values)
     ratios = [np.mean(r.max_gamma_size / cell.s) for cell, r in zip(cells, _run_cells(cells))]
     grid = QRatioGrid(lams, svals, np.reshape(ratios, (len(lams), len(svals))))
     return grid, fit_lambda_level(grid, ratio_level)
 
 
 def fit_lambda_level(grid: QRatioGrid, level: float = 4.0) -> LambdaLevelFit:
-    """Fit lam = C / sqrt(s) through the grid points nearest a ratio level."""
+    """Fit lam = C / sqrt(s) through the grid points nearest a ratio level.
+
+    Every s must bracket the level, which must lie in ``[min, max]`` of its
+    ratios: the nearest point of a column that never reaches the level is
+    not on the level set.  Otherwise it raises RuntimeError naming that s and
+    the range of its ratios.
+    """
     points = []
     for j, s in enumerate(grid.s_values):
-        i = int(np.argmin(np.abs(grid.ratios[:, j] - level)))
+        ratios = grid.ratios[:, j]
+        low, high = float(ratios.min()), float(ratios.max())
+        if not low <= level <= high:
+            raise RuntimeError(
+                f"ratio level {level!r} is not bracketed: the ratios of s={s} "
+                f"span [{low!r}, {high!r}]"
+            )
+        i = int(np.argmin(np.abs(ratios - level)))
         points.append((s, float(grid.lambda_values[i])))
     num = sum(lam / math.sqrt(s) for s, lam in points)
     den = sum(1.0 / s for s, _ in points)

@@ -12,16 +12,16 @@ suites in two phases.  It selects: it builds the instances a batch at a
 time, hands each suite's rule the plain numbers of each instance (its
 isometry constant and its target's statistics, reduced once per batch),
 and keeps every record and the threshold of each instance that runs.  Then
-it runs: it rebuilds each kernel block of running instances from their key
-rows, one threshold per instance, and runs it once per step size the suite
-asks for; each suite keeps only its threshold rule and its verdict.  The
-driver derives its keys, sizes its blocks, and builds, measures and runs
-them with the harness's helpers, called through the module
-(``harness._stream_keys``, ``harness._block_size``, ``harness._problems``,
-``harness._measurements``, ``harness._run_block``), so a patch of a
-harness helper reaches the suites too.  It hands them its instances' key
-rows and reads no key itself.  A block's run records the step at which
-each instance diverged as data; it raises nothing.
+it runs: it hands each block of running instances, their key rows and one
+threshold per instance, to the harness, which rebuilds, measures and runs
+it once per step size the suite asks for; each suite keeps only its
+threshold rule and its verdict.  The driver derives its keys, sizes its
+blocks, builds its selection batches and runs its blocks with the
+harness's helpers, called through the module (``harness._stream_keys``,
+``harness._block_size``, ``harness._problems``, ``harness._block_runs``),
+so a patch of a harness helper reaches the suites too.  It hands them its
+instances' key rows and reads no key itself.  A block's run records the
+step at which each instance diverged as data; it raises nothing.
 """
 
 from dataclasses import dataclass
@@ -150,17 +150,18 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     instance's threshold, or None when it does not run.
 
     The run takes the running instances in blocks of ``size`` consecutive
-    ones, rebuilds each block from its key rows, and runs it once per
-    ``(eta, p, relax)`` of ``runs`` (see :func:`.harness._run_block`) under
-    the noise scales :func:`.harness._measurements` returns.  A running
-    instance's noise is capped at ``cfg.noise_level`` under its own
-    isometry constant, the regime the bounds assume.  Every ``draw`` comes
-    before the first kernel call, and no batch or block is held while the
-    next is built.  After each block's calls, yields ``(record, out)`` for
-    every instance up to the block's last running one, in order, and after
-    the last block the rest: ``out`` is None for an instance that did not
-    run, else one ``(errors, max_gamma, diverged_step)`` per run, with
-    ``diverged_step`` None when the run did not diverge.
+    ones and hands each block's key rows, isometry constants and
+    thresholds to :func:`.harness._block_runs`, which rebuilds the block
+    and runs it once per ``(eta, p, relax)`` of ``runs`` (see
+    :func:`.harness._run_block`).  A running instance's noise is capped at
+    ``cfg.noise_level`` under its own isometry constant, the regime the
+    bounds assume.  Every ``draw`` comes before the first kernel call, and
+    no batch or block is held while the next is built.  After each block's
+    calls, yields ``(record, out)`` for every instance up to the block's
+    last running one, in order, and after the last block the rest: ``out``
+    is None for an instance that did not run, else one ``(errors,
+    max_gamma, diverged_step)`` per run, with ``diverged_step`` None when
+    the run did not diverge.
     """
     size = harness._block_size(cfg, steps=cfg.n_samples * max(p for _, p, _ in runs))
     keys = harness._stream_keys(cfg, range(cfg.trials))
@@ -184,20 +185,12 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     done = 0
     for start in range(0, len(running), size):
         rows, deltas, lams = zip(*running[start : start + size])
-        block_keys = keys[list(rows)]
-        phi, targets = harness._problems(cfg, block_keys)
-        ys, sigma = harness._measurements(cfg, phi, targets, block_keys, deltas, "capped")
-        results = []
-        for eta, p, relax in runs:
-            errors, max_gamma, diverged = harness._run_block(
-                phi, ys, targets, np.reshape(lams, (-1, 1, 1)), eta, p, sigma, relax,
-            )
-            steps = [None if step < 0 else step for step in diverged[:, 0].tolist()]
-            results.append((errors[..., 0], max_gamma[:, 0].tolist(), steps))
-        # a block is not held while the suite reads its records or the next is built
-        del phi, targets, ys
+        lam = np.reshape(lams, (-1, 1, 1))
+        results, _ = harness._block_runs(cfg, keys[list(rows)], deltas, "capped",
+                                         [(lam, eta, p, relax, False) for eta, p, relax in runs])
         outs = {
-            t: [(errors[:, j], max_gamma[j], steps[j]) for errors, max_gamma, steps in results]
+            t: [(errors[:, j, 0], int(gamma[j, 0]), None if step[j, 0] < 0 else int(step[j, 0]))
+                for errors, gamma, step in results]
             for j, t in enumerate(rows)
         }
         for t in range(done, rows[-1] + 1):

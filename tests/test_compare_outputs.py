@@ -94,6 +94,17 @@ def test_config_error_cases_exit_one_and_write_nothing(tmp_path):
         assert found["files"] == {}, name
 
 
+def test_unbracketed_level_case_exits_two_and_writes_nothing(tmp_path):
+    # the grid runs its trials, then no s brackets the level, so no fit is written
+    found = compare_outputs.run_case(
+        ROOT, tmp_path / "work",
+        *compare_outputs.cases(3, compare_outputs.SIZES["quick"])["sweep-lambda-s-level-1e6"],
+    )
+    assert found["exit"] == 2
+    assert found["stderr"].decode().startswith("error: ratio level 1000000.0 is not bracketed")
+    assert found["files"] == {}
+
+
 def test_capped_desk_case_runs_desk_cfg_with_capped_noise(tmp_path):
     # the one case whose written curve reads the capped noise bits
     size = compare_outputs.SIZES["quick"]

@@ -288,7 +288,7 @@ def test_cli_invalid_config_exits_one_before_trials(
 @pytest.mark.parametrize("command, extra_args", [
     ("run", []),
     ("sweep-p", ["--values", "1,2"]),
-    ("sweep-lambda-s", ["--lambda-values", "0.1", "--s-values", "2,4"]),
+    ("sweep-lambda-s", ["--lambda-values", "0.1,0.2", "--s-values", "2,4"]),
 ])
 def test_cli_thread_count_not_an_integer_exits_one_before_trials(
     tmp_path, monkeypatch, capsys, command, extra_args
@@ -456,7 +456,7 @@ def test_cli_cold_start_loads_the_suites_and_pool_only_where_they_run(tmp_path):
     first = [
         ["run"] + desk,
         ["sweep-p", "--values", "1,2"] + desk,
-        ["sweep-lambda-s", "--lambda-values", "0.1", "--s-values", "4"] + desk,
+        ["sweep-lambda-s", "--lambda-values", "0.05,0.8", "--s-values", "4"] + desk,
         ["fit-steady", "--input", str(steady), "--out", str(tmp_path)],
         ["check-theorems", "--config", str(CONFIGS / "theorem.cfg"), "--trials", "2",
          "--out", str(tmp_path)],
@@ -526,7 +526,11 @@ RUNTIME_FAILURES = (
     r"error: numerical divergence in cell lambda=.+ trials diverged, the first at solver "
     r"step \d+(; noise_level=.+ overflows the noise scale of \d+ of them)?",
     r"bound dominance FAILED on a precondition-passing instance",
+    r"error: ratio level .+ is not bracketed: the ratios of s=\d+ span \[.+, .+\]",
 )
+# a lambda-s grid at the tiny sizes, two thresholds and one s; at the base
+# config its ratios, 5.0 and 0.0, bracket the default level 4
+FUZZ_LAMBDA_S = "sweep-lambda-s --lambda-values 0.05,0.8 --s-values 1"
 
 
 def fuzz_text(changes: dict) -> str:
@@ -545,10 +549,11 @@ def fuzz_configs(draw):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 # sweep-p runs its P > 1 cells on the kernel's hold-end path
 @given(text=fuzz_configs(),
-       command=st.sampled_from(["run", "check-theorems", "sweep-p --values 2,5"]))
+       command=st.sampled_from(["run", "check-theorems", "sweep-p --values 2,5", FUZZ_LAMBDA_S]))
 @example(text=fuzz_text({}), command="run")
 @example(text=fuzz_text({}), command="check-theorems")
 @example(text=fuzz_text({}), command="sweep-p --values 2,5")
+@example(text=fuzz_text({}), command=FUZZ_LAMBDA_S)
 @example(text=fuzz_text({"eta": "1.5"}), command="run")  # diverges
 @example(text=fuzz_text({"eta": "1.5"}), command="sweep-p --values 2,5")  # diverges
 @example(text=fuzz_text({"noise_level": "1e300"}), command="check-theorems")  # offsets near 1e301
@@ -597,6 +602,35 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
                     except ValueError:
                         continue
                     assert math.isfinite(value), (path.name, row)
+
+
+def test_cli_lambda_s_grid_of_one_lambda_exits_one_before_trials(tmp_path, monkeypatch, capsys):
+    # one lambda gives each s one ratio, which brackets no level but its own
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran for a one-lambda grid")
+
+    monkeypatch.setattr(kernels, "stream", no_trials)
+    out = tmp_path / "out"
+    rc = cli_main(["sweep-lambda-s", "--config", str(CONFIGS / "desk.cfg"), "--trials", "3",
+                   "--lambda-values", "0.05", "--s-values", "4,8", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep_lambda_s needs at least two lambda values, got 1\n"
+    )
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_lambda_s_level_the_grid_never_reached_exits_two(tmp_path, capsys):
+    # the ratios of s = 4 span 2.5 to 28 here; the nearest point to 1e6 is not on its level set
+    out = tmp_path / "out"
+    rc = cli_main(["sweep-lambda-s", "--config", str(CONFIGS / "desk.cfg"), "--trials", "3",
+                   "--lambda-values", "0.02,0.2", "--s-values", "4,8", "--level", "1e6",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: ratio level 1000000.0 is not bracketed: the ratios of s=4 span [2.5, 28.0]\n"
+    )
+    assert not list(out.glob("*.csv"))
 
 
 # configs whose bound offsets dwarf the first error: the bound kept it only

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 import pkgutil
@@ -39,4 +40,44 @@ def test_readme_cites_only_tests_that_exist():
         if not (ROOT / path).is_file()
         or not re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.MULTILINE)
     ]
+    assert missing == []
+
+
+def resolves(module, path: str) -> bool:
+    """Whether the dotted ``path``, cited in ``module``'s docstrings, names an attribute.
+
+    A path with a leading dot or ``streamista.`` starts at the package, a
+    leading ``~`` is dropped, and any other path starts at ``module`` or,
+    failing that, at the package module its first part names.
+    """
+    path = path.lstrip("~")
+    if path.startswith(("streamista.", ".")):
+        module, path = streamista, path.split(".", 1)[1]
+    head, *rest = path.split(".")
+    target = getattr(module, head, None)
+    if target is None and head in MODULES:
+        target = importlib.import_module(f"streamista.{head}")
+    for part in rest:
+        target = getattr(target, part, None)
+    return target is not None
+
+
+def test_docstrings_cite_only_names_that_exist():
+    # every :func:, :class: or :mod: reference, and every ``module.name``
+    # literal of a streamista module, in a module, class or function docstring
+    missing, count = [], 0
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"streamista.{name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        docs = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))]
+        for doc in filter(None, docs):
+            cited = re.findall(r":(?:func|class|mod):`([^`]+)`", doc) + [
+                literal for literal in re.findall(r"``(\w+(?:\.\w+)+)``", doc)
+                if literal.split(".")[0] in MODULES
+            ]
+            count += len(cited)
+            missing += [f"{name}: {path}" for path in cited if not resolves(module, path)]
+    assert count
     assert missing == []

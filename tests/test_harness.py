@@ -182,7 +182,7 @@ def test_sweep_lambda_s_grid_shape():
     from dataclasses import replace
 
     cfg = replace(SMALL, trials=4, n_samples=6)
-    grid, fit = sweep_lambda_s(cfg, lambda_values=(0.2, 0.5), s_values=(2, 4),
+    grid, fit = sweep_lambda_s(cfg, lambda_values=(0.05, 0.8), s_values=(2, 4),
                                ratio_level=2.0)
     assert grid.ratios.shape == (2, 2)
     assert np.all(np.isfinite(grid.ratios))
@@ -204,6 +204,11 @@ def test_fit_lambda_level_hand_grid():
     fit = fit_lambda_level(grid, level=3.0)
     assert fit.level_points == ((4, 0.4), (16, 0.2))
     assert fit.C == pytest.approx(0.8, rel=1e-12)
+    # a level at the end of a column's range is bracketed; one past it is not
+    assert fit_lambda_level(grid, level=3.1).level_points == ((4, 0.4), (16, 0.2))
+    with pytest.raises(RuntimeError, match=r"^ratio level 3.5 is not bracketed: "
+                                           r"the ratios of s=16 span \[1.0, 3.1\]$"):
+        fit_lambda_level(grid, level=3.5)
 
 
 def test_curve_csv_round_trip(tmp_path):
@@ -669,13 +674,25 @@ def test_suite_records_do_not_depend_on_the_block_partition(monkeypatch, name):
         assert [repr(inst) for inst in suite(cfg).instances] == expected, size
 
 
-@pytest.mark.parametrize("name", list(PARTITION_SUITES))
+# the full theorem.cfg and 20 criterion-7 instances, where both suite
+# phases take several blocks, and desk.cfg at 40 trials in run (five trials
+# a block) and in a P sweep (four)
+DESK_40 = replace(parse_config(CONFIGS / "desk.cfg"), trials=40)
+ONE_BLOCK_RUNS = {
+    "theorem": partial(PARTITION_SUITES["theorem"][0],
+                       replace(PARTITION_SUITES["theorem"][1], trials=100)),
+    "lca": partial(PARTITION_SUITES["lca"][0], replace(PARTITION_SUITES["lca"][1], trials=20)),
+    "run": partial(run_trials, DESK_40),
+    "sweep_p": partial(sweep, DESK_40, "P", (1, 2, 5, 10)),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_BLOCK_RUNS))
 def test_suite_driver_holds_one_block_at_a_time(monkeypatch, name):
-    # no array a harness._problems call returned, a selection batch or a run
-    # block, is still alive when the next call starts; at the full theorem.cfg
-    # and 20 criterion-7 instances, both phases take several blocks
-    suite, cfg = PARTITION_SUITES[name]
-    cfg = replace(cfg, trials=100 if name == "theorem" else 20)
+    # no array a harness._problems call returned, a suite's selection batch
+    # or a block of a suite, a run or a sweep, is still alive when the next
+    # call starts, at one worker
+    monkeypatch.delenv(THREADS_ENV, raising=False)
     problems = harness._problems
     built, alive = [], []
 
@@ -686,7 +703,7 @@ def test_suite_driver_holds_one_block_at_a_time(monkeypatch, name):
         return out
 
     monkeypatch.setattr(harness, "_problems", spy)
-    suite(cfg)
+    ONE_BLOCK_RUNS[name]()
     assert len(alive) >= 7
     assert alive == [0] * len(alive)
 
@@ -1002,7 +1019,7 @@ def test_sweeps_reject_fractional_p_and_s():
     assert [c.P for _, c in sweep_cells(SMALL, "P", (1.0, 2, 5.0))] == [1, 2, 5]
     with pytest.raises(ValueError, match="whole numbers, got 2.5"):
         sweep_cells(SMALL, "P", (1, 2.5, 5))
-    assert lambda_s_cells(SMALL, (0.1,), (2.0, 4))[1] == (2, 4)
+    assert lambda_s_cells(SMALL, (0.1, 0.2), (2.0, 4))[1] == (2, 4)
     with pytest.raises(ValueError, match="whole numbers, got 2.5"):
         lambda_s_cells(SMALL, (0.1,), (2.5, 4))
 
@@ -1018,6 +1035,7 @@ PRE_TRIAL_REJECTIONS = {
     "sweep_axis": lambda: sweep(SMALL, "sigma", (1,)),
     "sweep_no_values": lambda: sweep(SMALL, "P", ()),
     "lambda_list_empty": lambda: sweep_lambda_s(SMALL, (), (2,)),
+    "lambda_list_single": lambda: sweep_lambda_s(SMALL, (0.1,), (2, 4)),
     "s_repeated": lambda: sweep_lambda_s(SMALL, (0.1,), (2, 2)),
     "ratio_level_nan": lambda: sweep_lambda_s(SMALL, (0.1,), (2,), ratio_level=float("nan")),
     "theorem_level_over_budget": lambda: run_theorem_suite(replace(SMALL, n=40)),
