@@ -26,9 +26,13 @@ zero and reads the kernel's records: the errors, the largest active set,
 and the first step at which a run diverged (an error non-finite or above
 ``_DIVERGENCE_FACTOR`` times its target's largest sample norm plus its
 noise scale).  A run or sweep with a diverged trial raises
-:class:`DivergenceError`.  Blocks map over a thread pool only above one
-worker (:func:`worker_count`), so a serial run never loads
-``concurrent.futures``.
+:class:`DivergenceError`.  The blocks of ``run`` and the sweeps map over
+forked worker processes, one per usable CPU by default
+(:func:`worker_count`, :func:`_process_count`), and over plain ``map`` when
+one worker would run them or no worker can be forked
+(:func:`_block_mapper`), so a one-block run loads neither
+``concurrent.futures`` nor ``multiprocessing``.  Records join in trial
+order, so every output has the same bits at any worker count.
 
 The theorem, continuous-bound and lemma suites live in :mod:`.suites`,
 which runs its blocks through :func:`_block_runs` too and records a
@@ -53,9 +57,10 @@ by grid search on c with the offset V solved in closed form per candidate.
 
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -239,19 +244,54 @@ class SteadyStateFit:
     r2: float
 
 
-def worker_count() -> int:
-    """Worker cap from the environment; defaults to serial execution.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    A value that is not an integer is a :class:`ConfigError`, raised
-    before any trial runs.
+
+def worker_count() -> int:
+    """Worker processes requested by ``STREAM_ISTA_THREADS``; by default the usable CPUs.
+
+    The variable keeps its old name, from when it counted threads.  A value
+    that is not an integer is a :class:`ConfigError`, raised before any
+    trial runs; a value below 1 requests one worker.
     """
     env = os.environ.get(THREADS_ENV, "").strip()
     if not env:
-        return 1
+        return _usable_cpus()
     try:
         return max(1, int(env))
     except ValueError as exc:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
+
+
+def _process_count(requested: int, blocks: int) -> int:
+    """Workers a call runs ``blocks`` blocks on: never more than the blocks or the usable CPUs."""
+    return min(requested, _usable_cpus(), blocks)
+
+
+def _block_mapper(stack: ExitStack, count: int):
+    """``map``, or the ``map`` of a pool of ``count`` forked workers that ``stack`` shuts down.
+
+    The blocks map serially at one worker, where ``fork`` is unavailable,
+    when this process runs other Python threads (a fork copies their locks
+    in whatever state they hold them) and in a daemonic process, which may
+    not have children.  ``multiprocessing`` is imported only here, past
+    the first three checks, and ``concurrent.futures`` past all four.
+    """
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return map
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return map
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
+    return stack.enter_context(pool).map
 
 
 def _trial_problem(cfg: ExperimentConfig, trial: int):
@@ -528,35 +568,35 @@ def _run_cells(cells) -> list:
     from stream keys derived once for the whole group.  A group's trials
     run in blocks of consecutive trials, ``_block_size`` per block for the
     group's widest kernel call (its largest ``(eta, P)`` batch of cells)
-    and its longest (its largest P); the blocks map over a pool of
-    ``STREAM_ISTA_THREADS`` threads, or over plain ``map`` at one worker,
-    and each cell's records are joined in trial order, so the outcome is
-    identical at any worker count.  The keys are local to the group and
-    only read by the blocks.  Extra workers buy no speed (see README
-    "Threading").
+    and its longest (its largest P).  Every group's blocks map, as
+    :func:`_trial_results` calls on the group and a block's key rows, over
+    one pool of forked workers, :func:`_process_count` of them for the
+    most blocks of a group, which is shut down on every exit from here; or
+    over plain ``map`` (:func:`_block_mapper`).  Each cell's records are
+    joined in trial order, so the outcome is identical at any worker count
+    (see README "Workers").
 
     Raises :class:`DivergenceError` for the first cell with a diverged trial.
     """
     groups = {}
     for idx, cell in enumerate(cells):
         groups.setdefault(tuple(getattr(cell, f) for f in _INPUT_FIELDS), []).append(idx)
-    workers = worker_count()
+    plans = []
+    for idxs in groups.values():
+        group = [cells[i] for i in idxs]
+        width = max(len(batch) for batch in _batches(group).values())
+        steps = group[0].n_samples * max(cell.P for cell in group)
+        plans.append((idxs, group, _block_size(group[0], width, steps)))
+    blocks = max(-(-group[0].trials // size) for _, group, size in plans)
+    workers = _process_count(worker_count(), blocks)
     out = [None] * len(cells)
     with ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            # imported here, so a serial run never loads concurrent.futures
-            from concurrent.futures import ThreadPoolExecutor
-
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        for idxs in groups.values():
-            group = [cells[i] for i in idxs]
-            width = max(len(batch) for batch in _batches(group).values())
-            steps = group[0].n_samples * max(cell.P for cell in group)
-            trials, size = group[0].trials, _block_size(group[0], width, steps)
+        mapper = _block_mapper(stack, workers)
+        for idxs, group, size in plans:
+            trials = group[0].trials
             keys = _stream_keys(group[0], range(trials))
             parts = list(mapper(
-                lambda t: _trial_results(group, keys[t : t + size]), range(0, trials, size)
+                _trial_results, repeat(group), (keys[t : t + size] for t in range(0, trials, size))
             ))
             for j, i in enumerate(idxs):
                 errors, max_gamma, diverged, sigma = (
@@ -570,7 +610,7 @@ def _run_cells(cells) -> list:
 
 
 def run_trials(cfg: ExperimentConfig) -> RunResult:
-    """All trials of one configuration, optionally on a thread pool."""
+    """All trials of one configuration, on forked workers when it has several blocks."""
     return _run_cells([cfg])[0]
 
 

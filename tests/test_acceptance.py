@@ -248,5 +248,5 @@ def test_criterion_9_cli_output_deterministic(tmp_path, monkeypatch):
         outputs.append((out / "curve.csv").read_bytes())
     dt = time.time() - t0
     ok = outputs[0] == outputs[1] == outputs[2] and dt < 300.0
-    report(9, ok, "curve.csv byte-identical across reruns and thread counts", dt)
+    report(9, ok, "curve.csv byte-identical across reruns and worker counts", dt)
     assert ok

@@ -2,6 +2,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import io
 import json
 import math
+import multiprocessing
 import os
 from pathlib import Path
 import re
@@ -435,7 +436,7 @@ def test_cli_trials_is_a_usage_error_where_no_trial_runs(tmp_path, capsys, comma
 COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 from streamista.cli import cli_main
-watched = ("streamista.suites", "concurrent.futures", "streamista.theory")
+watched = ("streamista.suites", "concurrent.futures", "multiprocessing", "streamista.theory")
 print(json.dumps(["import", [m for m in watched if m in sys.modules]]))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -602,6 +603,35 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
                     except ValueError:
                         continue
                     assert math.isfinite(value), (path.name, row)
+
+
+# the process that imports this module, which runs the tests
+TEST_PROCESS = os.getpid()
+
+
+def exit_in_a_worker(cells, keys):
+    """Stands in for ``harness._trial_results``: a forked worker dies at its first block."""
+    if os.getpid() == TEST_PROCESS:
+        raise AssertionError("a block ran in the test process, not in a worker")
+    os._exit(3)
+
+
+def test_cli_worker_that_dies_exits_two_and_writes_no_csv(tmp_path, monkeypatch, capsys):
+    # desk.cfg at 40 trials runs in eight blocks, over two workers even on
+    # one usable CPU; the worker is found by reference, so the stand-in is
+    # a module-level function
+    monkeypatch.setenv("STREAM_ISTA_THREADS", "2")
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_trial_results", exit_in_a_worker)
+    out = tmp_path / "out"
+    rc = cli_main(["run", "--config", str(CONFIGS / "desk.cfg"), "--trials", "40",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "process pool" in err, err
+    assert not list(out.glob("*.csv"))
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_lambda_s_grid_of_one_lambda_exits_one_before_trials(tmp_path, monkeypatch, capsys):

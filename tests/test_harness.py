@@ -1,17 +1,22 @@
-from dataclasses import replace
+from contextlib import ExitStack, contextmanager
+from dataclasses import fields, replace
 from functools import partial
 import hashlib
 import inspect
 import math
+import multiprocessing
+import os
 from pathlib import Path
 import pickle
+import threading
+from types import SimpleNamespace
 from unittest.mock import patch
 import weakref
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.extra.numpy import arrays
 
 from streamista.harness import (
@@ -29,6 +34,7 @@ from streamista.harness import (
     fit_steady_state,
     lambda_s_cells,
     QRatioGrid,
+    RunResult,
     read_steady_csv,
     run_trials,
     sweep,
@@ -135,7 +141,7 @@ def test_estimate_steady_state_tail_mean():
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count() == 1
+    assert worker_count() == len(os.sched_getaffinity(0))
     monkeypatch.setenv(THREADS_ENV, "3")
     assert worker_count() == 3
     monkeypatch.setenv(THREADS_ENV, "many")
@@ -691,8 +697,9 @@ ONE_BLOCK_RUNS = {
 def test_suite_driver_holds_one_block_at_a_time(monkeypatch, name):
     # no array a harness._problems call returned, a suite's selection batch
     # or a block of a suite, a run or a sweep, is still alive when the next
-    # call starts, at one worker
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+    # call starts, at one worker, since a forked worker's calls never reach
+    # the spy
+    monkeypatch.setenv(THREADS_ENV, "1")
     problems = harness._problems
     built, alive = [], []
 
@@ -879,7 +886,9 @@ MEASUREMENT_PIN = {
 @pytest.mark.parametrize("name, seed", list(MEASUREMENT_PIN), ids=lambda v: str(v))
 def test_measurement_streams_pin(monkeypatch, name, seed):
     # desk.cfg runs gaussian_scaled noise with per-trial sigma; the theorem
-    # suite caps noise under each instance's own isometry constant
+    # suite caps noise under each instance's own isometry constant; at one
+    # worker, since a forked worker's calls never reach the spy
+    monkeypatch.setenv(THREADS_ENV, "1")
     streams = []
     stream = kernels.stream
 
@@ -912,6 +921,8 @@ TRIAL_MEASUREMENT_PIN = {
 
 @pytest.mark.parametrize("name, seed", list(TRIAL_MEASUREMENT_PIN), ids=lambda v: str(v))
 def test_trial_measurement_rows_pin(monkeypatch, name, seed):
+    # at one worker, since a forked worker's calls never reach the spy
+    monkeypatch.setenv(THREADS_ENV, "1")
     blocks = []
     stream = kernels.stream
 
@@ -977,31 +988,142 @@ def test_steady_csv_rejects_malformed_row(tmp_path, row):
         read_steady_csv(path)
 
 
+@contextmanager
+def worker_pools(workers):
+    """Run at ``workers`` workers on two usable CPUs; yields, per ``_run_cells`` call, if it forked.
+
+    Two CPUs, so that two workers fork on a one-CPU host too.
+    """
+    forked = []
+    block_mapper = harness._block_mapper
+
+    def spy(stack, count):
+        mapper = block_mapper(stack, count)
+        forked.append(mapper is not map)
+        return mapper
+
+    with patch.object(harness, "_block_mapper", spy), \
+            patch.object(harness, "_usable_cpus", lambda: 2), \
+            patch.dict(os.environ, {THREADS_ENV: str(workers)}):
+        yield forked
+
+
+def assert_same_results(results, expected):
+    """Every array of every RunResult equals the expected one's, dtype and bytes."""
+    assert len(results) == len(expected)
+    for result, alone in zip(results, expected):
+        for field in fields(RunResult):
+            got, want = getattr(result, field.name), getattr(alone, field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+
+
 def test_sweep_lambda_s_matches_per_cell_runs(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     cfg = replace(SMALL, trials=4, n_samples=6)
     lams, svals, cells = lambda_s_cells(cfg, (0.05, 0.1, 0.2, 0.5), (2, 4))
-    per_cell = np.array(
-        [np.mean([int(g) / c.s for g in run_trials(c).max_gamma_size]) for c in cells]
-    ).reshape(len(lams), len(svals))
-    for threads in ("1", "2"):
-        monkeypatch.setenv(THREADS_ENV, threads)
-        grid, _ = sweep_lambda_s(cfg, lams, svals)
-        assert grid.ratios.tobytes() == per_cell.tobytes()
+    # one block per group, then a trial per block, which forks at two workers
+    for block_bytes, forks in ((harness._BLOCK_BYTES, False), (1, True)):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+        with worker_pools(1):
+            per_cell = np.array(
+                [np.mean([int(g) / c.s for g in run_trials(c).max_gamma_size]) for c in cells]
+            ).reshape(len(lams), len(svals))
+        for workers in (1, 2):
+            with worker_pools(workers) as forked:
+                grid, _ = sweep_lambda_s(cfg, lams, svals)
+            assert forked == [forks and workers == 2]
+            assert grid.ratios.tobytes() == per_cell.tobytes()
 
 
 def test_p_sweep_matches_per_cell_runs(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    values = (1, 2, 3)
-    per_cell = [run_trials(replace(SMALL, P=v)) for v in values]
-    for threads in ("1", "2"):
-        monkeypatch.setenv(THREADS_ENV, threads)
-        cells = sweep(SMALL, axis="P", values=values)
-        assert [v for v, _ in cells] == list(values)
-        for (_, result), alone in zip(cells, per_cell):
-            assert result.mean_curve.tobytes() == alone.mean_curve.tobytes()
-            assert result.std_curve.tobytes() == alone.std_curve.tobytes()
-            assert result.max_gamma_size.tolist() == alone.max_gamma_size.tolist()
+    # and a mu sweep, whose cells run as groups of their own
+    for axis, values in (("P", (1, 2, 3)), ("mu", (0.4, 0.1, 0.0))):
+        # the default blocks, then a trial per block, which forks at two workers
+        for block_bytes in (harness._BLOCK_BYTES, 1):
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+            with worker_pools(1):
+                per_cell = [run_trials(replace(SMALL, **{axis: v})) for v in values]
+            for workers in (1, 2):
+                with worker_pools(workers) as forked:
+                    cells = sweep(SMALL, axis=axis, values=values)
+                if block_bytes == 1:
+                    assert forked == [workers == 2]
+                assert [v for v, _ in cells] == list(values)
+                assert_same_results([result for _, result in cells], per_cell)
+
+
+@st.composite
+def forked_calls(draw):
+    """A config of several trials and a run, a P or mu sweep or a lambda-s grid of it."""
+    cfg = replace(draw(block_configs()), trials=draw(st.integers(min_value=2, max_value=12)))
+    kind = draw(st.sampled_from(["run", "P", "mu", "lambda_s"]))
+    if kind == "run":
+        cells = [cfg]
+    elif kind == "P":
+        cells = [c for _, c in sweep_cells(cfg, "P", (1, 2, 3))]
+    elif kind == "mu":
+        cells = [c for _, c in sweep_cells(cfg, "mu", (0.0, 0.4 * cfg.beta))]
+    else:
+        cells = lambda_s_cells(cfg, (0.05, 0.2), sorted({1, cfg.s}))[2]
+    return cells
+
+
+@settings(deadline=None, max_examples=20)
+@given(cells=forked_calls(), block_bytes=st.integers(1, 1024))
+def test_records_do_not_depend_on_the_worker_count(cells, block_bytes):
+    with patch("streamista.harness._BLOCK_BYTES", block_bytes):
+        with worker_pools(2) as forked:
+            results = _run_cells(cells)
+        # a call of one block runs serially, so it shows nothing here
+        assume(forked == [True])
+        with worker_pools(1) as forked:
+            serial = _run_cells(cells)
+        assert forked == [False]
+    assert_same_results(results, serial)
+
+
+def test_forked_runs_leave_no_process_behind():
+    # DESK_40 runs in eight blocks; at noise_level 1e308 every block diverges
+    with worker_pools(2) as forked:
+        run_trials(DESK_40)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(harness.DivergenceError):
+            run_trials(replace(DESK_40, noise_level=1e308))
+        assert multiprocessing.active_children() == []
+    assert forked == [True, True]
+
+
+def test_process_count_never_exceeds_the_cpus_or_the_blocks():
+    # a pure rule: no process starts here
+    cpus = len(os.sched_getaffinity(0))
+    assert harness._process_count(10**6, 10**6) == cpus
+    assert harness._process_count(10**6, 1) == 1
+    assert harness._process_count(1, 10**6) == 1
+    assert harness._process_count(2, 3) == min(2, cpus)
+
+
+def test_block_mapper_stays_serial_where_a_fork_is_unsafe(monkeypatch):
+    # each case returns plain map before any pool is built, so no process starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    with ExitStack() as stack:
+        assert harness._block_mapper(stack, 1) is map
+        with monkeypatch.context() as patches:
+            patches.delattr(os, "fork")
+            assert harness._block_mapper(stack, 2) is map
+        with monkeypatch.context() as patches:
+            patches.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+            assert harness._block_mapper(stack, 2) is map
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert harness._block_mapper(stack, 2) is map
+        finally:
+            release.set()
+            other.join()
 
 
 def test_run_cells_matches_per_cell_runs_on_mixed_cells():
@@ -1114,7 +1236,8 @@ def block_configs(draw):
 )
 def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     # every block of a run, built from keys derived once for the group (in
-    # chunks and blocks that need not align), against the one-trial functions
+    # chunks and blocks that need not align), against the one-trial functions;
+    # at one worker, since a forked worker's calls never reach the spies
     blocks, schedules = [], []
 
     def spy(*args, **kwargs):
@@ -1131,7 +1254,8 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
     with patch.object(kernels, "stream", spy), \
             patch.object(harness, "assemble_targets", spy_targets), \
             patch("streamista.harness._BLOCK_BYTES", block_bytes), \
-            patch("streamista.harness._KEY_ROWS", key_rows):
+            patch("streamista.harness._KEY_ROWS", key_rows), \
+            patch.dict(os.environ, {THREADS_ENV: "1"}):
         result = run_trials(cfg)
     phi, targets, ys = (
         np.concatenate(parts, axis=0 if i == 0 else 1) for i, parts in enumerate(zip(*blocks))
@@ -1156,7 +1280,9 @@ def test_block_inputs_match_one_trial_builds(cfg, block_bytes, key_rows):
 
 def test_desk_run_calls_no_scalar_rng(monkeypatch):
     # the harness builds a run's inputs from block keys: no scalar derivation,
-    # generator, matrix or target call, in any module that holds the names
+    # generator, matrix or target call, in any module that holds the names;
+    # at one worker, since a forked worker's calls never reach the counters
+    monkeypatch.setenv(THREADS_ENV, "1")
     calls = []
     modules = [harness, suites, rng, measurement, signals]
     for module, name in ((rng, "make_rng"), (rng, "derive_seed"),
