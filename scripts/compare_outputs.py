@@ -139,9 +139,13 @@ FIT_STEADY = {
 # argv[1] is the matrices as JSON, argv[2] the seed of the Gaussian ones
 RIP_SCRIPT = """
 import json, sys
-from streamista.measurement import gen_gaussian_matrix, gen_identity, rip_exact_witness
+import numpy as np
+from streamista.measurement import MeasurementMatrix, gen_gaussian_matrix, rip_exact_witness
 for kind, m, n, s in json.loads(sys.argv[1]):
-    phi = gen_identity(n) if kind == "identity" else gen_gaussian_matrix(m, n, int(sys.argv[2]))
+    if kind == "identity":
+        phi = MeasurementMatrix(n, n, np.eye(n))
+    else:
+        phi = gen_gaussian_matrix(m, n, int(sys.argv[2]))
     est, support, coeffs = rip_exact_witness(phi, s)
     print(kind, m, n, s, repr(est), support.tolist(), coeffs.tolist())
 """

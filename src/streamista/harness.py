@@ -15,7 +15,9 @@ Curves average the error sequence over trials.  Sweeps share per-trial
 inputs across axis values, so comparisons are paired: cells that agree on
 every field the inputs depend on build each trial's matrix, target and
 noise once, and the cells of such a group that differ only in the
-threshold run as the columns of one kernel call.
+threshold run as the columns of one kernel call.  One function,
+:func:`_run_cells`, groups and batches the cells of ``run`` and the
+sweeps, maps :func:`_block_runs` over their blocks and joins the records.
 
 Trials run in blocks through the kernel (:mod:`.kernels`): consecutive
 trials, each with its own matrix, stacked until what a kernel call holds
@@ -67,15 +69,14 @@ import numpy as np
 from .measurement import (
     NOISE_MODES,
     gaussian_matrices,
-    gen_gaussian_matrix,
     noise_rows,
     row_norms,
 )
 from . import kernels
-from .rng import derive_seed, derive_seeds, philox_keys
+# nothing here calls derive_seed, but perfbench's tests read it from here
+from .rng import derive_seed, derive_seeds, philox_keys  # noqa: F401
 from .signals import (
     GenConfig,
-    assemble_target,
     assemble_targets,
     estimate_beta,
     target_keys,
@@ -294,18 +295,6 @@ def _block_mapper(stack: ExitStack, count: int):
     return stack.enter_context(pool).map
 
 
-def _trial_problem(cfg: ExperimentConfig, trial: int):
-    """Matrix and target of one trial, each drawn from its own seed stream.
-
-    This is the one-trial build through ``gen_gaussian_matrix`` and
-    ``assemble_target``; blocks of trials get its bits from
-    :func:`_problems`.
-    """
-    phi = gen_gaussian_matrix(cfg.m, cfg.n, derive_seed(cfg.seed, trial, _MATRIX_STREAM))
-    target = assemble_target(cfg.gen_config(derive_seed(cfg.seed, trial, _TARGET_STREAM)))
-    return phi, target
-
-
 def _stream_keys(cfg: ExperimentConfig, trials) -> np.ndarray:
     """The Philox keys of every trial of ``trials``: ``(T, 3 + n_samples, 2)`` uint64.
 
@@ -389,7 +378,8 @@ def _problems(cfg: ExperimentConfig, keys):
     """``(phi, targets)``: matrices ``(T, m, n)`` and target samples ``(n_samples, T, n)``.
 
     ``keys`` holds the T trials' rows of :func:`_stream_keys`; each trial
-    gets the bits of :func:`_trial_problem`.
+    gets the bits of its one-trial build through ``gen_gaussian_matrix`` and
+    ``assemble_target``, ``trial_problem`` of ``tests/reference.py``.
     """
     phi = gaussian_matrices(cfg.m, cfg.n, keys[:, 0])
     # the keys stand in for the target seed, which gen_config's seed would be
@@ -436,11 +426,14 @@ def _skipped_error_bound(peak, beta):
 
 def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, relax: float = 1.0,
                hold_ends: bool = False):
-    """Run a block of T streams from zero under thresholds ``lam`` ``(T, 1, L)``.
+    """Run a block of T streams from zero under thresholds ``lam`` ``(T | 1, 1, L)``.
 
-    The block is the three arrays of :func:`.kernels.stream`.  T is at
-    least one: a suite runs only blocks of its running instances
-    (:func:`.suites._run_suite`).  Returns the error record ``(steps, T, L)``,
+    The block is the three arrays of :func:`.kernels.stream`; T is the
+    number of its matrices, L the last axis of ``lam``, which holds one row
+    of thresholds per trial (the suites') or one row for every trial
+    (``run``'s and the sweeps').  T is at least one: a suite runs only
+    blocks of its running instances (:func:`.suites._run_suite`).  Returns
+    the error record ``(steps, T, L)``,
     the largest active set per (trial, column), reduced from the kernel's
     active masks, and the first diverged step per (trial, column), or -1.
     A step diverged when its error is non-finite or above
@@ -458,8 +451,7 @@ def _run_block(phi, ys, targets, lam: np.ndarray, eta: float, p: int, sigma, rel
     with every step's error and returns that run's hold-end rows, so a
     loose screen costs time, never a verdict.
     """
-    count, _, width = lam.shape
-    u0 = np.zeros((count, phi.shape[2], width))
+    u0 = np.zeros((phi.shape[0], phi.shape[2], lam.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         # before the kernel call, so its records never coexist with the norms' temporaries
         beta = estimate_beta(targets)
@@ -500,50 +492,15 @@ def _block_runs(cfg: ExperimentConfig, keys, delta, noise_mode: str, runs):
     ``(lam, eta, p, relax, hold_ends)`` of ``runs`` is one
     :func:`_run_block` call on it, whose ``(errors, max_gamma, diverged)``
     is its record, in order.  This is the one place where key rows become
-    a measured block, for :func:`_trial_results` and
-    :func:`.suites._run_suite` alike, and the block's three arrays never
-    leave it, so none is held once it returns.
+    a measured block, for :func:`_run_cells`, which maps it over the blocks
+    of ``run`` and the sweeps, and :func:`.suites._run_suite` alike, and
+    the block's three arrays never leave it, so none is held once it
+    returns.
     """
     phi, targets = _problems(cfg, keys)
     ys, sigma = _measurements(cfg, phi, targets, keys, delta, noise_mode)
     return [_run_block(phi, ys, targets, lam, eta, p, sigma, relax, hold_ends)
             for lam, eta, p, relax, hold_ends in runs], sigma
-
-
-def _batches(cells) -> dict:
-    """``{(eta, P): [cell index, ...]}``: the cells that run as the columns of one kernel call."""
-    batches = {}
-    for idx, cell in enumerate(cells):
-        batches.setdefault((cell.eta, cell.P), []).append(idx)
-    return batches
-
-
-def _trial_results(cells, keys) -> list:
-    """Per cell, ``(errors, max_gamma_size, diverged_step, sigma)`` of a block of trials.
-
-    ``keys`` holds the trials' rows of :func:`_stream_keys`.  The errors
-    are the pre-measurement errors, the only ones the kernel computes at
-    P > 1, ``(T, n_samples)`` and C-ordered, a copy that pins none of
-    the kernel's records; the largest active set, the first diverged step
-    (-1 for none) and the realized noise scale are ``(T,)``.  The cells
-    share the trials' inputs: each trial's matrix, target and noise stream
-    are built once, into one kernel block that :func:`_block_runs` runs
-    once per ``(eta, P)`` of :func:`_batches`.  Cells that differ only in
-    ``lam`` run as the columns of one kernel call; cells with another step
-    or hold length run the block in a call of their own.
-    """
-    cfg, batches = cells[0], _batches(cells)
-    # at P = 1 every step ends a hold
-    runs = [(np.broadcast_to([cells[i].lam for i in idxs], (len(keys), 1, len(idxs))),
-             eta, P, 1.0, P > 1) for (eta, P), idxs in batches.items()]
-    records, sigma = _block_runs(cfg, keys, cfg.noise_delta, cfg.noise_mode, runs)
-    out = [None] * len(cells)
-    for idxs, (errors, max_gamma, diverged) in zip(batches.values(), records):
-        # (columns, T, n_samples), so each cell's errors are contiguous rows
-        premeasurement = np.ascontiguousarray(errors.transpose(2, 1, 0))
-        for c, i in enumerate(idxs):
-            out[i] = (premeasurement[c], max_gamma[:, c], diverged[:, c], sigma)
-    return out
 
 
 def _check_divergence(cfg: ExperimentConfig, diverged: np.ndarray, sigma: np.ndarray) -> None:
@@ -563,48 +520,66 @@ def _check_divergence(cfg: ExperimentConfig, diverged: np.ndarray, sigma: np.nda
 def _run_cells(cells) -> list:
     """RunResult of every cell config, in order, a block of trials at a time.
 
-    Cells that agree on every field a trial's inputs depend on form a group
-    whose trials each build their inputs once (see :func:`_trial_results`),
-    from stream keys derived once for the whole group.  A group's trials
-    run in blocks of consecutive trials, ``_block_size`` per block for the
-    group's widest kernel call (its largest ``(eta, P)`` batch of cells)
-    and its longest (its largest P).  Every group's blocks map, as
-    :func:`_trial_results` calls on the group and a block's key rows, over
-    one pool of forked workers, :func:`_process_count` of them for the
-    most blocks of a group, which is shut down on every exit from here; or
-    over plain ``map`` (:func:`_block_mapper`).  Each cell's records are
-    joined in trial order, so the outcome is identical at any worker count
-    (see README "Workers").
+    Cells that agree on every field a trial's inputs depend on form a group,
+    whose stream keys are derived once and whose trials each build their
+    inputs once.  The group's cells batch by ``(eta, P)``: the
+    cells of a batch differ only in ``lam`` and run as the columns of one
+    kernel call, under one row of thresholds, and each other batch runs the
+    block in a call of its own.  At P > 1 a call keeps only the
+    pre-measurement errors, one per hold.  A group's trials run in blocks of
+    consecutive trials, ``_block_size`` per block for its widest kernel call
+    (its largest batch) and its longest (its largest P).  Every group's
+    blocks map, as :func:`_block_runs` calls on a block's key rows and the
+    group's runs, over one pool of forked workers, :func:`_process_count` of
+    them for the most blocks of a group, which is shut down on every exit
+    from here; or over plain ``map`` (:func:`_block_mapper`).  Each batch's
+    records are joined in trial order, so the outcome is identical at any
+    worker count (see README "Workers"), and each cell's errors are
+    C-ordered rows.
 
-    Raises :class:`DivergenceError` for the first cell with a diverged trial.
+    Raises :class:`DivergenceError` for the first cell, in order, with a
+    diverged trial of the first group that has one.
     """
     groups = {}
     for idx, cell in enumerate(cells):
         groups.setdefault(tuple(getattr(cell, f) for f in _INPUT_FIELDS), []).append(idx)
     plans = []
     for idxs in groups.values():
-        group = [cells[i] for i in idxs]
-        width = max(len(batch) for batch in _batches(group).values())
-        steps = group[0].n_samples * max(cell.P for cell in group)
-        plans.append((idxs, group, _block_size(group[0], width, steps)))
-    blocks = max(-(-group[0].trials // size) for _, group, size in plans)
+        batches = {}
+        for i in idxs:
+            batches.setdefault((cells[i].eta, cells[i].P), []).append(i)
+        # at P = 1 every step ends a hold
+        runs = [(np.reshape([cells[i].lam for i in batch], (1, 1, -1)), eta, P, 1.0, P > 1)
+                for (eta, P), batch in batches.items()]
+        cfg = cells[idxs[0]]
+        steps = cfg.n_samples * max(P for _, P in batches)
+        size = _block_size(cfg, max(map(len, batches.values())), steps)
+        plans.append((cfg, idxs, batches, runs, size))
+    blocks = max(-(-cfg.trials // size) for cfg, *_, size in plans)
     workers = _process_count(worker_count(), blocks)
     out = [None] * len(cells)
     with ExitStack() as stack:
         mapper = _block_mapper(stack, workers)
-        for idxs, group, size in plans:
-            trials = group[0].trials
-            keys = _stream_keys(group[0], range(trials))
-            parts = list(mapper(
-                _trial_results, repeat(group), (keys[t : t + size] for t in range(0, trials, size))
+        for cfg, idxs, batches, runs, size in plans:
+            keys = _stream_keys(cfg, range(cfg.trials))
+            records, sigmas = zip(*mapper(
+                _block_runs, repeat(cfg), (keys[t : t + size] for t in range(0, cfg.trials, size)),
+                repeat(cfg.noise_delta), repeat(cfg.noise_mode), repeat(runs),
             ))
-            for j, i in enumerate(idxs):
-                errors, max_gamma, diverged, sigma = (
-                    np.concatenate(records) for records in zip(*(part[j] for part in parts))
+            sigma = np.concatenate(sigmas)
+            for batch, *parts in zip(batches.values(), *records):
+                # each record (columns, trials, ...), so a cell's rows are contiguous
+                errors, max_gamma, diverged = (
+                    np.ascontiguousarray(np.concatenate(record, axis=-2).T)
+                    for record in zip(*parts)
                 )
+                for c, i in enumerate(batch):
+                    out[i] = errors[c], max_gamma[c], diverged[c]
+            for i in idxs:
+                errors, max_gamma, diverged = out[i]
                 _check_divergence(cells[i], diverged, sigma)
                 mean = errors.mean(axis=0)
-                std = errors.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
+                std = errors.std(axis=0, ddof=1) if cfg.trials > 1 else np.zeros_like(mean)
                 out[i] = RunResult(mean, std, errors, max_gamma, sigma)
     return out
 

@@ -127,13 +127,6 @@ def gaussian_matrices(m: int, n: int, keys) -> np.ndarray:
     return out
 
 
-def gen_identity(n: int) -> MeasurementMatrix:
-    """Identity operator; its isometry constant is 0 at every level."""
-    if n < 1:
-        raise ValueError(f"matrix dimension must be positive, got {n}")
-    return MeasurementMatrix(n, n, np.eye(n), 0)
-
-
 def measure(phi: MeasurementMatrix, target: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Observe ``phi @ target + noise``."""
     target = np.asarray(target, dtype=np.float64)

@@ -136,14 +136,15 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
 
     Both phases build instances from their rows of the keys derived once
     for the suite, with :func:`.harness._problems`, so instance t's matrix
-    and target have the bits of :func:`.harness._trial_problem` in any
-    block.  The selection builds batches of ``size`` consecutive instances,
-    one at a time, with ``size`` from :func:`.harness._block_size` for the
-    longest run.  ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the
-    instance's exact isometry constant at ``level`` (``rip_exact``), its
-    target's empirical energy and jump bounds (``estimate_beta``;
-    ``estimate_mu_dl``, 0.0 at one sample) and its first sample's norm, the
-    first error of a zero start.  The three target statistics are reduced
+    and target have the bits of its one-trial build (``trial_problem`` of
+    ``tests/reference.py``) in any block.  The selection builds batches of
+    ``size`` consecutive instances, one at a time, with ``size`` from
+    :func:`.harness._block_size` for the longest run.
+    ``draw(t, delta, beta, mu_dl, e0)`` gets floats: the instance's exact
+    isometry constant at ``level`` (``rip_exact``), its target's empirical
+    energy and jump bounds (``estimate_beta``; ``estimate_mu_dl``, 0.0 at
+    one sample) and its first sample's norm, the first error of a zero
+    start.  The three target statistics are reduced
     once per batch, each with the bits of its target's own call; the
     energy bound and the first norm read one ``row_norms`` of the batch's
     samples.  ``draw`` returns ``(record, lam)``, with ``lam`` the

@@ -1,15 +1,42 @@
-"""Textbook one-vector streaming iterate: the reference the kernel is checked against.
+"""References the package is checked against, which no command runs.
 
-``streamista.kernels.stream`` is the package's only solver loop.  These
-functions take one step at a time on one vector, with the shrinkage written
-as ``where(|u| <= lam, 0, u - lam * sign(u))``, and the kernel tests require
-the kernel to reproduce their bits.
+``streamista.kernels.stream`` is the package's only solver loop.  The
+textbook iterate here takes one step at a time on one vector, with the
+shrinkage written as ``where(|u| <= lam, 0, u - lam * sign(u))``, and the
+kernel tests require the kernel to reproduce its bits.  ``trial_problem``
+is a trial's one-trial build, whose bits every block the harness builds
+must reproduce, and ``gen_identity`` the identity operator.
 """
 
 import numpy as np
 
+from streamista import harness, measurement, rng, signals
 from streamista.measurement import MeasurementMatrix
 from streamista.solver import SolverConfig, SolverState, active_set
+
+
+def gen_identity(n: int) -> MeasurementMatrix:
+    """Identity operator; its isometry constant is 0 at every level."""
+    if n < 1:
+        raise ValueError(f"matrix dimension must be positive, got {n}")
+    return MeasurementMatrix(n, n, np.eye(n), 0)
+
+
+def trial_problem(cfg: harness.ExperimentConfig, trial: int):
+    """Matrix and target of one trial, each drawn from its own seed stream.
+
+    The one-trial build through ``gen_gaussian_matrix`` and
+    ``assemble_target``; ``harness._problems`` builds a block of trials with
+    its bits.  The calls go through the modules, so a patch of one of them
+    reaches this build.
+    """
+    phi = measurement.gen_gaussian_matrix(
+        cfg.m, cfg.n, rng.derive_seed(cfg.seed, trial, harness._MATRIX_STREAM)
+    )
+    target = signals.assemble_target(
+        cfg.gen_config(rng.derive_seed(cfg.seed, trial, harness._TARGET_STREAM))
+    )
+    return phi, target
 
 
 def soft_threshold(u: np.ndarray, lam: float) -> np.ndarray:

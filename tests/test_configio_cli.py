@@ -270,7 +270,7 @@ def test_cli_invalid_config_exits_one_before_trials(
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran for an invalid config")
 
-    for name in ("harness._trial_results", "suites._run_suite", "kernels.stream"):
+    for name in ("harness._block_runs", "suites._run_suite", "kernels.stream"):
         monkeypatch.setattr(f"streamista.{name}", no_trials)
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + extra_lines)
@@ -297,7 +297,7 @@ def test_cli_thread_count_not_an_integer_exits_one_before_trials(
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran for an invalid thread count")
 
-    for name in ("harness._trial_results", "suites._run_suite", "kernels.stream"):
+    for name in ("harness._block_runs", "suites._run_suite", "kernels.stream"):
         monkeypatch.setattr(f"streamista.{name}", no_trials)
     monkeypatch.setenv("STREAM_ISTA_THREADS", "abc")
     path = tmp_path / "small.cfg"
@@ -564,7 +564,7 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
     # finite values
     calls = []
     patches = pytest.MonkeyPatch()
-    for module, name in ((harness, "_trial_results"), (suites, "_run_suite"),
+    for module, name in ((harness, "_block_runs"), (suites, "_run_suite"),
                          (kernels, "stream")):
         def counted(*args, _original=getattr(module, name), **kwargs):
             calls.append(1)
@@ -609,8 +609,8 @@ def test_cli_exit_codes_hold_for_extreme_config_values(tmp_path_factory, text, c
 TEST_PROCESS = os.getpid()
 
 
-def exit_in_a_worker(cells, keys):
-    """Stands in for ``harness._trial_results``: a forked worker dies at its first block."""
+def exit_in_a_worker(*args):
+    """Stands in for ``harness._block_runs``: a forked worker dies at its first block."""
     if os.getpid() == TEST_PROCESS:
         raise AssertionError("a block ran in the test process, not in a worker")
     os._exit(3)
@@ -622,7 +622,7 @@ def test_cli_worker_that_dies_exits_two_and_writes_no_csv(tmp_path, monkeypatch,
     # a module-level function
     monkeypatch.setenv("STREAM_ISTA_THREADS", "2")
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_trial_results", exit_in_a_worker)
+    monkeypatch.setattr(harness, "_block_runs", exit_in_a_worker)
     out = tmp_path / "out"
     rc = cli_main(["run", "--config", str(CONFIGS / "desk.cfg"), "--trials", "40",
                    "--out", str(out)])

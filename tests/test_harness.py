@@ -27,8 +27,6 @@ from streamista.harness import (
     _run_block,
     _run_cells,
     _stream_keys,
-    _trial_problem,
-    _trial_results,
     estimate_steady_state,
     fit_lambda_level,
     fit_steady_state,
@@ -54,6 +52,8 @@ from streamista.rng import derive_seed
 from streamista.signals import assemble_target
 from streamista.suites import _run_suite, run_lca_suite, run_lemma_suite, run_theorem_suite
 from streamista.theory import check_ista_preconditions
+
+from reference import trial_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -158,9 +158,23 @@ def test_run_trials_thread_count_does_not_change_results(monkeypatch):
     assert serial.std_curve.tobytes() == threaded.std_curve.tobytes()
 
 
+def cell_records(cfg, trials):
+    """``(errors, max_gamma, diverged, sigma)`` of ``cfg``'s trials ``trials``, one block.
+
+    The block is run as :func:`harness._run_cells` runs a lone cell: one
+    :func:`harness._block_runs` call under one row of thresholds; the
+    errors are ``(T, n_samples)`` and the other records ``(T,)``.
+    """
+    run = (np.full((1, 1, 1), cfg.lam), cfg.eta, cfg.P, 1.0, cfg.P > 1)
+    [(errors, max_gamma, diverged)], sigma = harness._block_runs(
+        cfg, _stream_keys(cfg, trials), cfg.noise_delta, cfg.noise_mode, [run]
+    )
+    return errors[..., 0].T, max_gamma[:, 0], diverged[:, 0], sigma
+
+
 def test_run_trial_is_deterministic():
-    [(a_errors, a_gamma, _, a_sigma)] = _trial_results([SMALL], _stream_keys(SMALL, [2]))
-    [(b_errors, b_gamma, _, b_sigma)] = _trial_results([SMALL], _stream_keys(SMALL, [2]))
+    a_errors, a_gamma, _, a_sigma = cell_records(SMALL, [2])
+    b_errors, b_gamma, _, b_sigma = cell_records(SMALL, [2])
     assert np.array_equal(a_errors, b_errors)
     assert np.array_equal(a_sigma, b_sigma)
     assert np.array_equal(a_gamma, b_gamma)
@@ -506,7 +520,7 @@ def check_run_suite_mapping(monkeypatch, size, running):
         return out
 
     monkeypatch.setattr(kernels, "stream", spy)
-    problems = [_trial_problem(cfg, t) for t in range(cfg.trials)]
+    problems = [trial_problem(cfg, t) for t in range(cfg.trials)]
     matrices = [phi.entries.tobytes() for phi, _ in problems]
     # the kernel calls made before each yield
     drawn, calls_at_yield = [], []
@@ -611,7 +625,7 @@ def test_suites_stream_each_instance_under_its_own_threshold(
     assert len({inst.lam for inst in instances if ran(inst)}) > 1
     streamed = [(phi, lam[0, 0]) for phis, lams in calls for phi, lam in zip(phis, lams)]
     for inst in instances:
-        phi = _trial_problem(cfg, inst.index)[0].entries
+        phi = trial_problem(cfg, inst.index)[0].entries
         lams = [lam for entries, lam in streamed if np.array_equal(entries, phi)]
         assert lams == ([inst.lam] * calls_per_instance if ran(inst) else [])
 
@@ -654,7 +668,7 @@ def test_suite_kernel_calls_pin(monkeypatch, name):
 
     monkeypatch.setattr(kernels, "stream", spy)
     suite(cfg)
-    matrices = [_trial_problem(cfg, t)[0].entries.tobytes() for t in range(cfg.trials)]
+    matrices = [trial_problem(cfg, t)[0].entries.tobytes() for t in range(cfg.trials)]
     found = [([matrices.index(phi.tobytes()) for phi in phis], relax) for phis, relax in calls]
     assert found == KERNEL_CALLS_PIN[name]
 
@@ -733,11 +747,11 @@ def test_divergence_guard_is_quiet_below_the_spectral_step(
     cfg = replace(SMALL, seed=seed, lam=lam, P=P, mu=mu, noise_mode=noise_mode,
                   noise_level=noise_level, trials=4)
     spectral = max(
-        float(np.linalg.norm(_trial_problem(cfg, t)[0].entries, 2)) ** 2
+        float(np.linalg.norm(trial_problem(cfg, t)[0].entries, 2)) ** 2
         for t in range(cfg.trials)
     )
     cfg = replace(cfg, eta=2.0 * step / spectral)
-    [(_, _, diverged, _)] = _trial_results([cfg], _stream_keys(cfg, range(cfg.trials)))
+    _, _, diverged, _ = cell_records(cfg, range(cfg.trials))
     assert diverged.tolist() == [-1] * cfg.trials
 
 
@@ -799,6 +813,21 @@ def test_hold_end_records_match_every_step_rows(seed, trials, n_samples, P, lams
     assert ends_diverged.tolist() == diverged.tolist()
 
 
+
+@pytest.mark.parametrize("hold_ends", [False, True])
+def test_one_threshold_row_broadcasts_over_the_trials(hold_ends):
+    # run and the sweeps pass one row of thresholds for every trial of a
+    # block; its records are those of the row repeated per trial
+    phi, ys, targets, sigma = small_block(replace(SMALL, trials=3))
+    row = np.array([[[0.05, 0.2, 0.5]]])
+    one = _run_block(phi, ys, targets, row, 0.3, 3, sigma, hold_ends=hold_ends)
+    every = _run_block(phi, ys, targets, np.broadcast_to(row, (3, 1, 3)), 0.3, 3, sigma,
+                       hold_ends=hold_ends)
+    assert one[0].shape == (8 if hold_ends else 24, 3, 3)
+    for got, expected in zip(one, every):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 def test_a_flagged_screen_reruns_the_block_on_every_step(monkeypatch):
     # a stable block passes the screen in one hold-end call; with a bound
     # that flags it, the block reruns and reports the same records
@@ -829,7 +858,7 @@ def test_an_overflowing_noise_scale_diverges_at_the_first_step():
     # desk.cfg's clean first rows have norms on both sides of 1.8, so at
     # noise_level 1e308 the scale of some trials overflows and of others not
     cfg = replace(parse_config(CONFIGS / "desk.cfg"), noise_level=1e308, trials=3)
-    [(_, _, diverged, sigma)] = _trial_results([cfg], _stream_keys(cfg, range(cfg.trials)))
+    _, _, diverged, sigma = cell_records(cfg, range(cfg.trials))
     overflowed = [not math.isfinite(s) for s in sigma]
     assert overflowed == [True, False, True]
     assert [diverged[t] for t in (0, 2)] == [0, 0]
@@ -1136,6 +1165,17 @@ def test_run_cells_matches_per_cell_runs_on_mixed_cells():
         np.testing.assert_allclose(result.mean_curve, alone.mean_curve, rtol=1e-9, atol=0)
 
 
+
+def test_divergence_is_named_in_cell_order_when_batches_interleave():
+    # cells 0 and 2 share the P = 1 batch, which runs first, and cell 1 runs
+    # alone at P = 2; both lam = 0.06 cells diverge, so a check in batch
+    # order would name the P = 1 cell
+    cfg = replace(parse_config(CONFIGS / "desk.cfg"), trials=4, eta=0.6)
+    cells = [replace(cfg, lam=1e3, P=1), replace(cfg, lam=0.06, P=2), replace(cfg, lam=0.06, P=1)]
+    with pytest.raises(harness.DivergenceError, match=r"in cell lambda=0\.06 s=8 P=2 mu=0\.8 "
+                       r"eta=0\.6: 4 of 4 trials diverged, the first at solver step 10$"):
+        _run_cells(cells)
+
 def test_sweeps_reject_fractional_p_and_s():
     # P = 2.5 would run at P = 2 under the name 2.5; whole floats still pass
     assert [c.P for _, c in sweep_cells(SMALL, "P", (1.0, 2, 5.0))] == [1, 2, 5]
@@ -1301,7 +1341,7 @@ def test_desk_run_calls_no_scalar_rng(monkeypatch):
     assert len(result.errors) == 10
     assert calls == []
     # the counters do count: the one-trial build and the lemma suite call them
-    _trial_problem(cfg, 0)
+    trial_problem(cfg, 0)
     monkeypatch.setattr(suites, "_LEMMA_MATRICES", 1)
     monkeypatch.setattr(suites, "_LEMMA_DRAWS", 1)
     run_lemma_suite(0)

@@ -13,7 +13,6 @@ from streamista.measurement import (
     SupportBudgetError,
     gaussian_matrices,
     gen_gaussian_matrix,
-    gen_identity,
     gen_noise,
     measure,
     noise_rows,
@@ -21,6 +20,8 @@ from streamista.measurement import (
     rip_exact_witness,
 )
 from streamista.rng import make_rng, philox_keys, standard_normals
+
+from reference import gen_identity
 
 
 def brute_delta(phi, s):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from streamista.measurement import gen_gaussian_matrix, gen_identity, measure
+from streamista.measurement import gen_gaussian_matrix, measure
 from streamista.signals import DynamicTarget, GenConfig, assemble_target
 from streamista.solver import (
     SolverConfig,
@@ -17,7 +17,7 @@ from streamista.solver import (
     top_q_indices,
 )
 
-from reference import init_state, ista_iterate, soft_threshold
+from reference import gen_identity, init_state, ista_iterate, soft_threshold
 
 
 def static_target(x, n_meas):

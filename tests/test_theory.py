@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from streamista.measurement import gen_gaussian_matrix, gen_identity, rip_exact_witness
+from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
 from streamista.theory import (
     IstaBoundParams,
     LcaBoundParams,
@@ -22,6 +22,8 @@ from streamista.theory import (
     support_cap_check,
     target_energy_envelope_check,
 )
+
+from reference import gen_identity
 
 
 def named(report):
