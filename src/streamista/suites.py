@@ -14,10 +14,11 @@ isometry constant and its target's statistics, reduced once per batch),
 and keeps every record and the threshold of each instance that runs.  Then
 it runs: it hands each block of running instances, their key rows and one
 threshold per instance, to the harness, which rebuilds, measures and runs
-it once per step size the suite asks for; each suite keeps only its
-threshold rule and its verdict.  The driver derives its keys, sizes its
-blocks, builds its selection batches and runs its blocks with the
-harness's helpers, called through the module (``harness._stream_keys``,
+it once per step size the suite asks for.  It returns every instance's
+record with its runs, in instance order, as one list; each suite keeps
+only its threshold rule and its verdict.  The driver derives its keys,
+sizes its blocks, builds its selection batches and runs its blocks with
+the harness's helpers, called through the module (``harness._stream_keys``,
 ``harness._block_size``, ``harness._problems``, ``harness._block_runs``),
 so a patch of a harness helper reaches the suites too.  It hands them its
 instances' key rows and reads no key itself.  A block's run records the
@@ -96,7 +97,9 @@ class TheoremInstance:
 
 
 @dataclass(frozen=True)
-class TheoremSuiteResult:
+class _SuiteResult:
+    """A bound suite's instances, in order, and how many passed their preconditions."""
+
     instances: tuple
 
     @property
@@ -107,6 +110,9 @@ class TheoremSuiteResult:
     def pass_rate(self) -> float:
         return self.n_passing / len(self.instances)
 
+
+@dataclass(frozen=True)
+class TheoremSuiteResult(_SuiteResult):
     @property
     def all_dominated(self) -> bool:
         """True when every precondition-passing instance obeyed the bound."""
@@ -157,10 +163,9 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
     :func:`.harness._run_block`).  A running instance's noise is capped at
     ``cfg.noise_level`` under its own isometry constant, the regime the
     bounds assume.  Every ``draw`` comes before the first kernel call, and
-    no batch or block is held while the next is built.  After each block's
-    calls, yields ``(record, out)`` for every instance up to the block's
-    last running one, in order, and after the last block the rest: ``out``
-    is None for an instance that did not run, else one ``(errors,
+    no batch or block is held while the next is built.  Returns
+    ``[(record, out), ...]``, one pair per instance in instance order:
+    ``out`` is None for an instance that did not run, else one ``(errors,
     max_gamma, diverged_step)`` per run, with ``diverged_step`` None when
     the run did not diverge.
     """
@@ -182,23 +187,17 @@ def _run_suite(cfg: ExperimentConfig, level: int, draw, runs):
                 running.append((start + j, delta, lam))
         # a batch is not held while the next is built
         del batch, samples
-    # the instances yielded so far
-    done = 0
+    # each instance's runs, None for one that does not run
+    outs = [None] * cfg.trials
     for start in range(0, len(running), size):
         rows, deltas, lams = zip(*running[start : start + size])
         lam = np.reshape(lams, (-1, 1, 1))
         results, _ = harness._block_runs(cfg, keys[list(rows)], deltas, "capped",
                                          [(lam, eta, p, relax, False) for eta, p, relax in runs])
-        outs = {
-            t: [(errors[:, j, 0], int(gamma[j, 0]), None if step[j, 0] < 0 else int(step[j, 0]))
-                for errors, gamma, step in results]
-            for j, t in enumerate(rows)
-        }
-        for t in range(done, rows[-1] + 1):
-            yield records[t], outs.get(t)
-        done = rows[-1] + 1
-    for record in records[done:]:
-        yield record, None
+        for j, t in enumerate(rows):
+            outs[t] = [(errors[:, j, 0], int(gamma[j, 0]), None if step[j, 0] < 0 else int(step[j, 0]))
+                       for errors, gamma, step in results]
+    return list(zip(records, outs))
 
 
 def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
@@ -272,18 +271,9 @@ class LcaInstance:
 
 
 @dataclass(frozen=True)
-class LcaSuiteResult:
-    instances: tuple
+class LcaSuiteResult(_SuiteResult):
     slack_factor: float
     substeps: int
-
-    @property
-    def n_passing(self) -> int:
-        return sum(1 for inst in self.instances if inst.report.passed)
-
-    @property
-    def pass_rate(self) -> float:
-        return self.n_passing / len(self.instances)
 
     @property
     def all_resolved(self) -> bool:
@@ -309,7 +299,15 @@ def run_lca_suite(
     are exact at level s + q, and the threshold is raised per instance (5%
     headroom) to the smallest value satisfying the decay margin, which is
     solvable only below delta = 1/2.
+
+    Raises ConfigError, before any instance is drawn, unless ``substeps``
+    is an integer of at least 1 and ``slack_factor`` is finite and
+    nonnegative.
     """
+    if not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise ConfigError(f"substeps must be an integer of at least 1, got {substeps!r}")
+    if not (math.isfinite(slack_factor) and slack_factor >= 0.0):
+        raise ConfigError(f"slack_factor must be finite and nonnegative, got {slack_factor!r}")
     sigma = cfg.noise_level
     hold = cfg.P * cfg.tau  # time units each measurement is held
     init_u = np.zeros(cfg.n)
@@ -334,7 +332,8 @@ def run_lca_suite(
         D = math.inf if params is None else params.D
         report = check_lca_preconditions(delta, cfg.q, beta_emp, sigma, lam, e0, D, init_u)
         record = (t, delta, lam, report, params, mu_rate)
-        return record, (lam if report.passed and params is not None else None)
+        # a passing report has delta < 1, so its params are set
+        return record, (lam if report.passed else None)
 
     instances = []
     level = min(cfg.s + cfg.q, cfg.n)

@@ -189,6 +189,17 @@ class PreconditionReport:
         return all(c.passed for c in self.checks)
 
 
+def _start_checks(q: int, lam: float, init_u: np.ndarray) -> tuple:
+    """The start premises both guarantees share: the initial state's active
+    set within the budget q, and its top-q energy within lam * sqrt(q)."""
+    init_u = np.asarray(init_u, dtype=np.float64)
+    energy = top_q_energy(init_u, min(q, init_u.size))
+    return (
+        ConditionCheck("initial_active_within_budget", float(active_set(init_u, lam).size), float(q)),
+        ConditionCheck("initial_energy_within_threshold", energy, lam * math.sqrt(q)),
+    )
+
+
 def check_ista_preconditions(
     delta: float,
     q: int,
@@ -204,19 +215,14 @@ def check_ista_preconditions(
     factor is computed inline so out-of-range steps show up as failed rows
     rather than exceptions.
     """
-    init_u = np.asarray(init_u, dtype=np.float64)
-    init_gamma_size = active_set(init_u, lam).size
     c = abs(eta - 1.0) + delta * eta
-    q_eff = min(q, init_u.size)
-    lam_rq = lam * math.sqrt(q)
     checks = (
         ConditionCheck("eta_positive", 0.0, eta, strict=True),
         ConditionCheck("eta_step_bound", eta, 2.0 / (1.0 + delta), strict=True),
-        ConditionCheck("initial_active_within_budget", float(init_gamma_size), float(q)),
-        ConditionCheck("initial_energy_within_threshold", top_q_energy(init_u, q_eff), lam_rq),
-        ConditionCheck(
-            "drift_noise_margin", eta * (1.0 + delta) * beta + eta * sigma, (1.0 - c) * lam_rq
-        ),
+        *_start_checks(q, lam, init_u),
+        # lam * sqrt(q) rounded first: (1 - c) * lam * sqrt(q) rounds differently
+        ConditionCheck("drift_noise_margin", eta * (1.0 + delta) * beta + eta * sigma,
+                       (1.0 - c) * (lam * math.sqrt(q))),
     )
     return PreconditionReport(checks)
 
@@ -235,15 +241,10 @@ def check_lca_preconditions(
 
     ``delta`` must be the isometry constant at level s + q.
     """
-    init_u = np.asarray(init_u, dtype=np.float64)
-    init_gamma_size = active_set(init_u, lam).size
-    q_eff = min(q, init_u.size)
-    lam_rq = lam * math.sqrt(q)
     checks = (
         ConditionCheck("delta_below_one", delta, 1.0, strict=True),
-        ConditionCheck("initial_active_within_budget", float(init_gamma_size), float(q)),
-        ConditionCheck("initial_energy_within_threshold", top_q_energy(init_u, q_eff), lam_rq),
-        ConditionCheck("decay_margin", delta * max(e0, D) + beta + sigma, lam_rq),
+        *_start_checks(q, lam, init_u),
+        ConditionCheck("decay_margin", delta * max(e0, D) + beta + sigma, lam * math.sqrt(q)),
     )
     return PreconditionReport(checks)
 

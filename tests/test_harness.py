@@ -50,8 +50,17 @@ from streamista.configio import parse_config
 from streamista.measurement import gen_gaussian_matrix, gen_noise, measure
 from streamista.rng import derive_seed
 from streamista.signals import assemble_target
-from streamista.suites import _run_suite, run_lca_suite, run_lemma_suite, run_theorem_suite
-from streamista.theory import check_ista_preconditions
+from streamista.suites import (
+    LcaInstance,
+    LcaSuiteResult,
+    TheoremInstance,
+    TheoremSuiteResult,
+    _run_suite,
+    run_lca_suite,
+    run_lemma_suite,
+    run_theorem_suite,
+)
+from streamista.theory import ConditionCheck, PreconditionReport, check_ista_preconditions
 
 from reference import trial_problem
 
@@ -307,6 +316,57 @@ def test_lca_suite_small_run_resolves():
     assert suite.substeps == 10
 
 
+def suite_instance(kind, index, passed, ok):
+    """A hand-built suite instance whose report passes or fails, and which
+    was dominated (theorem) or resolved (LCA) when ``ok``."""
+    report = PreconditionReport((ConditionCheck("margin", 0.0, 1.0 if passed else -1.0),))
+    if kind == "theorem":
+        violation = 0.0 if ok else 1.0
+        return TheoremInstance(index, 0.5, 1.0, 0.05, report, violation, ok, 1)
+    return LcaInstance(index, 0.4, 1.0, 0.05, report, 0.0, 0.0, ok)
+
+
+@pytest.mark.parametrize(
+    "kind, result, verdict, names",
+    [
+        ("theorem", TheoremSuiteResult, lambda res: res.all_dominated, ["instances"]),
+        ("lca", lambda instances: LcaSuiteResult(instances, 5.0, 10),
+         lambda res: res.all_resolved, ["instances", "slack_factor", "substeps"]),
+    ],
+    ids=["theorem", "lca"],
+)
+def test_suite_results_count_passing_instances_and_their_verdicts(kind, result, verdict, names):
+    # instance 2 fails its preconditions, so its verdict does not count
+    good = tuple(suite_instance(kind, t, passed=t != 2, ok=t != 2) for t in range(4))
+    res = result(good)
+    assert [field.name for field in fields(res)] == names
+    assert res.n_passing == 3 and res.pass_rate == 0.75 and verdict(res)
+    bad = good[:3] + (suite_instance(kind, 3, passed=True, ok=False),)
+    assert not verdict(result(bad)) and result(bad).n_passing == 3
+    none_pass = tuple(suite_instance(kind, t, passed=False, ok=False) for t in range(2))
+    assert result(none_pass).n_passing == 0 and result(none_pass).pass_rate == 0.0
+    assert verdict(result(none_pass))
+    assert repr(res).startswith(f"{type(res).__name__}(instances=({type(good[0]).__name__}(")
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("substeps", 0), ("substeps", -1), ("substeps", 2.5),
+    ("slack_factor", float("nan")), ("slack_factor", float("inf")), ("slack_factor", -5.0),
+])
+def test_lca_suite_rejects_its_keywords_before_any_instance(monkeypatch, keyword, value):
+    built = []
+    problems = harness._problems
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return problems(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_problems", spy)
+    with pytest.raises(ValueError, match=keyword):
+        run_lca_suite(LCA_CFG, **{keyword: value})
+    assert built == []
+
+
 def test_lemma_suite_small_run_is_clean(monkeypatch):
     monkeypatch.setattr(suites, "_LEMMA_MATRICES", 2)
     monkeypatch.setattr(suites, "_LEMMA_DRAWS", 60)
@@ -460,22 +520,6 @@ def spy_streams(monkeypatch):
     return calls
 
 
-def expected_blocks(trials, size, running):
-    """The kernel blocks of a suite driver and the blocks run before each yield.
-
-    The running instances run in blocks of ``size`` consecutive ones.  The
-    block that closes instance t is the first whose last running instance
-    is t or later, else the last block; ``closed[t]`` counts the blocks up
-    to and including it.
-    """
-    blocks = [running[i : i + size] for i in range(0, len(running), size)]
-    closed = [
-        next((b + 1 for b, block in enumerate(blocks) if block[-1] >= t), len(blocks))
-        for t in range(trials)
-    ]
-    return blocks, closed
-
-
 # (block size, running instances) of 20 suite instances
 RUN_SUITE_CASES = [
     # distinct thresholds, skipped instances, and a last block in which no
@@ -484,7 +528,7 @@ RUN_SUITE_CASES = [
     (3, [1, 4, 6, 7, 9, 10]),
     (1, [t for t in range(20) if t % 3 != 1]),
     (25, list(range(0, 20, 2))),
-    # a partial last block after full ones, with instances yielded after it
+    # a partial last block after full ones
     (6, list(range(20))),
     (4, []),
 ]
@@ -522,11 +566,12 @@ def check_run_suite_mapping(monkeypatch, size, running):
     monkeypatch.setattr(kernels, "stream", spy)
     problems = [trial_problem(cfg, t) for t in range(cfg.trials)]
     matrices = [phi.entries.tobytes() for phi, _ in problems]
-    # the kernel calls made before each yield
-    drawn, calls_at_yield = [], []
-    for t, out in _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)]):
-        drawn.append(t)
-        calls_at_yield.append(len(calls))
+    assert not inspect.isgeneratorfunction(_run_suite)
+    pairs = _run_suite(cfg, level, draw, [(cfg.eta, cfg.P, 1.0)])
+    # one (record, out) pair per instance, in instance order
+    assert isinstance(pairs, list) and len(pairs) == cfg.trials
+    assert [t for t, _ in pairs] == list(range(cfg.trials))
+    for t, out in pairs:
         assert (out is not None) == (t in running)
         if out is not None:
             # its own stream of its own kernel call, under its own threshold
@@ -540,14 +585,11 @@ def check_run_suite_mapping(monkeypatch, size, running):
             assert lam == 0.5 + t
             assert np.array_equal(errors, streamed)
             assert isinstance(max_gamma, int) and diverged is None
-    assert drawn == list(range(cfg.trials))
-    # every call streams the running instances of one block, in order; every
-    # draw comes before the first call; and each instance is yielded after
-    # the call of the block that closes it and before the next block's call
-    blocks, closed = expected_blocks(cfg.trials, size, running)
+    # every call streams the running instances of one block of size
+    # consecutive ones, in order, and every draw comes before the first call
+    blocks = [running[i : i + size] for i in range(0, len(running), size)]
     assert [[matrices.index(phi.tobytes()) for phi in phis] for phis, _, _ in calls] == blocks
     assert calls_at_draw == [0] * cfg.trials
-    assert calls_at_yield == closed
     # each instance gets the floats of its own matrix and target, whichever
     # block and stream it was drawn into
     for t, (phi, target) in enumerate(problems):

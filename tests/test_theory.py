@@ -231,6 +231,26 @@ def test_continuous_precondition_zero_state_reduces_to_energy_row():
     assert decay.rhs == 2.0
 
 
+def test_both_precondition_checkers_build_the_same_start_rows():
+    # three entries above lam = 1 against a budget of q = 2: the active-set
+    # row fails, and the top-2 energy ||(4, 3)|| = 5 exceeds lam * sqrt(2)
+    init_u = np.array([3.0, -0.5, 0.0, 4.0, -2.0, 0.25])
+    ista = check_ista_preconditions(delta=0.2, q=2, beta=0.5, sigma=0.1,
+                                    lam=1.0, eta=1.0, init_u=init_u)
+    lca = check_lca_preconditions(delta=0.2, q=2, beta=0.5, sigma=0.1,
+                                  lam=1.0, e0=1.0, D=2.0, init_u=init_u)
+
+    def start_rows(report):
+        return [(check.name, check.lhs, check.rhs, check.passed)
+                for check in report.checks if check.name.startswith("initial_")]
+
+    assert start_rows(ista) == start_rows(lca) == [
+        ("initial_active_within_budget", 3.0, 2.0, False),
+        ("initial_energy_within_threshold", 5.0, math.sqrt(2.0), False),
+    ]
+    assert not ista.passed and not lca.passed
+
+
 def test_rip_inequalities_trivial_for_identity():
     phi = gen_identity(8)
     x = np.zeros(8)
