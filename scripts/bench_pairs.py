@@ -13,12 +13,18 @@ metric can be reported.  At the end, for each end-to-end metric it prints
 each side's median and quartiles, the
 number of pairs the change won (lower is better, except for ``ok_frac``),
 and the gap between the medians in units of the parent's interquartile
-range, positive when the change is better.  It exits 1 if any run failed
+range, positive when the change is better.  Each summary line ends with
+the metric's verdict against its BENCHMARK.json ``bound``, a limit on how
+much worse, relative to the parent's median, the change's median may be:
+``within bound``, ``WORSE than bound``, or ``unresolved`` when the parent's
+interquartile range exceeds that bound of its median and not every run of
+the change beats every run of the parent.  It exits 1 if any run failed
 or reported a wrong result.
 """
 
 import argparse
 import json
+import math
 from pathlib import Path
 import statistics
 import subprocess
@@ -29,10 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+def end_to_end(key: str) -> dict:
+    """``{metric: its key}`` of every end-to-end metric in BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric[key] for metric in spec["end_to_end"]}
+
+
 def better_directions() -> dict:
     """``{metric: "lower" | "higher"}`` of every end-to-end metric in BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return end_to_end("better")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,8 +74,28 @@ def pair_line(pair: int, order, runs: dict, names) -> str:
     )
 
 
-def summary(runs: dict, directions: dict) -> list:
-    """One printed line per metric: both sides' quartiles, the change's wins, the gap in IQRs."""
+def _relative(amount: float, median: float) -> float:
+    """``amount`` as a fraction of ``median``; for a median of 0, 0 or infinity."""
+    if median:
+        return amount / abs(median)
+    return math.inf if amount > 0 else 0.0
+
+
+def verdict(parent, change, sign: float, bound: float) -> str:
+    """The change's median against ``bound``, or ``unresolved`` when the
+    parent's IQR exceeds the bound of its median and the runs overlap;
+    ``sign`` is 1 where lower is better, -1 where higher is."""
+    p1, p2, p3 = quartiles(parent)
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
+    if _relative(p3 - p1, p2) > bound and not separated:
+        return "unresolved"
+    worse = _relative(sign * (statistics.median(change) - p2), p2)
+    return "WORSE than bound" if worse > bound else "within bound"
+
+
+def summary(runs: dict, directions: dict, bounds: dict) -> list:
+    """One printed line per metric: both sides' quartiles, the change's wins,
+    the gap in IQRs and the verdict against the metric's bound."""
     lines = []
     for name, better in directions.items():
         parent = [r[name] for r in runs["parent"]]
@@ -79,7 +110,7 @@ def summary(runs: dict, directions: dict) -> list:
         lines.append(
             f"{name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> change {c2:.6g} "
             f"[{c1:.6g}, {c3:.6g}] ({rel}); change better in {wins} of {len(parent)}; "
-            f"gap {in_iqr}"
+            f"gap {in_iqr}; {verdict(parent, change, sign, bounds[name])}"
         )
     return lines
 
@@ -106,7 +137,7 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs:")
-    for line in summary(runs, directions):
+    for line in summary(runs, directions, end_to_end("bound")):
         print("  " + line)
     return 0
 

@@ -15,6 +15,7 @@ from dataclasses import replace
 import os
 import sys
 
+from . import harness
 from .configio import ConfigError, parse_config, parse_list
 from .harness import (
     MIN_STEADY_POINTS,
@@ -161,9 +162,7 @@ def _cmd_sweep_lambda_s(args) -> int:
     svals = _parse_list(args.s_values, int) if args.s_values else cfg.sweep_s_values
     grid, fit = sweep_lambda_s(cfg, lams, svals, ratio_level=args.level)
     write_qratio_csv(os.path.join(out, "qratio.csv"), grid)
-    with open(os.path.join(out, "qfit.csv"), "w") as fh:
-        fh.write("C,ratio_level\n")
-        fh.write(f"{repr(float(fit.C))},{repr(float(fit.level))}\n")
+    harness._write_csv(os.path.join(out, "qfit.csv"), ("C", "ratio_level"), [(fit.C, fit.level)])
     print(f"fitted lambda = C / sqrt(s): C={fit.C:.6g} at ratio level {fit.level}")
     print(f"level points: {fit.level_points}")
     print(f"wrote {os.path.join(out, 'qratio.csv')}")

@@ -3,9 +3,11 @@
 Keys are the :class:`~streamista.harness.ExperimentConfig` fields, read
 from the dataclass itself, with ``lam`` and ``P`` spelled ``lambda`` and
 ``p``; each field's annotation picks its parser.  Unknown keys are errors,
-not warnings.  Lists are comma-separated.  Blank lines and ``#`` comments
-are ignored.  The harness decides which values are valid and raises
-:class:`ConfigError`, re-exported here, for any it rejects.
+not warnings.  A key given twice takes its last value, a list key too, so
+appending a line to a config file overrides that key.  Lists are
+comma-separated.  Blank lines and ``#`` comments are ignored.  The harness
+decides which values are valid and raises :class:`ConfigError`,
+re-exported here, for any it rejects.
 """
 
 from dataclasses import fields

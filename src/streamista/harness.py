@@ -55,6 +55,10 @@ fits the predicted steady-state law
     steady(P) = c**P / (1 - c**P) * mu * dl + V
 
 by grid search on c with the offset V solved in closed form per candidate.
+
+One function, :func:`_write_csv`, opens every CSV file the package writes
+and formats its fields: a float as the ``repr`` of its Python float, any
+other field as text.  The ``write_*_csv`` writers only choose the fields.
 """
 
 from contextlib import ExitStack
@@ -789,24 +793,25 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """Write the ``header`` names and one line per row of ``rows``: a float
+    field, Python or numpy, as the ``repr`` of its Python float, any other
+    field as ``str(x)``."""
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fields = [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row]
+            fh.write(",".join(fields) + "\n")
 
 
 def write_curve_csv(path, mean_curve, std_curve) -> None:
     """`k,error_mean,error_std`, with k the 1-based measurement index."""
-    with open(path, "w") as fh:
-        fh.write("k,error_mean,error_std\n")
-        for k, (m_, s_) in enumerate(zip(mean_curve, std_curve), start=1):
-            fh.write(f"{k},{_fmt(m_)},{_fmt(s_)}\n")
+    rows = enumerate(zip(map(float, mean_curve), map(float, std_curve)), start=1)
+    _write_csv(path, ("k", "error_mean", "error_std"), ((k, m_, s_) for k, (m_, s_) in rows))
 
 
 def write_steady_csv(path, axis_name, values, steadies) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{axis_name},steady\n")
-        for v, s_ in zip(values, steadies):
-            v_repr = str(int(v)) if float(v).is_integer() else _fmt(v)
-            fh.write(f"{v_repr},{_fmt(s_)}\n")
+    values = [int(v) if float(v).is_integer() else float(v) for v in values]
+    _write_csv(path, (axis_name, "steady"), zip(values, map(float, steadies)))
 
 
 def read_steady_csv(path):
@@ -832,25 +837,21 @@ def read_steady_csv(path):
 
 
 def write_fit_csv(path, fit: SteadyStateFit) -> None:
-    with open(path, "w") as fh:
-        fh.write("c_hat,V_hat,sse,r2\n")
-        fh.write(f"{_fmt(fit.c_hat)},{_fmt(fit.V_hat)},{_fmt(fit.sse)},{_fmt(fit.r2)}\n")
+    _write_csv(path, ("c_hat", "V_hat", "sse", "r2"),
+               [tuple(map(float, (fit.c_hat, fit.V_hat, fit.sse, fit.r2)))])
 
 
 def write_qratio_csv(path, grid: QRatioGrid) -> None:
-    with open(path, "w") as fh:
-        fh.write("lambda,S,ratio\n")
-        for i, lam in enumerate(grid.lambda_values):
-            for j, s in enumerate(grid.s_values):
-                fh.write(f"{_fmt(lam)},{s},{_fmt(grid.ratios[i, j])}\n")
+    _write_csv(path, ("lambda", "S", "ratio"), [
+        (float(lam), s, float(grid.ratios[i, j]))
+        for i, lam in enumerate(grid.lambda_values) for j, s in enumerate(grid.s_values)
+    ])
 
 
 def write_preconditions_csv(path, reports) -> None:
     """One `condition,lhs,rhs,pass` row per check; `reports` maps a label to
     a report whose rows get the label as a prefix."""
-    with open(path, "w") as fh:
-        fh.write("condition,lhs,rhs,pass\n")
-        for label, report in reports:
-            prefix = f"{label}:" if label else ""
-            for check in report.checks:
-                fh.write(f"{prefix}{check.line()}\n")
+    _write_csv(path, ("condition", "lhs", "rhs", "pass"), [
+        (f"{label}:{c.name}", float(c.lhs), float(c.rhs), int(c.passed))
+        for label, report in reports for c in report.checks
+    ])

@@ -76,15 +76,24 @@ _LEMMA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TheoremInstance:
-    """One small-instance dominance check."""
+class _SuiteInstance:
+    """What both bound suites record of an instance: its index, exact
+    isometry constant, threshold, noise scale, precondition report and
+    largest violation of the bound (nan when the instance is skipped)."""
 
     index: int
     delta: float
     lam: float
     sigma: float
     report: PreconditionReport
-    max_violation: float  # max over l of error - bound; nan when skipped
+    max_violation: float
+
+
+@dataclass(frozen=True)
+class TheoremInstance(_SuiteInstance):
+    """One small-instance dominance check; ``max_violation`` is the largest
+    error minus ISTA bound over the measurement index l."""
+
     support_ok: bool | None
     max_gamma_size: int
     diverged_step: int | None = None  # first diverged solver step, if any
@@ -255,15 +264,11 @@ def run_theorem_suite(cfg: ExperimentConfig) -> TheoremSuiteResult:
 
 
 @dataclass(frozen=True)
-class LcaInstance:
-    """One continuous-bound check via Euler traces at two step sizes."""
+class LcaInstance(_SuiteInstance):
+    """One continuous-bound check via Euler traces at two step sizes;
+    ``max_violation`` is the largest error minus continuous bound, the bound
+    padded by its discretization allowance, along the unit-step trace."""
 
-    index: int
-    delta: float
-    lam: float
-    sigma: float
-    report: PreconditionReport
-    max_violation: float  # coarse step, slack included; nan when skipped
     fine_max_violation: float  # refined step, same slack; nan when skipped
     resolved: bool | None  # no violation, or the refined run shrank it 5x
     diverged_step: int | None = None  # first diverged coarse step, if any

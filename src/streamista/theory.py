@@ -173,10 +173,6 @@ class ConditionCheck:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def line(self) -> str:
-        """The ``condition,lhs,rhs,pass`` row of ``preconditions.csv``."""
-        return f"{self.name},{repr(float(self.lhs))},{repr(float(self.rhs))},{int(self.passed)}"
-
 
 @dataclass(frozen=True)
 class PreconditionReport:

@@ -67,6 +67,13 @@ def test_parse_defaults_from_empty_text():
     assert parse_config_text("# only comments\n\n") == ExperimentConfig()
 
 
+def test_a_repeated_key_takes_its_last_value():
+    # appending a line to a config file overrides that key
+    cfg = parse_config_text("m = 64\nsweep_s_values = 2,4\nm = 32\nsweep_s_values = 8\n")
+    assert cfg.m == 32
+    assert cfg.sweep_s_values == (8,)
+
+
 def test_unknown_key_reports_line_and_choices():
     with pytest.raises(ConfigError, match=r"<string>:2: unknown key 'gamma'"):
         parse_config_text("m = 8\ngamma = 1\n")
@@ -390,6 +397,52 @@ def test_cli_check_theorems_small(tmp_path, capsys):
     lines = (tmp_path / "preconditions.csv").read_text().splitlines()
     assert lines[0] == "condition,lhs,rhs,pass"
     assert lines[1].startswith("instance000:")
+
+
+THEOREM_SMALL_CFG = (
+    "m = 18\nn = 20\ns = 1\nn_pairs = 1\nn_samples = 100\nbeta = 1.0\nmu = 0.05\n"
+    "lambda = 0.1\neta = 1.0\np = 5\nnoise_mode = capped\nnoise_level = 0.05\n"
+    "trials = 2\nq = 1\nseed = 0\n"
+)
+
+
+@pytest.mark.parametrize("command, extra_args", [
+    ("run", []),
+    ("sweep-p", ["--values", "1,2"]),
+    ("sweep-mu", ["--values", "0.2,0.4"]),
+    ("sweep-lambda-s", ["--trials", "3", "--lambda-values", "0.02,0.2", "--s-values", "4,8"]),
+    ("fit-steady", ["--mu", "0.4", "--dl", "1.0"]),
+    ("check-theorems", []),
+    ("lemma-suite", []),
+])
+def test_cli_writes_every_file_through_one_writer(tmp_path, monkeypatch, command, extra_args):
+    monkeypatch.setattr(suites, "_LEMMA_MATRICES", 2)
+    monkeypatch.setattr(suites, "_LEMMA_DRAWS", 60)
+    seen = []
+    write_csv = harness._write_csv
+
+    def spy(path, header, rows):
+        seen.append(str(path))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(harness, "_write_csv", spy)
+    configs = {"sweep-lambda-s": CONFIGS / "desk.cfg", "check-theorems": tmp_path / "thm.cfg"}
+    (tmp_path / "thm.cfg").write_text(THEOREM_SMALL_CFG)
+    (tmp_path / "small.cfg").write_text(SMALL_CFG)
+    if command == "fit-steady":
+        p = np.arange(1, 6)
+        y = 0.5**p / (1 - 0.5**p) * 0.4 + 0.3
+        (tmp_path / "steady.csv").write_text(
+            "P,steady\n" + "".join(f"{v},{s!r}\n" for v, s in zip(p.tolist(), y.tolist()))
+        )
+        extra_args = extra_args + ["--input", str(tmp_path / "steady.csv")]
+    out = tmp_path / "out"
+    rc = cli_main([command, "--config", str(configs.get(command, tmp_path / "small.cfg")),
+                   "--out", str(out), *extra_args])
+    assert rc == 0
+    written = sorted(str(f) for f in out.iterdir()) if out.exists() else []
+    assert sorted(seen) == written
+    assert written or command == "lemma-suite"
 
 
 def test_cli_lemma_suite_small(tmp_path, capsys):

@@ -290,7 +290,15 @@ def test_preconditions_csv_labels_rows(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "condition,lhs,rhs,pass"
     assert lines[1].startswith("inst000:eta_positive,")
+    assert "inst000:drift_noise_margin,1.0,2.0,1" in lines
     assert len(lines) == 1 + len(report.checks)
+
+
+def test_write_csv_formats_each_field_by_its_type(tmp_path):
+    path = tmp_path / "fields.csv"
+    row = (0.1, np.float64(2.5e-17), np.float32(0.25), 3, np.int64(7), "inst000:name", 1.0)
+    harness._write_csv(path, ("a", "b", "c", "d", "e", "f", "g"), [row, (1, 2.0)])
+    assert path.read_bytes() == b"a,b,c,d,e,f,g\n0.1,2.5e-17,0.25,3,7,inst000:name,1.0\n1,2.0\n"
 
 
 def test_theorem_suite_small_run_is_dominated():
@@ -326,20 +334,29 @@ def suite_instance(kind, index, passed, ok):
     return LcaInstance(index, 0.4, 1.0, 0.05, report, 0.0, 0.0, ok)
 
 
+INSTANCE_FIELDS = ["index", "delta", "lam", "sigma", "report", "max_violation"]
+
+
 @pytest.mark.parametrize(
-    "kind, result, verdict, names",
+    "kind, result, verdict, names, instance_names",
     [
-        ("theorem", TheoremSuiteResult, lambda res: res.all_dominated, ["instances"]),
+        ("theorem", TheoremSuiteResult, lambda res: res.all_dominated, ["instances"],
+         INSTANCE_FIELDS + ["support_ok", "max_gamma_size", "diverged_step"]),
         ("lca", lambda instances: LcaSuiteResult(instances, 5.0, 10),
-         lambda res: res.all_resolved, ["instances", "slack_factor", "substeps"]),
+         lambda res: res.all_resolved, ["instances", "slack_factor", "substeps"],
+         INSTANCE_FIELDS + ["fine_max_violation", "resolved", "diverged_step",
+                            "fine_diverged_step"]),
     ],
     ids=["theorem", "lca"],
 )
-def test_suite_results_count_passing_instances_and_their_verdicts(kind, result, verdict, names):
+def test_suite_results_count_passing_instances_and_their_verdicts(
+    kind, result, verdict, names, instance_names,
+):
     # instance 2 fails its preconditions, so its verdict does not count
     good = tuple(suite_instance(kind, t, passed=t != 2, ok=t != 2) for t in range(4))
     res = result(good)
     assert [field.name for field in fields(res)] == names
+    assert [field.name for field in fields(good[0])] == instance_names
     assert res.n_passing == 3 and res.pass_rate == 0.75 and verdict(res)
     bad = good[:3] + (suite_instance(kind, 3, passed=True, ok=False),)
     assert not verdict(result(bad)) and result(bad).n_passing == 3

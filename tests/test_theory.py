@@ -205,13 +205,6 @@ def test_discrete_precondition_step_bound_row():
     assert not row.passed  # 1.5 >= 2/1.5
 
 
-def test_condition_line_format():
-    report = check_ista_preconditions(delta=0.0, q=4, beta=1.0, sigma=0.0,
-                                      lam=1.0, eta=1.0, init_u=np.zeros(8))
-    line = named(report)["drift_noise_margin"].line()
-    assert line == "drift_noise_margin,1.0,2.0,1"
-
-
 def test_continuous_precondition_report():
     report = check_lca_preconditions(delta=0.1, q=1, beta=0.5, sigma=0.0,
                                      lam=1.0, e0=1.0, D=2.0, init_u=np.zeros(8))
