@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from streamista.harness import write_preconditions_csv
 from streamista.measurement import gen_gaussian_matrix, rip_exact_witness
 from streamista.theory import (
     IstaBoundParams,
     LcaBoundParams,
+    PreconditionReport,
     check_ista_preconditions,
     check_lca_preconditions,
     contraction_factor,
@@ -203,6 +205,16 @@ def test_discrete_precondition_step_bound_row():
                                       lam=1.0, eta=1.5, init_u=np.zeros(4))
     row = named(report)["eta_step_bound"]
     assert not row.passed  # 1.5 >= 2/1.5
+
+
+def test_condition_line_format(tmp_path):
+    report = check_ista_preconditions(delta=0.0, q=4, beta=1.0, sigma=0.0,
+                                      lam=1.0, eta=1.0, init_u=np.zeros(8))
+    check = named(report)["drift_noise_margin"]
+    assert (check.lhs, check.rhs, check.passed) == (1.0, 2.0, True)
+    path = tmp_path / "pre.csv"
+    write_preconditions_csv(path, [("inst000", PreconditionReport((check,)))])
+    assert path.read_text().splitlines()[1] == "inst000:drift_noise_margin,1.0,2.0,1"
 
 
 def test_continuous_precondition_report():
