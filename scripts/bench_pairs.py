@@ -7,10 +7,14 @@ Each tree is a checkout of this repository.  Pair i runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 each tree, in its own directory, the parent first in even pairs and the
 change first in odd ones, so a drift in host speed falls on both sides.
-Every run's last stdout line is perfbench's JSON result.  After each pair
-the script prints every end-to-end metric of both runs, so each run of a
-metric can be reported.  At the end, for each end-to-end metric it prints
-each side's median and quartiles, the
+Every run's last stdout line is perfbench's JSON result.  Before and after
+each run, ``scripts/calibrate.py`` times a fixed numpy operation in a fresh
+interpreter, and ``wall_s/cal`` is the run's ``wall_s`` over the mean of
+those two times: a wall time in units of the host's speed at that moment,
+which makes runs from different sessions comparable.  After each pair
+the script prints every end-to-end metric of both runs, with ``wall_s/cal``
+beside ``wall_s``, so each run of a metric can be reported.  At the end,
+for each of those columns it prints each side's median and quartiles, the
 number of pairs the change won (lower is better, except for ``ok_frac``),
 and the gap between the medians in units of the parent's interquartile
 range, positive when the change is better.  Each summary line ends with
@@ -18,7 +22,8 @@ the metric's verdict against its BENCHMARK.json ``bound``, a limit on how
 much worse, relative to the parent's median, the change's median may be:
 ``within bound``, ``WORSE than bound``, or ``unresolved`` when the parent's
 interquartile range exceeds that bound of its median and not every run of
-the change beats every run of the parent.  It exits 1 if any run failed
+the change beats every run of the parent; ``wall_s/cal`` has no bound and
+no verdict.  It exits 1 if any run failed
 or reported a wrong result.
 """
 
@@ -34,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SIDES = ("parent", "change")
 
+CALIBRATED = "wall_s/cal"
+
 
 def end_to_end(key: str) -> dict:
     """``{metric: its key}`` of every end-to-end metric in BENCHMARK.json."""
@@ -46,18 +53,29 @@ def better_directions() -> dict:
     return end_to_end("better")
 
 
+def calibrate() -> float:
+    """Seconds ``scripts/calibrate.py`` reports, from a fresh interpreter."""
+    argv = [sys.executable, str(ROOT / "scripts" / "calibrate.py")]
+    return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run of ``tree``: its parsed result line."""
+    """One perfbench run of ``tree``: the metrics of its result line, and
+    ``wall_s`` over the mean of the calibrations made before and after it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = calibrate()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    after = calibrate()
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr.strip()}")
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{tree}: {result['failed']} of {result['attempted']} operations failed")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics[CALIBRATED] = metrics["wall_s"] / ((before + after) / 2)
+    return metrics
 
 
 def quartiles(values):
@@ -95,7 +113,8 @@ def verdict(parent, change, sign: float, bound: float) -> str:
 
 def summary(runs: dict, directions: dict, bounds: dict) -> list:
     """One printed line per metric: both sides' quartiles, the change's wins,
-    the gap in IQRs and the verdict against the metric's bound."""
+    the gap in IQRs and, for a metric in ``bounds``, the verdict against its
+    bound."""
     lines = []
     for name, better in directions.items():
         parent = [r[name] for r in runs["parent"]]
@@ -107,11 +126,14 @@ def summary(runs: dict, directions: dict, bounds: dict) -> list:
         iqr = p3 - p1
         in_iqr = f"{sign * gap / iqr:+.2f} parent IQR" if iqr > 0 else "parent IQR 0"
         rel = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
-        lines.append(
+        line = (
             f"{name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> change {c2:.6g} "
             f"[{c1:.6g}, {c3:.6g}] ({rel}); change better in {wins} of {len(parent)}; "
-            f"gap {in_iqr}; {verdict(parent, change, sign, bounds[name])}"
+            f"gap {in_iqr}"
         )
+        if name in bounds:
+            line += f"; {verdict(parent, change, sign, bounds[name])}"
+        lines.append(line)
     return lines
 
 
@@ -125,7 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds per run")
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
-    directions = better_directions()
+    benchmark = better_directions()
+    directions = {"wall_s": benchmark["wall_s"], CALIBRATED: "lower", **benchmark}
     runs = {side: [] for side in SIDES}
     try:
         for pair in range(args.pairs):

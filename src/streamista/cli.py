@@ -8,6 +8,10 @@ ratios do not bracket the fit's level (no CSV is written then).
 
 Each value comes from its flag, then the config file, then a built-in
 default; the harness raises ConfigError, exit 1, for any config it rejects.
+
+Each subcommand is declared once, in ``build_parser``: its help text, its
+flags and its handler.  ``cli_main`` loads the config, the one place that
+does, and calls the handler with ``(args, cfg)``.
 """
 
 import argparse
@@ -45,51 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sp, trials: bool = True):
-    """The flags every subcommand takes; ``--trials`` only where trials run."""
-    sp.add_argument("--config", metavar="PATH", help="experiment config file")
-    sp.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-    sp.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    if trials:
-        sp.add_argument("--trials", type=int, metavar="N", help="override the trial count")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="streamista", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    sp = sub.add_parser("run", help="run one configuration and write curve.csv")
-    _add_common(sp)
-
-    sp = sub.add_parser("sweep-p", help="sweep iterations-per-measurement")
-    _add_common(sp)
-    sp.add_argument("--values", metavar="LIST", help="comma-separated P values")
-
-    sp = sub.add_parser("sweep-mu", help="sweep the target drift rate")
-    _add_common(sp)
-    sp.add_argument("--values", metavar="LIST", help="comma-separated mu values")
-
-    sp = sub.add_parser("sweep-lambda-s", help="active-set ratio grid over (lambda, s)")
-    _add_common(sp)
-    sp.add_argument("--lambda-values", metavar="LIST", help="comma-separated thresholds")
-    sp.add_argument("--s-values", metavar="LIST", help="comma-separated sparsity levels")
-    sp.add_argument("--level", type=float, default=4.0, help="ratio level for the C fit")
-
-    sp = sub.add_parser("fit-steady", help="fit the steady-state law to steady.csv")
-    _add_common(sp, trials=False)
-    sp.add_argument("--input", metavar="PATH", required=True, help="steady.csv to fit")
-    sp.add_argument("--mu", type=float, help="drift rate used in the law (default: config)")
-    sp.add_argument("--dl", type=float, help="iteration length used in the law (default: config)")
-
-    sp = sub.add_parser("check-theorems", help="small-instance bound dominance suite")
-    _add_common(sp)
-
-    sp = sub.add_parser("lemma-suite", help="randomized lemma oracle suite")
-    _add_common(sp, trials=False)
-
-    return parser
-
-
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -116,12 +75,14 @@ def _parse_list(text, kind=float):
 
 
 def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot create --out directory {args.out!r}: {exc.strerror}") from exc
     return args.out
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     _require_steady_curve(cfg)
     out = _outdir(args)
     result = run_trials(cfg)
@@ -132,11 +93,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args, axis: str) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg: ExperimentConfig, axis: str) -> int:
     _require_steady_curve(cfg)
     out = _outdir(args)
-    if args.values:
+    if args.values is not None:
         values = _parse_list(args.values, int if axis == "P" else float)
     elif cfg.sweep_axis == axis and cfg.sweep_values:
         values = cfg.sweep_values
@@ -155,11 +115,10 @@ def _cmd_sweep(args, axis: str) -> int:
     return 0
 
 
-def _cmd_sweep_lambda_s(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep_lambda_s(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
-    lams = _parse_list(args.lambda_values) if args.lambda_values else cfg.sweep_lambda_values
-    svals = _parse_list(args.s_values, int) if args.s_values else cfg.sweep_s_values
+    lams = cfg.sweep_lambda_values if args.lambda_values is None else _parse_list(args.lambda_values)
+    svals = cfg.sweep_s_values if args.s_values is None else _parse_list(args.s_values, int)
     grid, fit = sweep_lambda_s(cfg, lams, svals, ratio_level=args.level)
     write_qratio_csv(os.path.join(out, "qratio.csv"), grid)
     harness._write_csv(os.path.join(out, "qfit.csv"), ("C", "ratio_level"), [(fit.C, fit.level)])
@@ -169,8 +128,7 @@ def _cmd_sweep_lambda_s(args) -> int:
     return 0
 
 
-def _cmd_fit_steady(args) -> int:
-    cfg = _load_config(args)
+def _cmd_fit_steady(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args)
     axis, values, steadies = read_steady_csv(args.input)
     if axis != "P":
@@ -187,11 +145,10 @@ def _cmd_fit_steady(args) -> int:
     return 0
 
 
-def _cmd_check_theorems(args) -> int:
+def _cmd_check_theorems(args, cfg: ExperimentConfig) -> int:
     # the suites load only for the commands that run them
     from .suites import run_theorem_suite
 
-    cfg = _load_config(args)
     out = _outdir(args)
     suite = run_theorem_suite(cfg)
     write_preconditions_csv(
@@ -201,17 +158,12 @@ def _cmd_check_theorems(args) -> int:
     for inst in suite.instances:
         if inst.report.passed:
             status = "dominated" if inst.dominated else "VIOLATED"
-            print(
-                f"instance {inst.index:3d}: delta={inst.delta:.4f} (exact) "
-                f"lambda={inst.lam:.4g} max_violation={inst.max_violation:.3e} "
-                f"max_active={inst.max_gamma_size} -> {status}"
-            )
+            detail = (f"lambda={inst.lam:.4g} max_violation={inst.max_violation:.3e} "
+                      f"max_active={inst.max_gamma_size} -> {status}")
         else:
             failed = [c.name for c in inst.report.checks if not c.passed]
-            print(
-                f"instance {inst.index:3d}: delta={inst.delta:.4f} (exact) "
-                f"preconditions failed: {', '.join(failed)}"
-            )
+            detail = f"preconditions failed: {', '.join(failed)}"
+        print(f"instance {inst.index:3d}: delta={inst.delta:.4f} (exact) {detail}")
     print(
         f"{suite.n_passing}/{len(suite.instances)} instances passed preconditions "
         f"(rate {suite.pass_rate:.2f})"
@@ -223,10 +175,9 @@ def _cmd_check_theorems(args) -> int:
     return 0
 
 
-def _cmd_lemma_suite(args) -> int:
+def _cmd_lemma_suite(args, cfg: ExperimentConfig) -> int:
     from .suites import run_lemma_suite
 
-    cfg = _load_config(args)
     suite = run_lemma_suite(cfg.seed)
     print(
         f"near-isometry checks: {suite.rip_checks} run, {suite.rip_violations} violations, "
@@ -244,15 +195,47 @@ def _cmd_lemma_suite(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "run": _cmd_run,
-    "sweep-p": lambda a: _cmd_sweep(a, "P"),
-    "sweep-mu": lambda a: _cmd_sweep(a, "mu"),
-    "sweep-lambda-s": _cmd_sweep_lambda_s,
-    "fit-steady": _cmd_fit_steady,
-    "check-theorems": _cmd_check_theorems,
-    "lemma-suite": _cmd_lemma_suite,
-}
+def build_parser() -> _Parser:
+    # --help shows the docstring up to its last paragraph, which is for the code's readers
+    parser = _Parser(prog="streamista", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(name, help, handler, trials=True):
+        """A subcommand with the common flags (``--trials`` only where trials
+        run) that ``cli_main`` dispatches to ``handler(args, cfg)``."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", metavar="PATH", help="experiment config file")
+        sp.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
+        sp.add_argument("--out", metavar="DIR", default=".", help="output directory")
+        if trials:
+            sp.add_argument("--trials", type=int, metavar="N", help="override the trial count")
+        sp.set_defaults(handler=handler)
+        return sp
+
+    command("run", "run one configuration and write curve.csv", _cmd_run)
+
+    sp = command("sweep-p", "sweep iterations-per-measurement",
+                 lambda args, cfg: _cmd_sweep(args, cfg, "P"))
+    sp.add_argument("--values", metavar="LIST", help="comma-separated P values")
+
+    sp = command("sweep-mu", "sweep the target drift rate",
+                 lambda args, cfg: _cmd_sweep(args, cfg, "mu"))
+    sp.add_argument("--values", metavar="LIST", help="comma-separated mu values")
+
+    sp = command("sweep-lambda-s", "active-set ratio grid over (lambda, s)", _cmd_sweep_lambda_s)
+    sp.add_argument("--lambda-values", metavar="LIST", help="comma-separated thresholds")
+    sp.add_argument("--s-values", metavar="LIST", help="comma-separated sparsity levels")
+    sp.add_argument("--level", type=float, default=4.0, help="ratio level for the C fit")
+
+    sp = command("fit-steady", "fit the steady-state law to steady.csv", _cmd_fit_steady,
+                 trials=False)
+    sp.add_argument("--input", metavar="PATH", required=True, help="steady.csv to fit")
+    sp.add_argument("--mu", type=float, help="drift rate used in the law (default: config)")
+    sp.add_argument("--dl", type=float, help="iteration length used in the law (default: config)")
+
+    command("check-theorems", "small-instance bound dominance suite", _cmd_check_theorems)
+    command("lemma-suite", "randomized lemma oracle suite", _cmd_lemma_suite, trials=False)
+    return parser
 
 
 def cli_main(argv=None) -> int:
@@ -269,7 +252,7 @@ def cli_main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args, _load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -62,3 +65,22 @@ def test_summary_ends_with_each_metric_verdict_against_its_bound():
     runs["change"] = [{"ok_frac": 1.0}] * 3
     line = bench_pairs.summary(runs, {"ok_frac": "higher"}, {"ok_frac": 0.01})[0]
     assert line.endswith("; within bound")
+
+
+def test_summary_gives_a_column_without_a_bound_no_verdict():
+    runs = {"parent": [{"wall_s/cal": 10.0}] * 3, "change": [{"wall_s/cal": 9.0}] * 3}
+    line = bench_pairs.summary(runs, {"wall_s/cal": "lower"}, {})[0]
+    assert line == ("wall_s/cal: parent 10 [10, 10] -> change 9 [9, 9] (-10.0%); "
+                    "change better in 3 of 3; gap parent IQR 0")
+
+
+def test_calibrate_prints_one_positive_float_without_the_package(tmp_path):
+    # importing streamista fails in this interpreter, so the calibration op
+    # cannot depend on the tree it is run beside
+    code = ("import runpy, sys; sys.modules['streamista'] = None; "
+            "runpy.run_path(sys.argv[1], run_name='__main__')")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, str(SCRIPT.parent / "calibrate.py")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    assert len(proc.stdout.splitlines()) == 1
+    assert float(proc.stdout) > 0

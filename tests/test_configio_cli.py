@@ -455,7 +455,7 @@ def test_cli_lemma_suite_small(tmp_path, capsys):
 
 def test_cli_check_theorems_rejects_an_out_file_before_the_suite(tmp_path, monkeypatch, capsys):
     # every command creates --out before its first trial, so an --out that
-    # names a file fails at once
+    # names a file, or a path under one, is a bad flag that fails at once
     calls = []
     stream = kernels.stream
     # counted, not raised: the CLI maps any exception to exit 2
@@ -464,11 +464,87 @@ def test_cli_check_theorems_rejects_an_out_file_before_the_suite(tmp_path, monke
     )
     out = tmp_path / "file"
     out.write_text("")
-    rc = cli_main(["check-theorems", "--config", str(CONFIGS / "theorem.cfg"), "--trials", "2",
-                   "--out", str(out)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for path in (out, out / "under"):
+        rc = cli_main(["check-theorems", "--config", str(CONFIGS / "theorem.cfg"), "--trials",
+                       "2", "--out", str(path)])
+        assert rc == 1
+        assert f"config error: cannot create --out directory {str(path)!r}" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command, extra_args, message", [
+    ("sweep-p", ["--values", ""], "sweep requires at least one axis value"),
+    ("sweep-p", ["--values", ","], "sweep requires at least one axis value"),
+    ("sweep-mu", ["--values", ""], "sweep requires at least one axis value"),
+    ("sweep-lambda-s", ["--lambda-values", "", "--s-values", "2,4"],
+     "sweep_lambda_s needs nonempty lambda and s value lists"),
+    ("sweep-lambda-s", ["--lambda-values", "0.1,0.2", "--s-values", ""],
+     "sweep_lambda_s needs nonempty lambda and s value lists"),
+], ids=["sweep_p_empty", "sweep_p_comma", "sweep_mu_empty", "lambda_values_empty",
+        "s_values_empty"])
+def test_cli_an_empty_list_flag_exits_one_before_trials(
+    tmp_path, monkeypatch, capsys, command, extra_args, message
+):
+    # the config holds lists of every sweep, so an empty flag must not fall
+    # back to them, nor to the built-in values
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran for an empty list flag")
+
+    for name in ("harness._block_runs", "kernels.stream"):
+        monkeypatch.setattr(f"streamista.{name}", no_trials)
+    axis = "mu" if command == "sweep-mu" else "P"
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL_CFG + f"sweep_axis = {axis}\nsweep_values = 1,2\n"
+                    "sweep_lambda_values = 0.1,0.2\nsweep_s_values = 2,4\n")
+    rc = cli_main([command, "--config", str(path), "--out", str(tmp_path)] + extra_args)
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+SWEEP_P_CONFIG = "sweep_axis = P\nsweep_values = 1,3\n"
+SWEEP_MU_CONFIG = "sweep_axis = mu\nsweep_values = 0.1,0.3\n"
+
+
+@pytest.mark.parametrize("command, extra_lines, extra_args, values", [
+    ("sweep-p", SWEEP_P_CONFIG, ["--values", "2"], ["2"]),
+    ("sweep-p", SWEEP_P_CONFIG, [], ["1", "3"]),
+    ("sweep-p", SWEEP_MU_CONFIG, [], ["1", "2", "5", "10"]),
+    ("sweep-p", "", [], ["1", "2", "5", "10"]),
+    ("sweep-mu", SWEEP_MU_CONFIG, ["--values", "0.5"], ["0.5"]),
+    ("sweep-mu", SWEEP_MU_CONFIG, [], ["0.1", "0.3"]),
+    ("sweep-mu", SWEEP_P_CONFIG, [], ["0.2", "0.4", "0.8"]),
+    ("sweep-mu", "", [], ["0.2", "0.4", "0.8"]),
+], ids=["p_flag", "p_config", "p_config_of_mu", "p_default", "mu_flag", "mu_config",
+        "mu_config_of_p", "mu_default"])
+def test_cli_sweep_values_come_from_the_flag_then_a_config_of_that_axis_then_defaults(
+    tmp_path, command, extra_lines, extra_args, values
+):
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL_CFG + extra_lines)
+    out = tmp_path / "out"
+    rc = cli_main([command, "--config", str(path), "--trials", "1", "--out", str(out)]
+                  + extra_args)
+    assert rc == 0
+    rows = (out / "steady.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == values
+
+
+@pytest.mark.parametrize("extra_args, grid", [
+    ([], [("0.02", "4"), ("0.02", "8"), ("0.2", "4"), ("0.2", "8")]),
+    (["--lambda-values", "0.03,0.3"], [("0.03", "4"), ("0.03", "8"), ("0.3", "4"), ("0.3", "8")]),
+    (["--lambda-values", "0.03,0.3", "--s-values", "6"], [("0.03", "6"), ("0.3", "6")]),
+], ids=["config", "lambda_flag", "both_flags"])
+def test_cli_lambda_s_grid_comes_from_the_flags_then_the_config(tmp_path, extra_args, grid):
+    path = tmp_path / "grid.cfg"
+    path.write_text((CONFIGS / "desk.cfg").read_text()
+                    + "sweep_lambda_values = 0.02,0.2\nsweep_s_values = 4,8\n")
+    out = tmp_path / "out"
+    rc = cli_main(["sweep-lambda-s", "--config", str(path), "--trials", "3", "--out", str(out)]
+                  + extra_args)
+    assert rc == 0
+    rows = (out / "qratio.csv").read_text().splitlines()[1:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == grid
 
 
 @pytest.mark.parametrize("command", ["lemma-suite", "fit-steady"])
